@@ -3,8 +3,9 @@
 Every verb reads and writes the text forms of the formats module; outputs
 are deterministic.  Exit codes: 0 on success, 1 on a domain violation
 (not a tiling, not an USO, invalid rule, bad phase selection, bad label),
-2 on usage, parse, or range errors.  Failures print a single line
-``error: <category>: <detail>`` to stderr.
+2 on usage, parse, or range errors, 3 when an internal cross-check fails
+(a bug).  Failures print a single line ``error: <category>: <detail>`` to
+stderr.
 
 Randomized verbs require an explicit --seed; the generator is SplitMix64
 (see the enumeration module), so equal seeds reproduce equal output on
@@ -39,6 +40,7 @@ from .errors import (
     DimensionError,
     EnumerationLimitError,
     FormatError,
+    InternalError,
     LabellingError,
     NotATilingError,
     PhaseSelectionError,
@@ -62,9 +64,8 @@ from .rewrite import (
 )
 from .tiling import (
     TileSet,
+    incompatible_tiles,
     is_tiling,
-    low_bits_mask,
-    packed_gk_adjacent,
     tile_unpack,
     tiles_from_uso,
     twins,
@@ -98,16 +99,11 @@ def _read_tiling(path: str) -> TileSet:
 def _tiling_defect(ts: TileSet) -> str:
     if len(ts.tiles) != 1 << ts.dim:
         return f"{len(ts.tiles)} tiles, expected {1 << ts.dim}"
-    lo = low_bits_mask(ts.dim)
-    tiles = sorted(ts.tiles)
-    for a in range(len(tiles)):
-        for b in range(a + 1, len(tiles)):
-            if not packed_gk_adjacent(tiles[a], tiles[b], lo):
-                return (
-                    f"incompatible tiles {tile_unpack(tiles[a], ts.dim)} and "
-                    f"{tile_unpack(tiles[b], ts.dim)}"
-                )
-    return "not a tiling"
+    pair = next(incompatible_tiles(sorted(ts.tiles), ts.dim), None)
+    if pair is None:
+        return "not a tiling"
+    a, b = (tile_unpack(t, ts.dim) for t in pair)
+    return f"incompatible tiles {a} and {b}"
 
 
 def _print_tiling(o: Orientation) -> None:
@@ -121,13 +117,15 @@ def _print_tiling(o: Orientation) -> None:
 def _cmd_validate(args) -> int:
     ts = _read_tiling(args.file)
     o = uso_from_tiles(ts)
-    assert is_uso(o, "pairwise")
-    if o.dim <= 6:
-        # the face scan is 3^k, skip the cross-check for big inputs
-        assert is_uso(o, "face-scan")
+    if not is_uso(o, "pairwise"):
+        raise InternalError("the pairwise test rejects a complete tiling")
+    # the face scan is 3^k, skip the cross-check for big inputs
+    if o.dim <= 6 and not is_uso(o, "face-scan"):
+        raise InternalError("the face scan disagrees with the pairwise test")
     flips = len(flippable_edges(o))
     pairs = len(twins(ts))
-    assert flips == pairs
+    if flips != pairs:
+        raise InternalError(f"{flips} flippable edges but {pairs} twin pairs")
     print(f"uso dim={ts.dim} flippable={flips} twins={pairs}")
     return 0
 
@@ -323,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="usokit",
         description="Unique sink orientations of cubes: validate, rewrite, "
         "transform, enumerate, sample.",
-        epilog="Exit codes: 0 ok, 1 domain violation, 2 usage or parse error. "
+        epilog="Exit codes: 0 ok, 1 domain violation, 2 usage or parse error, "
+        "3 internal check failed. "
         f"Randomness: {RNG_ALGORITHM}, reproducible per --seed.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="<verb>")
@@ -435,6 +434,9 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+        return 3
     except FormatError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 2

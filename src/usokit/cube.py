@@ -29,6 +29,7 @@ from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
+from .pairwise import incompatible_pairs
 
 FACE_CHARS = "01*"
 
@@ -218,16 +219,14 @@ def unique_sink(o: Orientation, f: Face):
     return "none" if found is None else found
 
 
+@lru_cache(maxsize=None)
+def _vertex_words(k: int) -> tuple[int, ...]:
+    return tuple(range(1 << k))
+
+
 def _pairwise_ok(out, k: int) -> bool:
     """Every pair of vertices differs somewhere with equal direction bits."""
-    n = 1 << k
-    full = n - 1
-    for v in range(n):
-        ov = out[v]
-        for w in range(v + 1, n):
-            if not (v ^ w) & ~(ov ^ out[w]) & full:
-                return False
-    return True
+    return next(incompatible_pairs(_vertex_words(k), out, k), None) is None
 
 
 @lru_cache(maxsize=None)

@@ -45,6 +45,15 @@ class EnumerationLimitError(UsoError):
     category = "limit"
 
 
+class InternalError(UsoError):
+    """A cross-check inside usokit failed: a bug, not bad input.
+
+    The CLI maps this to exit code 3.
+    """
+
+    category = "internal"
+
+
 class FormatError(UsoError):
     """Malformed input text; the CLI maps this to the parse exit code."""
 

@@ -12,17 +12,24 @@ written as "-" wherever a tile or a bit string would be empty.
     labels       lines "<tile> <label>"
 
 Readers are strict: wrong cardinality, duplicates, stray characters, and
-out-of-order orientation lines all raise FormatError.
+out-of-order orientation lines all raise FormatError.  A header dimension
+above MAX_FORMAT_DIM is rejected by comparison alone, before anything of
+size 2^k is computed: a packed tile of that dimension fills the pairwise
+kernel's widest (64-bit) word.
 """
 
 from __future__ import annotations
 
 from .cube import Orientation, vertex_bits
 from .errors import FormatError
+from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule, SimpleRule, as_generalized
 from .tiling import DIGITS, PartialTileSet, TileSet
 
 EMPTY_WORD = "-"
+
+# Largest dimension a header may state: 2 bits per coordinate per tile.
+MAX_FORMAT_DIM = MAX_WORD_BITS // 2
 
 
 def _lines(text: str) -> list[str]:
@@ -42,7 +49,13 @@ def _parse_header(line: str, tag: str) -> int:
         raise FormatError(f"bad dimension {parts[1]!r}") from None
     if k < 0:
         raise FormatError(f"bad dimension {k}")
+    _check_dim_cap(k)
     return k
+
+
+def _check_dim_cap(k: int) -> None:
+    if k > MAX_FORMAT_DIM:
+        raise FormatError(f"dimension {k} exceeds the cap {MAX_FORMAT_DIM}")
 
 
 def _parse_tile(word: str, k: int) -> str:
@@ -174,6 +187,7 @@ def read_rule(text: str) -> GeneralizedRule:
         raise FormatError(f"bad rule header {lines[0]!r}") from None
     if d < 0 or i < 1:
         raise FormatError(f"bad rule header {lines[0]!r}")
+    _check_dim_cap(d)
     body = lines[1:]
     if len(body) != 4 * i:
         raise FormatError(f"expected {4 * i} set lines, got {len(body)}")

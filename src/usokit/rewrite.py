@@ -23,14 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DimensionError, InvalidRuleError, LabellingError, NotATilingError
+from .errors import (
+    DimensionError,
+    InternalError,
+    InvalidRuleError,
+    LabellingError,
+    NotATilingError,
+)
 from .tiling import (
     PartialTileSet,
     TileSet,
     canonical_tiles,
+    incompatible_tiles,
     is_tiling,
-    low_bits_mask,
-    packed_gk_adjacent,
     tile_pack,
     tile_unpack,
     tile_vertex,
@@ -150,14 +155,11 @@ def _union_violations(name_a, a: PartialTileSet, name_b, b: PartialTileSet):
             f"{name_a} + {name_b} has {len(a.tiles) + len(b.tiles)} tiles, "
             f"needs {1 << d}"
         )
-    lo = low_bits_mask(d)
-    for x in range(len(union)):
-        for y in range(x + 1, len(union)):
-            if not packed_gk_adjacent(union[x], union[y], lo):
-                out.append(
-                    f"{name_a} + {name_b} contains the incompatible pair "
-                    f"{tile_unpack(union[x], d)}, {tile_unpack(union[y], d)}"
-                )
+    for ta, tb in incompatible_tiles(union, d):
+        out.append(
+            f"{name_a} + {name_b} contains the incompatible pair "
+            f"{tile_unpack(ta, d)}, {tile_unpack(tb, d)}"
+        )
     return out
 
 
@@ -173,7 +175,8 @@ def validate_generalized(rule: GeneralizedRule) -> list[str]:
 
     On a clean rule the even-digit (and odd-digit) replacement sets of all
     columns must project to the same vertex sets; that is implied by the
-    pair conditions, so it is asserted rather than reported.
+    pair conditions, so a difference raises InternalError rather than being
+    reported.
     """
     out = []
     for j in range(1, rule.i + 1):
@@ -189,10 +192,11 @@ def validate_generalized(rule: GeneralizedRule) -> list[str]:
             first = {tile_vertex(t, rule.d) for t in rule.set_for(m, 1).tiles}
             for j in range(2, rule.i + 1):
                 vs = {tile_vertex(t, rule.d) for t in rule.set_for(m, j).tiles}
-                assert vs == first, (
-                    f"column vertex projections of S{m} differ despite clean "
-                    f"pair checks"
-                )
+                if vs != first:
+                    raise InternalError(
+                        f"column vertex projections of S{m} differ despite "
+                        f"clean pair checks"
+                    )
     return out
 
 
@@ -210,7 +214,7 @@ def apply_simple(rule: SimpleRule, k_set: TileSet, h: int, checked: bool = False
     """Rewrite every tile at coordinate h; output width k + d - 1.
 
     Assumes a valid rule and a complete input unless checked is set.  The
-    output cardinality is always asserted, which catches unsound rules
+    output cardinality is always checked, which catches unsound rules
     loudly even in unchecked mode.
     """
     if checked:

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .cube import Orientation, _pairwise_ok
 from .errors import NotAnUsoError, NotATilingError
+from .pairwise import incompatible_pairs
 
 DIGITS = "0123"
 
@@ -92,6 +94,19 @@ def packed_gk_adjacent(u: int, v: int, lo: int) -> bool:
     """
     w = u ^ v
     return bool(w >> 1 & ~w & lo)
+
+
+def incompatible_tiles(tiles, k: int) -> Iterator[tuple[int, int]]:
+    """Incompatible pairs of a sequence of packed k-dimensional tiles.
+
+    Yields (tiles[a], tiles[b]) for a < b in lexicographic (a, b) order,
+    lazily, through the pairwise kernel: the vertex word is the high bit of
+    every digit moved onto its low bit's slot, the direction word the tile.
+    """
+    lo = low_bits_mask(k)
+    highs = [t >> 1 & lo for t in tiles]
+    for a, b in incompatible_pairs(highs, tiles, 2 * k):
+        yield tiles[a], tiles[b]
 
 
 def gk_adjacent(u: str, v: str) -> bool:
@@ -169,13 +184,7 @@ class PartialTileSet:
         return sorted(tile_unpack(t, self.dim) for t in self.tiles)
 
     def is_pairwise_adjacent(self) -> bool:
-        lo = low_bits_mask(self.dim)
-        tiles = sorted(self.tiles)
-        for a in range(len(tiles)):
-            for b in range(a + 1, len(tiles)):
-                if not packed_gk_adjacent(tiles[a], tiles[b], lo):
-                    return False
-        return True
+        return next(incompatible_tiles(sorted(self.tiles), self.dim), None) is None
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -185,14 +194,7 @@ def is_tiling(ts: TileSet) -> bool:
     """Whether the set is complete: 2^k tiles, pairwise compatible."""
     if len(ts.tiles) != 1 << ts.dim:
         return False
-    lo = low_bits_mask(ts.dim)
-    tiles = sorted(ts.tiles)
-    for a in range(len(tiles)):
-        ta = tiles[a]
-        for b in range(a + 1, len(tiles)):
-            if not packed_gk_adjacent(ta, tiles[b], lo):
-                return False
-    return True
+    return next(incompatible_tiles(sorted(ts.tiles), ts.dim), None) is None
 
 
 def vertex_outmaps(ts: TileSet) -> list[int] | None:

@@ -26,6 +26,7 @@ from .cube import (
     Face,
     Orientation,
     _pairwise_ok,
+    _vertex_words,
     drop_bit,
     insert_bit,
     vertex_bits,
@@ -34,9 +35,11 @@ from .errors import (
     DimensionError,
     EnumerationLimitError,
     HypervertexError,
+    InternalError,
     NotAnUsoError,
     PhaseSelectionError,
 )
+from .pairwise import _incompatible_pairs_py
 from .tiling import TileSet, tiles_from_uso, uso_from_tiles
 
 PHASE_DIM_CAP = 5
@@ -45,6 +48,13 @@ PHASE_DIM_CAP = 5
 def _require_uso(o: Orientation) -> None:
     if not _pairwise_ok(o.out, o.dim):
         raise NotAnUsoError("input is not a unique sink orientation")
+
+
+def _checked(result: Orientation) -> Orientation:
+    """The output check every transform keeps: a failure is a bug here."""
+    if not _pairwise_ok(result.out, result.dim):
+        raise InternalError("transform produced an orientation without unique sinks")
+    return result
 
 
 def _require_coordinate(i: int, k: int) -> None:
@@ -80,9 +90,7 @@ def product(frame: Orientation, parts) -> Orientation:
         xf = x & (1 << k) - 1
         xp = x >> k
         out.append(frame.out[xf] | parts[xf].out[xp] << k)
-    result = Orientation(k + d, tuple(out))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(Orientation(k + d, tuple(out)))
 
 
 def inherited(o: Orientation, k_prime: int) -> Orientation:
@@ -104,9 +112,7 @@ def inherited(o: Orientation, k_prime: int) -> Orientation:
             for v in range(top)
         ]
         k -= 1
-    result = Orientation(k_prime, tuple(out))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(Orientation(k_prime, tuple(out)))
 
 
 def facet(o: Orientation, h: int, side: str = "lower") -> Orientation:
@@ -120,9 +126,7 @@ def facet(o: Orientation, h: int, side: str = "lower") -> Orientation:
     out = []
     for p in range(1 << (o.dim - 1)):
         out.append(drop_bit(o.out[insert_bit(p, pos, bit)], pos))
-    result = Orientation(o.dim - 1, tuple(out))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(Orientation(o.dim - 1, tuple(out)))
 
 
 def flip_dimension(o: Orientation, i: int) -> Orientation:
@@ -130,9 +134,7 @@ def flip_dimension(o: Orientation, i: int) -> Orientation:
     _require_uso(o)
     _require_coordinate(i, o.dim)
     ibit = 1 << (i - 1)
-    result = Orientation(o.dim, tuple(w ^ ibit for w in o.out))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(Orientation(o.dim, tuple(w ^ ibit for w in o.out)))
 
 
 def mirror(o: Orientation, h: int) -> Orientation:
@@ -140,9 +142,8 @@ def mirror(o: Orientation, h: int) -> Orientation:
     _require_uso(o)
     _require_coordinate(h, o.dim)
     hbit = 1 << (h - 1)
-    result = Orientation(o.dim, tuple(o.out[v ^ hbit] for v in range(1 << o.dim)))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    out = tuple(o.out[v ^ hbit] for v in range(1 << o.dim))
+    return _checked(Orientation(o.dim, out))
 
 
 def partial_swap(o: Orientation, h: int) -> Orientation:
@@ -221,6 +222,7 @@ def _brute_phase_projections(out: tuple, k: int, i: int):
     ibit = 1 << (i - 1)
     m = 1 << (k - 1)
     lower = [_expand(p, i) for p in range(m)]
+    vertices = _vertex_words(k)
     current = list(out)
     valid = []
     gray = 0
@@ -230,7 +232,9 @@ def _brute_phase_projections(out: tuple, k: int, i: int):
             gray ^= 1 << p
             current[lower[p]] ^= ibit
             current[lower[p] | ibit] ^= ibit
-        if _pairwise_ok(current, k):
+        # most candidates fail within a few pairs, where the reference
+        # loop's early exit beats the numpy route's fixed cost per call
+        if next(_incompatible_pairs_py(vertices, current), None) is None:
             valid.append(gray)
     member = [(1 << m) - 1] * m
     for s in valid:
@@ -240,13 +244,17 @@ def _brute_phase_projections(out: tuple, k: int, i: int):
     by_mask = {}
     for p in range(m):
         by_mask.setdefault(member[p], []).append(p)
-    assert len(valid) == 1 << len(by_mask)
+    if len(valid) != 1 << len(by_mask):
+        raise InternalError(
+            f"{len(valid)} sound flip sets for {len(by_mask)} phase classes"
+        )
     for s in valid:
         union = 0
         for p in range(m):
             if s >> p & 1:
                 union |= member[p]
-        assert union == s
+        if union != s:
+            raise InternalError("a sound flip set is not a union of phase classes")
     return tuple(sorted(tuple(g) for g in by_mask.values()))
 
 
@@ -286,9 +294,7 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
         for e in cls:
             out[e.vertex] ^= ibit
             out[e.vertex | ibit] ^= ibit
-    result = Orientation(o.dim, tuple(out))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(Orientation(o.dim, tuple(out)))
 
 
 def phase_swap(o: Orientation, h: int, edges) -> Orientation:
@@ -323,9 +329,7 @@ def phase_swap(o: Orientation, h: int, edges) -> Orientation:
         for b in range(o.dim):
             v |= (t >> (2 * b + 1) & 1) << b
         moved.append(t ^ 2 << shift if v in endpoints else t)
-    result = uso_from_tiles(TileSet(o.dim, frozenset(moved)))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(uso_from_tiles(TileSet(o.dim, frozenset(moved))))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +395,4 @@ def hypervertex_replace(o: Orientation, f: Face, sub: Orientation) -> Orientatio
             bit = sub.out[p] >> a & 1
             word = word & ~(1 << pos) | bit << pos
         out[v] = word
-    result = Orientation(o.dim, tuple(out))
-    assert _pairwise_ok(result.out, result.dim)
-    return result
+    return _checked(Orientation(o.dim, tuple(out)))
