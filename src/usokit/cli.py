@@ -15,6 +15,9 @@ any platform.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -59,15 +62,14 @@ from .formats import (
 from .rewrite import (
     NAMED_RULE_KINDS,
     apply_generalized,
+    apply_simple,
     named_rule,
     universality_rule,
 )
 from .tiling import (
     TileSet,
-    incompatible_tiles,
-    is_tiling,
-    tile_unpack,
     tiles_from_uso,
+    tiling_defect,
     twins,
     uso_from_tiles,
 )
@@ -91,19 +93,64 @@ def _read(path: str) -> str:
 
 def _read_tiling(path: str) -> TileSet:
     ts = read_tiling(_read(path))
-    if not is_tiling(ts):
-        raise NotATilingError(f"{path}: {_tiling_defect(ts)}")
+    defect = tiling_defect(ts)
+    if defect is not None:
+        raise NotATilingError(f"{path}: {defect}")
     return ts
 
 
-def _tiling_defect(ts: TileSet) -> str:
-    if len(ts.tiles) != 1 << ts.dim:
-        return f"{len(ts.tiles)} tiles, expected {1 << ts.dim}"
-    pair = next(incompatible_tiles(sorted(ts.tiles), ts.dim), None)
-    if pair is None:
-        return "not a tiling"
-    a, b = (tile_unpack(t, ts.dim) for t in pair)
-    return f"incompatible tiles {a} and {b}"
+def _uso_of(ts: TileSet, where: str = "") -> Orientation:
+    """The orientation of ts, verified once; the error names the defect."""
+    try:
+        return uso_from_tiles(ts)
+    except NotATilingError:
+        raise NotATilingError(where + tiling_defect(ts)) from None
+
+
+def _read_uso(path: str) -> Orientation:
+    return _uso_of(read_tiling(_read(path)), f"{path}: ")
+
+
+def _write_out(path: str, chunks) -> None:
+    """Write the text chunks to path.
+
+    A new or regular file goes through a temp file beside it, which takes
+    the old mode and is renamed over it, so a failure partway keeps the
+    earlier file.  Devices, FIFOs, symlinks, and targets whose directory
+    takes no temp file are opened and written directly.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:
+        st = None
+    sink, tmp = None, f"{path}.{os.getpid()}.tmp"
+    if st is None or stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+        with contextlib.suppress(OSError):
+            sink = open(tmp, "x")
+    if sink is None:
+        with open(path, "w") as direct:
+            direct.writelines(chunks)
+        return
+    try:
+        with sink:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            sink.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        # report the path that was asked for, not the temp file
+        if exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _check_jobs(jobs: int) -> None:
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise ValueError(f"--jobs must be in 1..{limit}, got {jobs}")
 
 
 def _print_tiling(o: Orientation) -> None:
@@ -115,8 +162,8 @@ def _print_tiling(o: Orientation) -> None:
 
 
 def _cmd_validate(args) -> int:
-    ts = _read_tiling(args.file)
-    o = uso_from_tiles(ts)
+    ts = read_tiling(_read(args.file))
+    o = _uso_of(ts, f"{args.file}: ")
     if not is_uso(o, "pairwise"):
         raise InternalError("the pairwise test rejects a complete tiling")
     # the face scan is 3^k, skip the cross-check for big inputs
@@ -134,10 +181,7 @@ def _cmd_convert(args) -> int:
     text = _read(args.file)
     first = text.split(None, 1)[0] if text.split() else ""
     if first == "uso":
-        ts = read_tiling(text)
-        if not is_tiling(ts):
-            raise NotATilingError(_tiling_defect(ts))
-        o = uso_from_tiles(ts)
+        o = _uso_of(read_tiling(text))
     elif first == "o":
         o = read_orientation(text)
     else:
@@ -154,11 +198,11 @@ def _cmd_apply(args) -> int:
     rule = read_rule(_read(args.rule))
     if args.labels:
         labels = read_labels(_read(args.labels), ts.dim)
+        result = apply_generalized(rule, ts, labels, args.h, checked=True)
     elif rule.i == 1:
-        labels = {s: 1 for s in ts.strings()}
+        result = apply_simple(rule, ts, args.h, checked=True)
     else:
         raise LabellingError(f"rule has {rule.i} columns, --labels required")
-    result = apply_generalized(rule, ts, labels, args.h, checked=True)
     sys.stdout.write(write_tiling(result))
     return 0
 
@@ -173,13 +217,12 @@ def _cmd_uni_rule(args) -> int:
     rule, labels = universality_rule(ts)
     sys.stdout.write(write_rule(rule))
     if args.labels_out:
-        Path(args.labels_out).write_text(write_labels(labels))
+        _write_out(args.labels_out, [write_labels(labels)])
     return 0
 
 
 def _cmd_product(args) -> int:
-    frame_ts = _read_tiling(args.frame)
-    frame = uso_from_tiles(frame_ts)
+    frame = _read_uso(args.frame)
     parts = {}
     for spec in args.part or []:
         bits, _, path = spec.partition("=")
@@ -192,7 +235,7 @@ def _cmd_product(args) -> int:
         v = vertex_from_bits(bits)
         if v in parts:
             raise ValueError(f"vertex {bits!r} given twice")
-        parts[v] = uso_from_tiles(_read_tiling(path))
+        parts[v] = _read_uso(path)
     missing = [v for v in range(1 << frame.dim) if v not in parts]
     if missing:
         raise ValueError(
@@ -203,37 +246,37 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_inherit(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     _print_tiling(inherited(o, args.kprime))
     return 0
 
 
 def _cmd_facet(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     _print_tiling(facet(o, args.h, args.side))
     return 0
 
 
 def _cmd_flip(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     _print_tiling(flip_dimension(o, args.h))
     return 0
 
 
 def _cmd_mirror(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     _print_tiling(mirror(o, args.h))
     return 0
 
 
 def _cmd_partial_swap(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     _print_tiling(partial_swap(o, args.h))
     return 0
 
 
 def _cmd_phases(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     part = phases(o, args.h, args.method)
     for cls in part.classes:
         print(" ".join(f"{vertex_bits(e.vertex, o.dim)}/{e.dim}" for e in sorted(cls)))
@@ -252,7 +295,7 @@ def _parse_class_indexes(spec: str, n: int) -> list[int]:
 
 
 def _cmd_phase_flip(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     part = phases(o, args.h)
     picked = _parse_class_indexes(args.classes, len(part.classes))
     _print_tiling(phase_flip(o, args.h, [part.classes[c] for c in picked]))
@@ -260,7 +303,7 @@ def _cmd_phase_flip(args) -> int:
 
 
 def _cmd_phase_swap(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     part = phases(o, args.h)
     picked = _parse_class_indexes(args.classes, len(part.classes))
     edges = set()
@@ -271,37 +314,36 @@ def _cmd_phase_swap(args) -> int:
 
 
 def _cmd_hyper_replace(args) -> int:
-    o = uso_from_tiles(_read_tiling(args.file))
+    o = _read_uso(args.file)
     try:
         face = Face(args.face)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    sub = uso_from_tiles(_read_tiling(args.with_file))
+    sub = _read_uso(args.with_file)
     _print_tiling(hypervertex_replace(o, face, sub))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    _check_jobs(args.jobs)
     if args.method == "brute":
         stream = enumerate_brute(args.k)
     else:
         stream = enumerate_join(args.k, args.jobs)
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for idx, ts in enumerate(stream):
-            if idx:
-                sink.write("\n")
-            sink.write(write_tiling(ts))
-    finally:
-        if args.out:
-            sink.close()
+    chunks = (("\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream))
+    if args.out:
+        _write_out(args.out, chunks)
+    else:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     return 0
 
 
 def _cmd_count(args) -> int:
+    _check_jobs(args.jobs)
     report = count_usos(args.k, args.method, args.jobs)
     if args.out:
-        Path(args.out).write_text(report.line() + "\n")
+        _write_out(args.out, [report.line() + "\n"])
     else:
         print(report.line())
     return 0

@@ -39,8 +39,8 @@ import numpy as np
 
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
-from .tiling import TileSet, tile_of, tile_unpack
-from .transform import _phase_projections
+from .tiling import TileSet, _tiles_of, tile_of
+from .transform import _expand, _phase_projections
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -113,14 +113,13 @@ def _catalogue(k: int) -> tuple:
 
 
 def _serial_key(out, k: int) -> tuple:
-    return tuple(sorted(tile_unpack(tile_of(v, out[v], k), k) for v in range(1 << k)))
+    return tuple(_tiles_of(out, k).strings())
 
 
 def enumerate_brute(k: int) -> Iterator[TileSet]:
     """Yield every k-dimensional USO tiling by exhausting direction words."""
-    n = 1 << k
     for out in _catalogue(k):
-        yield TileSet(k, frozenset(tile_of(v, out[v], k) for v in range(n)))
+        yield _tiles_of(out, k)
 
 
 # ---------------------------------------------------------------------------
@@ -313,36 +312,37 @@ def _step(out: list, k: int, rng: SplitMix64) -> None:
     for c, cls in enumerate(classes):
         if pick >> c & 1:
             for p in cls:
-                v = (p >> (i - 1)) << i | p & ibit - 1
+                v = _expand(p, i)
                 out[v] ^= ibit
                 out[v | ibit] ^= ibit
 
 
-def markov_walk(k: int, steps: int, seed: int) -> Iterator[ChainState]:
-    """States of the flip walk, starting from the canonical orientation."""
+def _walk(k: int, steps: int, seed: int) -> Iterator[list]:
+    """The direction words after 0, 1, ..., steps moves from canonical.
+
+    Yields one list, updated in place between yields.
+    """
     _check_sample_dim(k)
-    n = 1 << k
-    out = [0] * n
-
-    def snapshot(step):
-        tiles = frozenset(tile_of(v, out[v], k) for v in range(n))
-        return ChainState(TileSet(k, tiles), step, seed)
-
-    yield snapshot(0)
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    out = [0] * (1 << k)
+    yield out
     rng = SplitMix64(seed)
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         if k:
             _step(out, k, rng)
-        yield snapshot(step)
+        yield out
+
+
+def markov_walk(k: int, steps: int, seed: int) -> Iterator[ChainState]:
+    """States of the flip walk, starting from the canonical orientation."""
+    for step, out in enumerate(_walk(k, steps, seed)):
+        yield ChainState(_tiles_of(out, k), step, seed)
 
 
 def sample_markov(k: int, steps: int, seed: int) -> TileSet:
     """The tiling after `steps` flip-walk moves from canonical."""
-    _check_sample_dim(k)
-    n = 1 << k
-    out = [0] * n
-    rng = SplitMix64(seed)
-    if k:
-        for _ in range(steps):
-            _step(out, k, rng)
-    return TileSet(k, frozenset(tile_of(v, out[v], k) for v in range(n)))
+    # the 0-cube has one orientation, so no move changes it
+    for out in _walk(k, steps if k else min(steps, 0), seed):
+        pass
+    return _tiles_of(out, k)

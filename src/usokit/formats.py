@@ -23,8 +23,8 @@ from __future__ import annotations
 from .cube import Orientation, vertex_bits
 from .errors import FormatError
 from .pairwise import MAX_WORD_BITS
-from .rewrite import GeneralizedRule, SimpleRule, as_generalized
-from .tiling import DIGITS, PartialTileSet, TileSet
+from .rewrite import GeneralizedRule
+from .tiling import DIGITS, TileSet
 
 EMPTY_WORD = "-"
 
@@ -157,9 +157,7 @@ def read_orientation(text: str) -> Orientation:
 # rules
 
 
-def write_rule(rule: SimpleRule | GeneralizedRule) -> str:
-    if isinstance(rule, SimpleRule):
-        rule = as_generalized(rule)
+def write_rule(rule: GeneralizedRule) -> str:
     lines = [f"rule d={rule.d} i={rule.i}"]
     for m in range(4):
         for j in range(1, rule.i + 1):
@@ -205,7 +203,7 @@ def read_rule(text: str) -> GeneralizedRule:
             tiles = [_parse_tile(w, d) for w in words]
             if len(set(tiles)) != len(tiles):
                 raise FormatError(f"duplicate tiles in {prefix[:-1]}")
-            row.append(PartialTileSet.from_strings(tiles, d))
+            row.append(TileSet.from_strings(tiles, d))
         rows.append(tuple(row))
     return GeneralizedRule(d, i, tuple(rows))
 

@@ -2,10 +2,10 @@
 
 A rule of width d replaces the digit at one chosen coordinate h of every
 tile with each member of a replacement set chosen by that digit, turning a
-k-dimensional tiling into a (k + d - 1)-dimensional one.  A simple rule
-carries four replacement sets S0..S3, one per digit value; a generalized
-rule carries i columns of four sets and a labelling picks the column per
-input tile.
+k-dimensional tiling into a (k + d - 1)-dimensional one.  A rule carries i
+columns of four replacement sets S0..S3, one per digit value, and a
+labelling picks the column per input tile.  A simple rule is the one-column
+case: every tile uses column 1.
 
 Validity conditions (checked by the validators, assumed by the appliers):
 the even-digit sets of any two columns must be disjoint and unite to a
@@ -31,7 +31,6 @@ from .errors import (
     NotATilingError,
 )
 from .tiling import (
-    PartialTileSet,
     TileSet,
     canonical_tiles,
     incompatible_tiles,
@@ -70,33 +69,12 @@ _NAMED = {
 
 
 @dataclass(frozen=True)
-class SimpleRule:
-    """Replacement sets S0..S3 of equal width d, applied by digit value."""
-
-    d: int
-    s0: PartialTileSet
-    s1: PartialTileSet
-    s2: PartialTileSet
-    s3: PartialTileSet
-
-    def __post_init__(self):
-        for s in (self.s0, self.s1, self.s2, self.s3):
-            if s.dim != self.d:
-                raise DimensionError(
-                    f"replacement set of width {s.dim} in a rule of width {self.d}"
-                )
-
-    def sets(self) -> tuple[PartialTileSet, ...]:
-        return (self.s0, self.s1, self.s2, self.s3)
-
-
-@dataclass(frozen=True)
 class GeneralizedRule:
     """i labelled columns of replacement sets; columns[m][j - 1] is S m, j."""
 
     d: int
     i: int
-    columns: tuple[tuple[PartialTileSet, ...], ...]
+    columns: tuple[tuple[TileSet, ...], ...]
 
     def __post_init__(self):
         if self.i < 1:
@@ -113,35 +91,34 @@ class GeneralizedRule:
                         f"{self.d}"
                     )
 
-    def set_for(self, m: int, j: int) -> PartialTileSet:
+    def set_for(self, m: int, j: int) -> TileSet:
         return self.columns[m][j - 1]
 
 
-def as_generalized(rule: SimpleRule) -> GeneralizedRule:
-    """Embed a simple rule as a single-column generalized rule."""
-    return GeneralizedRule(rule.d, 1, tuple((s,) for s in rule.sets()))
+def SimpleRule(d: int, s0: TileSet, s1: TileSet, s2: TileSet, s3: TileSet) -> GeneralizedRule:
+    """The one-column rule with replacement sets S0..S3 of width d."""
+    return GeneralizedRule(d, 1, ((s0,), (s1,), (s2,), (s3,)))
 
 
-def named_rule(kind: str) -> SimpleRule:
+def as_generalized(rule: GeneralizedRule) -> GeneralizedRule:
+    """A simple rule already is a one-column generalized rule."""
+    return rule
+
+
+def named_rule(kind: str) -> GeneralizedRule:
     """One of the built-in width 0 and width 1 rules, by name."""
     try:
-        d, s0, s1, s2, s3 = _NAMED[kind]
+        d, *sets = _NAMED[kind]
     except KeyError:
         raise InvalidRuleError(f"unknown rule kind {kind!r}") from None
-    return SimpleRule(
-        d,
-        PartialTileSet.from_strings(s0, d),
-        PartialTileSet.from_strings(s1, d),
-        PartialTileSet.from_strings(s2, d),
-        PartialTileSet.from_strings(s3, d),
-    )
+    return SimpleRule(d, *(TileSet.from_strings(s, d) for s in sets))
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _union_violations(name_a, a: PartialTileSet, name_b, b: PartialTileSet):
+def _union_violations(name_a, a: TileSet, name_b, b: TileSet):
     """Check that two replacement sets unite to a complete tiling, disjointly."""
     d = a.dim
     out = []
@@ -160,13 +137,6 @@ def _union_violations(name_a, a: PartialTileSet, name_b, b: PartialTileSet):
             f"{name_a} + {name_b} contains the incompatible pair "
             f"{tile_unpack(ta, d)}, {tile_unpack(tb, d)}"
         )
-    return out
-
-
-def validate_simple(rule: SimpleRule) -> list[str]:
-    """Violations of the rule conditions; empty means valid."""
-    out = _union_violations("S0", rule.s0, "S2", rule.s2)
-    out += _union_violations("S1", rule.s1, "S3", rule.s3)
     return out
 
 
@@ -200,39 +170,21 @@ def validate_generalized(rule: GeneralizedRule) -> list[str]:
     return out
 
 
+validate_simple = validate_generalized
+
+
 # ---------------------------------------------------------------------------
 # application
 
 
-def _splice(t: int, h: int, d: int, s: int) -> int:
-    """Replace the digit of t at coordinate h with the d digits of s."""
-    shift = 2 * (h - 1)
-    return (t & (1 << shift) - 1) | s << shift | (t >> (shift + 2)) << (shift + 2 * d)
-
-
-def apply_simple(rule: SimpleRule, k_set: TileSet, h: int, checked: bool = False) -> TileSet:
-    """Rewrite every tile at coordinate h; output width k + d - 1.
+def apply_simple(rule: GeneralizedRule, k_set: TileSet, h: int, checked: bool = False) -> TileSet:
+    """Rewrite every tile at coordinate h with column 1; output width k + d - 1.
 
     Assumes a valid rule and a complete input unless checked is set.  The
     output cardinality is always checked, which catches unsound rules
     loudly even in unchecked mode.
     """
-    if checked:
-        violations = validate_simple(rule)
-        if violations:
-            raise InvalidRuleError("; ".join(violations))
-        if not is_tiling(k_set):
-            raise NotATilingError("input is not a complete tiling")
-    k = k_set.dim
-    if not 1 <= h <= k:
-        raise DimensionError(f"coordinate {h} out of range 1..{k}")
-    sets = tuple(s.tiles for s in rule.sets())
-    shift = 2 * (h - 1)
-    out = set()
-    for t in k_set.tiles:
-        for s in sets[t >> shift & 3]:
-            out.add(_splice(t, h, rule.d, s))
-    return _sized(out, k + rule.d - 1)
+    return _rewrite(rule, k_set, None, h, checked)
 
 
 def apply_generalized(
@@ -243,6 +195,14 @@ def apply_generalized(
     checked: bool = False,
 ) -> TileSet:
     """Rewrite with per-tile column choice; labelling maps tile strings."""
+    return _rewrite(rule, k_set, labelling, h, checked)
+
+
+def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
+    """Replace the digit at coordinate h of every tile with its replacement set.
+
+    A tile's column is its label, or 1 for every tile when labelling is None.
+    """
     if checked:
         violations = validate_generalized(rule)
         if violations:
@@ -252,23 +212,25 @@ def apply_generalized(
     k = k_set.dim
     if not 1 <= h <= k:
         raise DimensionError(f"coordinate {h} out of range 1..{k}")
-    packed_labels = {}
-    for s, j in labelling.items():
-        if not 1 <= j <= rule.i:
-            raise LabellingError(f"label {j} for tile {s} out of range 1..{rule.i}")
-        packed_labels[tile_pack(s)] = j
+    columns = None
+    if labelling is not None:
+        columns = {}
+        for s, j in labelling.items():
+            if not 1 <= j <= rule.i:
+                raise LabellingError(f"label {j} for tile {s} out of range 1..{rule.i}")
+            columns[tile_pack(s)] = j
     shift = 2 * (h - 1)
+    below = (1 << shift) - 1
+    above = shift + 2 * rule.d
     out = set()
     for t in k_set.tiles:
-        j = packed_labels.get(t)
+        j = 1 if columns is None else columns.get(t)
         if j is None:
             raise LabellingError(f"missing label for tile {tile_unpack(t, k)}")
+        rest = t & below | (t >> (shift + 2)) << above
         for s in rule.columns[t >> shift & 3][j - 1].tiles:
-            out.add(_splice(t, h, rule.d, s))
-    return _sized(out, k + rule.d - 1)
-
-
-def _sized(out: set, new_dim: int) -> TileSet:
+            out.add(rest | s << shift)
+    new_dim = k + rule.d - 1
     if len(out) != 1 << new_dim:
         raise InvalidRuleError(
             f"rewrite produced {len(out)} tiles, expected {1 << new_dim}; "
@@ -305,9 +267,9 @@ def universality_rule(k_set: TileSet):
     for t in k_set.tiles:
         v[t >> shift & 3].add(t & (1 << shift) - 1)
     def pts(tiles):
-        return PartialTileSet(d, frozenset(tiles))
+        return TileSet(d, frozenset(tiles))
 
-    canon = pts(canonical_tiles(d).tiles)
+    canon = canonical_tiles(d)
     empty = pts(())
     rule = GeneralizedRule(
         d,
@@ -350,7 +312,7 @@ def product_rule(parts) -> GeneralizedRule:
             raise NotATilingError("every part must be a complete tiling")
     columns = tuple(
         tuple(
-            PartialTileSet(d + 1, frozenset(m | s << 2 for s in p.tiles))
+            TileSet(d + 1, frozenset(m | s << 2 for s in p.tiles))
             for p in parts
         )
         for m in range(4)

@@ -147,7 +147,11 @@ def _pack_strings(strings, dim: int | None):
 
 @dataclass(frozen=True)
 class TileSet:
-    """A duplicate-free set of k-dimensional tiles (packed ints)."""
+    """A duplicate-free set of k-dimensional tiles (packed ints).
+
+    A complete tiling, or a fragment of one such as a replacement set of a
+    rewriting rule.
+    """
 
     dim: int
     tiles: frozenset
@@ -162,27 +166,6 @@ class TileSet:
     def strings(self) -> list[str]:
         return sorted(tile_unpack(t, self.dim) for t in self.tiles)
 
-    def __len__(self) -> int:
-        return len(self.tiles)
-
-
-@dataclass(frozen=True)
-class PartialTileSet:
-    """A fragment of a tiling, e.g. one replacement set of a rewriting rule."""
-
-    dim: int
-    tiles: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "tiles", _freeze_tiles(self.tiles, self.dim))
-
-    @classmethod
-    def from_strings(cls, strings, dim: int | None = None) -> "PartialTileSet":
-        return cls(*_pack_strings(strings, dim))
-
-    def strings(self) -> list[str]:
-        return sorted(tile_unpack(t, self.dim) for t in self.tiles)
-
     def is_pairwise_adjacent(self) -> bool:
         return next(incompatible_tiles(sorted(self.tiles), self.dim), None) is None
 
@@ -190,11 +173,24 @@ class PartialTileSet:
         return len(self.tiles)
 
 
+PartialTileSet = TileSet
+
+
+def tiling_defect(ts: TileSet) -> str | None:
+    """The tile count if not 2^k, else the first incompatible pair, or None."""
+    k = ts.dim
+    if len(ts.tiles) != 1 << k:
+        return f"{len(ts.tiles)} tiles, expected {1 << k}"
+    pair = next(incompatible_tiles(sorted(ts.tiles), k), None)
+    if pair is None:
+        return None
+    a, b = (tile_unpack(t, k) for t in pair)
+    return f"incompatible tiles {a} and {b}"
+
+
 def is_tiling(ts: TileSet) -> bool:
     """Whether the set is complete: 2^k tiles, pairwise compatible."""
-    if len(ts.tiles) != 1 << ts.dim:
-        return False
-    return next(incompatible_tiles(sorted(ts.tiles), ts.dim), None) is None
+    return tiling_defect(ts) is None
 
 
 def vertex_outmaps(ts: TileSet) -> list[int] | None:
@@ -222,16 +218,19 @@ def uso_from_tiles(ts: TileSet) -> Orientation:
         raise NotATilingError(
             f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling"
         )
-    out = vertex_outmaps(ts)
-    return Orientation(ts.dim, tuple(out))
+    return Orientation(ts.dim, tuple(vertex_outmaps(ts)))
+
+
+def _tiles_of(out, k: int) -> TileSet:
+    """The tile set of k-dimensional direction words, unchecked."""
+    return TileSet(k, frozenset(tile_of(v, out[v], k) for v in range(1 << k)))
 
 
 def tiles_from_uso(o: Orientation) -> TileSet:
     """The tiling of a unique sink orientation (raises otherwise)."""
     if not _pairwise_ok(o.out, o.dim):
         raise NotAnUsoError("input is not a unique sink orientation")
-    k = o.dim
-    return TileSet(k, frozenset(tile_of(v, o.out[v], k) for v in range(1 << k)))
+    return _tiles_of(o.out, o.dim)
 
 
 def twins(ts: TileSet) -> set[tuple[str, str]]:
@@ -254,7 +253,7 @@ def twins(ts: TileSet) -> set[tuple[str, str]]:
 
 def canonical_tiles(k: int) -> TileSet:
     """The tiling of the canonical orientation: all digits even."""
-    return TileSet(k, frozenset(tile_of(v, 0, k) for v in range(1 << k)))
+    return _tiles_of((0,) * (1 << k), k)
 
 
 def bow() -> TileSet:

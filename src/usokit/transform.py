@@ -40,7 +40,6 @@ from .errors import (
     PhaseSelectionError,
 )
 from .pairwise import _incompatible_pairs_py
-from .tiling import TileSet, tiles_from_uso, uso_from_tiles
 
 PHASE_DIM_CAP = 5
 
@@ -50,11 +49,15 @@ def _require_uso(o: Orientation) -> None:
         raise NotAnUsoError("input is not a unique sink orientation")
 
 
-def _checked(result: Orientation) -> Orientation:
-    """The output check every transform keeps: a failure is a bug here."""
-    if not _pairwise_ok(result.out, result.dim):
+def _checked(k: int, out: tuple) -> Orientation:
+    """The output check every transform keeps: a failure is a bug here.
+
+    The pairwise condition implies edge consistency (vertices differing in
+    one coordinate must agree on it), so it runs before the constructor.
+    """
+    if not _pairwise_ok(out, k):
         raise InternalError("transform produced an orientation without unique sinks")
-    return result
+    return Orientation(k, out)
 
 
 def _require_coordinate(i: int, k: int) -> None:
@@ -90,7 +93,7 @@ def product(frame: Orientation, parts) -> Orientation:
         xf = x & (1 << k) - 1
         xp = x >> k
         out.append(frame.out[xf] | parts[xf].out[xp] << k)
-    return _checked(Orientation(k + d, tuple(out)))
+    return _checked(k + d, tuple(out))
 
 
 def inherited(o: Orientation, k_prime: int) -> Orientation:
@@ -112,7 +115,7 @@ def inherited(o: Orientation, k_prime: int) -> Orientation:
             for v in range(top)
         ]
         k -= 1
-    return _checked(Orientation(k_prime, tuple(out)))
+    return _checked(k_prime, tuple(out))
 
 
 def facet(o: Orientation, h: int, side: str = "lower") -> Orientation:
@@ -126,7 +129,7 @@ def facet(o: Orientation, h: int, side: str = "lower") -> Orientation:
     out = []
     for p in range(1 << (o.dim - 1)):
         out.append(drop_bit(o.out[insert_bit(p, pos, bit)], pos))
-    return _checked(Orientation(o.dim - 1, tuple(out)))
+    return _checked(o.dim - 1, tuple(out))
 
 
 def flip_dimension(o: Orientation, i: int) -> Orientation:
@@ -134,7 +137,7 @@ def flip_dimension(o: Orientation, i: int) -> Orientation:
     _require_uso(o)
     _require_coordinate(i, o.dim)
     ibit = 1 << (i - 1)
-    return _checked(Orientation(o.dim, tuple(w ^ ibit for w in o.out)))
+    return _checked(o.dim, tuple(w ^ ibit for w in o.out))
 
 
 def mirror(o: Orientation, h: int) -> Orientation:
@@ -143,7 +146,7 @@ def mirror(o: Orientation, h: int) -> Orientation:
     _require_coordinate(h, o.dim)
     hbit = 1 << (h - 1)
     out = tuple(o.out[v ^ hbit] for v in range(1 << o.dim))
-    return _checked(Orientation(o.dim, out))
+    return _checked(o.dim, out)
 
 
 def partial_swap(o: Orientation, h: int) -> Orientation:
@@ -153,10 +156,9 @@ def partial_swap(o: Orientation, h: int) -> Orientation:
     """
     _require_uso(o)
     _require_coordinate(h, o.dim)
-    shift = 2 * (h - 1)
-    ts = tiles_from_uso(o)
-    swapped = frozenset(t ^ (t >> shift & 1) << (shift + 1) for t in ts.tiles)
-    return uso_from_tiles(TileSet(o.dim, swapped))
+    hbit = 1 << (h - 1)
+    out = o.out
+    return _checked(o.dim, tuple(out[v ^ hbit] if w & hbit else w for v, w in enumerate(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,7 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
         for e in cls:
             out[e.vertex] ^= ibit
             out[e.vertex | ibit] ^= ibit
-    return _checked(Orientation(o.dim, tuple(out)))
+    return _checked(o.dim, tuple(out))
 
 
 def phase_swap(o: Orientation, h: int, edges) -> Orientation:
@@ -317,19 +319,10 @@ def phase_swap(o: Orientation, h: int, edges) -> Orientation:
         stray = sorted(wanted - covered)
         raise PhaseSelectionError(f"not h-edges of this cube: {stray}")
     hbit = 1 << (h - 1)
-    endpoints = set()
+    out = list(o.out)
     for e in wanted:
-        endpoints.add(e.vertex)
-        endpoints.add(e.vertex | hbit)
-    shift = 2 * (h - 1)
-    ts = tiles_from_uso(o)
-    moved = []
-    for t in ts.tiles:
-        v = 0
-        for b in range(o.dim):
-            v |= (t >> (2 * b + 1) & 1) << b
-        moved.append(t ^ 2 << shift if v in endpoints else t)
-    return _checked(uso_from_tiles(TileSet(o.dim, frozenset(moved))))
+        out[e.vertex], out[e.vertex | hbit] = out[e.vertex | hbit], out[e.vertex]
+    return _checked(o.dim, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -395,4 +388,4 @@ def hypervertex_replace(o: Orientation, f: Face, sub: Orientation) -> Orientatio
             bit = sub.out[p] >> a & 1
             word = word & ~(1 << pos) | bit << pos
         out[v] = word
-    return _checked(Orientation(o.dim, tuple(out)))
+    return _checked(o.dim, tuple(out))

@@ -245,3 +245,158 @@ def test_sample_deterministic(capsys):
 
 def test_sample_requires_seed(capsys):
     assert run(["sample", "--k", "2", "--steps", "7"]) == 2
+
+
+def test_sample_rejects_negative_steps(capsys):
+    assert run(["sample", "--k", "2", "--steps", "-3", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("verb", ["enumerate", "count"])
+def test_jobs_bounded_before_any_pool(verb, monkeypatch, capsys):
+    import multiprocessing
+    import os
+
+    import usokit.enumeration
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(usokit.enumeration, "Pool", no_pool)
+    for jobs in (0, -4, (os.cpu_count() or 1) + 1, 10**9):
+        argv = [verb, "--k", "2", "--method", "join", "--jobs", str(jobs)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: usage: --jobs")
+
+
+def test_out_write_is_atomic(tmp_path, monkeypatch, capsys):
+    import usokit.cli
+    from usokit import EnumerationLimitError
+
+    def failing_stream(k):
+        yield canonical_tiles(k)
+        raise EnumerationLimitError("stream stopped")
+
+    out = tmp_path / "all.uso"
+    out.write_text("earlier\n")
+    monkeypatch.setattr(usokit.cli, "enumerate_brute", failing_stream)
+    assert run(["enumerate", "--k", "2", "--method", "brute", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: limit: stream stopped\n"
+    assert out.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["all.uso"]
+
+
+def test_write_out_keeps_earlier_file(tmp_path):
+    from usokit.cli import _write_out
+
+    def chunks():
+        yield "partial\n"
+        raise OSError("disk full")
+
+    out = tmp_path / "labels"
+    out.write_text("earlier\n")
+    with pytest.raises(OSError, match="disk full"):
+        _write_out(str(out), chunks())
+    assert out.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels"]
+    _write_out(str(out), ["new\n"])
+    assert out.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels"]
+
+
+def test_out_keeps_an_existing_files_mode(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    out.write_text("earlier\n")
+    out.chmod(0o640)
+    assert run(["count", "--k", "2", "--method", "brute", "--out", str(out)]) == 0
+    assert out.read_text() == "count k=2 method=brute value=12\n"
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(["count", "--k", "2", "--method", "brute", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == "count k=2 method=brute value=12\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_out_writes_into_a_fifo(tmp_path, capsys):
+    import os
+    import stat
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open the FIFO at once
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["count", "--k", "2", "--method", "brute", "--out", str(fifo)]) == 0
+        assert os.read(fd, 4096) == b"count k=2 method=brute value=12\n"
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_writes_directly_when_no_temp_file_fits(tmp_path, capsys):
+    import os
+
+    out = tmp_path / "c.txt"
+    out.write_text("earlier\n")
+    # the temp file's name is taken by a directory, so it cannot be created
+    blocker = tmp_path / f"c.txt.{os.getpid()}.tmp"
+    blocker.mkdir()
+    assert run(["count", "--k", "2", "--method", "brute", "--out", str(out)]) == 0
+    assert out.read_text() == "count k=2 method=brute value=12\n"
+    assert blocker.is_dir()
+
+
+def test_out_directory_fails_before_the_stream(tmp_path, monkeypatch, capsys):
+    import usokit.cli
+
+    def no_stream(k):
+        raise AssertionError("the stream was started")
+        yield
+
+    monkeypatch.setattr(usokit.cli, "enumerate_brute", no_stream)
+    assert run(["enumerate", "--k", "2", "--method", "brute", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: io: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_out_errors_name_the_requested_path(tmp_path, capsys):
+    missing = tmp_path / "no-dir" / "c.txt"
+    assert run(["count", "--k", "2", "--method", "brute", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: io: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["flip", "--h", "1"], ["convert", "--to", "orientation"]]
+)
+def test_input_tiling_verified_once(argv, bow_file, monkeypatch, capsys):
+    import usokit.tiling
+
+    calls = []
+    kernel = usokit.tiling.incompatible_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(usokit.tiling, "incompatible_pairs", counting)
+    assert run([argv[0], bow_file, *argv[1:]]) == 0
+    assert len(calls) == 1
+
+
+def test_convert_reports_the_tiling_defect(tmp_path, capsys):
+    f = write(tmp_path, "bad.uso", "uso 1\n0\n3\n")
+    assert run(["convert", f, "--to", "orientation"]) == 1
+    assert capsys.readouterr().err == "error: not-a-tiling: incompatible tiles 0 and 3\n"

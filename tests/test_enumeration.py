@@ -140,3 +140,28 @@ def test_sample_edge_cases():
 def test_sample_reaches_everything(catalogue2):
     seen = {sample_markov(2, 24, seed) for seed in range(300)}
     assert seen == set(catalogue2)
+
+
+def test_negative_steps_rejected():
+    with pytest.raises(ValueError):
+        sample_markov(2, -3, 1)
+    with pytest.raises(ValueError):
+        list(markov_walk(2, -3, 1))
+    with pytest.raises(ValueError):
+        sample_markov(0, -1, 1)
+
+
+def test_sample_k0_does_not_walk(monkeypatch):
+    # every step of the 0-cube walk is the same state; sampling must not
+    # spend time proportional to steps on it
+    import usokit.enumeration
+
+    walk = usokit.enumeration._walk
+
+    def bounded(k, steps, seed):
+        for n, out in enumerate(walk(k, steps, seed)):
+            assert n < 10, "the 0-cube walk iterated its steps"
+            yield out
+
+    monkeypatch.setattr(usokit.enumeration, "_walk", bounded)
+    assert sample_markov(0, 10**15, 1) == canonical_tiles(0)

@@ -68,10 +68,11 @@ def test_named_rule_tables():
     assert set(tables) == set(NAMED_RULE_KINDS)
     for kind, (s0, s1, s2, s3) in tables.items():
         r = named_rule(kind)
-        assert sorted(r.s0.strings()) == s0
-        assert sorted(r.s1.strings()) == s1
-        assert sorted(r.s2.strings()) == s2
-        assert sorted(r.s3.strings()) == s3
+        assert r.i == 1
+        assert sets_of(r, 0, 1) == s0
+        assert sets_of(r, 1, 1) == s1
+        assert sets_of(r, 2, 1) == s2
+        assert sets_of(r, 3, 1) == s3
         assert r.d == (0 if kind in ("take-upper-facet", "take-lower-facet", "inherit") else 1)
 
 
@@ -284,8 +285,8 @@ def test_flippable_preservation(catalogue2):
     for kind in qualifying:
         r = named_rule(kind)
         for union in (
-            r.s0.tiles | r.s2.tiles,
-            r.s1.tiles | r.s3.tiles,
+            r.set_for(0, 1).tiles | r.set_for(2, 1).tiles,
+            r.set_for(1, 1).tiles | r.set_for(3, 1).tiles,
         ):
             assert twins(TileSet(1, union))
         for ts in catalogue2:

@@ -20,6 +20,7 @@ from usokit import (
     tile_pack,
     tile_unpack,
     tiles_from_uso,
+    tiling_defect,
     twins,
     uso_from_tiles,
 )
@@ -178,6 +179,18 @@ def test_partial_tile_set_adjacency():
     assert not PartialTileSet.from_strings(["20", "23"]).is_pairwise_adjacent()
     # empty and singleton sets are vacuously fine
     assert PartialTileSet(1, frozenset()).is_pairwise_adjacent()
+
+
+def test_tiling_defect_names_the_first_defect():
+    assert tiling_defect(bow()) is None
+    assert tiling_defect(canonical_tiles(0)) is None
+    assert tiling_defect(TileSet.from_strings(["01", "03"])) == "2 tiles, expected 4"
+    bad = TileSet.from_strings(["0", "3"])
+    assert tiling_defect(bad) == "incompatible tiles 0 and 3"
+    assert not is_tiling(bad)
+    # the library message of uso_from_tiles stays its own
+    with pytest.raises(NotATilingError, match="2 tiles, dimension 1: not a complete"):
+        uso_from_tiles(bad)
 
 
 def test_k0_tile_set():

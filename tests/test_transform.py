@@ -265,3 +265,31 @@ def test_hypervertex_replace_rejections():
         hypervertex_replace(BOW, Face("*0"), UP1)
     with pytest.raises(DimensionError):
         hypervertex_replace(BOW, Face("0*"), canonical_orientation(2))
+
+
+def _phase_swap_tiles(ts, h, edges):
+    """Tile form of a phase swap: toggle the high bit of digit h on every
+    tile whose vertex is an endpoint of a chosen h-edge."""
+    hbit = 1 << (h - 1)
+    ends = {e.vertex for e in edges} | {e.vertex | hbit for e in edges}
+    out = []
+    for s in ts.strings():
+        v = sum(1 << b for b, c in enumerate(s) if c in "23")
+        if v in ends:
+            s = s[: h - 1] + "2301"[int(s[h - 1])] + s[h:]
+        out.append(s)
+    return TileSet.from_strings(out, ts.dim)
+
+
+def test_phase_swap_matches_tile_form(catalogue3):
+    cases = 0
+    for ts in catalogue3:
+        o = uso_from_tiles(ts)
+        for h in (1, 2, 3):
+            classes = phases(o, h).classes
+            for pick in range(1 << len(classes)):
+                edges = set().union(*(c for b, c in enumerate(classes) if pick >> b & 1))
+                got = tiles_from_uso(phase_swap(o, h, edges))
+                assert got == _phase_swap_tiles(ts, h, edges)
+                cases += 1
+    assert cases == 18288
