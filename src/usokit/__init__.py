@@ -18,6 +18,8 @@ The modules split as follows:
 - formats: the line-based text forms used by the command line driver
 """
 
+from types import ModuleType as _ModuleType
+
 from .cube import (
     Edge,
     Face,
@@ -121,91 +123,9 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainState",
-    "DimensionError",
-    "Edge",
-    "EnumerationLimitError",
-    "EnumerationReport",
-    "Face",
-    "FormatError",
-    "GeneralizedRule",
-    "HypervertexError",
-    "HypervertexWitness",
-    "InternalError",
-    "InvalidRuleError",
-    "LabellingError",
-    "MAX_BRUTE_DIM",
-    "MAX_FORMAT_DIM",
-    "MAX_JOIN_DIM",
-    "MAX_SAMPLE_DIM",
-    "NAMED_RULE_KINDS",
-    "NotATilingError",
-    "NotAnUsoError",
-    "Orientation",
-    "PHASE_DIM_CAP",
-    "PartialOrientation",
-    "PartialTileSet",
-    "PhasePartition",
-    "PhaseSelectionError",
-    "RNG_ALGORITHM",
-    "SimpleRule",
-    "SplitMix64",
-    "TileSet",
-    "UsoError",
-    "apply_generalized",
-    "apply_simple",
-    "as_generalized",
-    "bow",
-    "canonical_orientation",
-    "canonical_tiles",
-    "combine",
-    "count_usos",
-    "edge_at",
-    "enumerate_brute",
-    "enumerate_join",
-    "facet",
-    "flip_dimension",
-    "flip_edges",
-    "flippable_edges",
-    "frame_tiles",
-    "gk_adjacent",
-    "hypervertex_check",
-    "hypervertex_replace",
-    "inherited",
-    "is_tiling",
-    "is_uso",
-    "markov_walk",
-    "mirror",
-    "named_rule",
-    "neighbor",
-    "partial_swap",
-    "phase_flip",
-    "phase_swap",
-    "phases",
-    "product",
-    "product_labelling",
-    "product_rule",
-    "read_labels",
-    "read_orientation",
-    "read_rule",
-    "read_tiling",
-    "sample_markov",
-    "tile_of",
-    "tile_pack",
-    "tile_unpack",
-    "tiles_from_uso",
-    "tiling_defect",
-    "twins",
-    "unique_sink",
-    "universality_rule",
-    "uso_from_tiles",
-    "validate_generalized",
-    "validate_simple",
-    "vertex_bits",
-    "vertex_from_bits",
-    "write_labels",
-    "write_orientation",
-    "write_rule",
-    "write_tiling",
-]
+# every public name imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -91,24 +91,21 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _read_tiling(path: str) -> TileSet:
-    ts = read_tiling(_read(path))
+def _tiling(text: str, where: str = "") -> TileSet:
+    """The tiling in text, verified; the error names the defect."""
+    ts = read_tiling(text)
     defect = tiling_defect(ts)
     if defect is not None:
-        raise NotATilingError(f"{path}: {defect}")
+        raise NotATilingError(where + defect)
     return ts
 
 
-def _uso_of(ts: TileSet, where: str = "") -> Orientation:
-    """The orientation of ts, verified once; the error names the defect."""
-    try:
-        return uso_from_tiles(ts)
-    except NotATilingError:
-        raise NotATilingError(where + tiling_defect(ts)) from None
+def _read_tiling(path: str) -> TileSet:
+    return _tiling(_read(path), f"{path}: ")
 
 
 def _read_uso(path: str) -> Orientation:
-    return _uso_of(read_tiling(_read(path)), f"{path}: ")
+    return uso_from_tiles(_read_tiling(path))
 
 
 def _write_out(path: str, chunks) -> None:
@@ -162,8 +159,8 @@ def _print_tiling(o: Orientation) -> None:
 
 
 def _cmd_validate(args) -> int:
-    ts = read_tiling(_read(args.file))
-    o = _uso_of(ts, f"{args.file}: ")
+    ts = _read_tiling(args.file)
+    o = uso_from_tiles(ts)
     if not is_uso(o, "pairwise"):
         raise InternalError("the pairwise test rejects a complete tiling")
     # the face scan is 3^k, skip the cross-check for big inputs
@@ -181,7 +178,7 @@ def _cmd_convert(args) -> int:
     text = _read(args.file)
     first = text.split(None, 1)[0] if text.split() else ""
     if first == "uso":
-        o = _uso_of(read_tiling(text))
+        o = uso_from_tiles(_tiling(text))
     elif first == "o":
         o = read_orientation(text)
     else:
@@ -245,34 +242,15 @@ def _cmd_product(args) -> int:
     return 0
 
 
-def _cmd_inherit(args) -> int:
-    o = _read_uso(args.file)
-    _print_tiling(inherited(o, args.kprime))
-    return 0
+def _transform_verb(transform, *options):
+    """The verb printing transform(input, *option values) as a tiling."""
 
+    def cmd(args) -> int:
+        o = _read_uso(args.file)
+        _print_tiling(transform(o, *(getattr(args, name) for name in options)))
+        return 0
 
-def _cmd_facet(args) -> int:
-    o = _read_uso(args.file)
-    _print_tiling(facet(o, args.h, args.side))
-    return 0
-
-
-def _cmd_flip(args) -> int:
-    o = _read_uso(args.file)
-    _print_tiling(flip_dimension(o, args.h))
-    return 0
-
-
-def _cmd_mirror(args) -> int:
-    o = _read_uso(args.file)
-    _print_tiling(mirror(o, args.h))
-    return 0
-
-
-def _cmd_partial_swap(args) -> int:
-    o = _read_uso(args.file)
-    _print_tiling(partial_swap(o, args.h))
-    return 0
+    return cmd
 
 
 def _cmd_phases(args) -> int:
@@ -403,24 +381,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="part tiling per frame vertex (repeat for every vertex)",
     )
 
-    p = verb("inherit", _cmd_inherit, "collapse down to a lower dimension")
+    p = verb("inherit", _transform_verb(inherited, "kprime"),
+             "collapse down to a lower dimension")
     p.add_argument("file")
     p.add_argument("--kprime", type=int, required=True)
 
-    p = verb("facet", _cmd_facet, "restrict to one facet")
+    p = verb("facet", _transform_verb(facet, "h", "side"), "restrict to one facet")
     p.add_argument("file")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--side", required=True, choices=("lower", "upper"))
 
-    p = verb("flip", _cmd_flip, "reverse every edge of one coordinate")
+    p = verb("flip", _transform_verb(flip_dimension, "h"),
+             "reverse every edge of one coordinate")
     p.add_argument("file")
     p.add_argument("--h", type=int, required=True)
 
-    p = verb("mirror", _cmd_mirror, "swap the two facets of one coordinate")
+    p = verb("mirror", _transform_verb(mirror, "h"),
+             "swap the two facets of one coordinate")
     p.add_argument("file")
     p.add_argument("--h", type=int, required=True)
 
-    p = verb("partial-swap", _cmd_partial_swap, "swap facets along upward edges only")
+    p = verb("partial-swap", _transform_verb(partial_swap, "h"),
+             "swap facets along upward edges only")
     p.add_argument("file")
     p.add_argument("--h", type=int, required=True)
 
@@ -476,17 +458,12 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except InternalError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 3
-    except FormatError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionError, EnumerationLimitError) as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 2
     except UsoError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
+        if isinstance(exc, InternalError):
+            return 3
+        if isinstance(exc, (FormatError, DimensionError, EnumerationLimitError)):
+            return 2
         return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

@@ -19,11 +19,17 @@ The unique sink property is equivalent to the pairwise condition: for any
 two distinct vertices some coordinate where they differ carries equal
 direction bits at both.  ``is_uso`` implements that test and the literal
 scan over all 3^k faces; the two must always agree.
+
+An orientation is verified once.  Operations that need unique sinks go
+through ``_require_uso``, which runs the pairwise test on first use and
+keeps the verdict on the immutable value; results that are unique sink
+orientations by construction carry the verdict from birth.  The public
+``is_uso`` always runs its test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
@@ -159,13 +165,19 @@ class Face:
 
 @dataclass(frozen=True)
 class Orientation:
-    """Direction words for every vertex of the k-cube, edge-consistent."""
+    """Direction words for every vertex of the k-cube, edge-consistent.
+
+    out is stored as a tuple.  _verdict is None until the orientation is
+    verified, then whether it has unique sinks; see _require_uso.
+    """
 
     dim: int
     out: tuple[int, ...]
+    _verdict: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        k, out = self.dim, self.out
+        k, out = self.dim, tuple(self.out)
+        object.__setattr__(self, "out", out)
         n = 1 << k
         if len(out) != n:
             raise ValueError(f"expected {n} direction words, got {len(out)}")
@@ -267,18 +279,37 @@ def is_uso(o: Orientation, method: str = "pairwise") -> bool:
 
     method "pairwise" runs the quadratic vertex-pair test, "face-scan" the
     literal scan over all 3^k faces.  They agree on every orientation.
+    Either test runs on every call; the pairwise verdict is also kept.
     """
     if method == "pairwise":
-        return _pairwise_ok(o.out, o.dim)
+        _keep_verdict(o, _pairwise_ok(o.out, o.dim))
+        return o._verdict
     if method == "face-scan":
         return _face_scan_ok(o.out, o.dim)
     raise ValueError(f"unknown method {method!r}")
 
 
+def _keep_verdict(value, verdict: bool):
+    """Record a verification verdict on a frozen Orientation or TileSet."""
+    object.__setattr__(value, "_verdict", verdict)
+    return value
+
+
+def _require_uso(o: Orientation) -> None:
+    """Raise NotAnUsoError unless o has unique sinks.
+
+    The first call on a value runs the pairwise test; later calls read the
+    verdict it kept.
+    """
+    if o._verdict is None:
+        _keep_verdict(o, _pairwise_ok(o.out, o.dim))
+    if not o._verdict:
+        raise NotAnUsoError("input is not a unique sink orientation")
+
+
 def flippable_edges(o: Orientation) -> set[Edge]:
     """Edges whose endpoints have identical direction words."""
-    if not _pairwise_ok(o.out, o.dim):
-        raise NotAnUsoError("input is not a unique sink orientation")
+    _require_uso(o)
     found = set()
     for i in range(1, o.dim + 1):
         ibit = 1 << (i - 1)

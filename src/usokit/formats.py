@@ -12,13 +12,17 @@ written as "-" wherever a tile or a bit string would be empty.
     labels       lines "<tile> <label>"
 
 Readers are strict: wrong cardinality, duplicates, stray characters, and
-out-of-order orientation lines all raise FormatError.  A header dimension
+out-of-order orientation lines all raise FormatError.  Numbers (header
+dimensions, rule widths and column counts, labels) are ASCII decimal
+digits only: no sign, underscore, or non-ASCII digit.  A header dimension
 above MAX_FORMAT_DIM is rejected by comparison alone, before anything of
 size 2^k is computed: a packed tile of that dimension fills the pairwise
 kernel's widest (64-bit) word.
 """
 
 from __future__ import annotations
+
+import re
 
 from .cube import Orientation, vertex_bits
 from .errors import FormatError
@@ -27,6 +31,10 @@ from .rewrite import GeneralizedRule
 from .tiling import DIGITS, TileSet
 
 EMPTY_WORD = "-"
+
+# ASCII decimals; a negative one is read only so that the caller's range
+# check rejects it by value.
+_NUMBER = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
 
 # Largest dimension a header may state: 2 bits per coordinate per tile.
 MAX_FORMAT_DIM = MAX_WORD_BITS // 2
@@ -39,14 +47,21 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
+def _number(word: str, error: str) -> int:
+    """The value of an ASCII decimal word; FormatError(error) otherwise."""
+    if _NUMBER.fullmatch(word):
+        try:
+            return int(word)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(error)
+
+
 def _parse_header(line: str, tag: str) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != tag:
         raise FormatError(f"expected header '{tag} <k>', got {line!r}")
-    try:
-        k = int(parts[1])
-    except ValueError:
-        raise FormatError(f"bad dimension {parts[1]!r}") from None
+    k = _number(parts[1], f"bad dimension {parts[1]!r}")
     if k < 0:
         raise FormatError(f"bad dimension {k}")
     _check_dim_cap(k)
@@ -178,13 +193,11 @@ def read_rule(text: str) -> GeneralizedRule:
         or not head[2].startswith("i=")
     ):
         raise FormatError(f"expected header 'rule d=<d> i=<i>', got {lines[0]!r}")
-    try:
-        d = int(head[1][2:])
-        i = int(head[2][2:])
-    except ValueError:
-        raise FormatError(f"bad rule header {lines[0]!r}") from None
+    bad_header = f"bad rule header {lines[0]!r}"
+    d = _number(head[1][2:], bad_header)
+    i = _number(head[2][2:], bad_header)
     if d < 0 or i < 1:
-        raise FormatError(f"bad rule header {lines[0]!r}")
+        raise FormatError(bad_header)
     _check_dim_cap(d)
     body = lines[1:]
     if len(body) != 4 * i:
@@ -226,10 +239,7 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
         if len(parts) != 2:
             raise FormatError(f"expected '<tile> <label>', got {ln!r}")
         tile = _parse_tile(parts[0], dim)
-        try:
-            label = int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad label {parts[1]!r}") from None
+        label = _number(parts[1], f"bad label {parts[1]!r}")
         if label < 1:
             raise FormatError(f"bad label {label}")
         if tile in labels:

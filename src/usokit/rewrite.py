@@ -28,13 +28,12 @@ from .errors import (
     InternalError,
     InvalidRuleError,
     LabellingError,
-    NotATilingError,
 )
 from .tiling import (
     TileSet,
+    _require_tiling,
     canonical_tiles,
     incompatible_tiles,
-    is_tiling,
     tile_pack,
     tile_unpack,
     tile_vertex,
@@ -207,8 +206,7 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
         violations = validate_generalized(rule)
         if violations:
             raise InvalidRuleError("; ".join(violations))
-        if not is_tiling(k_set):
-            raise NotATilingError("input is not a complete tiling")
+        _require_tiling(k_set, "input is not a complete tiling")
     k = k_set.dim
     if not 1 <= h <= k:
         raise DimensionError(f"coordinate {h} out of range 1..{k}")
@@ -256,8 +254,7 @@ def universality_rule(k_set: TileSet):
     odd columns are empty and the canonical tiling of one dimension down.
     Returns the rule and the frame labelling.
     """
-    if not is_tiling(k_set):
-        raise NotATilingError("the rewrite target must be a complete tiling")
+    _require_tiling(k_set, "the rewrite target must be a complete tiling")
     n = k_set.dim
     if n < 1:
         raise DimensionError("the rewrite target needs dimension at least 1")
@@ -308,8 +305,7 @@ def product_rule(parts) -> GeneralizedRule:
     for p in parts:
         if p.dim != d:
             raise DimensionError("parts of unequal dimensions")
-        if not is_tiling(p):
-            raise NotATilingError("every part must be a complete tiling")
+        _require_tiling(p, "every part must be a complete tiling")
     columns = tuple(
         tuple(
             TileSet(d + 1, frozenset(m | s << 2 for s in p.tiles))

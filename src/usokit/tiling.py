@@ -17,16 +17,22 @@ Tiles are stored packed, 2 bits per coordinate with coordinate 1 in the
 lowest slot, so the compatibility test is a couple of word operations.
 Digit strings (coordinate 1 first) appear at every API boundary; the
 0-dimensional empty tile packs to 0 and prints as "" here, "-" in files.
+
+A tiling is verified once.  Operations that need a complete tiling go
+through ``_require_tiling``, which runs ``tiling_defect`` on first use
+and keeps the verdict on the immutable tile set; ``tiles_from_uso``
+output carries the verdict from birth.  The public ``tiling_defect`` and
+``is_tiling`` always run the test (and keep its verdict).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .cube import Orientation, _pairwise_ok
-from .errors import NotAnUsoError, NotATilingError
+from .cube import Orientation, _keep_verdict, _require_uso
+from .errors import NotATilingError
 from .pairwise import incompatible_pairs
 
 DIGITS = "0123"
@@ -150,11 +156,13 @@ class TileSet:
     """A duplicate-free set of k-dimensional tiles (packed ints).
 
     A complete tiling, or a fragment of one such as a replacement set of a
-    rewriting rule.
+    rewriting rule.  _verdict is None until the set is verified, then
+    whether it is a complete tiling; see _require_tiling.
     """
 
     dim: int
     tiles: frozenset
+    _verdict: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tiles", _freeze_tiles(self.tiles, self.dim))
@@ -177,20 +185,36 @@ PartialTileSet = TileSet
 
 
 def tiling_defect(ts: TileSet) -> str | None:
-    """The tile count if not 2^k, else the first incompatible pair, or None."""
+    """The tile count if not 2^k, else the first incompatible pair, or None.
+
+    Runs the test on every call and keeps the verdict on ts.
+    """
     k = ts.dim
+    defect = None
     if len(ts.tiles) != 1 << k:
-        return f"{len(ts.tiles)} tiles, expected {1 << k}"
-    pair = next(incompatible_tiles(sorted(ts.tiles), k), None)
-    if pair is None:
-        return None
-    a, b = (tile_unpack(t, k) for t in pair)
-    return f"incompatible tiles {a} and {b}"
+        defect = f"{len(ts.tiles)} tiles, expected {1 << k}"
+    elif (pair := next(incompatible_tiles(sorted(ts.tiles), k), None)) is not None:
+        a, b = (tile_unpack(t, k) for t in pair)
+        defect = f"incompatible tiles {a} and {b}"
+    _keep_verdict(ts, defect is None)
+    return defect
 
 
 def is_tiling(ts: TileSet) -> bool:
     """Whether the set is complete: 2^k tiles, pairwise compatible."""
     return tiling_defect(ts) is None
+
+
+def _require_tiling(ts: TileSet, message: str) -> None:
+    """Raise NotATilingError(message) unless ts is a complete tiling.
+
+    The first call on a value runs tiling_defect; later calls read the
+    verdict it kept.
+    """
+    if ts._verdict is None:
+        tiling_defect(ts)
+    if not ts._verdict:
+        raise NotATilingError(message)
 
 
 def vertex_outmaps(ts: TileSet) -> list[int] | None:
@@ -214,11 +238,10 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
 
 def uso_from_tiles(ts: TileSet) -> Orientation:
     """The orientation of a complete tiling (raises if incomplete)."""
-    if not is_tiling(ts):
-        raise NotATilingError(
-            f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling"
-        )
-    return Orientation(ts.dim, tuple(vertex_outmaps(ts)))
+    _require_tiling(
+        ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling"
+    )
+    return _keep_verdict(Orientation(ts.dim, tuple(vertex_outmaps(ts))), True)
 
 
 def _tiles_of(out, k: int) -> TileSet:
@@ -228,15 +251,13 @@ def _tiles_of(out, k: int) -> TileSet:
 
 def tiles_from_uso(o: Orientation) -> TileSet:
     """The tiling of a unique sink orientation (raises otherwise)."""
-    if not _pairwise_ok(o.out, o.dim):
-        raise NotAnUsoError("input is not a unique sink orientation")
-    return _tiles_of(o.out, o.dim)
+    _require_uso(o)
+    return _keep_verdict(_tiles_of(o.out, o.dim), True)
 
 
 def twins(ts: TileSet) -> set[tuple[str, str]]:
     """Tile pairs differing in exactly one coordinate, as sorted string pairs."""
-    if not is_tiling(ts):
-        raise NotATilingError("twins are defined on complete tilings")
+    _require_tiling(ts, "twins are defined on complete tilings")
     k = ts.dim
     tiles = sorted(ts.tiles)
     pairs = set()

@@ -5,6 +5,11 @@ also exists as a rewriting rule (width 0 or 1, or a generalized rule for
 the product); the orientation-level versions are direct and fast, and the
 test suite holds the two routes equal.
 
+Inputs are verified once: the unique sink verdict is kept on the immutable
+orientation (``cube._require_uso``), so passing one value through several
+transforms tests it once.  Every output is still checked (``_checked``)
+and born with its verdict; ``is_uso`` always runs its test.
+
 Phases of a dimension i are the finest partition of the i-edges such that
 reversing any union of parts keeps the unique sink property.  The pairwise
 sink condition splits per vertex pair, and for a pair straddling dimension
@@ -25,7 +30,9 @@ from .cube import (
     Edge,
     Face,
     Orientation,
+    _keep_verdict,
     _pairwise_ok,
+    _require_uso,
     _vertex_words,
     drop_bit,
     insert_bit,
@@ -36,17 +43,11 @@ from .errors import (
     EnumerationLimitError,
     HypervertexError,
     InternalError,
-    NotAnUsoError,
     PhaseSelectionError,
 )
 from .pairwise import _incompatible_pairs_py
 
 PHASE_DIM_CAP = 5
-
-
-def _require_uso(o: Orientation) -> None:
-    if not _pairwise_ok(o.out, o.dim):
-        raise NotAnUsoError("input is not a unique sink orientation")
 
 
 def _checked(k: int, out: tuple) -> Orientation:
@@ -57,7 +58,7 @@ def _checked(k: int, out: tuple) -> Orientation:
     """
     if not _pairwise_ok(out, k):
         raise InternalError("transform produced an orientation without unique sinks")
-    return Orientation(k, out)
+    return _keep_verdict(Orientation(k, out), True)
 
 
 def _require_coordinate(i: int, k: int) -> None:

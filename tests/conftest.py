@@ -16,3 +16,19 @@ def catalogue2():
 @pytest.fixture(scope="session")
 def catalogue3():
     return list(enumerate_brute(3))
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Calls of the pairwise kernel made by the tiling and the cube module."""
+    import usokit.cube
+    import usokit.tiling
+
+    calls = {"tiling": 0, "vertex": 0}
+    for module, kind in ((usokit.tiling, "tiling"), (usokit.cube, "vertex")):
+        def counting(*args, kernel=module.incompatible_pairs, kind=kind):
+            calls[kind] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, "incompatible_pairs", counting)
+    return calls

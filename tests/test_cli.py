@@ -2,7 +2,14 @@
 
 import pytest
 
-from usokit import bow, canonical_tiles, write_tiling
+from usokit import (
+    bow,
+    canonical_tiles,
+    named_rule,
+    sample_markov,
+    write_rule,
+    write_tiling,
+)
 from usokit.cli import run
 
 BOW_TEXT = "uso 2\n01\n03\n20\n22\n"
@@ -44,6 +51,12 @@ def test_validate_parse_error(tmp_path, capsys):
     f = write(tmp_path, "short.uso", "uso 2\n00\n")
     assert run(["validate", f]) == 2
     assert capsys.readouterr().err.startswith("error: parse:")
+
+
+def test_validate_rejects_a_loose_number(tmp_path, capsys):
+    f = write(tmp_path, "one.uso", "uso 0_1\n0\n2\n")
+    assert run(["validate", f]) == 2
+    assert capsys.readouterr().err == "error: parse: bad dimension '0_1'\n"
 
 
 def test_unknown_verb(capsys):
@@ -381,22 +394,42 @@ def test_out_errors_name_the_requested_path(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv", [["flip", "--h", "1"], ["convert", "--to", "orientation"]]
 )
-def test_input_tiling_verified_once(argv, bow_file, monkeypatch, capsys):
-    import usokit.tiling
-
-    calls = []
-    kernel = usokit.tiling.incompatible_pairs
-
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(usokit.tiling, "incompatible_pairs", counting)
+def test_input_tiling_verified_once(argv, bow_file, kernel_passes, capsys):
     assert run([argv[0], bow_file, *argv[1:]]) == 0
-    assert len(calls) == 1
+    assert kernel_passes["tiling"] == 1
 
 
 def test_convert_reports_the_tiling_defect(tmp_path, capsys):
     f = write(tmp_path, "bad.uso", "uso 1\n0\n3\n")
     assert run(["convert", f, "--to", "orientation"]) == 1
     assert capsys.readouterr().err == "error: not-a-tiling: incompatible tiles 0 and 3\n"
+
+
+# verb arguments after the input file, and the passes of the tiling kernel
+# and of the vertex kernel: one tiling test per input file, one vertex test
+# per transform output or validate cross-check; apply adds the rule's two
+# union checks
+KERNEL_PASSES = {
+    "validate": ([], 1, 1),
+    "convert": (["--to", "tiles"], 1, 0),
+    "uni-rule": ([], 1, 0),
+    "apply": (["--rule", "RULE", "--h", "2"], 3, 0),
+    "flip": (["--h", "2"], 1, 1),
+    "mirror": (["--h", "2"], 1, 1),
+    "partial-swap": (["--h", "2"], 1, 1),
+    "facet": (["--h", "2", "--side", "upper"], 1, 1),
+    "inherit": (["--kprime", "3"], 1, 1),
+    "phase-flip": (["--h", "2", "--classes", "0"], 1, 1),
+    "phase-swap": (["--h", "2", "--classes", "0"], 1, 1),
+    "phases": (["--h", "2"], 1, 0),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(KERNEL_PASSES))
+def test_verbs_verify_each_input_once(verb, tmp_path, kernel_passes, capsys):
+    f = write(tmp_path, "k5.uso", write_tiling(sample_markov(5, 64, 11)))
+    rule = write(tmp_path, "flip.rule", write_rule(named_rule("flip")))
+    extra, tiling_passes, vertex_passes = KERNEL_PASSES[verb]
+    argv = [verb, f, *(rule if a == "RULE" else a for a in extra)]
+    assert run(argv) == 0, capsys.readouterr().err
+    assert kernel_passes == {"tiling": tiling_passes, "vertex": vertex_passes}

@@ -291,3 +291,33 @@ def test_orientation_edges_cover_once():
 def test_direction_agrees_across_edge(v, i):
     o = flip_edges(canonical_orientation(3), {Edge(0, 2), Edge(5, 2)})
     assert o.direction(v, i) == o.direction(neighbor(v, i, 3), i)
+
+
+def test_orientation_freezes_its_words():
+    words = [0, 0]
+    o = Orientation(1, words)
+    assert o == Orientation(1, (0, 0))
+    assert hash(o) == hash(Orientation(1, (0, 0)))
+    words[0] = 1
+    assert o.out == (0, 0)
+
+
+def test_uso_verdict_is_kept_but_is_uso_always_tests(kernel_passes):
+    o = Orientation(2, (0, 0, 0, 0))
+    fresh = repr(o)
+    flippable_edges(o)
+    flippable_edges(o)
+    assert kernel_passes["vertex"] == 1
+    # the verdict is invisible to equality, hashing and repr
+    assert o == canonical_orientation(2) and hash(o) == hash(canonical_orientation(2))
+    assert repr(o) == fresh
+    assert is_uso(o) and is_uso(o)
+    assert kernel_passes["vertex"] == 3
+
+
+def test_is_uso_ignores_a_kept_verdict():
+    o = Orientation(2, TWO_SINKS.out)
+    object.__setattr__(o, "_verdict", True)
+    assert not is_uso(o)
+    with pytest.raises(NotAnUsoError):
+        flippable_edges(o)

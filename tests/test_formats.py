@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usokit import (
     FormatError,
@@ -16,6 +18,7 @@ from usokit import (
     read_tiling,
     universality_rule,
     uso_from_tiles,
+    vertex_bits,
     write_labels,
     write_orientation,
     write_rule,
@@ -161,3 +164,130 @@ def test_writers_are_order_independent():
 def test_orientation_reader_accepts_trailing_blank_lines():
     o = Orientation(1, (0, 0))
     assert read_orientation("o 1\n0 0\n1 0\n\n\n") == o
+
+
+# numeric forms int() accepts but the readers do not: sign, underscore,
+# non-ASCII digits, negative zero
+LOOSE_NUMBERS = ["+1", "0_1", "1_0", "\uff11", "\u0661", "-0"]
+
+
+@pytest.mark.parametrize("number", LOOSE_NUMBERS)
+def test_readers_take_only_ascii_digits(number):
+    with pytest.raises(FormatError, match="bad dimension"):
+        read_tiling(f"uso {number}\n0\n2\n")
+    with pytest.raises(FormatError, match="bad dimension"):
+        read_orientation(f"o {number}\n0 0\n1 0\n")
+    with pytest.raises(FormatError, match="bad label"):
+        read_labels(f"0 {number}\n", 1)
+    for header in (f"rule d={number} i=1", f"rule d=1 i={number}"):
+        with pytest.raises(FormatError, match="bad rule header"):
+            read_rule(header + "\nS0.1: 0\nS1.1: 1\nS2.1: 2\nS3.1: 3\n")
+
+
+def test_strict_numbers_keep_the_old_messages():
+    with pytest.raises(FormatError, match="^bad dimension -1$"):
+        read_tiling("uso -1\n")
+    with pytest.raises(FormatError, match="^bad label -2$"):
+        read_labels("0 -2\n", 1)
+    with pytest.raises(FormatError, match="^bad dimension '9{5000}'$"):
+        read_tiling(f"uso {'9' * 5000}\n")
+    assert read_labels("0 007\n", 1) == {"0": 7}
+
+
+# fuzzing: text that is nearly right, so the readers get past their headers
+
+NUMBERS = st.one_of(
+    st.integers(0, 3).map(str), st.sampled_from(LOOSE_NUMBERS + ["-1", "00", "x", ""])
+)
+JUNK = st.text(alphabet="0123-_+x \uff11", max_size=3)
+
+
+def _word(draw, alphabet, k):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    if k == 0:
+        return "-"
+    return draw(st.text(alphabet=alphabet, min_size=k, max_size=k))
+
+
+def _number(draw, value):
+    return str(value) if draw(st.booleans()) else draw(NUMBERS)
+
+
+def _lines(draw, lines):
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def tiling_texts(draw):
+    k = draw(st.integers(0, 3))
+    n = draw(st.sampled_from([1 << k, draw(st.integers(0, 9))]))
+    words = [_word(draw, "0123", k) for _ in range(n)]
+    return _lines(draw, [f"uso {_number(draw, k)}", *words])
+
+
+@st.composite
+def orientation_texts(draw):
+    k = draw(st.integers(0, 2))
+    body = [
+        f"{vertex_bits(v, k) or '-'} {_word(draw, '01', k)}"
+        for v in sorted(range(1 << k), key=lambda v: vertex_bits(v, k))
+    ]
+    return _lines(draw, [f"o {_number(draw, k)}", *body])
+
+
+@st.composite
+def rule_texts(draw):
+    d, i = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    body = [
+        f"S{m}.{j}:" + "".join(
+            " " + _word(draw, "0123", d) for _ in range(draw(st.integers(0, 3)))
+        )
+        for m in range(4)
+        for j in range(1, i + 1)
+    ]
+    return _lines(draw, [f"rule d={_number(draw, d)} i={_number(draw, i)}", *body])
+
+
+@st.composite
+def label_texts(draw):
+    dim = draw(st.integers(0, 2))
+    lines = [
+        f"{_word(draw, '0123', dim)} {_number(draw, draw(st.integers(1, 3)))}"
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return dim, _lines(draw, lines)
+
+
+READERS = {
+    "tiling": (tiling_texts(), read_tiling, write_tiling),
+    "orientation": (orientation_texts(), read_orientation, write_orientation),
+    "rule": (rule_texts(), read_rule, write_rule),
+}
+
+
+@pytest.mark.parametrize("form", sorted(READERS))
+def test_reader_fuzz_value_or_format_error(form):
+    texts, read, write = READERS[form]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(texts, st.text(max_size=30)))
+    def check(text):
+        try:
+            value = read(text)
+        except FormatError:
+            return
+        assert read(write(value)) == value
+
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(label_texts(), st.tuples(st.integers(0, 2), st.text(max_size=30))))
+def test_label_reader_fuzz_value_or_format_error(case):
+    dim, text = case
+    try:
+        labels = read_labels(text, dim)
+    except FormatError:
+        return
+    assert read_labels(write_labels(labels), dim) == labels

@@ -204,3 +204,26 @@ def test_k0_tile_set():
 def test_canonical_tiles_match_canonical_orientation():
     for k in range(4):
         assert canonical_tiles(k) == tiles_from_uso(canonical_orientation(k))
+
+
+def test_tiling_verdict_is_kept_but_the_verifiers_always_test(kernel_passes):
+    ts = TileSet.from_strings(["01", "03", "20", "22"])
+    o = uso_from_tiles(ts)
+    twins(ts)
+    assert kernel_passes == {"tiling": 1, "vertex": 0}
+    assert ts == bow() and hash(ts) == hash(bow()) and repr(ts) == repr(bow())
+    assert is_tiling(ts) and tiling_defect(ts) is None
+    assert kernel_passes["tiling"] == 3
+    # verified by construction: no test for the round trip
+    assert tiles_from_uso(o) == ts and twins(tiles_from_uso(o))
+    assert kernel_passes == {"tiling": 3, "vertex": 0}
+
+
+def test_a_rejected_tiling_stays_rejected(kernel_passes):
+    bad = TileSet.from_strings(["0", "3"])
+    for _ in range(2):
+        with pytest.raises(NotATilingError, match="^2 tiles, dimension 1: not a complete tiling$"):
+            uso_from_tiles(bad)
+        with pytest.raises(NotATilingError, match="^twins are defined on complete tilings$"):
+            twins(bad)
+    assert kernel_passes["tiling"] == 1

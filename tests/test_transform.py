@@ -7,6 +7,7 @@ from usokit import (
     Face,
     HypervertexError,
     HypervertexWitness,
+    NotAnUsoError,
     Orientation,
     PHASE_DIM_CAP,
     PhaseSelectionError,
@@ -17,6 +18,7 @@ from usokit import (
     facet,
     flip_dimension,
     flip_edges,
+    flippable_edges,
     hypervertex_check,
     hypervertex_replace,
     inherited,
@@ -27,6 +29,7 @@ from usokit import (
     phase_swap,
     phases,
     product,
+    sample_markov,
     tiles_from_uso,
     uso_from_tiles,
 )
@@ -293,3 +296,47 @@ def test_phase_swap_matches_tile_form(catalogue3):
                 assert got == _phase_swap_tiles(ts, h, edges)
                 cases += 1
     assert cases == 18288
+
+
+def _one_reversed_edge(k, seed):
+    """A k-cube USO with one non-flippable edge reversed: not an USO."""
+    o = uso_from_tiles(sample_markov(k, 64, seed))
+    edge = min(set(o.edges()) - flippable_edges(o))
+    return flip_edges(o, {edge})
+
+
+TWO_SINKS = Orientation(2, (0, 2, 1, 3))
+CYCLE = Orientation(2, (1, 3, 0, 2))
+REVERSED4 = _one_reversed_edge(4, 3)
+
+
+def _good(o):
+    return canonical_orientation(o.dim)
+
+
+NEEDS_USO = {
+    "product-frame": lambda o: product(o, {v: DOWN1 for v in range(1 << o.dim)}),
+    "product-part": lambda o: product(UP1, {0: _good(o), 1: o}),
+    "inherited": lambda o: inherited(o, 1),
+    "facet": lambda o: facet(o, 1),
+    "flip_dimension": lambda o: flip_dimension(o, 1),
+    "mirror": lambda o: mirror(o, 2),
+    "partial_swap": lambda o: partial_swap(o, 2),
+    "phases": lambda o: phases(o, 1),
+    "phase_flip": lambda o: phase_flip(o, 1, []),
+    "phase_swap": lambda o: phase_swap(o, 1, ()),
+    "hypervertex_replace-o": lambda o: hypervertex_replace(o, Face.full(o.dim), _good(o)),
+    "hypervertex_replace-sub": lambda o: hypervertex_replace(_good(o), Face.full(o.dim), o),
+    "flippable_edges": flippable_edges,
+    "tiles_from_uso": tiles_from_uso,
+}
+
+
+@pytest.mark.parametrize("bad", [TWO_SINKS, CYCLE, REVERSED4], ids=["two-sinks", "cycle", "reversed4"])
+@pytest.mark.parametrize("name", sorted(NEEDS_USO))
+def test_transforms_reject_non_usos(name, bad):
+    fresh = Orientation(bad.dim, bad.out)
+    # the first call tests the value, the second reads the kept verdict
+    for _ in range(2):
+        with pytest.raises(NotAnUsoError, match="^input is not a unique sink orientation$"):
+            NEEDS_USO[name](fresh)
