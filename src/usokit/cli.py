@@ -50,6 +50,7 @@ from .errors import (
     UsoError,
 )
 from .formats import (
+    _number,
     read_labels,
     read_orientation,
     read_rule,
@@ -142,6 +143,17 @@ def _write_out(path: str, chunks) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _integer(text: str) -> int:
+    """argparse type: a number in the formats' ASCII form, else a usage error.
+
+    Plain int() also takes "+1", " 1", "0_1" and non-ASCII digits.
+    """
+    try:
+        return _number(text, "")
+    except FormatError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _check_jobs(jobs: int) -> None:
@@ -263,9 +275,9 @@ def _cmd_phases(args) -> int:
 
 def _parse_class_indexes(spec: str, n: int) -> list[int]:
     try:
-        picked = [int(x) for x in spec.split(",") if x != ""]
-    except ValueError:
-        raise ValueError(f"--classes wants comma-separated indexes, got {spec!r}")
+        picked = [_number(x, "") for x in spec.split(",") if x != ""]
+    except FormatError:
+        raise ValueError(f"--classes wants comma-separated indexes, got {spec!r}") from None
     for c in picked:
         if not 0 <= c < n:
             raise PhaseSelectionError(f"class index {c} out of range 0..{n - 1}")
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--rule", required=True)
     p.add_argument("--labels")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
 
     p = verb("rule-make", _cmd_rule_make, "emit a built-in rule file")
     p.add_argument("--kind", required=True, choices=NAMED_RULE_KINDS)
@@ -384,42 +396,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("inherit", _transform_verb(inherited, "kprime"),
              "collapse down to a lower dimension")
     p.add_argument("file")
-    p.add_argument("--kprime", type=int, required=True)
+    p.add_argument("--kprime", type=_integer, required=True)
 
     p = verb("facet", _transform_verb(facet, "h", "side"), "restrict to one facet")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--side", required=True, choices=("lower", "upper"))
 
     p = verb("flip", _transform_verb(flip_dimension, "h"),
              "reverse every edge of one coordinate")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
 
     p = verb("mirror", _transform_verb(mirror, "h"),
              "swap the two facets of one coordinate")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
 
     p = verb("partial-swap", _transform_verb(partial_swap, "h"),
              "swap facets along upward edges only")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
 
     p = verb("phases", _cmd_phases, "print the flip classes of one coordinate")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--method", default="pairs", choices=("pairs", "brute"))
 
     p = verb("phase-flip", _cmd_phase_flip, "reverse chosen flip classes")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--classes", required=True, metavar="<idx,...>",
                    help="0-based indexes into the phases output")
 
     p = verb("phase-swap", _cmd_phase_swap, "swap facets along chosen flip classes")
     p.add_argument("file")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--classes", required=True, metavar="<idx,...>",
                    help="0-based indexes into the phases output")
 
@@ -429,23 +441,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with", dest="with_file", required=True, metavar="FILE")
 
     p = verb("enumerate", _cmd_enumerate, "stream every tiling of a dimension")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--method", required=True, choices=("brute", "join"),
                    help=f"brute caps at k={MAX_BRUTE_DIM}, join at k={MAX_JOIN_DIM}")
     p.add_argument("--out", help="write the stream here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer, default=1)
 
     p = verb("count", _cmd_count, "count the tilings of a dimension")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--method", required=True, choices=("brute", "join"))
     p.add_argument("--out", help="write the report line here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer, default=1)
 
     p = verb("sample", _cmd_sample, "draw one tiling by a seeded flip walk")
-    p.add_argument("--k", type=int, required=True,
+    p.add_argument("--k", type=_integer, required=True,
                    help=f"dimension, at most {MAX_SAMPLE_DIM}")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
 
     return parser
 

@@ -11,9 +11,15 @@ Three routes:
   (never opposite, because each facet already passes on its own), so the
   words that work are exactly the constant-on-components assignments of
   the resulting constraint graph.  The stream yields those assignments
-  one by one; the counter sums 2^components per facet pair, vectorized
-  with numpy and sharded over lower facets when jobs > 1.  Capped at
-  k <= 4.
+  one by one, building each tile set from per-facet tile tables.  The
+  counter needs the sum of 2^components per facet pair.  That sum over
+  all upper facets is the same for every lower facet in one orbit of the
+  (k-1)-cube's symmetry group (coordinate permutations, reflections and
+  whole-coordinate reversals, applied to both facets at once), so the
+  counter takes one representative per orbit, weighted by the orbit's
+  size: 10 x 744 facet pairs instead of 744^2 at k = 4.  It is
+  vectorized with numpy, and jobs > 1 shards the representatives over a
+  process pool.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph.  Each step draws a
   coordinate uniformly, computes its phase classes, and reverses a
   uniformly chosen subset of classes.  Reversing a union of classes
@@ -33,6 +39,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
+from operator import or_
 from typing import Iterator
 
 import numpy as np
@@ -171,30 +178,99 @@ def _check_join_dim(k: int) -> None:
         )
 
 
-def _join_tiles(low, up, word: int, k: int) -> frozenset:
+def _swap_bits(w: int, i: int) -> int:
+    """w with bits i and i + 1 exchanged."""
+    t = (w >> i ^ w >> (i + 1)) & 1
+    return w ^ (t << i | t << (i + 1))
+
+
+def _symmetry_images(out, n: int) -> Iterator[tuple]:
+    """Images of a direction table under generators of the n-cube's symmetries.
+
+    The group maps out to out' with out'[pi(v ^ m)] = pi(out[v] ^ s), where
+    pi permutes coordinates, m reflects vertices (as mirror does) and s
+    reverses whole coordinates (as flip_dimension does).  It maps USOs to
+    USOs.  Applied to both facets of a join it keeps
+    (a ^ b) & ~(low[a] ^ up[b]) up to relabelling a and b, so the
+    constraint graph keeps its shape.  The generators are each reflection,
+    each reversal and each exchange of neighbouring coordinates.
+    """
+    size = 1 << n
+    for i in range(n):
+        bit = 1 << i
+        yield tuple(out[v ^ bit] for v in range(size))
+        yield tuple(w ^ bit for w in out)
+    for i in range(n - 1):
+        yield tuple(_swap_bits(out[_swap_bits(v, i)], i) for v in range(size))
+
+
+@lru_cache(maxsize=None)
+def _facet_orbits(n: int) -> tuple:
+    """(representative index, orbit size) per symmetry orbit of _catalogue(n).
+
+    The representative is the orbit's lowest index; orbits come in
+    increasing order of it.
+    """
+    cat = _catalogue(n)
+    index = {out: i for i, out in enumerate(cat)}
+    seen = set()
+    orbits = []
+    for rep, out in enumerate(cat):
+        if rep in seen:
+            continue
+        seen.add(rep)
+        frontier = [out]
+        size = 0
+        while frontier:
+            size += 1
+            for image in _symmetry_images(frontier.pop(), n):
+                j = index[image]
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(image)
+        orbits.append((rep, size))
+    return tuple(orbits)
+
+
+@lru_cache(maxsize=None)
+def _facet_tiles(k: int) -> tuple:
+    """Per _catalogue(k - 1) entry: its packed tiles as lower and as upper facet.
+
+    Coordinate k carries digit 0 in the lower tiles and 2 in the upper
+    ones; the direction of the connecting edge, the low bit of that digit,
+    is ORed in per tiling.
+    """
     top = 1 << (k - 1)
-    tiles = []
-    for p in range(top):
-        wbit = (word >> p & 1) << (k - 1)
-        tiles.append(tile_of(p, low[p] | wbit, k))
-        tiles.append(tile_of(p | top, up[p] | wbit, k))
-    return frozenset(tiles)
+    return tuple(
+        (
+            tuple(tile_of(p, out[p], k) for p in range(top)),
+            tuple(tile_of(p | top, out[p], k) for p in range(top)),
+        )
+        for out in _catalogue(k - 1)
+    )
 
 
 def _join_block(k: int, lo: int, hi: int) -> list[frozenset]:
     """All tilings whose lower facet index lies in [lo, hi)."""
     cat = _catalogue(k - 1)
+    tables = _facet_tiles(k)
+    top = 1 << (k - 1)
+    shift = 2 * (k - 1)
     out = []
     for li in range(lo, hi):
         low = cat[li]
-        for up in cat:
+        low_tiles = tables[li][0]
+        for up, (_, up_tiles) in zip(cat, tables):
             comps = _cross_components(low, up, k - 1)
             for pick in range(1 << len(comps)):
                 word = 0
                 for c, comp in enumerate(comps):
                     if pick >> c & 1:
                         word |= comp
-                out.append(_join_tiles(low, up, word, k))
+                bits = [(word >> p & 1) << shift for p in range(top)]
+                out.append(
+                    frozenset([*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
+                )
     return out
 
 
@@ -218,8 +294,8 @@ def _join_block_star(args) -> list[frozenset]:
     return _join_block(*args)
 
 
-def _join_count_block(k: int, lo: int, hi: int) -> int:
-    """Sum of 2^components over all facet pairs with lower index in [lo, hi)."""
+def _join_count_block(k: int, orbits) -> int:
+    """Sum over (lower index, orbit size) pairs of size * Σ_upper 2^components."""
     cat = np.array(_catalogue(k - 1), dtype=np.uint8)
     n = k - 1
     size = 1 << n
@@ -228,7 +304,7 @@ def _join_count_block(k: int, lo: int, hi: int) -> int:
     xor_ab = a[:, None] ^ a[None, :]
     eye = np.eye(size, dtype=bool)
     total = 0
-    for li in range(lo, hi):
+    for li, orbit_size in orbits:
         low = cat[li]
         disagree = low[None, :, None] ^ cat[:, None, :]
         bad = (xor_ab[None, :, :] & ~disagree & full) == 0
@@ -240,7 +316,7 @@ def _join_count_block(k: int, lo: int, hi: int) -> int:
         ids = (reach.astype(np.int64) * weights[None, None, :]).sum(axis=2)
         ids.sort(axis=1)
         comps = 1 + (ids[:, 1:] != ids[:, :-1]).sum(axis=1)
-        total += int(np.left_shift(np.int64(1), comps).sum())
+        total += orbit_size * int(np.left_shift(np.int64(1), comps).sum())
     return total
 
 
@@ -249,12 +325,18 @@ def _join_count_block_star(args) -> int:
 
 
 def _join_count(k: int, jobs: int) -> int:
+    """Σ over facet pairs of 2^components, one lower facet per symmetry orbit.
+
+    The sum over upper facets is the same for every lower facet of an
+    orbit (see _symmetry_images), so each representative's sum counts
+    orbit-size times.
+    """
     _check_join_dim(k)
-    cat_len = len(_catalogue(k - 1))
+    orbits = _facet_orbits(k - 1)
     if jobs <= 1:
-        return _join_count_block(k, 0, cat_len)
-    step = max(1, (cat_len + 4 * jobs - 1) // (4 * jobs))
-    chunks = [(k, lo, min(lo + step, cat_len)) for lo in range(0, cat_len, step)]
+        return _join_count_block(k, orbits)
+    step = max(1, (len(orbits) + 4 * jobs - 1) // (4 * jobs))
+    chunks = [(k, orbits[lo:lo + step]) for lo in range(0, len(orbits), step)]
     with Pool(jobs) as pool:
         return sum(pool.map(_join_count_block_star, chunks))
 

@@ -267,6 +267,51 @@ def test_sample_rejects_negative_steps(capsys):
     assert captured.err.startswith("error: usage:")
 
 
+NUMBER_OPTIONS = {
+    "--h": ["flip", "{file}", "--h", "{}"],
+    "--kprime": ["inherit", "{file}", "--kprime", "{}"],
+    "--k": ["count", "--k", "{}", "--method", "brute"],
+    "--jobs": ["count", "--k", "1", "--method", "join", "--jobs", "{}"],
+    "--steps": ["sample", "--k", "1", "--steps", "{}", "--seed", "1"],
+    "--seed": ["sample", "--k", "1", "--steps", "1", "--seed", "{}"],
+    "--classes": ["phase-flip", "{file}", "--h", "1", "--classes", "{}"],
+}
+
+
+@pytest.mark.parametrize("form", ["full-width", "underscore", "plus", "space"])
+@pytest.mark.parametrize("option", list(NUMBER_OPTIONS))
+def test_options_take_only_ascii_numbers(option, form, tmp_path, capsys):
+    f = write(tmp_path, "one.uso", DOWN1_TEXT)
+    good = "0" if option in ("--kprime", "--classes") else "1"
+    loose = {
+        "full-width": chr(ord("０") + int(good)),
+        "underscore": "0_" + good,
+        "plus": "+" + good,
+        "space": " " + good,
+    }[form]
+
+    def argv(value):
+        return [w.format(value, file=f) for w in NUMBER_OPTIONS[option]]
+
+    assert run(argv(good)) == 0
+    capsys.readouterr()
+    assert run(argv(loose)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if option == "--classes":
+        assert captured.err == f"error: usage: --classes wants comma-separated indexes, got {loose!r}\n"
+    else:
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {loose!r}\n")
+
+
+def test_negative_options_keep_their_range_messages(capsys):
+    assert run(["count", "--k", "1", "--method", "join", "--jobs", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: usage: --jobs must be in 1..")
+    assert run(["sample", "--k", "1", "--steps", "-1", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: usage: steps must be non-negative, got -1\n"
+    assert run(["sample", "--k", "1", "--steps", "1", "--seed", "-7"]) == 0
+
+
 @pytest.mark.parametrize("verb", ["enumerate", "count"])
 def test_jobs_bounded_before_any_pool(verb, monkeypatch, capsys):
     import multiprocessing

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from usokit import (
@@ -165,3 +168,80 @@ def test_sample_k0_does_not_walk(monkeypatch):
 
     monkeypatch.setattr(usokit.enumeration, "_walk", bounded)
     assert sample_markov(0, 10**15, 1) == canonical_tiles(0)
+
+
+def _act(out, n, perm, m, s):
+    """The symmetry (perm, m, s) applied to a direction table:
+    out'[perm(v ^ m)] = perm(out[v] ^ s), perm[i] the image of coordinate i."""
+
+    def permute(w):
+        return sum((w >> i & 1) << perm[i] for i in range(n))
+
+    image = [0] * (1 << n)
+    for v, w in enumerate(out):
+        image[permute(v ^ m)] = permute(w ^ s)
+    return tuple(image)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_join_count_sums_one_facet_per_orbit(n):
+    from itertools import permutations
+
+    from usokit.enumeration import (
+        _catalogue,
+        _cross_components,
+        _facet_orbits,
+        _symmetry_images,
+    )
+
+    cat = _catalogue(n)
+    orbits = _facet_orbits(n)
+    assert sum(size for _, size in orbits) == len(cat)
+    group = [
+        (perm, m, s)
+        for perm in permutations(range(n))
+        for m in range(1 << n)
+        for s in range(1 << n)
+    ]
+
+    def join_sum(low):
+        # the pure-Python component finder, independent of the numpy kernel
+        return sum(1 << len(_cross_components(low, up, n)) for up in cat)
+
+    covered = set()
+    for rep, size in orbits:
+        orbit = {_act(cat[rep], n, *g) for g in group}
+        assert len(orbit) == size
+        assert min(cat.index(out) for out in orbit) == rep
+        assert not orbit & covered
+        covered |= orbit
+        for out in orbit:
+            assert set(_symmetry_images(out, n)) <= orbit
+        member = next((out for out in sorted(orbit) if out != cat[rep]), cat[rep])
+        assert join_sum(member) == join_sum(cat[rep])
+    assert covered == set(cat)
+    if n == 3:
+        assert sorted(size for _, size in orbits) == [8, 24, 24, 48, 48, 48, 64, 96, 192, 192]
+
+
+def _stream_digest(tilings):
+    h = hashlib.blake2b(digest_size=8)
+    for ts in tilings:
+        h.update(bytes(sorted(ts.tiles)))
+    return h.hexdigest()
+
+
+# stream_digest (perfbench/workloads.py) of the join streams in their pinned
+# order; the k = 4 value is slice 0 of perfbench/golden.json
+@pytest.mark.parametrize(
+    "k, digest",
+    [(1, "90f63c87ad066494"), (2, "31c31055268e1016"), (3, "b65d24efdc24fdac")],
+)
+def test_join_stream_order_is_pinned(k, digest):
+    assert _stream_digest(enumerate_join(k)) == digest
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_join_k4_stream_head_is_pinned(jobs):
+    head = itertools.islice(enumerate_join(4, jobs), 20000)
+    assert _stream_digest(head) == "b9d46c0b6373ba30"
