@@ -6,20 +6,21 @@ Three routes:
   passing the pairwise sink test.  Capped at k <= 3 (4096 candidates).
 * join: build k-dimensional orientations from ordered pairs of
   (k-1)-dimensional facet orientations plus one direction word for the
-  2^(k-1) connecting edges.  A cross pair of facet vertices with no
-  agreeing differing coordinate forces its two connecting edges equal
-  (never opposite, because each facet already passes on its own), so the
-  words that work are exactly the constant-on-components assignments of
-  the resulting constraint graph.  The stream yields those assignments
-  one by one, building each tile set from per-facet tile tables.  The
-  counter needs the sum of 2^components per facet pair.  That sum over
+  2^(k-1) connecting edges.  Joining the facets with every connecting
+  edge pointing down (the combed join) gives a USO, and the words that
+  work are exactly the flip sets of its k-edges: the unions of its
+  k-phases (Schurr's phases, see transform).  So one kernel,
+  transform._edge_classes, run on the combed joins of one lower facet
+  with every upper facet, drives both routes.  The stream yields the
+  unions one by one, building each tile set from per-facet tile tables.
+  The counter needs the sum of 2^phases per facet pair.  That sum over
   all upper facets is the same for every lower facet in one orbit of the
-  (k-1)-cube's symmetry group (coordinate permutations, reflections and
-  whole-coordinate reversals, applied to both facets at once), so the
-  counter takes one representative per orbit, weighted by the orbit's
-  size: 10 x 744 facet pairs instead of 744^2 at k = 4.  It is
-  vectorized with numpy, and jobs > 1 shards the representatives over a
-  process pool.  Capped at k <= 4.
+  counting group (coordinate permutations, mirror and flip_dimension,
+  applied to both facets at once; see _symmetry_images), so the counter
+  takes one representative per orbit, weighted by the orbit's size:
+  10 x 744 facet pairs instead of 744^2 at k = 4.  jobs > 1 shards the
+  representatives over a process pool; the stream always runs in one
+  process.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph.  Each step draws a
   coordinate uniformly, computes its phase classes, and reverses a
   uniformly chosen subset of classes.  Reversing a union of classes
@@ -47,7 +48,7 @@ import numpy as np
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _tiles_of, tile_of
-from .transform import _expand, _phase_projections
+from .transform import _edge_classes, _expand, _phase_projections
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -124,51 +125,15 @@ def _serial_key(out, k: int) -> tuple:
 
 
 def enumerate_brute(k: int) -> Iterator[TileSet]:
-    """Yield every k-dimensional USO tiling by exhausting direction words."""
-    for out in _catalogue(k):
-        yield _tiles_of(out, k)
+    """Every k-dimensional USO tiling, by exhausting direction words.
+
+    The dimension is checked on the call, before any tiling is built.
+    """
+    return (_tiles_of(out, k) for out in _catalogue(k))
 
 
 # ---------------------------------------------------------------------------
 # facet join
-
-
-def _cross_components(low, up, n: int) -> list[int]:
-    """Component bitmasks of the connecting-edge constraint graph.
-
-    low and up are (k-1)-dimensional direction tables; position a of the
-    word is the edge over facet vertex a.  Vertices a (lower side) and b
-    (upper side) constrain word[a] == word[b] when no coordinate where
-    they differ carries equal directions.
-    """
-    size = 1 << n
-    full = size - 1
-    adj = [0] * size
-    for a in range(size):
-        la = low[a]
-        for b in range(size):
-            if a != b and not (a ^ b) & ~(la ^ up[b]) & full:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    comps = []
-    seen = 0
-    for a in range(size):
-        if seen >> a & 1:
-            continue
-        frontier = 1 << a
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low_bit = f & -f
-                nxt |= adj[low_bit.bit_length() - 1]
-                f ^= low_bit
-            frontier = nxt & ~comp
-        comps.append(comp)
-        seen |= comp
-    return comps
 
 
 def _check_join_dim(k: int) -> None:
@@ -185,15 +150,18 @@ def _swap_bits(w: int, i: int) -> int:
 
 
 def _symmetry_images(out, n: int) -> Iterator[tuple]:
-    """Images of a direction table under generators of the n-cube's symmetries.
+    """Images of a direction table under generators of the counting group.
 
     The group maps out to out' with out'[pi(v ^ m)] = pi(out[v] ^ s), where
-    pi permutes coordinates, m reflects vertices (as mirror does) and s
-    reverses whole coordinates (as flip_dimension does).  It maps USOs to
+    pi permutes coordinates, m moves vertices as mirror does and s
+    reverses whole coordinates as flip_dimension does.  It maps USOs to
     USOs.  Applied to both facets of a join it keeps
-    (a ^ b) & ~(low[a] ^ up[b]) up to relabelling a and b, so the
-    constraint graph keeps its shape.  The generators are each reflection,
-    each reversal and each exchange of neighbouring coordinates.
+    (a ^ b) & ~(low[a] ^ up[b]) up to relabelling a and b, so the join's
+    phases keep their shape.  It is larger than the n-cube's automorphism
+    group: reflecting coordinate i is mirror followed by flip_dimension,
+    and the group holds each of the two on its own.  The generators are
+    each mirror, each reversal and each exchange of neighbouring
+    coordinates.
     """
     size = 1 << n
     for i in range(n):
@@ -206,7 +174,10 @@ def _symmetry_images(out, n: int) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def _facet_orbits(n: int) -> tuple:
-    """(representative index, orbit size) per symmetry orbit of _catalogue(n).
+    """(representative index, orbit size) per counting-group orbit of _catalogue(n).
+
+    The counting group is _symmetry_images's, not the automorphism group
+    of the n-cube, so its orbits are not isomorphism classes.
 
     The representative is the orbit's lowest index; orbits come in
     increasing order of it.
@@ -250,82 +221,70 @@ def _facet_tiles(k: int) -> tuple:
     )
 
 
-def _join_block(k: int, lo: int, hi: int) -> list[frozenset]:
-    """All tilings whose lower facet index lies in [lo, hi)."""
-    cat = _catalogue(k - 1)
+@lru_cache(maxsize=None)
+def _catalogue_array(n: int) -> np.ndarray:
+    cat = np.array(_catalogue(n), dtype=np.uint8)
+    cat.flags.writeable = False
+    return cat
+
+
+def _join_classes(k: int, li: int) -> np.ndarray:
+    """Connecting-edge phase masks of facet li joined with every facet.
+
+    Row j is the combed join of _catalogue(k - 1)[li] as lower facet with
+    entry j as upper facet: every connecting edge points down, which is a
+    USO.  The connecting words the pair accepts are the unions of its
+    k-phases, so the pair gives 2^(number of phases) tilings.
+    """
+    cat = _catalogue_array(k - 1)
+    combed = np.concatenate([np.broadcast_to(cat[li], cat.shape), cat], axis=1)
+    return _edge_classes(combed, k, k)
+
+
+def _join_stream(k: int) -> Iterator[TileSet]:
     tables = _facet_tiles(k)
     top = 1 << (k - 1)
     shift = 2 * (k - 1)
-    out = []
-    for li in range(lo, hi):
-        low = cat[li]
-        low_tiles = tables[li][0]
-        for up, (_, up_tiles) in zip(cat, tables):
-            comps = _cross_components(low, up, k - 1)
-            for pick in range(1 << len(comps)):
+    for li, (low_tiles, _) in enumerate(tables):
+        for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
+            # the classes in order of their lowest edge
+            classes = [mask for p, mask in enumerate(masks) if not mask & (1 << p) - 1]
+            for pick in range(1 << len(classes)):
                 word = 0
-                for c, comp in enumerate(comps):
+                for c, cls in enumerate(classes):
                     if pick >> c & 1:
-                        word |= comp
+                        word |= cls
                 bits = [(word >> p & 1) << shift for p in range(top)]
-                out.append(
-                    frozenset([*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
+                yield TileSet(
+                    k, frozenset([*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
                 )
-    return out
 
 
 def enumerate_join(k: int, jobs: int = 1) -> Iterator[TileSet]:
-    """Yield every k-dimensional USO tiling by joining facet pairs."""
+    """Every k-dimensional USO tiling, by joining facet pairs.
+
+    The dimension is checked on the call, before any tiling is built.  The
+    stream runs in this process whatever jobs is; only the count uses a
+    process pool.
+    """
     _check_join_dim(k)
-    cat = _catalogue(k - 1)
-    if jobs <= 1:
-        for lo in range(len(cat)):
-            for tiles in _join_block(k, lo, lo + 1):
-                yield TileSet(k, tiles)
-        return
-    chunks = [(k, lo, min(lo + 8, len(cat))) for lo in range(0, len(cat), 8)]
-    with Pool(jobs) as pool:
-        for block in pool.imap(_join_block_star, chunks):
-            for tiles in block:
-                yield TileSet(k, tiles)
-
-
-def _join_block_star(args) -> list[frozenset]:
-    return _join_block(*args)
+    return _join_stream(k)
 
 
 def _join_count_block(k: int, orbits) -> int:
-    """Sum over (lower index, orbit size) pairs of size * Σ_upper 2^components."""
-    cat = np.array(_catalogue(k - 1), dtype=np.uint8)
-    n = k - 1
-    size = 1 << n
-    full = size - 1
-    a = np.arange(size, dtype=np.uint8)
-    xor_ab = a[:, None] ^ a[None, :]
-    eye = np.eye(size, dtype=bool)
+    """Sum over (lower index, orbit size) pairs of size * Σ_upper 2^phases."""
+    m = 1 << (k - 1)
+    below = (1 << np.arange(m, dtype=np.int64)) - 1
     total = 0
     for li, orbit_size in orbits:
-        low = cat[li]
-        disagree = low[None, :, None] ^ cat[:, None, :]
-        bad = (xor_ab[None, :, :] & ~disagree & full) == 0
-        bad &= ~eye[None, :, :]
-        reach = (bad | bad.transpose(0, 2, 1) | eye[None, :, :]).astype(np.uint8)
-        for _ in range(max(1, n)):
-            reach = np.minimum(reach @ reach, 1)
-        weights = np.left_shift(np.int64(1), np.arange(size, dtype=np.int64))
-        ids = (reach.astype(np.int64) * weights[None, None, :]).sum(axis=2)
-        ids.sort(axis=1)
-        comps = 1 + (ids[:, 1:] != ids[:, :-1]).sum(axis=1)
-        total += orbit_size * int(np.left_shift(np.int64(1), comps).sum())
+        # a class is counted once, at its lowest edge
+        phases = ((_join_classes(k, li) & below) == 0).sum(axis=1)
+        total += orbit_size * int((1 << phases).sum())
     return total
 
 
-def _join_count_block_star(args) -> int:
-    return _join_count_block(*args)
-
-
 def _join_count(k: int, jobs: int) -> int:
-    """Σ over facet pairs of 2^components, one lower facet per symmetry orbit.
+    """Σ over facet pairs of 2^phases, one lower facet per counting-group orbit.
 
     The sum over upper facets is the same for every lower facet of an
     orbit (see _symmetry_images), so each representative's sum counts
@@ -338,7 +297,7 @@ def _join_count(k: int, jobs: int) -> int:
     step = max(1, (len(orbits) + 4 * jobs - 1) // (4 * jobs))
     chunks = [(k, orbits[lo:lo + step]) for lo in range(0, len(orbits), step)]
     with Pool(jobs) as pool:
-        return sum(pool.map(_join_count_block_star, chunks))
+        return sum(pool.starmap(_join_count_block, chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,17 @@ satisfies the pair).  Valid flip sets are therefore exactly the unions of
 connected components of that constraint graph, which is what the default
 method computes.  method="brute" instead tries all 2^(2^(k-1)) subsets
 against the sink test, literally; both are capped at k <= 5.
+``_phase_projections`` finds the components of one table in pure Python;
+``_edge_classes`` finds them for a batch of tables in numpy, which is how
+the facet join counts and streams (see ``enumeration``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .cube import (
     Edge,
@@ -213,6 +218,27 @@ def _phase_projections(out: tuple, k: int, i: int) -> tuple[tuple[int, ...], ...
     for p in range(m):
         groups.setdefault(find(p), []).append(p)
     return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
+    """Phase classes of the i-edges for a batch of direction tables.
+
+    Row r of tables is a k-dimensional table satisfying the pairwise sink
+    condition.  Entry (r, p) of the result is the bitmask of projection
+    indices in the class of the i-edge p: the classes _phase_projections
+    finds, one table at a time, by the same pair rule.
+    """
+    m = 1 << (k - 1)
+    lower = np.array([_expand(p, i) for p in range(m)])
+    ends = tables[:, lower]
+    tops = tables[:, lower | 1 << (i - 1)]
+    apart = (lower[:, None] ^ lower[None, :]).astype(tables.dtype)
+    joined = (apart & ~(ends[:, :, None] ^ tops[:, None, :])) == 0
+    reach = joined | joined.transpose(0, 2, 1)
+    # each squaring doubles the path length covered; paths have < m edges
+    for _ in range(k - 1):
+        reach = reach @ reach
+    return reach @ (1 << np.arange(m, dtype=np.int64))
 
 
 def _brute_phase_projections(out: tuple, k: int, i: int):

@@ -404,6 +404,30 @@ def test_out_writes_into_a_fifo(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+@pytest.mark.parametrize("k, method", [("5", "join"), ("0", "join"), ("4", "brute")])
+def test_rejected_dimension_leaves_direct_targets_untouched(k, method, tmp_path, capsys):
+    import os
+    import stat
+
+    target = tmp_path / "target.txt"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        for out in (link, fifo):
+            assert run(["enumerate", "--k", k, "--method", method, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: limit: ")
+        assert os.read(fd, 4096) == b""
+    finally:
+        os.close(fd)
+    assert target.read_text() == "earlier\n"
+    assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe", "target.txt"]
+
+
 def test_out_writes_directly_when_no_temp_file_fits(tmp_path, capsys):
     import os
 

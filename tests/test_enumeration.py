@@ -102,12 +102,16 @@ def test_count_rejects_unknown_method():
 
 
 def test_enumeration_caps():
+    # the streams raise on the call, before any iteration, so a caller
+    # opens no output first
     with pytest.raises(EnumerationLimitError):
-        list(enumerate_brute(4))
+        enumerate_brute(4)
     with pytest.raises(EnumerationLimitError):
-        list(enumerate_join(5))
+        enumerate_brute(-1)
     with pytest.raises(EnumerationLimitError):
-        list(enumerate_join(0))
+        enumerate_join(5)
+    with pytest.raises(EnumerationLimitError):
+        enumerate_join(0)
     with pytest.raises(EnumerationLimitError):
         count_usos(4, "brute")
     with pytest.raises(EnumerationLimitError):
@@ -187,12 +191,8 @@ def _act(out, n, perm, m, s):
 def test_join_count_sums_one_facet_per_orbit(n):
     from itertools import permutations
 
-    from usokit.enumeration import (
-        _catalogue,
-        _cross_components,
-        _facet_orbits,
-        _symmetry_images,
-    )
+    from usokit.enumeration import _catalogue, _facet_orbits, _symmetry_images
+    from usokit.transform import _phase_projections
 
     cat = _catalogue(n)
     orbits = _facet_orbits(n)
@@ -205,8 +205,9 @@ def test_join_count_sums_one_facet_per_orbit(n):
     ]
 
     def join_sum(low):
-        # the pure-Python component finder, independent of the numpy kernel
-        return sum(1 << len(_cross_components(low, up, n)) for up in cat)
+        # the pure-Python phase finder on the combed joins, independent of
+        # the numpy kernel
+        return sum(1 << len(_phase_projections(low + up, n + 1, n + 1)) for up in cat)
 
     covered = set()
     for rep, size in orbits:
@@ -222,6 +223,43 @@ def test_join_count_sums_one_facet_per_orbit(n):
     assert covered == set(cat)
     if n == 3:
         assert sorted(size for _, size in orbits) == [8, 24, 24, 48, 48, 48, 64, 96, 192, 192]
+
+
+def _class_masks(classes, m):
+    masks = [0] * m
+    for cls in classes:
+        for p in cls:
+            masks[p] = sum(1 << q for q in cls)
+    return masks
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_join_classes_are_the_combed_joins_phases(n):
+    from usokit.enumeration import _catalogue, _facet_orbits, _join_classes
+    from usokit.transform import _phase_projections
+
+    cat = _catalogue(n)
+    # every facet pair below n = 3; the orbit representatives x 744 at n = 3
+    lows = [rep for rep, _ in _facet_orbits(n)] if n == 3 else range(len(cat))
+    for li in lows:
+        want = [
+            _class_masks(_phase_projections(cat[li] + up, n + 1, n + 1), 1 << n)
+            for up in cat
+        ]
+        assert _join_classes(n + 1, li).tolist() == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_edge_classes_match_phase_projections_on_walks(k):
+    import numpy as np
+
+    from usokit.enumeration import _walk
+    from usokit.transform import _edge_classes, _phase_projections
+
+    tables = [tuple(out) for out in _walk(k, 40, 100 + k)]
+    for i in range(1, k + 1):
+        want = [_class_masks(_phase_projections(out, k, i), 1 << (k - 1)) for out in tables]
+        assert _edge_classes(np.array(tables), k, i).tolist() == want
 
 
 def _stream_digest(tilings):
