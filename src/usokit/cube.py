@@ -29,15 +29,20 @@ orientations by construction carry the verdict from birth.  The public
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
+import numpy as np
+
 from .errors import DimensionError, NotAnUsoError
-from .pairwise import incompatible_pairs
+from .pairwise import KERNEL_MIN_DIM, incompatible_pairs
 
 FACE_CHARS = "01*"
+
+_BIT_WORD = re.compile("[01]*")
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +55,12 @@ def vertex_bits(v: int, k: int) -> str:
 
 
 def vertex_from_bits(bits: str) -> int:
-    v = 0
-    for i, c in enumerate(bits):
-        if c == "1":
-            v |= 1 << i
-        elif c != "0":
-            raise ValueError(f"bad vertex character {c!r}")
-    return v
+    """The vertex of a bit word; the pattern test comes first, as int()
+    also takes "_", "+", whitespace and non-ASCII digits."""
+    if not _BIT_WORD.fullmatch(bits):
+        bad = next(c for c in bits if c not in "01")
+        raise ValueError(f"bad vertex character {bad!r}")
+    return int(bits[::-1], 2) if bits else 0
 
 
 def neighbor(v: int, i: int, k: int) -> int:
@@ -127,19 +131,11 @@ class Face:
 
     @property
     def free_mask(self) -> int:
-        m = 0
-        for i, c in enumerate(self.pattern):
-            if c == "*":
-                m |= 1 << i
-        return m
+        return vertex_from_bits(self.pattern.replace("1", "0").replace("*", "1"))
 
     @property
     def fixed_values(self) -> int:
-        v = 0
-        for i, c in enumerate(self.pattern):
-            if c == "1":
-                v |= 1 << i
-        return v
+        return vertex_from_bits(self.pattern.replace("*", "0"))
 
     def free_positions(self) -> list[int]:
         """0-based bit positions of the free coordinates, ascending."""
@@ -184,14 +180,7 @@ class Orientation:
         for v, w in enumerate(out):
             if not 0 <= w < n:
                 raise ValueError(f"direction word {w} at vertex {v} out of range")
-        for i in range(k):
-            ibit = 1 << i
-            for v in range(n):
-                if not v & ibit and (out[v] ^ out[v | ibit]) & ibit:
-                    raise ValueError(
-                        f"inconsistent direction of the {i + 1}-edge at "
-                        f"{vertex_bits(v, k)}"
-                    )
+        _check_edges(k, out)
 
     def direction(self, v: int, i: int) -> int:
         """Direction bit of the i-edge at v (1 points to the upper facet)."""
@@ -207,28 +196,41 @@ class Orientation:
                     yield Edge(v, i)
 
 
+def _check_edges(k: int, out, support=None, what: str = "inconsistent direction of"):
+    """Raise ValueError naming the edge of lowest coordinate, then lowest
+    vertex, whose endpoints in support (default: all 2^k) disagree on it.
+
+    A whole table of 2^KERNEL_MIN_DIM words or more is tested by numpy first.
+    """
+    if support is None and k >= KERNEL_MIN_DIM:
+        words = np.fromiter(out, np.int64, 1 << k)
+        halves = (words.reshape(-1, 2, 1 << i) for i in range(k))
+        if not any(((h[:, 0] ^ h[:, 1]) >> i & 1).any() for i, h in enumerate(halves)):
+            return
+    vertices = range(1 << k) if support is None else sorted(support)
+    for i in range(k):
+        ibit = 1 << i
+        for v in vertices:
+            w = v | ibit
+            if w != v and (support is None or w in support) and (out[v] ^ out[w]) & ibit:
+                raise ValueError(f"{what} the {i + 1}-edge at {vertex_bits(v, k)}")
+
+
 def canonical_orientation(k: int) -> Orientation:
     """All edges point down; the unique sink is the all-zero vertex."""
     return Orientation(k, (0,) * (1 << k))
 
 
 def unique_sink(o: Orientation, f: Face):
-    """The sink of face f, or "none" / "multiple".
-
-    Scans the face's vertices in lexicographic bit-string order.
-    """
+    """The sink of face f, or "none" / "multiple"."""
     if f.cube_dim != o.dim:
         raise DimensionError(
             f"face pattern length {f.cube_dim} does not match dimension {o.dim}"
         )
-    free = f.free_mask
-    found = None
-    for v in f.vertices():
-        if not (o.out[v] ^ v) & free:
-            if found is not None:
-                return "multiple"
-            found = v
-    return "none" if found is None else found
+    sinks = _face_sinks(o.out, f.fixed_values, f.free_mask)
+    if len(sinks) == 1:
+        return sinks[0]
+    return "multiple" if sinks else "none"
 
 
 @lru_cache(maxsize=None)
@@ -256,22 +258,24 @@ def _face_masks(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(faces)
 
 
-def _face_scan_ok(out, k: int) -> bool:
-    for fixed, free in _face_masks(k):
-        sinks = 0
-        sub = free
-        while True:
-            v = fixed | sub
-            if not (out[v] ^ v) & free:
-                sinks += 1
-                if sinks > 1:
-                    break
-            if sub == 0:
+def _face_sinks(out, fixed: int, free: int) -> list[int]:
+    """Sinks of the face with these fixed values and free mask, up to two."""
+    sinks = []
+    sub = free
+    while True:
+        v = fixed | sub
+        if not (out[v] ^ v) & free:
+            sinks.append(v)
+            if len(sinks) > 1:
                 break
-            sub = (sub - 1) & free
-        if sinks != 1:
-            return False
-    return True
+        if sub == 0:
+            break
+        sub = (sub - 1) & free
+    return sinks
+
+
+def _face_scan_ok(out, k: int) -> bool:
+    return all(len(_face_sinks(out, fixed, free)) == 1 for fixed, free in _face_masks(k))
 
 
 def is_uso(o: Orientation, method: str = "pairwise") -> bool:
@@ -356,14 +360,7 @@ class PartialOrientation:
                 raise ValueError(f"vertex {v} out of range")
             if not 0 <= self.out[v] < n:
                 raise ValueError(f"direction word at vertex {v} out of range")
-        for v in self.support:
-            for i in range(self.dim):
-                w = v ^ (1 << i)
-                if w in self.support and (self.out[v] ^ self.out[w]) >> i & 1:
-                    raise ValueError(
-                        f"inconsistent direction of the {i + 1}-edge at "
-                        f"{vertex_bits(min(v, w), self.dim)}"
-                    )
+        _check_edges(self.dim, self.out, self.support)
 
     def __eq__(self, other):
         if not isinstance(other, PartialOrientation):
@@ -390,17 +387,8 @@ def combine(a: PartialOrientation, b: PartialOrientation) -> Orientation:
     k = a.dim
     if a.support & b.support or len(a.support) + len(b.support) != 1 << k:
         raise ValueError("supports do not partition the vertex set")
-    for v in a.support:
-        for i in range(k):
-            w = v ^ (1 << i)
-            if w in b.support and (a.out[v] ^ b.out[w]) >> i & 1:
-                raise ValueError(
-                    f"cut disagreement on the {i + 1}-edge at "
-                    f"{vertex_bits(min(v, w), k)}"
-                )
-    out = [0] * (1 << k)
-    for v in a.support:
-        out[v] = a.out[v]
-    for v in b.support:
-        out[v] = b.out[v]
+    merged = {**a.out, **b.out}
+    out = [merged[v] for v in range(1 << k)]
+    # each side is consistent on its own, so any disagreement is on the cut
+    _check_edges(k, out, what="cut disagreement on")
     return Orientation(k, tuple(out))

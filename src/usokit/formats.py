@@ -12,7 +12,10 @@ written as "-" wherever a tile or a bit string would be empty.
     labels       lines "<tile> <label>"
 
 Readers are strict: wrong cardinality, duplicates, stray characters, and
-out-of-order orientation lines all raise FormatError.  Numbers (header
+out-of-order orientation lines all raise FormatError.  Each word is checked
+once: its length and, for tiles, repeats here; its characters by the codec
+of the module that owns it, tiling.tile_pack or cube.vertex_from_bits,
+whose ValueError becomes the FormatError.  Numbers (header
 dimensions, rule widths and column counts, labels) are ASCII decimal
 digits only: no sign, underscore, or non-ASCII digit.  A header dimension
 above MAX_FORMAT_DIM is rejected by comparison alone, before anything of
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import re
 
-from .cube import Orientation, vertex_bits
+from .cube import Orientation, vertex_bits, vertex_from_bits
 from .errors import FormatError
 from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule
-from .tiling import DIGITS, TileSet
+from .tiling import TileSet, tile_pack, tile_unpack
 
 EMPTY_WORD = "-"
 
@@ -57,15 +60,21 @@ def _number(word: str, error: str) -> int:
     raise FormatError(error)
 
 
-def _parse_header(line: str, tag: str) -> int:
-    parts = line.split()
+def _counted_body(text: str, tag: str, what: str) -> tuple[int, list[str]]:
+    """The dimension k of a '<tag> <k>' text and its 2^k body lines."""
+    lines = _lines(text)
+    if not lines:
+        raise FormatError("empty input")
+    parts = lines[0].split()
     if len(parts) != 2 or parts[0] != tag:
-        raise FormatError(f"expected header '{tag} <k>', got {line!r}")
+        raise FormatError(f"expected header '{tag} <k>', got {lines[0]!r}")
     k = _number(parts[1], f"bad dimension {parts[1]!r}")
     if k < 0:
         raise FormatError(f"bad dimension {k}")
     _check_dim_cap(k)
-    return k
+    if len(lines) - 1 != 1 << k:
+        raise FormatError(f"expected {1 << k} {what} lines, got {len(lines) - 1}")
+    return k, lines[1:]
 
 
 def _check_dim_cap(k: int) -> None:
@@ -73,18 +82,38 @@ def _check_dim_cap(k: int) -> None:
         raise FormatError(f"dimension {k} exceeds the cap {MAX_FORMAT_DIM}")
 
 
-def _parse_tile(word: str, k: int) -> str:
+def _parse_word(word: str, k: int, codec, name: str, empty: str = "") -> int:
+    """The codec's value of one word of a k-dimensional text."""
     if k == 0:
         if word != EMPTY_WORD:
-            raise FormatError(f"expected '{EMPTY_WORD}' for the empty tile, got {word!r}")
-        return ""
-    if len(word) != k or any(c not in DIGITS for c in word):
-        raise FormatError(f"bad tile {word!r} for dimension {k}")
-    return word
+            raise FormatError(f"expected '{EMPTY_WORD}'{empty}, got {word!r}")
+        return 0
+    if len(word) == k:
+        try:
+            return codec(word)
+        except ValueError:
+            pass
+    raise FormatError(f"bad {name} {word!r} for dimension {k}")
 
 
-def _tile_word(s: str) -> str:
-    return s if s else EMPTY_WORD
+def _parse_tile(word: str, k: int) -> int:
+    return _parse_word(word, k, tile_pack, "tile", " for the empty tile")
+
+
+def _parse_bits(word: str, k: int) -> int:
+    return _parse_word(word, k, vertex_from_bits, "bit string")
+
+
+def _parse_tiles(words: list[str], k: int, duplicate: str) -> TileSet:
+    """The tile set of the words; FormatError(duplicate) on a repeat."""
+    tiles = frozenset(_parse_tile(w, k) for w in words)
+    if len(tiles) != len(words):
+        raise FormatError(duplicate)
+    return TileSet(k, tiles)
+
+
+def _word(s: str) -> str:
+    return s or EMPTY_WORD
 
 
 # ---------------------------------------------------------------------------
@@ -93,72 +122,42 @@ def _tile_word(s: str) -> str:
 
 def write_tiling(ts: TileSet) -> str:
     lines = [f"uso {ts.dim}"]
-    lines += [_tile_word(s) for s in ts.strings()]
+    lines += [_word(s) for s in ts.strings()]
     return "\n".join(lines) + "\n"
 
 
 def read_tiling(text: str) -> TileSet:
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    k = _parse_header(lines[0], "uso")
-    body = lines[1:]
-    if len(body) != 1 << k:
-        raise FormatError(f"expected {1 << k} tile lines, got {len(body)}")
-    tiles = [_parse_tile(ln.strip(), k) for ln in body]
-    if len(set(tiles)) != len(tiles):
-        raise FormatError("duplicate tiles")
-    return TileSet.from_strings(tiles, k)
+    k, body = _counted_body(text, "uso", "tile")
+    return _parse_tiles([ln.strip() for ln in body], k, "duplicate tiles")
 
 
 # ---------------------------------------------------------------------------
 # orientations
 
 
-def _bits_word(v: int, k: int) -> str:
-    return vertex_bits(v, k) if k else EMPTY_WORD
+def _vertex_order(k: int) -> list[int]:
+    """Vertices in the lexicographic order of their bit words."""
+    return sorted(range(1 << k), key=lambda v: vertex_bits(v, k))
 
 
 def write_orientation(o: Orientation) -> str:
     k = o.dim
     lines = [f"o {k}"]
-    order = sorted(range(1 << k), key=lambda v: vertex_bits(v, k))
-    for v in order:
-        lines.append(f"{_bits_word(v, k)} {_bits_word(o.out[v], k)}")
+    for v in _vertex_order(k):
+        lines.append(f"{_word(vertex_bits(v, k))} {_word(vertex_bits(o.out[v], k))}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_bits(word: str, k: int) -> int:
-    if k == 0:
-        if word != EMPTY_WORD:
-            raise FormatError(f"expected '{EMPTY_WORD}', got {word!r}")
-        return 0
-    if len(word) != k or any(c not in "01" for c in word):
-        raise FormatError(f"bad bit string {word!r} for dimension {k}")
-    v = 0
-    for i, c in enumerate(word):
-        if c == "1":
-            v |= 1 << i
-    return v
-
-
 def read_orientation(text: str) -> Orientation:
-    lines = _lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    k = _parse_header(lines[0], "o")
-    body = lines[1:]
-    if len(body) != 1 << k:
-        raise FormatError(f"expected {1 << k} vertex lines, got {len(body)}")
-    expected = sorted(range(1 << k), key=lambda v: vertex_bits(v, k))
+    k, body = _counted_body(text, "o", "vertex")
     out = [0] * (1 << k)
-    for ln, v in zip(body, expected):
+    for ln, v in zip(body, _vertex_order(k)):
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"expected '<vertex> <directions>', got {ln!r}")
         if _parse_bits(parts[0], k) != v:
             raise FormatError(
-                f"vertex lines out of order: expected {_bits_word(v, k)}, "
+                f"vertex lines out of order: expected {_word(vertex_bits(v, k))}, "
                 f"got {parts[0]!r}"
             )
         out[v] = _parse_bits(parts[1], k)
@@ -176,7 +175,7 @@ def write_rule(rule: GeneralizedRule) -> str:
     lines = [f"rule d={rule.d} i={rule.i}"]
     for m in range(4):
         for j in range(1, rule.i + 1):
-            tiles = " ".join(_tile_word(s) for s in rule.set_for(m, j).strings())
+            tiles = " ".join(_word(s) for s in rule.set_for(m, j).strings())
             lines.append(f"S{m}.{j}:" + (f" {tiles}" if tiles else ""))
     return "\n".join(lines) + "\n"
 
@@ -186,12 +185,7 @@ def read_rule(text: str) -> GeneralizedRule:
     if not lines:
         raise FormatError("empty input")
     head = lines[0].split()
-    if (
-        len(head) != 3
-        or head[0] != "rule"
-        or not head[1].startswith("d=")
-        or not head[2].startswith("i=")
-    ):
+    if len(head) != 3 or head[0] != "rule" or (head[1][:2], head[2][:2]) != ("d=", "i="):
         raise FormatError(f"expected header 'rule d=<d> i=<i>', got {lines[0]!r}")
     bad_header = f"bad rule header {lines[0]!r}"
     d = _number(head[1][2:], bad_header)
@@ -199,24 +193,19 @@ def read_rule(text: str) -> GeneralizedRule:
     if d < 0 or i < 1:
         raise FormatError(bad_header)
     _check_dim_cap(d)
-    body = lines[1:]
-    if len(body) != 4 * i:
-        raise FormatError(f"expected {4 * i} set lines, got {len(body)}")
+    if len(lines) - 1 != 4 * i:
+        raise FormatError(f"expected {4 * i} set lines, got {len(lines) - 1}")
+    body = iter(lines[1:])
     rows = []
-    at = 0
     for m in range(4):
         row = []
         for j in range(1, i + 1):
             prefix = f"S{m}.{j}:"
-            line = body[at]
-            at += 1
+            line = next(body)
             if not line.startswith(prefix):
                 raise FormatError(f"expected line starting {prefix!r}, got {line!r}")
             words = line[len(prefix):].split()
-            tiles = [_parse_tile(w, d) for w in words]
-            if len(set(tiles)) != len(tiles):
-                raise FormatError(f"duplicate tiles in {prefix[:-1]}")
-            row.append(TileSet.from_strings(tiles, d))
+            row.append(_parse_tiles(words, d, f"duplicate tiles in {prefix[:-1]}"))
         rows.append(tuple(row))
     return GeneralizedRule(d, i, tuple(rows))
 
@@ -226,10 +215,7 @@ def read_rule(text: str) -> GeneralizedRule:
 
 
 def write_labels(labels: dict[str, int]) -> str:
-    lines = [
-        f"{_tile_word(s)} {labels[s]}" for s in sorted(labels)
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{_word(s)} {labels[s]}" for s in sorted(labels)) + "\n"
 
 
 def read_labels(text: str, dim: int) -> dict[str, int]:
@@ -238,7 +224,7 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"expected '<tile> <label>', got {ln!r}")
-        tile = _parse_tile(parts[0], dim)
+        tile = tile_unpack(_parse_tile(parts[0], dim), dim)
         label = _number(parts[1], f"bad label {parts[1]!r}")
         if label < 1:
             raise FormatError(f"bad label {label}")

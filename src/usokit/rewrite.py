@@ -216,7 +216,12 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
         for s, j in labelling.items():
             if not 1 <= j <= rule.i:
                 raise LabellingError(f"label {j} for tile {s} out of range 1..{rule.i}")
-            columns[tile_pack(s)] = j
+            try:
+                if len(s) != k:
+                    raise ValueError
+                columns[tile_pack(s)] = j
+            except ValueError:
+                raise LabellingError(f"label key {s!r} is not a tile of dimension {k}") from None
     shift = 2 * (h - 1)
     below = (1 << shift) - 1
     above = shift + 2 * rule.d

@@ -15,8 +15,10 @@ to flippable edges.
 
 Tiles are stored packed, 2 bits per coordinate with coordinate 1 in the
 lowest slot, so the compatibility test is a couple of word operations.
-Digit strings (coordinate 1 first) appear at every API boundary; the
-0-dimensional empty tile packs to 0 and prints as "" here, "-" in files.
+Digit strings (coordinate 1 first) appear at every API boundary, and
+tile_pack and tile_unpack are their one codec: tile_pack checks a word's
+characters, its callers its length.  The 0-dimensional empty tile packs
+to 0 and prints as "" here, "-" in files.
 
 A tiling is verified once.  Operations that need a complete tiling go
 through ``_require_tiling``, which runs ``tiling_defect`` on first use
@@ -27,8 +29,10 @@ output carries the verdict from birth.  The public ``tiling_defect`` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product as iproduct
 from typing import Iterator
 
 from .cube import Orientation, _keep_verdict, _require_uso
@@ -42,19 +46,26 @@ DIGITS = "0123"
 # packed tiles
 
 
+_TILE_WORD = re.compile("[0-3]*")
+
+# tile_unpack's table: the 5-digit word of every 10-bit chunk
+_CHUNKS = tuple("".join(p)[::-1] for p in iproduct(DIGITS, repeat=5))
+
+
 def tile_pack(s: str) -> int:
-    """Pack a digit string, coordinate 1 into the lowest 2-bit slot."""
-    t = 0
-    for i, c in enumerate(s):
-        d = DIGITS.find(c)
-        if d < 0:
-            raise ValueError(f"bad tile character {c!r}")
-        t |= d << (2 * i)
-    return t
+    """Pack a digit string, coordinate 1 into the lowest 2-bit slot.
+
+    The pattern test comes first, as int() also takes "_", "+",
+    whitespace and non-ASCII digits.
+    """
+    if not _TILE_WORD.fullmatch(s):
+        bad = next(c for c in s if c not in DIGITS)
+        raise ValueError(f"bad tile character {bad!r}")
+    return int(s[::-1], 4) if s else 0
 
 
 def tile_unpack(t: int, k: int) -> str:
-    return "".join(DIGITS[t >> (2 * i) & 3] for i in range(k))
+    return "".join(_CHUNKS[t >> (10 * i) & 1023] for i in range((k + 4) // 5))[:k]
 
 
 def tile_digit(t: int, i: int) -> int:
@@ -224,16 +235,10 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
     the equivalence between the tiling test and the sink test.
     """
     k = ts.dim
-    out = [None] * (1 << k)
-    for t in ts.tiles:
-        v = tile_vertex(t, k)
-        w = tile_out(t, k)
-        if out[v] is not None:
-            return None
-        out[v] = w
-    if any(w is None for w in out):
+    out = {tile_vertex(t, k): tile_out(t, k) for t in ts.tiles}
+    if len(ts.tiles) != 1 << k or len(out) != 1 << k:
         return None
-    return out
+    return [out[v] for v in range(1 << k)]
 
 
 def uso_from_tiles(ts: TileSet) -> Orientation:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from usokit import (
     vertex_bits,
     vertex_from_bits,
 )
-from usokit.cube import drop_bit, insert_bit
+from usokit.cube import _check_edges, drop_bit, insert_bit
 
 
 def bits(s):
@@ -69,6 +70,24 @@ def test_vertex_bits_round_trip():
 def test_vertex_from_bits_rejects_garbage():
     with pytest.raises(ValueError):
         vertex_from_bits("0x1")
+
+
+# forms int() would read, and padding, which the readers strip before a
+# word reaches the codec: each is rejected at its first stray character
+LOOSE_WORDS = [
+    ("0_1", "_"),
+    ("+1", "+"),
+    ("\uff10\uff11", "\uff10"),
+    ("\u0660\u0661", "\u0660"),
+    (" 01", " "),
+    ("01 ", " "),
+]
+
+
+@pytest.mark.parametrize("word,bad", LOOSE_WORDS)
+def test_vertex_from_bits_takes_only_ascii_bits(word, bad):
+    with pytest.raises(ValueError, match=f"^bad vertex character {re.escape(repr(bad))}$"):
+        vertex_from_bits(word)
 
 
 def test_edge_canonical_form():
@@ -253,6 +272,51 @@ def test_combine_rejects_cut_disagreement():
     b = PartialOrientation.restrict(flipped, frozenset({2, 3}))
     with pytest.raises(ValueError):
         combine(a, b)
+
+
+def test_edge_check_names_the_lowest_disagreement():
+    # disagreements on the 2-edge at 00 and on the 1-edge at 01
+    two = (2, 0, 1, 0)
+    message = "^inconsistent direction of the 1-edge at 01$"
+    with pytest.raises(ValueError, match=message):
+        Orientation(2, two)
+    with pytest.raises(ValueError, match=message):
+        PartialOrientation(2, frozenset(range(4)), dict(enumerate(two)))
+    # the numpy route: the 3-edge at 11000 and the 1-edge at 01111
+    five = [0] * 32
+    five[3] ^= 4
+    five[30] ^= 1
+    with pytest.raises(ValueError, match="^inconsistent direction of the 1-edge at 01111$"):
+        Orientation(5, five)
+    # both cut edges of the 2-cube disagree
+    a = PartialOrientation(2, frozenset({0, 1}), {0: 0, 1: 0})
+    b = PartialOrientation(2, frozenset({2, 3}), {2: 2, 3: 2})
+    with pytest.raises(ValueError, match="^cut disagreement on the 2-edge at 00$"):
+        combine(a, b)
+
+
+def _edge_error(k, out, support=None):
+    try:
+        _check_edges(k, out, support)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 7), st.randoms(use_true_random=False), st.integers(0, 3))
+def test_edge_check_numpy_route_matches_the_loop(k, rnd, flips):
+    n = 1 << k
+    out = [0] * n
+    for i in range(k):
+        for v in range(n):
+            if not v >> i & 1 and rnd.random() < 0.5:
+                out[v] |= 1 << i
+                out[v | 1 << i] |= 1 << i
+    for _ in range(flips):
+        out[rnd.randrange(n)] ^= 1 << rnd.randrange(k)
+    # a support given takes the loop, none the numpy test first
+    assert _edge_error(k, out) == _edge_error(k, out, range(n))
 
 
 def test_combine_rejects_non_partition():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +186,30 @@ def test_readers_take_only_ascii_digits(number):
             read_rule(header + "\nS0.1: 0\nS1.1: 1\nS2.1: 2\nS3.1: 3\n")
 
 
+# tile and bit words int() would read; the readers reject each as a word
+LOOSE_WORDS = ["0_1", "+1", "\uff10\uff11", "\u0660\u0661"]
+
+
+@pytest.mark.parametrize("word", LOOSE_WORDS)
+def test_readers_take_only_ascii_digit_words(word):
+    k = len(word)
+    bad_tile = f"^{re.escape(f'bad tile {word!r} for dimension {k}')}$"
+    bad_bits = f"^{re.escape(f'bad bit string {word!r} for dimension {k}')}$"
+    rest = ["0" * k] * ((1 << k) - 1)
+    with pytest.raises(FormatError, match=bad_tile):
+        read_tiling("\n".join([f"uso {k}", word, *rest]) + "\n")
+    with pytest.raises(FormatError, match=bad_tile):
+        read_rule(f"rule d={k} i=1\nS0.1: {word}\nS1.1:\nS2.1:\nS3.1:\n")
+    with pytest.raises(FormatError, match=bad_tile):
+        read_labels(f"{word} 1\n", k)
+    vertices = sorted(range(1 << k), key=lambda v: vertex_bits(v, k))
+    lines = [f"{vertex_bits(v, k)} {'0' * k}" for v in vertices]
+    with pytest.raises(FormatError, match=bad_bits):
+        read_orientation("\n".join([f"o {k}", f"{'0' * k} {word}", *lines[1:]]) + "\n")
+    with pytest.raises(FormatError, match=bad_bits):
+        read_orientation("\n".join([f"o {k}", f"{word} {'0' * k}", *lines[1:]]) + "\n")
+
+
 def test_strict_numbers_keep_the_old_messages():
     with pytest.raises(FormatError, match="^bad dimension -1$"):
         read_tiling("uso -1\n")
@@ -199,7 +225,9 @@ def test_strict_numbers_keep_the_old_messages():
 NUMBERS = st.one_of(
     st.integers(0, 3).map(str), st.sampled_from(LOOSE_NUMBERS + ["-1", "00", "x", ""])
 )
-JUNK = st.text(alphabet="0123-_+x \uff11", max_size=3)
+JUNK = st.one_of(
+    st.text(alphabet="0123-_+x \uff11", max_size=3), st.sampled_from(LOOSE_WORDS)
+)
 
 
 def _word(draw, alphabet, k):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from usokit import (
@@ -270,6 +272,16 @@ def test_apply_generalized_missing_label():
         apply_generalized(
             rule, frame_tiles(), {"01": 2, "03": 1, "20": 2, "22": 7}, 1
         )
+
+
+@pytest.mark.parametrize("key", ["200", "2", "0x", "2\uff10"])
+def test_apply_generalized_rejects_label_keys_that_are_not_tiles(key):
+    # "200" and "2" would pack like "20"
+    rule, _ = universality_rule(TARGET3)
+    labels = {"01": 2, "03": 1, "20": 2, "22": 1, key: 1}
+    message = f"^label key {re.escape(repr(key))} is not a tile of dimension 2$"
+    with pytest.raises(LabellingError, match=message):
+        apply_generalized(rule, frame_tiles(), labels, 1)
 
 
 def test_inherit_rule_matches_inherited(catalogue2):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,9 +56,33 @@ def test_packed_adjacency_matches_strings(u, v):
     assert packed_gk_adjacent(tile_pack(u), tile_pack(v), low_bits_mask(2)) == want
 
 
-@given(st.text(alphabet="0123", max_size=6))
+# up to 12 digits, so words cross tile_unpack's 5-digit chunks
+tile_words = st.text(alphabet="0123", max_size=12)
+
+
+@given(tile_words)
 def test_tile_pack_round_trip(s):
-    assert tile_unpack(tile_pack(s), len(s)) == s
+    t = tile_pack(s)
+    assert t == sum(int(c) << (2 * i) for i, c in enumerate(s))
+    assert tile_unpack(t, len(s)) == s
+
+
+# forms int() would read, and padding, which the readers strip before a
+# word reaches the codec: each is rejected at its first stray character
+LOOSE_WORDS = [
+    ("0_1", "_"),
+    ("+1", "+"),
+    ("\uff10\uff11", "\uff10"),
+    ("\u0660\u0661", "\u0660"),
+    (" 01", " "),
+    ("01 ", " "),
+]
+
+
+@pytest.mark.parametrize("word,bad", LOOSE_WORDS)
+def test_tile_pack_takes_only_ascii_digits(word, bad):
+    with pytest.raises(ValueError, match=f"^bad tile character {re.escape(repr(bad))}$"):
+        tile_pack(word)
 
 
 @given(st.text(alphabet="0123", min_size=1, max_size=6))
