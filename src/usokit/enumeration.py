@@ -18,9 +18,9 @@ Three routes:
   counting group (coordinate permutations, mirror and flip_dimension,
   applied to both facets at once; see _symmetry_images), so the counter
   takes one representative per orbit, weighted by the orbit's size:
-  10 x 744 facet pairs instead of 744^2 at k = 4.  jobs > 1 shards the
-  representatives over a process pool; the stream always runs in one
-  process.  Capped at k <= 4.
+  10 x 744 facet pairs instead of 744^2 at k = 4.  Stream and count run
+  in this process; the jobs argument of enumerate_join and count_usos is
+  accepted and ignored.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph.  Each step draws a
   coordinate uniformly, computes its phase classes, and reverses a
   uniformly chosen subset of classes.  Reversing a union of classes
@@ -39,7 +39,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from operator import or_
 from typing import Iterator
 
@@ -264,26 +263,13 @@ def enumerate_join(k: int, jobs: int = 1) -> Iterator[TileSet]:
     """Every k-dimensional USO tiling, by joining facet pairs.
 
     The dimension is checked on the call, before any tiling is built.  The
-    stream runs in this process whatever jobs is; only the count uses a
-    process pool.
+    stream runs in this process; jobs is accepted and ignored.
     """
     _check_join_dim(k)
     return _join_stream(k)
 
 
-def _join_count_block(k: int, orbits) -> int:
-    """Sum over (lower index, orbit size) pairs of size * Σ_upper 2^phases."""
-    m = 1 << (k - 1)
-    below = (1 << np.arange(m, dtype=np.int64)) - 1
-    total = 0
-    for li, orbit_size in orbits:
-        # a class is counted once, at its lowest edge
-        phases = ((_join_classes(k, li) & below) == 0).sum(axis=1)
-        total += orbit_size * int((1 << phases).sum())
-    return total
-
-
-def _join_count(k: int, jobs: int) -> int:
+def _join_count(k: int) -> int:
     """Σ over facet pairs of 2^phases, one lower facet per counting-group orbit.
 
     The sum over upper facets is the same for every lower facet of an
@@ -291,13 +277,13 @@ def _join_count(k: int, jobs: int) -> int:
     orbit-size times.
     """
     _check_join_dim(k)
-    orbits = _facet_orbits(k - 1)
-    if jobs <= 1:
-        return _join_count_block(k, orbits)
-    step = max(1, (len(orbits) + 4 * jobs - 1) // (4 * jobs))
-    chunks = [(k, orbits[lo:lo + step]) for lo in range(0, len(orbits), step)]
-    with Pool(jobs) as pool:
-        return sum(pool.starmap(_join_count_block, chunks))
+    below = (1 << np.arange(1 << (k - 1), dtype=np.int64)) - 1
+    total = 0
+    for li, orbit_size in _facet_orbits(k - 1):
+        # a class is counted once, at its lowest edge
+        phases = ((_join_classes(k, li) & below) == 0).sum(axis=1)
+        total += orbit_size * int((1 << phases).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +302,15 @@ class EnumerationReport:
 
 
 def count_usos(k: int, method: str = "brute", jobs: int = 1) -> EnumerationReport:
-    """Count all k-dimensional USOs with the chosen method."""
+    """Count all k-dimensional USOs with the chosen method.
+
+    The count runs in this process; jobs is accepted and ignored.
+    """
     start = time.perf_counter()
     if method == "brute":
         n = len(_catalogue(k))
     elif method == "join":
-        n = _join_count(k, jobs)
+        n = _join_count(k)
     else:
         raise ValueError(f"unknown method {method!r}")
     return EnumerationReport(k, n, method, time.perf_counter() - start)

@@ -44,7 +44,9 @@ MAX_FORMAT_DIM = MAX_WORD_BITS // 2
 
 
 def _lines(text: str) -> list[str]:
-    lines = [ln.rstrip() for ln in text.splitlines()]
+    # "\n" alone ends a line; str.splitlines() would also split on \x0b,
+    # \x0c, \x1c-\x1e, \x85, \u2028 and \u2029.  rstrip() drops a CRLF's "\r".
+    lines = [ln.rstrip() for ln in text.split("\n")]
     while lines and not lines[-1]:
         lines.pop()
     return lines

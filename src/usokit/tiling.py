@@ -68,11 +68,6 @@ def tile_unpack(t: int, k: int) -> str:
     return "".join(_CHUNKS[t >> (10 * i) & 1023] for i in range((k + 4) // 5))[:k]
 
 
-def tile_digit(t: int, i: int) -> int:
-    """Digit of packed tile t at coordinate i (1-based)."""
-    return t >> (2 * (i - 1)) & 3
-
-
 def tile_vertex(t: int, k: int) -> int:
     """Cube vertex of a tile: bit i is the high bit of digit i."""
     v = 0

@@ -309,20 +309,19 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
 
 def phase_flip(o: Orientation, i: int, classes) -> Orientation:
     """Reverse the union of whole phase classes; always an USO again."""
-    part = phases(o, i)
-    chosen = list(classes)
-    pool = set(part.classes)
-    for cls in chosen:
-        if frozenset(cls) not in pool:
+    known = set(phases(o, i).classes)
+    edges = set()
+    for cls in classes:
+        if frozenset(cls) not in known:
             raise PhaseSelectionError(
                 f"not a phase class of dimension {i}: {sorted(cls)}"
             )
+        edges.update(cls)
     out = list(o.out)
     ibit = 1 << (i - 1)
-    for cls in chosen:
-        for e in cls:
-            out[e.vertex] ^= ibit
-            out[e.vertex | ibit] ^= ibit
+    for e in edges:
+        out[e.vertex] ^= ibit
+        out[e.vertex | ibit] ^= ibit
     return _checked(o.dim, tuple(out))
 
 

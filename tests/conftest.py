@@ -32,3 +32,20 @@ def kernel_passes(monkeypatch):
 
         monkeypatch.setattr(module, "incompatible_pairs", counting)
     return calls
+
+
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Make any request for a process pool or a child process raise.
+
+    multiprocessing.process.BaseProcess.start is patched as well, because
+    a module that imported Pool by name would not see the first patch.
+    """
+    import multiprocessing
+    import multiprocessing.process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was requested")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)

@@ -200,6 +200,15 @@ def test_phase_flip(bow_file, capsys):
     assert capsys.readouterr().out == BOW_TEXT
 
 
+def test_phase_flip_repeated_class_flips_once(bow_file, capsys):
+    assert run(["phase-flip", bow_file, "--h", "1", "--classes", "0"]) == 0
+    once = capsys.readouterr().out
+    assert once != BOW_TEXT
+    for spec in ("0,0", "0,0,0"):
+        assert run(["phase-flip", bow_file, "--h", "1", "--classes", spec]) == 0
+        assert capsys.readouterr().out == once
+
+
 def test_phase_flip_bad_classes(bow_file, capsys):
     assert run(["phase-flip", bow_file, "--h", "1", "--classes", "5"]) == 1
     assert capsys.readouterr().err.startswith("error: phase-selection:")
@@ -317,19 +326,23 @@ def test_jobs_bounded_before_any_pool(verb, monkeypatch, capsys):
     import multiprocessing
     import os
 
-    import usokit.enumeration
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was requested")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    monkeypatch.setattr(usokit.enumeration, "Pool", no_pool)
     for jobs in (0, -4, (os.cpu_count() or 1) + 1, 10**9):
         argv = [verb, "--k", "2", "--method", "join", "--jobs", str(jobs)]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: usage: --jobs")
+
+
+def test_count_starts_no_process(no_processes, capsys):
+    assert run(["count", "--k", "4", "--method", "join", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "count k=4 method=join value=5541744\n"
+    assert captured.err == ""
 
 
 def test_out_write_is_atomic(tmp_path, monkeypatch, capsys):

@@ -87,6 +87,11 @@ def test_join_jobs_yield_the_same_set(catalogue3):
     assert set(enumerate_join(3, jobs=2)) == set(catalogue3)
 
 
+def test_join_count_starts_no_process(no_processes):
+    counts = [count_usos(k, "join", 2).count for k in (1, 2, 3, 4)]
+    assert counts == [2, 12, 744, 5541744]
+
+
 def test_count_methods_agree():
     for k in (1, 2, 3):
         assert count_usos(k, "brute").count == count_usos(k, "join").count

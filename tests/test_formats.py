@@ -168,6 +168,34 @@ def test_orientation_reader_accepts_trailing_blank_lines():
     assert read_orientation("o 1\n0 0\n1 0\n\n\n") == o
 
 
+def test_readers_take_crlf_line_ends():
+    assert read_tiling("uso 1\r\n0\r\n2\r\n") == read_tiling("uso 1\n0\n2\n")
+    assert read_orientation("o 1\r\n0 0\r\n1 0\r\n") == Orientation(1, (0, 0))
+
+
+# characters str.splitlines() would also end a line at
+OTHER_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", OTHER_LINE_ENDS)
+def test_readers_end_lines_only_at_newline(end):
+    def raises(message, read, *args):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read(*args)
+
+    head = f"uso 1{end}0{end}2"
+    raises(f"expected header 'uso <k>', got {head!r}", read_tiling, head + "\n")
+    raises("expected 2 tile lines, got 1", read_tiling, f"uso 1\n0{end}2\n")
+    raises("expected 2 vertex lines, got 1", read_orientation, f"o 1\n0 0{end}1 0\n")
+    raises(
+        "expected 4 set lines, got 3",
+        read_rule,
+        f"rule d=1 i=1\nS0.1: 0{end}S1.1: 1\nS2.1: 2\nS3.1: 3\n",
+    )
+    line = f"0 1{end}2 2"
+    raises(f"expected '<tile> <label>', got {line!r}", read_labels, line + "\n", 1)
+
+
 # numeric forms int() accepts but the readers do not: sign, underscore,
 # non-ASCII digits, negative zero
 LOOSE_NUMBERS = ["+1", "0_1", "1_0", "\uff11", "\u0661", "-0"]

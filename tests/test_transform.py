@@ -199,6 +199,17 @@ def test_phase_flip_single_class():
     assert got == flip_edges(canonical_orientation(2), [Edge(0, 1)])
 
 
+def test_phase_flip_reverses_a_repeated_class_once():
+    o = canonical_orientation(2)
+    part = phases(o, 1)
+    cls = part.classes[0]
+    once = phase_flip(o, 1, [cls])
+    assert once != o
+    assert phase_flip(o, 1, [cls, cls]) == once
+    assert phase_flip(o, 1, [cls, cls, cls]) == once
+    assert phase_flip(o, 1, [*part.classes, *part.classes]) == flip_dimension(o, 1)
+
+
 def test_phase_flip_rejects_partial_class():
     with pytest.raises(PhaseSelectionError):
         phase_flip(BOW, 1, [frozenset({Edge(0, 1)})])
