@@ -19,7 +19,6 @@ import contextlib
 import os
 import stat
 import sys
-from pathlib import Path
 
 from .cube import (
     Face,
@@ -89,7 +88,10 @@ from .transform import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    # newline="": the readers see the file's own line ends, as the library
+    # does; universal newlines would turn a bare "\r" into "\n"
+    with open(path, newline="") as f:
+        return f.read()
 
 
 def _tiling(text: str, where: str = "") -> TileSet:

@@ -12,7 +12,10 @@ written as "-" wherever a tile or a bit string would be empty.
     labels       lines "<tile> <label>"
 
 Readers are strict: wrong cardinality, duplicates, stray characters, and
-out-of-order orientation lines all raise FormatError.  Each word is checked
+out-of-order orientation lines all raise FormatError.  Lines end at "\n"
+(after a CRLF's "\r"), and words are separated and padded by ASCII space
+and tab only; any other whitespace in a header, vertex or label line makes
+it malformed, and in a tile word makes it a bad tile.  Each word is checked
 once: its length and, for tiles, repeats here; its characters by the codec
 of the module that owns it, tiling.tile_pack or cube.vertex_from_bits,
 whose ValueError becomes the FormatError.  Numbers (header
@@ -43,10 +46,18 @@ _NUMBER = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
 MAX_FORMAT_DIM = MAX_WORD_BITS // 2
 
 
+# Words are separated and padded by ASCII space and tab only; str.split()
+# and str.strip() would also take \x0b, \x0c, \x85, \xa0, \u3000 and the
+# other Unicode spaces.
+_BLANKS = " \t"
+_FIELD_SEP = re.compile("[ \t]+")
+
+
 def _lines(text: str) -> list[str]:
-    # "\n" alone ends a line; str.splitlines() would also split on \x0b,
-    # \x0c, \x1c-\x1e, \x85, \u2028 and \u2029.  rstrip() drops a CRLF's "\r".
-    lines = [ln.rstrip() for ln in text.split("\n")]
+    # "\n" alone ends a line, after a CRLF's "\r" if there is one;
+    # str.splitlines() would also split on \r, \x0b, \x0c, \x1c-\x1e, \x85,
+    # \u2028 and \u2029.
+    lines = [ln.removesuffix("\r").rstrip(_BLANKS) for ln in text.split("\n")]
     while lines and not lines[-1]:
         lines.pop()
     return lines
@@ -62,13 +73,28 @@ def _number(word: str, error: str) -> int:
     raise FormatError(error)
 
 
+def _words(line: str) -> list[str]:
+    """The words of a line, split at runs of space and tab."""
+    line = line.strip(_BLANKS)
+    return _FIELD_SEP.split(line) if line else []
+
+
+def _fields(line: str, n: int) -> list[str] | None:
+    """The n words of a header, vertex or label line; None for another shape.
+
+    A line holding any other whitespace character has another shape.
+    """
+    words = _words(line)
+    return words if len(words) == n and words == line.split() else None
+
+
 def _counted_body(text: str, tag: str, what: str) -> tuple[int, list[str]]:
     """The dimension k of a '<tag> <k>' text and its 2^k body lines."""
     lines = _lines(text)
     if not lines:
         raise FormatError("empty input")
-    parts = lines[0].split()
-    if len(parts) != 2 or parts[0] != tag:
+    parts = _fields(lines[0], 2)
+    if parts is None or parts[0] != tag:
         raise FormatError(f"expected header '{tag} <k>', got {lines[0]!r}")
     k = _number(parts[1], f"bad dimension {parts[1]!r}")
     if k < 0:
@@ -130,7 +156,7 @@ def write_tiling(ts: TileSet) -> str:
 
 def read_tiling(text: str) -> TileSet:
     k, body = _counted_body(text, "uso", "tile")
-    return _parse_tiles([ln.strip() for ln in body], k, "duplicate tiles")
+    return _parse_tiles([ln.strip(_BLANKS) for ln in body], k, "duplicate tiles")
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +180,8 @@ def read_orientation(text: str) -> Orientation:
     k, body = _counted_body(text, "o", "vertex")
     out = [0] * (1 << k)
     for ln, v in zip(body, _vertex_order(k)):
-        parts = ln.split()
-        if len(parts) != 2:
+        parts = _fields(ln, 2)
+        if parts is None:
             raise FormatError(f"expected '<vertex> <directions>', got {ln!r}")
         if _parse_bits(parts[0], k) != v:
             raise FormatError(
@@ -186,8 +212,8 @@ def read_rule(text: str) -> GeneralizedRule:
     lines = _lines(text)
     if not lines:
         raise FormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "rule" or (head[1][:2], head[2][:2]) != ("d=", "i="):
+    head = _fields(lines[0], 3)
+    if head is None or head[0] != "rule" or (head[1][:2], head[2][:2]) != ("d=", "i="):
         raise FormatError(f"expected header 'rule d=<d> i=<i>', got {lines[0]!r}")
     bad_header = f"bad rule header {lines[0]!r}"
     d = _number(head[1][2:], bad_header)
@@ -206,7 +232,7 @@ def read_rule(text: str) -> GeneralizedRule:
             line = next(body)
             if not line.startswith(prefix):
                 raise FormatError(f"expected line starting {prefix!r}, got {line!r}")
-            words = line[len(prefix):].split()
+            words = _words(line[len(prefix):])
             row.append(_parse_tiles(words, d, f"duplicate tiles in {prefix[:-1]}"))
         rows.append(tuple(row))
     return GeneralizedRule(d, i, tuple(rows))
@@ -223,8 +249,8 @@ def write_labels(labels: dict[str, int]) -> str:
 def read_labels(text: str, dim: int) -> dict[str, int]:
     labels = {}
     for ln in _lines(text):
-        parts = ln.split()
-        if len(parts) != 2:
+        parts = _fields(ln, 2)
+        if parts is None:
             raise FormatError(f"expected '<tile> <label>', got {ln!r}")
         tile = tile_unpack(_parse_tile(parts[0], dim), dim)
         label = _number(parts[1], f"bad label {parts[1]!r}")

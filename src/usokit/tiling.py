@@ -20,6 +20,16 @@ tile_pack and tile_unpack are their one codec: tile_pack checks a word's
 characters, its callers its length.  The 0-dimensional empty tile packs
 to 0 and prints as "" here, "-" in files.
 
+A packed tile is a vertex and its direction word interleaved bit by bit
+(a Morton code): the vertex in the odd bits, the direction word in the
+even ones.  One bit-parallel codec converts between the two spellings.
+tile_of spreads each word through _SPREAD, a 1,024-entry table read 10
+bits at a time; tile_vertex and tile_out compact with the five-step mask
+ladder of _compact, which takes the 64-bit tiles of 32 coordinates, as a
+Python int or a numpy uint64 array.  Whole tables go through it at once:
+_tiles_of in one comprehension over the spread table, vertex_outmaps
+through numpy from 2^KERNEL_MIN_DIM tiles, the kernel's threshold.
+
 A tiling is verified once.  Operations that need a complete tiling go
 through ``_require_tiling``, which runs ``tiling_defect`` on first use
 and keeps the verdict on the immutable tile set; ``tiles_from_uso``
@@ -35,9 +45,11 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterator
 
+import numpy as np
+
 from .cube import Orientation, _keep_verdict, _require_uso
 from .errors import NotATilingError
-from .pairwise import incompatible_pairs
+from .pairwise import KERNEL_MIN_DIM, incompatible_pairs
 
 DIGITS = "0123"
 
@@ -50,6 +62,17 @@ _TILE_WORD = re.compile("[0-3]*")
 
 # tile_unpack's table: the 5-digit word of every 10-bit chunk
 _CHUNKS = tuple("".join(p)[::-1] for p in iproduct(DIGITS, repeat=5))
+
+
+def _spread_table() -> list[int]:
+    """Entry x is x with bit i moved to bit 2i, for x < 1024, by doubling."""
+    table = [0]
+    for i in range(10):
+        table += [t | 1 << 2 * i for t in table]
+    return table
+
+
+_SPREAD = _spread_table()
 
 
 def tile_pack(s: str) -> int:
@@ -68,28 +91,53 @@ def tile_unpack(t: int, k: int) -> str:
     return "".join(_CHUNKS[t >> (10 * i) & 1023] for i in range((k + 4) // 5))[:k]
 
 
+def _spread(x: int) -> int:
+    """x >= 0 with bit i moved to bit 2i, through _SPREAD 10 bits at a time."""
+    s = _SPREAD[x & 1023]
+    x >>= 10
+    shift = 20
+    while x:
+        s |= _SPREAD[x & 1023] << shift
+        x >>= 10
+        shift += 20
+    return s
+
+
+def _compact(x):
+    """Bit 2i of a 64-bit word moved to bit i; the other bits dropped.
+
+    The Morton mask ladder, for a Python int or a numpy uint64 array.
+    """
+    x = x & 0x5555555555555555
+    x = (x | x >> 1) & 0x3333333333333333
+    x = (x | x >> 2) & 0x0F0F0F0F0F0F0F0F
+    x = (x | x >> 4) & 0x00FF00FF00FF00FF
+    x = (x | x >> 8) & 0x0000FFFF0000FFFF
+    return (x | x >> 16) & 0x00000000FFFFFFFF
+
+
+def _compact_digits(t: int, k: int) -> int:
+    """Bit 2i of t moved to bit i, for i < k: _compact per 32 digits."""
+    t &= (1 << 2 * k) - 1
+    if k <= 32:
+        return _compact(t)
+    return _compact(t) | _compact_digits(t >> 64, k - 32) << 32
+
+
 def tile_vertex(t: int, k: int) -> int:
     """Cube vertex of a tile: bit i is the high bit of digit i."""
-    v = 0
-    for i in range(k):
-        v |= (t >> (2 * i + 1) & 1) << i
-    return v
+    return _compact_digits(t >> 1, k)
 
 
 def tile_out(t: int, k: int) -> int:
     """Direction word of a tile: bit i is the low bit of digit i."""
-    w = 0
-    for i in range(k):
-        w |= (t >> (2 * i) & 1) << i
-    return w
+    return _compact_digits(t, k)
 
 
 def tile_of(v: int, out_word: int, k: int) -> int:
     """Packed tile of a vertex and its direction word (digit = 2v_i + o_i)."""
-    t = 0
-    for i in range(k):
-        t |= ((v >> i & 1) << 1 | (out_word >> i & 1)) << (2 * i)
-    return t
+    m = (1 << k) - 1
+    return _spread(v & m) << 1 | _spread(out_word & m)
 
 
 @lru_cache(maxsize=None)
@@ -229,11 +277,18 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
     Skips the completeness precondition of uso_from_tiles; used to state
     the equivalence between the tiling test and the sink test.
     """
-    k = ts.dim
-    out = {tile_vertex(t, k): tile_out(t, k) for t in ts.tiles}
-    if len(ts.tiles) != 1 << k or len(out) != 1 << k:
+    k, tiles = ts.dim, ts.tiles
+    n = 1 << k
+    if len(tiles) != n:
         return None
-    return [out[v] for v in range(1 << k)]
+    if k < KERNEL_MIN_DIM:
+        out = {_compact(t >> 1): _compact(t) for t in tiles}
+        return [out[v] for v in range(n)] if len(out) == n else None
+    packed = np.fromiter(tiles, np.uint64, n)
+    # a vertex no tile lands on keeps the -1
+    table = np.full(n, -1, np.int64)
+    table[_compact(packed >> 1)] = _compact(packed)
+    return None if (table < 0).any() else table.tolist()
 
 
 def uso_from_tiles(ts: TileSet) -> Orientation:
@@ -245,8 +300,11 @@ def uso_from_tiles(ts: TileSet) -> Orientation:
 
 
 def _tiles_of(out, k: int) -> TileSet:
-    """The tile set of k-dimensional direction words, unchecked."""
-    return TileSet(k, frozenset(tile_of(v, out[v], k) for v in range(1 << k)))
+    """The tile set of the 2^k direction words of a k-cube, unchecked."""
+    if k <= 10:  # every word is one _SPREAD entry
+        s = _SPREAD
+        return TileSet(k, frozenset([s[v] << 1 | s[w] for v, w in enumerate(out)]))
+    return TileSet(k, frozenset([_spread(v) << 1 | _spread(w) for v, w in enumerate(out)]))
 
 
 def tiles_from_uso(o: Orientation) -> TileSet:

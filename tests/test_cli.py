@@ -59,6 +59,20 @@ def test_validate_rejects_a_loose_number(tmp_path, capsys):
     assert capsys.readouterr().err == "error: parse: bad dimension '0_1'\n"
 
 
+def test_validate_reads_line_ends_as_the_library_does(tmp_path, capsys):
+    # a bare "\r" ends no line, in the library and on the command line
+    cr = tmp_path / "cr.uso"
+    cr.write_bytes(b"uso 1\r0\r2\r")
+    assert run(["validate", str(cr)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parse: expected header 'uso <k>', got 'uso 1\\r0\\r2'\n"
+    crlf = tmp_path / "crlf.uso"
+    crlf.write_bytes(b"uso 1\r\n0\r\n2\r\n")
+    assert run(["validate", str(crlf)]) == 0
+    assert capsys.readouterr().out == "uso dim=1 flippable=1 twins=1\n"
+
+
 def test_unknown_verb(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2

@@ -196,6 +196,57 @@ def test_readers_end_lines_only_at_newline(end):
     raises(f"expected '<tile> <label>', got {line!r}", read_labels, line + "\n", 1)
 
 
+# whitespace that str.split() and str.strip() take, and the readers do not:
+# words are separated and padded by ASCII space and tab only
+OTHER_BLANKS = ["\x85", "\xa0", "\u3000", "\x0c"]
+
+
+@pytest.mark.parametrize("blank", OTHER_BLANKS)
+def test_readers_take_only_space_and_tab_between_words(blank):
+    def raises(message, read, *args):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read(*args)
+
+    raises(f"bad tile {blank + '0'!r} for dimension 1", read_tiling, f"uso 1\n{blank}0\n2\n")
+    raises(f"bad tile {'2' + blank!r} for dimension 1", read_tiling, f"uso 1\n0\n2{blank}\n")
+    head = f"uso{blank}1"
+    raises(f"expected header 'uso <k>', got {head!r}", read_tiling, head + "\n0\n2\n")
+    line = f"0{blank}0"
+    raises(
+        f"expected '<vertex> <directions>', got {line!r}",
+        read_orientation,
+        f"o 1\n{line}\n1 0\n",
+    )
+    line = f"1 0{blank}"
+    raises(
+        f"expected '<vertex> <directions>', got {line!r}",
+        read_orientation,
+        f"o 1\n0 0\n{line}\n",
+    )
+    raises(
+        f"bad tile {'0' + blank!r} for dimension 1",
+        read_rule,
+        f"rule d=1 i=1\nS0.1: 0{blank}\nS1.1: 1\nS2.1: 2\nS3.1: 3\n",
+    )
+    head = f"rule d=1{blank}i=1"
+    raises(
+        f"expected header 'rule d=<d> i=<i>', got {head!r}",
+        read_rule,
+        head + "\nS0.1: 0\nS1.1: 1\nS2.1: 2\nS3.1: 3\n",
+    )
+    line = f"0{blank}1"
+    raises(f"expected '<tile> <label>', got {line!r}", read_labels, line + "\n", 1)
+
+
+def test_readers_take_space_and_tab_runs():
+    assert read_tiling(" \tuso\t 1 \n\t0 \n 2\t\n") == read_tiling("uso 1\n0\n2\n")
+    assert read_orientation("o\t1\n0 \t0\n\t1\t0 \n") == Orientation(1, (0, 0))
+    assert read_rule("rule\td=1  i=1\nS0.1:\t0\nS1.1: 1\nS2.1: 2\nS3.1: 3\n") == read_rule(
+        "rule d=1 i=1\nS0.1: 0\nS1.1: 1\nS2.1: 2\nS3.1: 3\n"
+    )
+    assert read_labels("0\t 2\n", 1) == {"0": 2}
+
+
 # numeric forms int() accepts but the readers do not: sign, underscore,
 # non-ASCII digits, negative zero
 LOOSE_NUMBERS = ["+1", "0_1", "1_0", "\uff11", "\u0661", "-0"]
@@ -254,7 +305,8 @@ NUMBERS = st.one_of(
     st.integers(0, 3).map(str), st.sampled_from(LOOSE_NUMBERS + ["-1", "00", "x", ""])
 )
 JUNK = st.one_of(
-    st.text(alphabet="0123-_+x \uff11", max_size=3), st.sampled_from(LOOSE_WORDS)
+    st.text(alphabet="0123-_+x \t\uff11\x85\xa0\u3000", max_size=3),
+    st.sampled_from(LOOSE_WORDS),
 )
 
 

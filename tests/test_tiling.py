@@ -1,7 +1,8 @@
+import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from usokit import (
@@ -17,6 +18,7 @@ from usokit import (
     gk_adjacent,
     is_tiling,
     is_uso,
+    product,
     sample_markov,
     tile_of,
     tile_pack,
@@ -27,7 +29,9 @@ from usokit import (
     uso_from_tiles,
 )
 from usokit.cube import _pairwise_ok
+from usokit.pairwise import KERNEL_MIN_DIM
 from usokit.tiling import (
+    _tiles_of,
     low_bits_mask,
     packed_gk_adjacent,
     tile_out,
@@ -96,6 +100,111 @@ def test_tile_digit_maps(s):
         assert v >> (i - 1) & 1 == (int(ch) >= 2)
         assert o >> (i - 1) & 1 == (int(ch) % 2)
     assert tile_of(v, o, k) == t
+
+
+# the per-bit loops the codec replaced, kept as its oracle
+
+
+def _reference_vertex(t, k):
+    v = 0
+    for i in range(k):
+        v |= (t >> (2 * i + 1) & 1) << i
+    return v
+
+
+def _reference_out(t, k):
+    w = 0
+    for i in range(k):
+        w |= (t >> (2 * i) & 1) << i
+    return w
+
+
+def _reference_tile_of(v, out_word, k):
+    t = 0
+    for i in range(k):
+        t |= ((v >> i & 1) << 1 | (out_word >> i & 1)) << (2 * i)
+    return t
+
+
+def _reference_outmaps(ts):
+    k = ts.dim
+    out = {_reference_vertex(t, k): _reference_out(t, k) for t in ts.tiles}
+    if len(ts.tiles) != 1 << k or len(out) != 1 << k:
+        return None
+    return [out[v] for v in range(1 << k)]
+
+
+@st.composite
+def codec_cases(draw):
+    k = draw(st.integers(0, 32))
+    t = draw(st.integers(0, (1 << 2 * k) - 1))
+    if k and draw(st.booleans()):
+        t |= 1 << (2 * k - 1)  # the last digit's high bit: bit 63 at k=32
+    v = draw(st.integers(0, (1 << k) - 1))
+    o = draw(st.integers(0, (1 << k) - 1))
+    return k, t, v, o
+
+
+@given(codec_cases())
+@example((32, (1 << 64) - 1, (1 << 32) - 1, (1 << 32) - 1))
+@example((32, 1 << 63, 1 << 31, 0))
+@example((0, 0, 0, 0))
+# wider than the 64-bit ladder: library rules may have d > 32
+@example((33, 1 << 65, 1 << 32, 1))
+@example((40, (1 << 80) - 1 - (1 << 70), (1 << 40) - 1, 0x5A5A5A5A5A))
+def test_codec_matches_the_per_bit_loops(case):
+    k, t, v, o = case
+    assert tile_vertex(t, k) == _reference_vertex(t, k)
+    assert tile_out(t, k) == _reference_out(t, k)
+    assert tile_of(v, o, k) == _reference_tile_of(v, o, k)
+
+
+def _outmap_cases(k):
+    """A tiling, a set with two tiles on one vertex, one tile short, one over."""
+    frame = uso_from_tiles(sample_markov(min(k, 4), 16, 40 + k))
+    if k > 4:
+        part = uso_from_tiles(sample_markov(k - 4, 16, 50 + k))
+        frame = product(frame, {v: part for v in range(16)})
+    ts = tiles_from_uso(frame)
+    tiles = sorted(ts.tiles)
+    # the first tile moved onto the second one's vertex, keeping its word
+    moved = tile_of(tile_vertex(tiles[1], k), tile_out(tiles[0], k), k)
+    if moved == tiles[1]:
+        moved = tile_of(tile_vertex(tiles[1], k), tile_out(tiles[0], k) ^ 1, k)
+    spare = next(t for t in range(1 << 2 * k) if t not in ts.tiles)
+    return [
+        ts,
+        TileSet(k, frozenset([moved, *tiles[1:]])),
+        TileSet(k, frozenset(tiles[1:])),
+        TileSet(k, frozenset([spare, *tiles])),
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, KERNEL_MIN_DIM + 3))
+def test_vertex_outmaps_matches_the_dict_path(k):
+    # both sides of the numpy threshold at 2^KERNEL_MIN_DIM tiles
+    good, twice, short, over = _outmap_cases(k)
+    assert vertex_outmaps(good) == _reference_outmaps(good) == list(uso_from_tiles(good).out)
+    for ts in (twice, short, over):
+        assert _reference_outmaps(ts) is None
+        assert vertex_outmaps(ts) is None
+
+
+@given(st.integers(4, 6).flatmap(
+    lambda k: st.tuples(st.just(k), st.sets(st.integers(0, (1 << 2 * k) - 1), max_size=1 << k))
+))
+def test_vertex_outmaps_matches_the_dict_path_random(case):
+    k, tiles = case
+    ts = TileSet(k, frozenset(tiles))
+    assert vertex_outmaps(ts) == _reference_outmaps(ts)
+
+
+@pytest.mark.parametrize("k", [*range(11), 12])
+def test_tiles_of_matches_the_per_bit_loops(k):
+    rnd = random.Random(k)
+    out = [rnd.getrandbits(k) for _ in range(1 << k)]
+    want = frozenset(_reference_tile_of(v, w, k) for v, w in enumerate(out))
+    assert _tiles_of(out, k).tiles == want
 
 
 def test_is_tiling_examples():
