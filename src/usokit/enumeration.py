@@ -9,10 +9,10 @@ Three routes:
   2^(k-1) connecting edges.  Joining the facets with every connecting
   edge pointing down (the combed join) gives a USO, and the words that
   work are exactly the flip sets of its k-edges: the unions of its
-  k-phases (Schurr's phases, see transform).  So one kernel,
+  k-phases (Schurr's phases, see transform).  So the phase kernel,
   transform._edge_classes, run on the combed joins of one lower facet
-  with every upper facet, drives both routes.  The stream yields the
-  unions one by one, building each tile set from per-facet tile tables.
+  with every upper facet, drives both routes with class masks; the stream
+  yields their unions one by one, from per-facet tile tables.
   The counter needs the sum of 2^phases per facet pair.  That sum over
   all upper facets is the same for every lower facet in one orbit of the
   counting group (coordinate permutations, mirror and flip_dimension,
@@ -22,12 +22,13 @@ Three routes:
   in this process; the jobs argument of enumerate_join and count_usos is
   accepted and ignored.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph.  Each step draws a
-  coordinate uniformly, computes its phase classes, and reverses a
-  uniformly chosen subset of classes.  Reversing a union of classes
-  leaves the class family itself unchanged, so every move has the same
-  probability as its inverse and the walk's stationary distribution is
-  uniform.  Randomness comes from SplitMix64 (RNG_ALGORITHM below), a
-  64-bit splittable generator, so samples reproduce across platforms.
+  coordinate uniformly, computes its phase classes by the same kernel,
+  and reverses a uniformly chosen subset of classes.  Reversing a union
+  of classes leaves the class family itself unchanged, so every move has
+  the same probability as its inverse and the walk's stationary
+  distribution is uniform.  Randomness comes from SplitMix64
+  (RNG_ALGORITHM below), a 64-bit splittable generator, so samples
+  reproduce across platforms.
 
 The number of 5-dimensional orientations with unique sinks is
 638 560 878 292 512; everything at that scale is out of reach here, which
@@ -47,7 +48,7 @@ import numpy as np
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _tiles_of, tile_of
-from .transform import _edge_classes, _expand, _phase_projections
+from .transform import _distinct, _edge_classes, _edge_index, _phase_masks, _union
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -246,13 +247,9 @@ def _join_stream(k: int) -> Iterator[TileSet]:
     shift = 2 * (k - 1)
     for li, (low_tiles, _) in enumerate(tables):
         for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
-            # the classes in order of their lowest edge
-            classes = [mask for p, mask in enumerate(masks) if not mask & (1 << p) - 1]
+            classes = _distinct(masks)
             for pick in range(1 << len(classes)):
-                word = 0
-                for c, cls in enumerate(classes):
-                    if pick >> c & 1:
-                        word |= cls
+                word = _union(classes, pick)
                 bits = [(word >> p & 1) << shift for p in range(top)]
                 yield TileSet(
                     k, frozenset([*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
@@ -277,7 +274,7 @@ def _join_count(k: int) -> int:
     orbit-size times.
     """
     _check_join_dim(k)
-    below = (1 << np.arange(1 << (k - 1), dtype=np.int64)) - 1
+    below = _edge_index(k, k).weights - 1
     total = 0
     for li, orbit_size in _facet_orbits(k - 1):
         # a class is counted once, at its lowest edge
@@ -334,17 +331,19 @@ def _check_sample_dim(k: int) -> None:
         )
 
 
+def _flip(out: list, k: int, i: int, word: int) -> None:
+    """Reverse the i-edges whose projection indices are the bits of word."""
+    ibit = 1 << (i - 1)
+    for p, v in enumerate(_edge_index(k, i).ends):
+        if word >> p & 1:
+            out[v] ^= ibit
+            out[v | ibit] ^= ibit
+
+
 def _step(out: list, k: int, rng: SplitMix64) -> None:
     i = 1 + rng.randbelow(k)
-    classes = _phase_projections(tuple(out), k, i)
-    pick = rng.randbelow(1 << len(classes))
-    ibit = 1 << (i - 1)
-    for c, cls in enumerate(classes):
-        if pick >> c & 1:
-            for p in cls:
-                v = _expand(p, i)
-                out[v] ^= ibit
-                out[v | ibit] ^= ibit
+    classes = _phase_masks(tuple(out), k, i)
+    _flip(out, k, i, _union(classes, rng.randbelow(1 << len(classes))))
 
 
 def _walk(k: int, steps: int, seed: int) -> Iterator[list]:

@@ -19,15 +19,17 @@ satisfies the pair).  Valid flip sets are therefore exactly the unions of
 connected components of that constraint graph, which is what the default
 method computes.  method="brute" instead tries all 2^(2^(k-1)) subsets
 against the sink test, literally; both are capped at k <= 5.
-``_phase_projections`` finds the components of one table in pure Python;
-``_edge_classes`` finds them for a batch of tables in numpy, which is how
-the facet join counts and streams (see ``enumeration``).
+One numpy kernel, ``_edge_classes``, finds the components of a batch of
+tables as bitmasks of projection indices; ``_phase_masks`` runs it on one
+table, the facet join on whole batches (see ``enumeration``).  The tests
+check it against a pure-Python union-find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .cube import (
     _vertex_words,
     drop_bit,
     insert_bit,
-    vertex_bits,
 )
 from .errors import (
     DimensionError,
@@ -179,45 +180,27 @@ class PhasePartition:
     classes: tuple[frozenset, ...]
 
 
-def _expand(p: int, i: int) -> int:
-    """Lower endpoint of the i-edge with projection index p."""
-    return insert_bit(p, i - 1, 0)
+class _EdgeIndex(NamedTuple):
+    """The i-edges of the k-cube by projection index p."""
+
+    ends: tuple  # lower endpoint of edge p, as ints
+    lower: np.ndarray  # the same endpoints, for numpy indexing
+    upper: np.ndarray
+    apart: np.ndarray  # lower[p] ^ lower[q]
+    weights: np.ndarray  # 1 << p
 
 
-@lru_cache(maxsize=1 << 16)
-def _phase_projections(out: tuple, k: int, i: int) -> tuple[tuple[int, ...], ...]:
-    """Phase classes as sorted tuples of i-edge projection indices.
-
-    Joins the edges of any vertex pair that differs at i and agrees on no
-    other differing coordinate; the input must satisfy the pairwise sink
-    condition.
-    """
-    ibit = 1 << (i - 1)
-    rest = (1 << k) - 1 & ~ibit
-    m = 1 << (k - 1)
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    lowers = [v for v in range(1 << k) if not v & ibit]
-    for v in lowers:
-        pv = drop_bit(v, i - 1)
-        ov = out[v]
-        for w_low in lowers:
-            w = w_low | ibit
-            if (v ^ w) & ~(ov ^ out[w]) & rest:
-                continue
-            a, b = find(pv), find(drop_bit(w_low, i - 1))
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for p in range(m):
-        groups.setdefault(find(p), []).append(p)
-    return tuple(sorted(tuple(g) for g in groups.values()))
+@lru_cache(maxsize=None)
+def _edge_index(k: int, i: int) -> _EdgeIndex:
+    ends = tuple(insert_bit(p, i - 1, 0) for p in range(1 << (k - 1)))
+    lower = np.array(ends)
+    # vertex words of phase tables fit a byte (PHASE_DIM_CAP, MAX_JOIN_DIM)
+    apart = (lower[:, None] ^ lower[None, :]).astype(np.uint8)
+    weights = 1 << np.arange(len(ends), dtype=np.int64)
+    index = _EdgeIndex(ends, lower, lower | 1 << (i - 1), apart, weights)
+    for a in index[1:]:
+        a.flags.writeable = False
+    return index
 
 
 def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
@@ -225,32 +208,49 @@ def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
 
     Row r of tables is a k-dimensional table satisfying the pairwise sink
     condition.  Entry (r, p) of the result is the bitmask of projection
-    indices in the class of the i-edge p: the classes _phase_projections
-    finds, one table at a time, by the same pair rule.
+    indices in the class of the i-edge p, by the pair rule above.
     """
-    m = 1 << (k - 1)
-    lower = np.array([_expand(p, i) for p in range(m)])
-    ends = tables[:, lower]
-    tops = tables[:, lower | 1 << (i - 1)]
-    apart = (lower[:, None] ^ lower[None, :]).astype(tables.dtype)
-    joined = (apart & ~(ends[:, :, None] ^ tops[:, None, :])) == 0
+    index = _edge_index(k, i)
+    ends = tables[:, index.lower]
+    tops = tables[:, index.upper]
+    joined = (index.apart & ~(ends[:, :, None] ^ tops[:, None, :])) == 0
     reach = joined | joined.transpose(0, 2, 1)
-    # each squaring doubles the path length covered; paths have < m edges
+    # each squaring doubles the path length covered; paths have < 2^(k-1) edges
     for _ in range(k - 1):
         reach = reach @ reach
-    return reach @ (1 << np.arange(m, dtype=np.int64))
+    return reach @ index.weights
 
 
-def _brute_phase_projections(out: tuple, k: int, i: int):
+def _distinct(masks) -> tuple[int, ...]:
+    """Each class of a per-edge mask row once, in order of its lowest edge."""
+    return tuple(mask for p, mask in enumerate(masks) if not mask & (1 << p) - 1)
+
+
+def _union(classes, pick: int) -> int:
+    """The union of the class masks picked by the bits of pick."""
+    word = 0
+    for c, cls in enumerate(classes):
+        if pick >> c & 1:
+            word |= cls
+    return word
+
+
+@lru_cache(maxsize=1 << 16)
+def _phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
+    """_edge_classes on one table, each class once, by lowest edge."""
+    return _distinct(_edge_classes(np.array([out], dtype=np.uint8), k, i)[0].tolist())
+
+
+def _brute_phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
     """Literal subset sweep: try every i-edge flip set against the sink test.
 
     The class of an edge is the intersection of the sound sets containing
     it; the sweep also re-checks that sound sets are exactly the unions of
-    classes, which must hold.
+    classes, which must hold.  Classes come in order of their lowest edge.
     """
     ibit = 1 << (i - 1)
-    m = 1 << (k - 1)
-    lower = [_expand(p, i) for p in range(m)]
+    lower = _edge_index(k, i).ends
+    m = len(lower)
     vertices = _vertex_words(k)
     current = list(out)
     valid = []
@@ -270,21 +270,15 @@ def _brute_phase_projections(out: tuple, k: int, i: int):
         for p in range(m):
             if s >> p & 1:
                 member[p] &= s
-    by_mask = {}
-    for p in range(m):
-        by_mask.setdefault(member[p], []).append(p)
-    if len(valid) != 1 << len(by_mask):
+    classes = _distinct(member)
+    if len(valid) != 1 << len(classes):
         raise InternalError(
-            f"{len(valid)} sound flip sets for {len(by_mask)} phase classes"
+            f"{len(valid)} sound flip sets for {len(classes)} phase classes"
         )
     for s in valid:
-        union = 0
-        for p in range(m):
-            if s >> p & 1:
-                union |= member[p]
-        if union != s:
+        if _union(member, s) != s:
             raise InternalError("a sound flip set is not a union of phase classes")
-    return tuple(sorted(tuple(g) for g in by_mask.values()))
+    return classes
 
 
 def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
@@ -296,15 +290,20 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
             f"phase computation is capped at dimension {PHASE_DIM_CAP}"
         )
     if method == "pairs":
-        projections = _phase_projections(o.out, o.dim, i)
+        masks = _phase_masks(o.out, o.dim, i)
     elif method == "brute":
-        projections = _brute_phase_projections(o.out, o.dim, i)
+        masks = _brute_phase_masks(o.out, o.dim, i)
     else:
         raise ValueError(f"unknown method {method!r}")
-    classes = tuple(
-        frozenset(Edge(_expand(p, i), i) for p in cls) for cls in projections
-    )
-    return PhasePartition(i, classes)
+    ends = _edge_index(o.dim, i).ends
+    classes = []
+    for mask in masks:
+        cls = []
+        while mask:
+            cls.append(Edge(ends[(mask & -mask).bit_length() - 1], i))
+            mask &= mask - 1
+        classes.append(frozenset(cls))
+    return PhasePartition(i, tuple(classes))
 
 
 def phase_flip(o: Orientation, i: int, classes) -> Orientation:

@@ -329,27 +329,40 @@ def test_options_take_only_ascii_numbers(option, form, tmp_path, capsys):
 
 def test_negative_options_keep_their_range_messages(capsys):
     assert run(["count", "--k", "1", "--method", "join", "--jobs", "-1"]) == 2
-    assert capsys.readouterr().err.startswith("error: usage: --jobs must be in 1..")
+    assert capsys.readouterr().err == "error: usage: --jobs must be at least 1, got -1\n"
     assert run(["sample", "--k", "1", "--steps", "-1", "--seed", "1"]) == 2
     assert capsys.readouterr().err == "error: usage: steps must be non-negative, got -1\n"
     assert run(["sample", "--k", "1", "--steps", "1", "--seed", "-7"]) == 0
 
 
 @pytest.mark.parametrize("verb", ["enumerate", "count"])
-def test_jobs_bounded_before_any_pool(verb, monkeypatch, capsys):
-    import multiprocessing
+def test_jobs_bounded_before_any_pool(verb, no_processes, capsys):
     import os
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was requested")
+    def argv(jobs):
+        return [verb, "--k", "2", "--method", "join", "--jobs", str(jobs)]
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    for jobs in (0, -4, (os.cpu_count() or 1) + 1, 10**9):
-        argv = [verb, "--k", "2", "--method", "join", "--jobs", str(jobs)]
-        assert run(argv) == 2
+    for jobs in (0, -4):
+        assert run(argv(jobs)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: usage: --jobs")
+    assert run(argv(1)) == 0
+    want = capsys.readouterr()
+    # --jobs is ignored, so no value above 1 depends on the machine
+    for jobs in ((os.cpu_count() or 1) + 1, 10**9):
+        assert run(argv(jobs)) == 0
+        assert capsys.readouterr() == want
+
+
+def test_jobs_does_not_depend_on_cpu_count(no_processes, monkeypatch, capsys):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run(["count", "--k", "4", "--method", "join", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "count k=4 method=join value=5541744\n"
+    assert captured.err == ""
 
 
 def test_count_starts_no_process(no_processes, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -17,6 +18,7 @@ from usokit import (
     markov_walk,
     sample_markov,
 )
+from usokit.cube import drop_bit
 
 # reference outputs of the seed-is-state splitmix64, first words per seed
 SPLITMIX_VECTORS = {
@@ -154,6 +156,51 @@ def test_sample_reaches_everything(catalogue2):
     assert seen == set(catalogue2)
 
 
+# second largest |eigenvalue| of the walk's transition matrix, and the first
+# step whose total-variation distance to uniform, from canonical, is < 1e-3
+@pytest.mark.parametrize("k, second, first_step", [(2, 0.75, 10), (3, 0.8675, 23)])
+def test_phase_walk_mixes_exactly(k, second, first_step):
+    from fractions import Fraction
+
+    import numpy as np
+
+    from usokit.enumeration import _catalogue, _flip
+    from usokit.transform import _phase_masks, _union
+
+    cat = _catalogue(k)
+    index = {out: s for s, out in enumerate(cat)}
+    n = len(cat)
+    moves = [{} for _ in range(n)]
+    for s, out in enumerate(cat):
+        for i in range(1, k + 1):
+            classes = _phase_masks(out, k, i)
+            weight = Fraction(1, k << len(classes))
+            for pick in range(1 << len(classes)):
+                image = list(out)
+                _flip(image, k, i, _union(classes, pick))
+                t = index[tuple(image)]
+                moves[s][t] = moves[s].get(t, 0) + weight
+    assert all(sum(row.values()) == 1 for row in moves)
+    # symmetric, so the uniform law is stationary
+    assert all(moves[t][s] == p for s, row in enumerate(moves) for t, p in row.items())
+
+    matrix = np.zeros((n, n))
+    for s, row in enumerate(moves):
+        for t, p in row.items():
+            matrix[s, t] = p
+    magnitudes = sorted(abs(np.linalg.eigvalsh(matrix)))
+    assert abs(magnitudes[-1] - 1) < 1e-12
+    assert round(magnitudes[-2], 4) == second
+
+    law = np.zeros(n)
+    law[index[(0,) * (1 << k)]] = 1
+    distances = []
+    for _ in range(first_step):
+        law = law @ matrix
+        distances.append(abs(law - 1 / n).sum() / 2)
+    assert distances[-2] >= 1e-3 > distances[-1]
+
+
 def test_negative_steps_rejected():
     with pytest.raises(ValueError):
         sample_markov(2, -3, 1)
@@ -192,12 +239,47 @@ def _act(out, n, perm, m, s):
     return tuple(image)
 
 
+@lru_cache(maxsize=1 << 16)
+def _phase_projections(out: tuple, k: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """Phase classes as sorted tuples of i-edge projection indices.
+
+    Joins the edges of any vertex pair that differs at i and agrees on no
+    other differing coordinate; the input must satisfy the pairwise sink
+    condition.
+    """
+    ibit = 1 << (i - 1)
+    rest = (1 << k) - 1 & ~ibit
+    m = 1 << (k - 1)
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    lowers = [v for v in range(1 << k) if not v & ibit]
+    for v in lowers:
+        pv = drop_bit(v, i - 1)
+        ov = out[v]
+        for w_low in lowers:
+            w = w_low | ibit
+            if (v ^ w) & ~(ov ^ out[w]) & rest:
+                continue
+            a, b = find(pv), find(drop_bit(w_low, i - 1))
+            if a != b:
+                parent[a] = b
+    groups = {}
+    for p in range(m):
+        groups.setdefault(find(p), []).append(p)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_join_count_sums_one_facet_per_orbit(n):
     from itertools import permutations
 
     from usokit.enumeration import _catalogue, _facet_orbits, _symmetry_images
-    from usokit.transform import _phase_projections
 
     cat = _catalogue(n)
     orbits = _facet_orbits(n)
@@ -241,7 +323,6 @@ def _class_masks(classes, m):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_join_classes_are_the_combed_joins_phases(n):
     from usokit.enumeration import _catalogue, _facet_orbits, _join_classes
-    from usokit.transform import _phase_projections
 
     cat = _catalogue(n)
     # every facet pair below n = 3; the orbit representatives x 744 at n = 3
@@ -259,7 +340,7 @@ def test_edge_classes_match_phase_projections_on_walks(k):
     import numpy as np
 
     from usokit.enumeration import _walk
-    from usokit.transform import _edge_classes, _phase_projections
+    from usokit.transform import _edge_classes
 
     tables = [tuple(out) for out in _walk(k, 40, 100 + k)]
     for i in range(1, k + 1):
