@@ -19,10 +19,10 @@ satisfies the pair).  Valid flip sets are therefore exactly the unions of
 connected components of that constraint graph, which is what the default
 method computes.  method="brute" instead tries all 2^(2^(k-1)) subsets
 against the sink test, literally; both are capped at k <= 5.
-One numpy kernel, ``_edge_classes``, finds the components of a batch of
-tables as bitmasks of projection indices; ``_phase_masks`` runs it on one
-table, the facet join on whole batches (see ``enumeration``).  The tests
-check it against a pure-Python union-find.
+One numpy kernel, ``_edge_classes``, grows the components of a batch of
+tables as bitmasks of projection indices to a fixpoint; ``_phase_masks``
+runs it on one table, the facet join on whole batches (see
+``enumeration``).  The tests check it against a pure-Python union-find.
 """
 
 from __future__ import annotations
@@ -206,19 +206,25 @@ def _edge_index(k: int, i: int) -> _EdgeIndex:
 def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
     """Phase classes of the i-edges for a batch of direction tables.
 
-    Row r of tables is a k-dimensional table satisfying the pairwise sink
-    condition.  Entry (r, p) of the result is the bitmask of projection
-    indices in the class of the i-edge p, by the pair rule above.
+    Row r of tables satisfies the pairwise sink condition.  Entry (r, p) of
+    the result is the bitmask of the class of i-edge p by the pair rule
+    above; masks take in their linked edges' masks until none changes.
+    Edges p and q give two vertex pairs straddling i, lower p with upper q
+    and lower q with upper p: joined and its transpose.  Forward reach alone
+    gave the same classes on all k <= 4 tables and 378,165 k = 5 cases, but
+    that is unproven, so both stay.
     """
     index = _edge_index(k, i)
     ends = tables[:, index.lower]
     tops = tables[:, index.upper]
     joined = (index.apart & ~(ends[:, :, None] ^ tops[:, None, :])) == 0
-    reach = joined | joined.transpose(0, 2, 1)
-    # each squaring doubles the path length covered; paths have < 2^(k-1) edges
-    for _ in range(k - 1):
-        reach = reach @ reach
-    return reach @ index.weights
+    linked = joined | joined.transpose(0, 2, 1)
+    masks = linked @ index.weights
+    while True:
+        grown = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)
+        if (grown == masks).all():
+            return masks
+        masks = grown
 
 
 def _distinct(masks) -> tuple[int, ...]:
@@ -286,9 +292,7 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
     _require_uso(o)
     _require_coordinate(i, o.dim)
     if o.dim > PHASE_DIM_CAP:
-        raise EnumerationLimitError(
-            f"phase computation is capped at dimension {PHASE_DIM_CAP}"
-        )
+        raise EnumerationLimitError(f"phase computation is capped at dimension {PHASE_DIM_CAP}")
     if method == "pairs":
         masks = _phase_masks(o.out, o.dim, i)
     elif method == "brute":
@@ -312,9 +316,7 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
     edges = set()
     for cls in classes:
         if frozenset(cls) not in known:
-            raise PhaseSelectionError(
-                f"not a phase class of dimension {i}: {sorted(cls)}"
-            )
+            raise PhaseSelectionError(f"not a phase class of dimension {i}: {sorted(cls)}")
         edges.update(cls)
     out = list(o.out)
     ibit = 1 << (i - 1)
@@ -336,9 +338,7 @@ def phase_swap(o: Orientation, h: int, edges) -> Orientation:
     for cls in part.classes:
         inter = cls & wanted
         if inter and inter != cls:
-            raise PhaseSelectionError(
-                f"edge set splits a phase class of dimension {h}"
-            )
+            raise PhaseSelectionError(f"edge set splits a phase class of dimension {h}")
         covered |= inter
     if covered != wanted:
         stray = sorted(wanted - covered)

@@ -343,6 +343,11 @@ def test_edge_classes_match_phase_projections_on_walks(k):
     from usokit.transform import _edge_classes
 
     tables = [tuple(out) for out in _walk(k, 40, 100 + k)]
+    if k == 5:
+        # after step 1783 of _walk(5, 2000, 1000) the 5-edges form one class
+        # that takes 6 growing rounds, the most seen on k = 5 walks
+        *_, deep = _walk(5, 1783, 1000)
+        tables.append(tuple(deep))
     for i in range(1, k + 1):
         want = [_class_masks(_phase_projections(out, k, i), 1 << (k - 1)) for out in tables]
         assert _edge_classes(np.array(tables), k, i).tolist() == want
