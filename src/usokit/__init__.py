@@ -10,12 +10,14 @@ operate on.
 The modules split as follows:
 
 - cube: vertices, edges, faces, orientations, the two verifiers
+- pairwise: the pairwise kernel both verifiers run on
 - tiling: tile packing, adjacency, tile sets, the orientation bijection
 - rewrite: rewriting rules (one type; a simple rule has one column),
   validity, application
 - transform: products, facets, mirrors, swaps, phases, hypervertices
 - enumeration: exhaustive streams, counting, the seeded flip walk
 - formats: the line-based text forms used by the command line driver
+- errors: the exception hierarchy and the categories the CLI prints
 """
 
 from types import ModuleType as _ModuleType

@@ -276,7 +276,8 @@ def _cmd_phases(args) -> int:
 
 def _parse_class_indexes(spec: str, n: int) -> list[int]:
     try:
-        picked = [_number(x, "") for x in spec.split(",") if x != ""]
+        # "" picks no class; any other empty item is an error
+        picked = [_number(x, "") for x in spec.split(",")] if spec else []
     except FormatError:
         raise ValueError(f"--classes wants comma-separated indexes, got {spec!r}") from None
     for c in picked:

@@ -10,8 +10,9 @@ set of 2^k pairwise compatible tiles covers space.  Under the digit maps
 
 such a set is the same thing as a unique sink orientation: the vertex map
 is a bijection and the pairwise compatibility test becomes the pairwise
-sink condition.  Twin tiles (differing in a single coordinate) correspond
-to flippable edges.
+sink condition.  Twin tiles (differing in a single coordinate, there by
+exactly 2) correspond to flippable edges; twins finds each tile's twins by
+lookup, so incompatible_tiles, the pairwise kernel, is the one pair test.
 
 Tiles are stored packed, 2 bits per coordinate with coordinate 1 in the
 lowest slot, so the compatibility test is a couple of word operations.
@@ -146,16 +147,6 @@ def low_bits_mask(k: int) -> int:
     return ((1 << (2 * k)) - 1) // 3
 
 
-def packed_gk_adjacent(u: int, v: int, lo: int) -> bool:
-    """Compatibility test on packed tiles; lo is low_bits_mask(k).
-
-    Some coordinate differs by exactly 2 iff the XOR has a slot equal to
-    binary 10, i.e. high bit set and low bit clear.
-    """
-    w = u ^ v
-    return bool(w >> 1 & ~w & lo)
-
-
 def incompatible_tiles(tiles, k: int) -> Iterator[tuple[int, int]]:
     """Incompatible pairs of a sequence of packed k-dimensional tiles.
 
@@ -173,8 +164,7 @@ def gk_adjacent(u: str, v: str) -> bool:
     """Whether two equal-length tiles differ by exactly 2 in some coordinate."""
     if len(u) != len(v):
         raise ValueError("tiles of different lengths")
-    k = len(u)
-    return packed_gk_adjacent(tile_pack(u), tile_pack(v), low_bits_mask(k))
+    return next(incompatible_tiles([tile_pack(u), tile_pack(v)], len(u)), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +304,21 @@ def tiles_from_uso(o: Orientation) -> TileSet:
 
 
 def twins(ts: TileSet) -> set[tuple[str, str]]:
-    """Tile pairs differing in exactly one coordinate, as sorted string pairs."""
+    """Tile pairs differing in exactly one coordinate, as sorted string pairs.
+
+    Tiles of a complete tiling that differ in one digit differ there by 2,
+    so the only twin of t across digit i is t with that digit's high bit
+    set, and only when t has it clear: one lookup per tile and digit.
+    """
     _require_tiling(ts, "twins are defined on complete tilings")
-    k = ts.dim
-    tiles = sorted(ts.tiles)
-    pairs = set()
-    for a in range(len(tiles)):
-        for b in range(a + 1, len(tiles)):
-            w = tiles[a] ^ tiles[b]
-            low = w & -w
-            slot = 3 << (low.bit_length() - 1 >> 1 << 1)
-            if not w & ~slot:
-                su, sv = tile_unpack(tiles[a], k), tile_unpack(tiles[b], k)
-                pairs.add((min(su, sv), max(su, sv)))
-    return pairs
+    k, tiles = ts.dim, ts.tiles
+    highs = [2 << 2 * i for i in range(k)]
+    return {
+        (tile_unpack(t, k), tile_unpack(t | h, k))
+        for t in tiles
+        for h in highs
+        if not t & h and t | h in tiles
+    }
 
 
 def canonical_tiles(k: int) -> TileSet:

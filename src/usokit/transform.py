@@ -241,7 +241,10 @@ def _union(classes, pick: int) -> int:
     return word
 
 
-@lru_cache(maxsize=1 << 16)
+# Sized to the reuse there is: rewrite-sweep's 2,232 k=3 tables (744 USOs
+# at 3 coordinates), and 64 at a time in a k=5 sample/walk pair.  Long k=5
+# walks fill any size; 1 << 16 entries held about 43 MB.
+@lru_cache(maxsize=1 << 12)
 def _phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
     """_edge_classes on one table, each class once, by lowest edge."""
     return _distinct(_edge_classes(np.array([out], dtype=np.uint8), k, i)[0].tolist())
@@ -276,13 +279,14 @@ def _brute_phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
         for p in range(m):
             if s >> p & 1:
                 member[p] &= s
-    classes = _distinct(member)
+    # its own ordering and union test, not the pairs route's helpers
+    classes = tuple(sorted(set(member), key=lambda c: c & -c))
     if len(valid) != 1 << len(classes):
         raise InternalError(
             f"{len(valid)} sound flip sets for {len(classes)} phase classes"
         )
     for s in valid:
-        if _union(member, s) != s:
+        if any(member[p] & ~s for p in range(m) if s >> p & 1):
             raise InternalError("a sound flip set is not a union of phase classes")
     return classes
 

@@ -13,7 +13,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 25 s on two cores.  Exits 1 and names every mutant that survived or
+About 80 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -36,6 +36,9 @@ KERNEL_LOOP = """\
 """
 
 WALKS = "tests/test_enumeration.py::test_edge_classes_match_phase_projections_on_walks"
+CODEC = "tests/test_tiling.py::test_codec_matches_the_per_bit_loops"
+TWINS = "tests/test_tiling.py::test_no_small_tiling_is_twin_free"
+ORBITS = "tests/test_enumeration.py::test_join_count_sums_one_facet_per_orbit"
 
 MUTANTS = [
     (
@@ -64,11 +67,13 @@ MUTANTS = [
         [WALKS + "[5]"],
     ),
     (
-        "_distinct in reverse order",
+        # the brute phases order their classes on their own, so the method
+        # check sees the pairs route's order
+        "_distinct reversed",
         "transform.py",
         "    return tuple(mask for p, mask in enumerate(masks) if not mask & (1 << p) - 1)\n",
         "    return tuple(reversed([m for p, m in enumerate(masks) if not m & (1 << p) - 1]))\n",
-        ["tests/test_enumeration.py::test_sample_frozen_value"],
+        ["tests/test_transform.py::test_phases_methods_agree"],
     ),
     (
         "_union keeps only the last class",
@@ -98,9 +103,164 @@ MUTANTS = [
         "        while mask & mask - 1:\n",
         ["tests/test_transform.py::test_phases_of_canonical"],
     ),
+    # the tile codec
+    (
+        "_SPREAD moves bit i to bit i",
+        "tiling.py",
+        "        table += [t | 1 << 2 * i for t in table]\n",
+        "        table += [t | 1 << i for t in table]\n",
+        [CODEC],
+    ),
+    (
+        "_spread places later chunks 10 bits apart",
+        "tiling.py",
+        "        shift += 20\n",
+        "        shift += 10\n",
+        [CODEC],
+    ),
+    (
+        "_compact without its 8-bit step",
+        "tiling.py",
+        "    x = (x | x >> 8) & 0x0000FFFF0000FFFF\n",
+        "",
+        [CODEC],
+    ),
+    (
+        "_compact_digits puts digits past 32 one bit too high",
+        "tiling.py",
+        "_compact_digits(t >> 64, k - 32) << 32",
+        "_compact_digits(t >> 64, k - 32) << 33",
+        [CODEC],
+    ),
+    (
+        "tile_vertex reads the low bits",
+        "tiling.py",
+        "_compact_digits(t >> 1, k)",
+        "_compact_digits(t, k)",
+        [CODEC],
+    ),
+    (
+        "vertex_outmaps swaps vertex and word",
+        "tiling.py",
+        "    table[_compact(packed >> 1)] = _compact(packed)\n",
+        "    table[_compact(packed)] = _compact(packed >> 1)\n",
+        ["tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path"],
+    ),
+    (
+        "vertex_outmaps ignores a vertex no tile lands on",
+        "tiling.py",
+        "    return None if (table < 0).any() else table.tolist()\n",
+        "    return table.tolist()\n",
+        ["tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path"],
+    ),
+    # twins by partner lookup, and gk_adjacent through the kernel
+    (
+        "twin partner on the low bit of digit i",
+        "tiling.py",
+        "    highs = [2 << 2 * i for i in range(k)]\n",
+        "    highs = [1 << 2 * i for i in range(k)]\n",
+        [TWINS],
+    ),
+    (
+        "twin lookup without its ordering test",
+        "tiling.py",
+        "        if not t & h and t | h in tiles\n",
+        "        if t | h in tiles\n",
+        [TWINS],
+    ),
+    (
+        "gk_adjacent negated",
+        "tiling.py",
+        "len(u)), None) is None\n",
+        "len(u)), None) is not None\n",
+        ["tests/test_tiling.py::test_gk_adjacent_examples"],
+    ),
+    # the join counter's orbits
+    (
+        "orbit generators without the reversals",
+        "enumeration.py",
+        "        yield tuple(w ^ bit for w in out)\n",
+        "",
+        [ORBITS],
+    ),
+    (
+        "orbit generators without the coordinate exchanges",
+        "enumeration.py",
+        "        yield tuple(_swap_bits(out[_swap_bits(v, i)], i) for v in range(size))\n",
+        "        yield out\n",
+        [ORBITS],
+    ),
+    (
+        "orbit generator exchanging vertex bits but not direction bits",
+        "enumeration.py",
+        "_swap_bits(out[_swap_bits(v, i)], i)",
+        "out[_swap_bits(v, i)]",
+        ["tests/test_enumeration.py::test_count_methods_agree"],
+    ),
+    (
+        "each orbit weighted once",
+        "enumeration.py",
+        "        total += orbit_size * int((1 << phases).sum())\n",
+        "        total += int((1 << phases).sum())\n",
+        ["tests/test_enumeration.py::test_count_methods_agree"],
+    ),
+    # verdicts kept on values
+    (
+        "_require_uso tests on every call",
+        "cube.py",
+        "    if o._verdict is None:\n",
+        "    if True:\n",
+        ["tests/test_cube.py::test_uso_verdict_is_kept_but_is_uso_always_tests"],
+    ),
+    (
+        "_require_tiling tests on every call",
+        "tiling.py",
+        "    if ts._verdict is None:\n",
+        "    if True:\n",
+        ["tests/test_tiling.py::test_a_rejected_tiling_stays_rejected"],
+    ),
+    (
+        "tiles_from_uso output born without its verdict",
+        "tiling.py",
+        "    return _keep_verdict(_tiles_of(o.out, o.dim), True)\n",
+        "    return _tiles_of(o.out, o.dim)\n",
+        ["tests/test_tiling.py::test_tiling_verdict_is_kept_but_the_verifiers_always_test"],
+    ),
+    (
+        "is_uso trusts a kept verdict",
+        "cube.py",
+        "        _keep_verdict(o, _pairwise_ok(o.out, o.dim))\n        return o._verdict\n",
+        "        if o._verdict is None:\n"
+        "            _keep_verdict(o, _pairwise_ok(o.out, o.dim))\n"
+        "        return o._verdict\n",
+        ["tests/test_cube.py::test_is_uso_ignores_a_kept_verdict"],
+    ),
+    # numbers in ASCII digits only
+    (
+        "_number takes anything int() takes",
+        "formats.py",
+        "    if _NUMBER.fullmatch(word):\n",
+        "    if word:\n",
+        ["tests/test_formats.py::test_readers_take_only_ascii_digits"],
+    ),
+    (
+        "tile_pack takes anything int() takes",
+        "tiling.py",
+        "    if not _TILE_WORD.fullmatch(s):\n",
+        "    if False:\n",
+        ["tests/test_tiling.py::test_tile_pack_takes_only_ascii_digits"],
+    ),
 ]
 
 EQUIVALENT = [
+    (
+        # apart is symmetric, so this transposes joined, and linked is
+        # joined or its transpose: the same undirected graph
+        "kernel with lower and upper endpoints swapped",
+        "transform.py",
+        "    ends = tables[:, index.lower]\n    tops = tables[:, index.upper]\n",
+        "    ends = tables[:, index.upper]\n    tops = tables[:, index.lower]\n",
+    ),
     (
         # joined and its transpose are the two vertex pairs straddling i
         # that one pair of i-edges has.  Forward reach alone gave the same

@@ -230,6 +230,14 @@ def test_phase_flip_bad_classes(bow_file, capsys):
     assert capsys.readouterr().err.startswith("error: usage:")
 
 
+@pytest.mark.parametrize("spec", ["0,,1", ",", "0,"])
+def test_classes_take_no_empty_items(bow_file, capsys, spec):
+    assert run(["phase-flip", bow_file, "--h", "1", "--classes", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: usage: --classes wants comma-separated indexes, got {spec!r}\n"
+
+
 def test_phase_swap(bow_file, capsys):
     assert run(["phase-swap", bow_file, "--h", "1", "--classes", "0"]) == 0
     assert capsys.readouterr().out == "uso 2\n00\n02\n21\n23\n"

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from usokit import (
+    MAX_SAMPLE_DIM,
     NotATilingError,
     NotAnUsoError,
     Orientation,
@@ -32,8 +33,6 @@ from usokit.cube import _pairwise_ok
 from usokit.pairwise import KERNEL_MIN_DIM
 from usokit.tiling import (
     _tiles_of,
-    low_bits_mask,
-    packed_gk_adjacent,
     tile_out,
     tile_vertex,
     vertex_outmaps,
@@ -57,7 +56,6 @@ def test_gk_adjacent_rejects_length_mismatch():
 def test_packed_adjacency_matches_strings(u, v):
     want = any(abs(int(a) - int(b)) == 2 for a, b in zip(u, v))
     assert gk_adjacent(u, v) == want
-    assert packed_gk_adjacent(tile_pack(u), tile_pack(v), low_bits_mask(2)) == want
 
 
 # up to 12 digits, so words cross tile_unpack's 5-digit chunks
@@ -257,6 +255,39 @@ def test_twins_known_values():
     assert twins(bow()) == {("01", "03"), ("20", "22")}
 
 
+# the double loop over all tile pairs that the partner lookup replaced,
+# kept as its oracle
+
+
+def _reference_twins(ts):
+    k = ts.dim
+    tiles = sorted(ts.tiles)
+    pairs = set()
+    for a in range(len(tiles)):
+        for b in range(a + 1, len(tiles)):
+            w = tiles[a] ^ tiles[b]
+            low = w & -w
+            slot = 3 << (low.bit_length() - 1 >> 1 << 1)
+            if not w & ~slot:
+                su, sv = tile_unpack(tiles[a], k), tile_unpack(tiles[b], k)
+                pairs.add((min(su, sv), max(su, sv)))
+    return pairs
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_twins_match_the_pair_loop_sampled(k):
+    # a product of a sampled frame and two sampled parts, whose twins come
+    # from both factors, and a sampled tiling up to the sampler's cap
+    lo = k // 2
+    frame = uso_from_tiles(sample_markov(lo, 32, 80 + k))
+    parts = [uso_from_tiles(sample_markov(k - lo, 32, 90 + k + v)) for v in range(2)]
+    cases = [tiles_from_uso(product(frame, {v: parts[v % 2] for v in range(1 << lo)}))]
+    if k <= MAX_SAMPLE_DIM:
+        cases.append(sample_markov(k, 32, 70 + k))
+    for ts in cases:
+        assert twins(ts) == _reference_twins(ts)
+
+
 def test_twins_requires_tiling():
     with pytest.raises(NotATilingError):
         twins(TileSet.from_strings(["00", "02", "20", "23"]))
@@ -264,6 +295,7 @@ def test_twins_requires_tiling():
 
 def test_no_small_tiling_is_twin_free(catalogue1, catalogue2, catalogue3):
     for ts in catalogue1 + catalogue2 + catalogue3:
+        assert twins(ts) == _reference_twins(ts)
         assert twins(ts)
 
 
