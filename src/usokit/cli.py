@@ -197,7 +197,7 @@ def _cmd_convert(args) -> int:
     else:
         raise FormatError(f"unrecognized header in {args.file}")
     if args.to == "tiles":
-        sys.stdout.write(write_tiling(tiles_from_uso(o)))
+        _print_tiling(o)
     else:
         sys.stdout.write(write_orientation(o))
     return 0
@@ -286,23 +286,21 @@ def _parse_class_indexes(spec: str, n: int) -> list[int]:
     return picked
 
 
-def _cmd_phase_flip(args) -> int:
-    o = _read_uso(args.file)
-    part = phases(o, args.h)
-    picked = _parse_class_indexes(args.classes, len(part.classes))
-    _print_tiling(phase_flip(o, args.h, [part.classes[c] for c in picked]))
-    return 0
+def _phase_verb(edit):
+    """The verb printing edit(input, h, the --classes picked) as a tiling."""
+
+    def cmd(args) -> int:
+        o = _read_uso(args.file)
+        classes = phases(o, args.h).classes
+        picked = _parse_class_indexes(args.classes, len(classes))
+        _print_tiling(edit(o, args.h, [classes[c] for c in picked]))
+        return 0
+
+    return cmd
 
 
-def _cmd_phase_swap(args) -> int:
-    o = _read_uso(args.file)
-    part = phases(o, args.h)
-    picked = _parse_class_indexes(args.classes, len(part.classes))
-    edges = set()
-    for c in picked:
-        edges |= part.classes[c]
-    _print_tiling(phase_swap(o, args.h, edges))
-    return 0
+def _swap_classes(o: Orientation, h: int, classes) -> Orientation:
+    return phase_swap(o, h, frozenset().union(*classes))
 
 
 def _cmd_hyper_replace(args) -> int:
@@ -425,13 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--method", default="pairs", choices=("pairs", "brute"))
 
-    p = verb("phase-flip", _cmd_phase_flip, "reverse chosen flip classes")
+    p = verb("phase-flip", _phase_verb(phase_flip), "reverse chosen flip classes")
     p.add_argument("file")
     p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--classes", required=True, metavar="<idx,...>",
                    help="0-based indexes into the phases output")
 
-    p = verb("phase-swap", _cmd_phase_swap, "swap facets along chosen flip classes")
+    p = verb("phase-swap", _phase_verb(_swap_classes), "swap facets along chosen flip classes")
     p.add_argument("file")
     p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--classes", required=True, metavar="<idx,...>",

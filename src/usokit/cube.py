@@ -63,10 +63,14 @@ def vertex_from_bits(bits: str) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
-def neighbor(v: int, i: int, k: int) -> int:
-    """The vertex across the i-edge at v."""
+def _require_coordinate(i: int, k: int) -> None:
     if not 1 <= i <= k:
         raise DimensionError(f"coordinate {i} out of range 1..{k}")
+
+
+def neighbor(v: int, i: int, k: int) -> int:
+    """The vertex across the i-edge at v."""
+    _require_coordinate(i, k)
     if not 0 <= v < 1 << k:
         raise DimensionError(f"vertex {v} out of range for dimension {k}")
     return v ^ (1 << (i - 1))
@@ -155,6 +159,11 @@ class Face:
         return cls("*" * k)
 
 
+def _require_face(f: Face, k: int) -> None:
+    if f.cube_dim != k:
+        raise DimensionError(f"face pattern length {f.cube_dim} does not match dimension {k}")
+
+
 # ---------------------------------------------------------------------------
 # orientations
 
@@ -184,8 +193,7 @@ class Orientation:
 
     def direction(self, v: int, i: int) -> int:
         """Direction bit of the i-edge at v (1 points to the upper facet)."""
-        if not 1 <= i <= self.dim:
-            raise DimensionError(f"coordinate {i} out of range 1..{self.dim}")
+        _require_coordinate(i, self.dim)
         return self.out[v] >> (i - 1) & 1
 
     def edges(self) -> Iterator[Edge]:
@@ -223,10 +231,7 @@ def canonical_orientation(k: int) -> Orientation:
 
 def unique_sink(o: Orientation, f: Face):
     """The sink of face f, or "none" / "multiple"."""
-    if f.cube_dim != o.dim:
-        raise DimensionError(
-            f"face pattern length {f.cube_dim} does not match dimension {o.dim}"
-        )
+    _require_face(f, o.dim)
     sinks = _face_sinks(o.out, f.fixed_values, f.free_mask)
     if len(sinks) == 1:
         return sinks[0]
@@ -246,16 +251,8 @@ def _pairwise_ok(out, k: int) -> bool:
 @lru_cache(maxsize=None)
 def _face_masks(k: int) -> tuple[tuple[int, int], ...]:
     """(fixed values, free mask) for all 3^k face patterns."""
-    faces = []
-    for spec in iproduct((0, 1, 2), repeat=k):
-        fixed = free = 0
-        for i, c in enumerate(spec):
-            if c == 2:
-                free |= 1 << i
-            elif c == 1:
-                fixed |= 1 << i
-        faces.append((fixed, free))
-    return tuple(faces)
+    faces = (Face("".join(spec)) for spec in iproduct(FACE_CHARS, repeat=k))
+    return tuple((f.fixed_values, f.free_mask) for f in faces)
 
 
 def _face_sinks(out, fixed: int, free: int) -> list[int]:

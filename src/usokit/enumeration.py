@@ -23,7 +23,8 @@ Three routes:
   accepted and ignored.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph.  Each step draws a
   coordinate uniformly, computes its phase classes by the same kernel,
-  and reverses a uniformly chosen subset of classes.  Reversing a union
+  and reverses a uniformly chosen subset of classes through
+  transform._flip, the edge reversal phase_flip uses.  Reversing a union
   of classes leaves the class family itself unchanged, so every move has
   the same probability as its inverse and the walk's stationary
   distribution is uniform.  Randomness comes from SplitMix64
@@ -48,7 +49,7 @@ import numpy as np
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _tiles_of, tile_of
-from .transform import _distinct, _edge_classes, _edge_index, _phase_masks, _union
+from .transform import _distinct, _edge_classes, _edge_index, _flip, _phase_masks, _union
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -331,15 +332,6 @@ def _check_sample_dim(k: int) -> None:
         )
 
 
-def _flip(out: list, k: int, i: int, word: int) -> None:
-    """Reverse the i-edges whose projection indices are the bits of word."""
-    ibit = 1 << (i - 1)
-    for p, v in enumerate(_edge_index(k, i).ends):
-        if word >> p & 1:
-            out[v] ^= ibit
-            out[v | ibit] ^= ibit
-
-
 def _step(out: list, k: int, rng: SplitMix64) -> None:
     i = 1 + rng.randbelow(k)
     classes = _phase_masks(tuple(out), k, i)
@@ -349,11 +341,16 @@ def _step(out: list, k: int, rng: SplitMix64) -> None:
 def _walk(k: int, steps: int, seed: int) -> Iterator[list]:
     """The direction words after 0, 1, ..., steps moves from canonical.
 
-    Yields one list, updated in place between yields.
+    Yields one list, updated in place between yields.  The arguments are
+    checked on the call, before any move.
     """
     _check_sample_dim(k)
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    return _moves(k, steps, seed)
+
+
+def _moves(k: int, steps: int, seed: int) -> Iterator[list]:
     out = [0] * (1 << k)
     yield out
     rng = SplitMix64(seed)
@@ -364,9 +361,12 @@ def _walk(k: int, steps: int, seed: int) -> Iterator[list]:
 
 
 def markov_walk(k: int, steps: int, seed: int) -> Iterator[ChainState]:
-    """States of the flip walk, starting from the canonical orientation."""
-    for step, out in enumerate(_walk(k, steps, seed)):
-        yield ChainState(_tiles_of(out, k), step, seed)
+    """States of the flip walk, starting from the canonical orientation.
+
+    The arguments are checked on the call, before any state is built.
+    """
+    walk = enumerate(_walk(k, steps, seed))
+    return (ChainState(_tiles_of(out, k), step, seed) for step, out in walk)
 
 
 def sample_markov(k: int, steps: int, seed: int) -> TileSet:

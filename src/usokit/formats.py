@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from .cube import Orientation, vertex_bits, vertex_from_bits
+from .cube import Face, Orientation, vertex_bits, vertex_from_bits
 from .errors import FormatError
 from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule
@@ -163,15 +163,10 @@ def read_tiling(text: str) -> TileSet:
 # orientations
 
 
-def _vertex_order(k: int) -> list[int]:
-    """Vertices in the lexicographic order of their bit words."""
-    return sorted(range(1 << k), key=lambda v: vertex_bits(v, k))
-
-
 def write_orientation(o: Orientation) -> str:
     k = o.dim
     lines = [f"o {k}"]
-    for v in _vertex_order(k):
+    for v in Face.full(k).vertices():
         lines.append(f"{_word(vertex_bits(v, k))} {_word(vertex_bits(o.out[v], k))}")
     return "\n".join(lines) + "\n"
 
@@ -179,7 +174,7 @@ def write_orientation(o: Orientation) -> str:
 def read_orientation(text: str) -> Orientation:
     k, body = _counted_body(text, "o", "vertex")
     out = [0] * (1 << k)
-    for ln, v in zip(body, _vertex_order(k)):
+    for ln, v in zip(body, Face.full(k).vertices()):
         parts = _fields(ln, 2)
         if parts is None:
             raise FormatError(f"expected '<vertex> <directions>', got {ln!r}")

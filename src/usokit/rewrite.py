@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .cube import _require_coordinate
 from .errors import (
     DimensionError,
     InternalError,
@@ -208,8 +209,7 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
             raise InvalidRuleError("; ".join(violations))
         _require_tiling(k_set, "input is not a complete tiling")
     k = k_set.dim
-    if not 1 <= h <= k:
-        raise DimensionError(f"coordinate {h} out of range 1..{k}")
+    _require_coordinate(h, k)
     columns = None
     if labelling is not None:
         columns = {}

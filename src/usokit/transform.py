@@ -23,6 +23,9 @@ One numpy kernel, ``_edge_classes``, grows the components of a batch of
 tables as bitmasks of projection indices to a fixpoint; ``_phase_masks``
 runs it on one table, the facet join on whole batches (see
 ``enumeration``).  The tests check it against a pure-Python union-find.
+``_flip`` is the one edge reversal on masks: ``phase_flip`` ORs the masks
+of the chosen classes and reverses that word through it, and so does each
+step of the flip walk.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .cube import (
     Orientation,
     _keep_verdict,
     _pairwise_ok,
+    _require_coordinate,
+    _require_face,
     _require_uso,
     _vertex_words,
     drop_bit,
@@ -65,11 +70,6 @@ def _checked(k: int, out: tuple) -> Orientation:
     if not _pairwise_ok(out, k):
         raise InternalError("transform produced an orientation without unique sinks")
     return _keep_verdict(Orientation(k, out), True)
-
-
-def _require_coordinate(i: int, k: int) -> None:
-    if not 1 <= i <= k:
-        raise DimensionError(f"coordinate {i} out of range 1..{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,15 @@ def _edge_index(k: int, i: int) -> _EdgeIndex:
     return index
 
 
+def _flip(out: list, k: int, i: int, word: int) -> None:
+    """Reverse the i-edges whose projection indices are the bits of word."""
+    ibit = 1 << (i - 1)
+    for p, v in enumerate(_edge_index(k, i).ends):
+        if word >> p & 1:
+            out[v] ^= ibit
+            out[v | ibit] ^= ibit
+
+
 def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
     """Phase classes of the i-edges for a batch of direction tables.
 
@@ -316,17 +325,15 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
 
 def phase_flip(o: Orientation, i: int, classes) -> Orientation:
     """Reverse the union of whole phase classes; always an USO again."""
-    known = set(phases(o, i).classes)
-    edges = set()
+    known = dict(zip(phases(o, i).classes, _phase_masks(o.out, o.dim, i)))
+    word = 0
     for cls in classes:
-        if frozenset(cls) not in known:
+        mask = known.get(frozenset(cls))
+        if mask is None:
             raise PhaseSelectionError(f"not a phase class of dimension {i}: {sorted(cls)}")
-        edges.update(cls)
+        word |= mask
     out = list(o.out)
-    ibit = 1 << (i - 1)
-    for e in edges:
-        out[e.vertex] ^= ibit
-        out[e.vertex | ibit] ^= ibit
+    _flip(out, o.dim, i, word)
     return _checked(o.dim, tuple(out))
 
 
@@ -337,19 +344,16 @@ def phase_swap(o: Orientation, h: int, edges) -> Orientation:
     bit of digit h on every tile whose vertex touches a chosen edge.
     """
     wanted = set(edges)
-    part = phases(o, h)
-    covered = set()
-    for cls in part.classes:
-        inter = cls & wanted
-        if inter and inter != cls:
-            raise PhaseSelectionError(f"edge set splits a phase class of dimension {h}")
-        covered |= inter
+    matched = [cls for cls in phases(o, h).classes if cls & wanted]
+    if any(not cls <= wanted for cls in matched):
+        raise PhaseSelectionError(f"edge set splits a phase class of dimension {h}")
+    covered = frozenset().union(*matched)
     if covered != wanted:
         stray = sorted(wanted - covered)
         raise PhaseSelectionError(f"not h-edges of this cube: {stray}")
     hbit = 1 << (h - 1)
     out = list(o.out)
-    for e in wanted:
+    for e in covered:
         out[e.vertex], out[e.vertex | hbit] = out[e.vertex | hbit], out[e.vertex]
     return _checked(o.dim, tuple(out))
 
@@ -376,20 +380,21 @@ def hypervertex_check(o: Orientation, f: Face):
     coordinate must share one direction.  Returns a HypervertexWitness on
     success and a list of violation strings otherwise.
     """
-    if f.cube_dim != o.dim:
-        raise DimensionError(
-            f"face pattern length {f.cube_dim} does not match dimension {o.dim}"
-        )
+    _require_face(f, o.dim)
+    some = 0  # direction bits set at some vertex of the face
+    every = (1 << o.dim) - 1  # direction bits set at every vertex of it
+    for v in f.vertices():
+        some |= o.out[v]
+        every &= o.out[v]
     violations = []
     directions = []
     for i in range(1, o.dim + 1):
         if f.pattern[i - 1] == "*":
             continue
-        seen = {o.out[v] >> (i - 1) & 1 for v in f.vertices()}
-        if len(seen) == 2:
+        if (some ^ every) >> (i - 1) & 1:
             violations.append(f"mixed directions across coordinate {i}")
         else:
-            directions.append((i, seen.pop()))
+            directions.append((i, every >> (i - 1) & 1))
     if violations:
         return violations
     return HypervertexWitness(f, tuple(directions))

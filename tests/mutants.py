@@ -13,7 +13,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 80 s on two cores.  Exits 1 and names every mutant that survived or
+About 90 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -84,7 +84,7 @@ MUTANTS = [
     ),
     (
         "_flip without the upper endpoint",
-        "enumeration.py",
+        "transform.py",
         "            out[v | ibit] ^= ibit\n",
         "",
         ["tests/test_enumeration.py::test_walk_stays_on_tilings"],
@@ -102,6 +102,43 @@ MUTANTS = [
         "        while mask:\n",
         "        while mask & mask - 1:\n",
         ["tests/test_transform.py::test_phases_of_canonical"],
+    ),
+    # one home per table decision
+    (
+        "phase_flip keeps only the last class's mask",
+        "transform.py",
+        "        word |= mask\n",
+        "        word = mask\n",
+        ["tests/test_transform.py::test_phase_flip_every_class_is_flip_dimension"],
+    ),
+    (
+        "vertex order reversed (Face.vertices, the orientation text's order)",
+        "cube.py",
+        'choices = [("0", "1") if c == "*"',
+        'choices = [("1", "0") if c == "*"',
+        ["tests/test_formats.py::test_orientation_text_lists_vertices_in_bit_order"],
+    ),
+    (
+        # the face scan decodes its patterns through Face
+        "Face.fixed_values reads '*' as 1",
+        "cube.py",
+        'self.pattern.replace("*", "0")',
+        'self.pattern.replace("*", "1")',
+        ["tests/test_cube.py::test_verifier_equivalence_exhaustive_small"],
+    ),
+    (
+        "hypervertex_check with AND in place of OR",
+        "transform.py",
+        "        some |= o.out[v]\n",
+        "        some &= o.out[v]\n",
+        ["tests/test_transform.py::test_hypervertex_witnesses"],
+    ),
+    (
+        "_require_coordinate rejecting coordinate k",
+        "cube.py",
+        "    if not 1 <= i <= k:\n",
+        "    if not 1 <= i < k:\n",
+        ["tests/test_cube.py::test_neighbor_toggles_one_bit"],
     ),
     # the tile codec
     (
@@ -253,6 +290,15 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
+    (
+        # the face patterns' (fixed, free) pairs are all disjoint pairs of
+        # k-bit words, a set the swap maps onto itself, and the face scan
+        # asks every pair of that set
+        "_face_masks with fixed and free swapped",
+        "cube.py",
+        "    return tuple((f.fixed_values, f.free_mask) for f in faces)\n",
+        "    return tuple((f.free_mask, f.fixed_values) for f in faces)\n",
+    ),
     (
         # apart is symmetric, so this transposes joined, and linked is
         # joined or its transpose: the same undirected graph

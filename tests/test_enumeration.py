@@ -125,6 +125,8 @@ def test_enumeration_caps():
         count_usos(5, "join")
     with pytest.raises(EnumerationLimitError):
         sample_markov(6, 1, 0)
+    with pytest.raises(EnumerationLimitError):
+        markov_walk(6, 1, 0)
 
 
 def test_walk_shape_and_determinism():
@@ -164,8 +166,8 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
 
     import numpy as np
 
-    from usokit.enumeration import _catalogue, _flip
-    from usokit.transform import _phase_masks, _union
+    from usokit.enumeration import _catalogue
+    from usokit.transform import _flip, _phase_masks, _union
 
     cat = _catalogue(k)
     index = {out: s for s, out in enumerate(cat)}
@@ -206,6 +208,8 @@ def test_negative_steps_rejected():
         sample_markov(2, -3, 1)
     with pytest.raises(ValueError):
         list(markov_walk(2, -3, 1))
+    with pytest.raises(ValueError):
+        markov_walk(2, -3, 1)
     with pytest.raises(ValueError):
         sample_markov(0, -1, 1)
 

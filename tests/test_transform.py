@@ -231,6 +231,13 @@ def test_phase_swap_of_bow_welded_class():
     assert tiles_from_uso(got) == TileSet.from_strings(["21", "00", "23", "02"])
 
 
+def test_phase_edits_take_plain_tuple_edges():
+    # Edge is a NamedTuple, so (vertex, dim) tuples name the same edges
+    welded = {(0, 1), (2, 1)}
+    assert phase_flip(BOW, 1, [welded]) == flip_dimension(BOW, 1)
+    assert phase_swap(BOW, 1, welded) == phase_swap(BOW, 1, {Edge(0, 1), Edge(2, 1)})
+
+
 def test_phase_swap_rejects_split_or_stray():
     with pytest.raises(PhaseSelectionError):
         phase_swap(BOW, 1, {Edge(0, 1)})
