@@ -31,7 +31,9 @@ from .errors import (
     LabellingError,
 )
 from .tiling import (
+    BLOCK_DIMS,
     TileSet,
+    _pack_block,
     _require_tiling,
     canonical_tiles,
     incompatible_tiles,
@@ -210,18 +212,7 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
         _require_tiling(k_set, "input is not a complete tiling")
     k = k_set.dim
     _require_coordinate(h, k)
-    columns = None
-    if labelling is not None:
-        columns = {}
-        for s, j in labelling.items():
-            if not 1 <= j <= rule.i:
-                raise LabellingError(f"label {j} for tile {s} out of range 1..{rule.i}")
-            try:
-                if len(s) != k:
-                    raise ValueError
-                columns[tile_pack(s)] = j
-            except ValueError:
-                raise LabellingError(f"label key {s!r} is not a tile of dimension {k}") from None
+    columns = None if labelling is None else _label_columns(labelling, k, rule.i)
     shift = 2 * (h - 1)
     below = (1 << shift) - 1
     above = shift + 2 * rule.d
@@ -240,6 +231,45 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
             f"the rule is not sound on this input"
         )
     return TileSet(new_dim, frozenset(out))
+
+
+def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
+    """The column of each packed key; LabellingError on the first bad item."""
+    columns = _block_columns(labelling, k, i)
+    if columns is not None:
+        return columns
+    columns = {}
+    for s, j in labelling.items():
+        if not 1 <= j <= i:
+            raise LabellingError(f"label {j} for tile {s} out of range 1..{i}")
+        try:
+            if len(s) != k:
+                raise ValueError
+            columns[tile_pack(s)] = j
+        except ValueError:
+            raise LabellingError(f"label key {s!r} is not a tile of dimension {k}") from None
+    return columns
+
+
+def _block_columns(labelling, k: int, i: int) -> dict[int, int] | None:
+    """The column of each packed key, with the keys packed in one block.
+
+    None unless k is a block dimension, every label an int in 1..i and
+    every key a k-digit word; _label_columns' per-key loop then raises
+    the first defect in the labelling's order.
+    """
+    if k not in BLOCK_DIMS or not labelling:
+        return None
+    labels = list(labelling.values())
+    if set(map(type, labels)) != {int} or set(map(type, labelling)) != {str}:
+        return None
+    if not 1 <= min(labels) <= max(labels) <= i:
+        return None
+    body = "\n".join(labelling) + "\n"
+    if not body.isascii():
+        return None
+    packed = _pack_block(body.encode("ascii"), len(labels), k)
+    return None if packed is None else dict(zip(packed.tolist(), labels))
 
 
 # ---------------------------------------------------------------------------

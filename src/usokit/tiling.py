@@ -17,7 +17,7 @@ lookup, so incompatible_tiles, the pairwise kernel, is the one pair test.
 Tiles are stored packed, 2 bits per coordinate with coordinate 1 in the
 lowest slot, so the compatibility test is a couple of word operations.
 Digit strings (coordinate 1 first) appear at every API boundary, and
-tile_pack and tile_unpack are their one codec: tile_pack checks a word's
+tile_pack and tile_unpack are their per-word codec: tile_pack checks a word's
 characters, its callers its length.  The 0-dimensional empty tile packs
 to 0 and prints as "" here, "-" in files.
 
@@ -30,6 +30,16 @@ ladder of _compact, which takes the 64-bit tiles of 32 coordinates, as a
 Python int or a numpy uint64 array.  Whole tables go through it at once:
 _tiles_of in one comprehension over the spread table, vertex_outmaps
 through numpy from 2^KERNEL_MIN_DIM tiles, the kernel's threshold.
+
+Digit text has a block form as well, for the dimensions in BLOCK_DIMS
+(from KERNEL_MIN_DIM up to the 32 digits of a uint64): _digit_block
+turns a whole tile set into its sorted "\n"-ended lines with one digit
+matrix, one np.lexsort and one tobytes(), and _pack_block packs such a
+body back, or returns None for any other body so that the caller can take
+the per-tile route with its own messages.  TileSet.strings(),
+formats.write_tiling and formats.read_tiling use it, and so do the label
+keys of rewrite._rewrite; below KERNEL_MIN_DIM numpy's fixed cost per call
+loses to tile_pack and tile_unpack, which stay the per-word codec.
 
 A tiling is verified once.  Operations that need a complete tiling go
 through ``_require_tiling``, which runs ``tiling_defect`` on first use
@@ -50,7 +60,7 @@ import numpy as np
 
 from .cube import Orientation, _keep_verdict, _require_uso
 from .errors import NotATilingError
-from .pairwise import KERNEL_MIN_DIM, incompatible_pairs
+from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
 
 DIGITS = "0123"
 
@@ -102,6 +112,46 @@ def _spread(x: int) -> int:
         x >>= 10
         shift += 20
     return s
+
+
+# Dimensions whose digit text goes through numpy in whole blocks: from the
+# kernel's threshold, below which numpy's fixed cost per call loses, up to
+# tiles that fit one uint64.
+BLOCK_DIMS = range(KERNEL_MIN_DIM, MAX_WORD_BITS // 2 + 1)
+
+_DIGIT_SHIFTS = np.arange(0, MAX_WORD_BITS, 2, dtype=np.uint64)
+_DIGIT_SHIFTS.flags.writeable = False
+
+
+def _digit_block(tiles, k: int) -> bytes:
+    """The k-digit words of packed tiles, sorted, one "\\n"-ended line each.
+
+    Digit column j holds coordinate j + 1.  np.lexsort takes its primary
+    key last, so the columns go in reversed: coordinate 1 first is string
+    order.
+    """
+    packed = np.fromiter(tiles, np.uint64, len(tiles))
+    digits = (packed[:, None] >> _DIGIT_SHIFTS[:k] & 3).astype(np.uint8)
+    block = np.empty((len(packed), k + 1), np.uint8)
+    block[:, :k] = digits[np.lexsort(digits.T[::-1])] + 48
+    block[:, k] = 10
+    return block.tobytes()
+
+
+def _pack_block(body: bytes, n: int, k: int):
+    """The packed tiles of n lines of k digits 0-3, each ending in "\\n".
+
+    A uint64 array in line order, or None for any other body.
+    """
+    if len(body) != n * (k + 1):
+        return None
+    rows = np.frombuffer(body, np.uint8).reshape(n, k + 1)
+    if (rows[:, k] != 10).any():
+        return None
+    digits = rows[:, :k] - 48  # wraps below "0", so one bound checks both ends
+    if (digits > 3).any():
+        return None
+    return (digits.astype(np.uint64) << _DIGIT_SHIFTS[:k]).sum(axis=1, dtype=np.uint64)
 
 
 def _compact(x):
@@ -216,6 +266,8 @@ class TileSet:
         return cls(*_pack_strings(strings, dim))
 
     def strings(self) -> list[str]:
+        if self.dim in BLOCK_DIMS:
+            return _digit_block(self.tiles, self.dim).decode("ascii").split()
         return sorted(tile_unpack(t, self.dim) for t in self.tiles)
 
     def is_pairwise_adjacent(self) -> bool:

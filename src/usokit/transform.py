@@ -300,12 +300,16 @@ def _brute_phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
     return classes
 
 
-def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
-    """Partition the i-edges into their flip classes."""
+def _require_phase_input(o: Orientation, i: int) -> None:
     _require_uso(o)
     _require_coordinate(i, o.dim)
     if o.dim > PHASE_DIM_CAP:
         raise EnumerationLimitError(f"phase computation is capped at dimension {PHASE_DIM_CAP}")
+
+
+def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
+    """Partition the i-edges into their flip classes."""
+    _require_phase_input(o, i)
     if method == "pairs":
         masks = _phase_masks(o.out, o.dim, i)
     elif method == "brute":
@@ -324,12 +328,21 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
 
 
 def phase_flip(o: Orientation, i: int, classes) -> Orientation:
-    """Reverse the union of whole phase classes; always an USO again."""
-    known = dict(zip(phases(o, i).classes, _phase_masks(o.out, o.dim, i)))
+    """Reverse the union of whole phase classes; always an USO again.
+
+    Each class is packed to its word of projection indices and must be one
+    of the masks of _phase_masks.
+    """
+    _require_phase_input(o, i)
+    known = set(_phase_masks(o.out, o.dim, i))
+    bits = {Edge(v, i): 1 << p for p, v in enumerate(_edge_index(o.dim, i).ends)}
     word = 0
     for cls in classes:
-        mask = known.get(frozenset(cls))
-        if mask is None:
+        try:
+            mask = sum(bits[e] for e in frozenset(cls))
+        except KeyError:  # not a lower endpoint of an i-edge
+            mask = 0
+        if mask not in known:
             raise PhaseSelectionError(f"not a phase class of dimension {i}: {sorted(cls)}")
         word |= mask
     out = list(o.out)

@@ -1,6 +1,15 @@
+from functools import lru_cache
+
 import pytest
 
-from usokit import enumerate_brute
+from usokit import (
+    MAX_SAMPLE_DIM,
+    enumerate_brute,
+    product,
+    sample_markov,
+    tiles_from_uso,
+    uso_from_tiles,
+)
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +25,26 @@ def catalogue2():
 @pytest.fixture(scope="session")
 def catalogue3():
     return list(enumerate_brute(3))
+
+
+@pytest.fixture(scope="session")
+def sampled_tiling():
+    """A function of k: a fixed complete k-dimensional tiling.
+
+    Sampled up to MAX_SAMPLE_DIM, and above it the product of a sampled
+    frame and sampled parts.
+    """
+
+    @lru_cache(maxsize=None)
+    def make(k: int):
+        if k <= MAX_SAMPLE_DIM:
+            return sample_markov(k, 40, 100 + k)
+        a = k // 2
+        frame = uso_from_tiles(make(a))
+        parts = {v: uso_from_tiles(sample_markov(k - a, 30, 7 * v + k)) for v in range(1 << a)}
+        return tiles_from_uso(product(frame, parts))
+
+    return make
 
 
 @pytest.fixture

@@ -39,6 +39,9 @@ WALKS = "tests/test_enumeration.py::test_edge_classes_match_phase_projections_on
 CODEC = "tests/test_tiling.py::test_codec_matches_the_per_bit_loops"
 TWINS = "tests/test_tiling.py::test_no_small_tiling_is_twin_free"
 ORBITS = "tests/test_enumeration.py::test_join_count_sums_one_facet_per_orbit"
+EDITS = "tests/test_formats.py::test_tiling_reader_paths_agree_on_single_edits"
+TEXT = "tests/test_tiling.py::test_strings_and_text_match_the_per_tile_codec"
+LABELS = "tests/test_rewrite.py::test_labellings_give_the_per_key_loop_results"
 
 MUTANTS = [
     (
@@ -110,6 +113,13 @@ MUTANTS = [
         "        word |= mask\n",
         "        word = mask\n",
         ["tests/test_transform.py::test_phase_flip_every_class_is_flip_dimension"],
+    ),
+    (
+        "phase_flip dropping edges that are not lower i-edge endpoints",
+        "transform.py",
+        "            mask = sum(bits[e] for e in frozenset(cls))\n",
+        "            mask = sum(bits.get(e, 0) for e in frozenset(cls))\n",
+        ["tests/test_transform.py::test_phase_flip_rejections_keep_their_messages"],
     ),
     (
         "vertex order reversed (Face.vertices, the orientation text's order)",
@@ -286,6 +296,42 @@ MUTANTS = [
         "    if not _TILE_WORD.fullmatch(s):\n",
         "    if False:\n",
         ["tests/test_tiling.py::test_tile_pack_takes_only_ascii_digits"],
+    ),
+    # the block codec of tile text
+    (
+        "block reader without its newline-column check",
+        "tiling.py",
+        "    if (rows[:, k] != 10).any():\n        return None\n",
+        "",
+        [EDITS],
+    ),
+    (
+        "block reader with a digit bound of 4",
+        "tiling.py",
+        "    if (digits > 3).any():\n",
+        "    if (digits > 4).any():\n",
+        [EDITS],
+    ),
+    (
+        "block reader without its duplicate check",
+        "formats.py",
+        '    if len(tiles) != 1 << k:\n        raise FormatError("duplicate tiles")\n',
+        "",
+        [EDITS],
+    ),
+    (
+        "block writer sorting on the unreversed digit columns",
+        "tiling.py",
+        "np.lexsort(digits.T[::-1])",
+        "np.lexsort(digits.T)",
+        [TEXT],
+    ),
+    (
+        "block label keys without the label-range test",
+        "rewrite.py",
+        "    if not 1 <= min(labels) <= max(labels) <= i:\n        return None\n",
+        "",
+        [LABELS],
     ),
 ]
 

@@ -5,7 +5,13 @@ A deterministic corpus of inputs and invocations covers the verbs
 ``hyper-replace``, with their rejections: a coordinate or class index out
 of range, an empty ``--classes`` item, a face that is not a hypervertex
 or does not fit the cube, a replacement of the wrong dimension, and
-inputs that are not tilings or exceed the phase cap.  (A split or stray
+inputs that are not tilings or exceed the phase cap.  On k = 8 and 10
+products it also covers ``validate``, ``convert`` (both directions) and
+``apply`` with and without ``--labels``, with bad label tables, and
+``sample --k 5``.  Edited copies of a k = 8 tiling hold the text forms
+the reader must keep: CRLF and tab-padded lines, a repeated line, a
+digit 4, a missing final newline and the headers ``uso 08`` and
+``uso  8``.  (A split or stray
 swap cannot be asked for on the command line, since ``--classes`` picks
 whole classes; ``tests/test_transform.py`` covers both.)
 
@@ -34,13 +40,23 @@ import tempfile
 from pathlib import Path
 
 from usokit import (
+    Orientation,
+    TileSet,
     canonical_orientation,
+    canonical_tiles,
     enumerate_brute,
+    named_rule,
     phases,
+    product,
+    product_rule,
+    read_tiling,
     sample_markov,
+    tile_of,
     tiles_from_uso,
     uso_from_tiles,
+    write_labels,
     write_orientation,
+    write_rule,
     write_tiling,
 )
 from usokit.cli import run
@@ -50,6 +66,7 @@ TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
 CAT3_PICKS = 10  # catalogue-3 entries, chosen by a seeded draw
 SAMPLED = {4: 5, 5: 3}  # sampled inputs per dimension
 BRUTE_DIM = 4  # phases --method brute runs up to this dimension
+BIG = {8: 2, 10: 1}  # product inputs per dimension
 
 
 def _sub_uso(d: int, j: int):
@@ -119,6 +136,100 @@ def build_corpus(root: Path) -> list[list[str]]:
             calls.append([verb, name, "--h", "1", "--classes", "0"])
     calls.append(["convert", "broken.uso", "--to", "orientation"])
     calls.append(["hyper-replace", "broken.uso", "--face", "**", "--with", "w2_0.uso"])
+    calls += _big_corpus(root, files)
+    return calls
+
+
+def _product(k: int, rng: random.Random) -> Orientation:
+    """A k-dimensional product of sampled (k/2)-dimensional USOs."""
+    pool = [uso_from_tiles(sample_markov(k // 2, 30, rng.getrandbits(32))) for _ in range(4)]
+    parts = {v: rng.choice(pool) for v in range(1 << k // 2)}
+    return product(rng.choice(pool), parts)
+
+
+def _unflippable(o: Orientation, rng: random.Random) -> Orientation:
+    """o with one unflippable edge (direction words differ) reversed: no USO."""
+    while True:
+        bit = 1 << rng.randrange(o.dim)
+        v = rng.randrange(1 << o.dim) & ~bit
+        if o.out[v] != o.out[v | bit]:
+            break
+    out = list(o.out)
+    out[v] ^= bit
+    out[v | bit] ^= bit
+    return Orientation(o.dim, tuple(out))
+
+
+def _big_corpus(root: Path, small: dict) -> list[list[str]]:
+    """Inputs of dimension 8 and 10, their edited copies, and their calls."""
+    rng = random.Random(17)
+    texts, big = {}, []
+    for k, n in BIG.items():
+        for s in range(n):
+            name = f"big{k}_{s}"
+            o = _product(k, rng)
+            texts[f"{name}.uso"] = write_tiling(tiles_from_uso(o))
+            texts[f"{name}.o"] = write_orientation(o)
+            bad = _unflippable(o, rng).out
+            # written unverified: the tiles of a table that is no USO
+            texts[f"{name}.bad.uso"] = write_tiling(
+                TileSet(k, frozenset(tile_of(v, bad[v], k) for v in range(1 << k)))
+            )
+            big.append((name, k))
+    text = texts["big8_0.uso"]
+    head, *lines = text.splitlines()
+    edits = {
+        "crlf": text.replace("\n", "\r\n"),
+        "tab": "".join(ln + "\t\n" for ln in [head, *lines]),
+        "dup": "\n".join([head, *lines[:-1], lines[0]]) + "\n",
+        "extra": text + lines[5] + "\n",
+        "digit4": text.replace("\n" + lines[7] + "\n", "\n4" + lines[7][1:] + "\n"),
+        "nofinal": text[:-1],
+        "blank": text + "\n\n",
+        "head08": text.replace("uso 8", "uso 08", 1),
+        "headsp": text.replace("uso 8", "uso  8", 1),
+    }
+    for edit, body in edits.items():
+        texts[f"big8_0.{edit}.uso"] = body
+    texts["flip.rule"] = write_rule(named_rule("flip"))
+    # two columns: digit m becomes m followed by 0, 2 or by 1, 3
+    pair = product_rule([canonical_tiles(1), TileSet.from_strings(["1", "3"])])
+    texts["pair.rule"] = write_rule(pair)
+    for name, k in big:
+        strings = read_tiling(texts[f"{name}.uso"]).strings()
+        labels = {s: 1 + rng.getrandbits(1) for s in strings}
+        texts[f"{name}.lab"] = write_labels(labels)
+        missing = dict(labels)
+        del missing[strings[rng.randrange(len(strings))]]
+        texts[f"{name}.miss.lab"] = write_labels(missing)
+        texts[f"{name}.range.lab"] = write_labels({**labels, strings[-1]: 3})
+        stray = next(w for w in ("0" * k, "1" * k, "3" * k) if w not in labels)
+        texts[f"{name}.extra.lab"] = write_labels({**labels, stray: 2})
+        texts[f"{name}.digit4.lab"] = write_labels({**labels, "4" * k: 1})
+        texts[f"{name}.long.lab"] = write_labels({**missing, "0" * (k + 1): 1})
+    for name, body in texts.items():
+        (root / name).write_text(body)
+
+    calls = [["validate", name] for name in small]
+    for name, k in big:
+        calls.append(["validate", f"{name}.uso"])
+        calls.append(["validate", f"{name}.bad.uso"])
+        calls.append(["convert", f"{name}.uso", "--to", "orientation"])
+        calls.append(["convert", f"{name}.o", "--to", "tiles"])
+        calls.append(["convert", f"{name}.bad.uso", "--to", "orientation"])
+        h = 1 + rng.randrange(k)
+        calls.append(["apply", f"{name}.uso", "--rule", "flip.rule", "--h", str(h)])
+        calls.append(["apply", f"{name}.uso", "--rule", "pair.rule", "--h", str(h)])
+        for lab in ("lab", "miss.lab", "range.lab", "extra.lab", "digit4.lab", "long.lab"):
+            calls.append(
+                ["apply", f"{name}.uso", "--rule", "pair.rule", "--labels", f"{name}.{lab}",
+                 "--h", str(1 + rng.randrange(k))]
+            )
+    for edit in edits:
+        calls.append(["validate", f"big8_0.{edit}.uso"])
+        calls.append(["convert", f"big8_0.{edit}.uso", "--to", "orientation"])
+    for seed in (1, 2, 3):
+        calls.append(["sample", "--k", "5", "--steps", "40", "--seed", str(seed)])
     return calls
 
 

@@ -9,6 +9,7 @@ from usokit import (
     Orientation,
     PartialTileSet,
     SimpleRule,
+    TileSet,
     as_generalized,
     bow,
     canonical_orientation,
@@ -26,6 +27,8 @@ from usokit import (
     write_rule,
     write_tiling,
 )
+from usokit import formats, tiling
+from usokit.formats import _BLANKS, _counted_body, _parse_tiles
 
 EX_RULE = SimpleRule(
     d=2,
@@ -328,7 +331,7 @@ def _lines(draw, lines):
 
 @st.composite
 def tiling_texts(draw):
-    k = draw(st.integers(0, 3))
+    k = draw(st.sampled_from([0, 1, 2, 3, 5, 6]))
     n = draw(st.sampled_from([1 << k, draw(st.integers(0, 9))]))
     words = [_word(draw, "0123", k) for _ in range(n)]
     return _lines(draw, [f"uso {_number(draw, k)}", *words])
@@ -399,3 +402,95 @@ def test_label_reader_fuzz_value_or_format_error(case):
     except FormatError:
         return
     assert read_labels(write_labels(labels), dim) == labels
+
+
+# the block reader against the line reader
+
+def _line_reader(text):
+    """Oracle: read_tiling's line route on its own, for every dimension."""
+    k, body = _counted_body(text, "uso", "tile")
+    return _parse_tiles([ln.strip(_BLANKS) for ln in body], k, "duplicate tiles")
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tiling_texts(), st.text(max_size=30)))
+def test_tiling_reader_fuzz_agrees_with_the_line_reader(text):
+    assert _outcome(read_tiling, text) == _outcome(_line_reader, text)
+
+
+def _single_edits(text: str, k: int) -> dict[str, str]:
+    """Named copies of a tiling text, each with one edit."""
+    n = 1 << k
+    head = len(f"uso {k}\n")
+    edits = {
+        "CRLF line ends": text.replace("\n", "\r\n"),
+        "no final newline": text[:-1],
+        "trailing blank lines": text + "\n\n",
+        "lines out of order": text[:head] + "".join(reversed(text[head:].splitlines(True))),
+        "header dimension one more": text.replace(f"uso {k}", f"uso {k + 1}", 1),
+        "header dimension one less": text.replace(f"uso {k}", f"uso {k - 1}", 1),
+    }
+    for form in ("uso 0{k}", "uso  {k}", "uso\t{k}", "uso {k} ", " uso {k}", "uso {k}\r"):
+        edits[f"header {form!r}"] = text.replace(f"uso {k}", form.format(k=k), 1)
+    for j in sorted({0, n // 2, n - 1}):
+        s = head + j * (k + 1)  # line j's first digit
+        e = s + k  # its newline
+        other = head + (j + 1) % n * (k + 1)
+        line = text[s:e + 1]
+        edits |= {
+            f"line {j}: digit 4": text[:s] + "4" + text[s + 1:],
+            f"line {j}: digit 4 last": text[:e - 1] + "4" + text[e:],
+            f"line {j}: fullwidth digit": text[:s] + "\uff11" + text[s + 1:],
+            f"line {j}: Arabic-Indic digit": text[:s] + "\u0662" + text[s + 1:],
+            f"line {j}: dropped newline": text[:e] + text[e + 1:],
+            f"line {j}: newline made a digit": text[:e] + "0" + text[e + 1:],
+            f"line {j}: newline made a tab": text[:e] + "\t" + text[e + 1:],
+            f"line {j}: doubled newline": text[:e] + "\n\n" + text[e + 1:],
+            f"line {j}: CRLF": text[:e] + "\r\n" + text[e + 1:],
+            f"line {j}: trailing tab": text[:e] + "\t\n" + text[e + 1:],
+            f"line {j}: leading space": text[:s] + " " + text[s:],
+            f"line {j}: repeated in place of the next": text[:other] + line + text[other + k + 1:],
+            f"line {j}: repeated": text[:s] + line + text[s:],
+            f"line {j}: one digit short": text[:e - 1] + text[e:],
+            f"line {j}: one digit long": text[:e] + "0" + text[e:],
+        }
+    return edits
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_tiling_reader_paths_agree_on_single_edits(k, sampled_tiling):
+    text = write_tiling(sampled_tiling(k))
+    assert read_tiling(text) == sampled_tiling(k)
+    for name, edited in _single_edits(text, k).items():
+        assert edited != text, name
+        assert _outcome(read_tiling, edited) == _outcome(_line_reader, edited), name
+
+
+def test_block_codec_is_chosen_by_dimension(monkeypatch, sampled_tiling):
+    used = []
+
+    def counting(fn):
+        def wrapper(*args):
+            used.append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    for module in (formats, tiling):
+        for name in ("_digit_block", "_pack_block"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for k in range(11):
+        ts = sampled_tiling(k)
+        assert read_tiling(write_tiling(ts)).strings() == ts.strings()
+    # write, read, strings twice: from the kernel's threshold on
+    assert used == [k for k in range(5, 11) for _ in range(4)]
+    used.clear()
+    wide = TileSet(33, {1, 2})
+    assert write_tiling(wide) == f"uso 33\n1{'0' * 32}\n2{'0' * 32}\n"
+    assert used == []

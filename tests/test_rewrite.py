@@ -1,3 +1,5 @@
+import math
+import random
 import re
 
 import pytest
@@ -31,6 +33,7 @@ from usokit import (
     validate_generalized,
     validate_simple,
 )
+from usokit import rewrite
 
 # the d=2 rule whose application is the worked rewrite fixture
 EX_RULE = SimpleRule(
@@ -282,6 +285,63 @@ def test_apply_generalized_rejects_label_keys_that_are_not_tiles(key):
     message = f"^label key {re.escape(repr(key))} is not a tile of dimension 2$"
     with pytest.raises(LabellingError, match=message):
         apply_generalized(rule, frame_tiles(), labels, 1)
+
+
+# two columns: digit m becomes m followed by 0, 2 or by 1, 3; sound under
+# any labelling
+PAIR_RULE = product_rule([canonical_tiles(1), TileSet.from_strings(["1", "3"])])
+
+
+def _apply_outcome(labelling, ts):
+    try:
+        return apply_generalized(PAIR_RULE, ts, labelling, 2)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch):
+    ts = sampled_tiling(k)
+    words = ts.strings()
+    rnd = random.Random(k)
+    labels = {w: 1 + rnd.getrandbits(1) for w in words}
+    strays = {}
+    while len(strays) < 2:
+        w = "".join(rnd.choice("0123") for _ in range(k))
+        if w not in labels:
+            strays[w] = len(strays) + 1
+    bad_key = "4" * k
+    missing = dict(labels)
+    del missing[words[3]]
+    rest = dict(labels)
+    del rest[words[1]]
+    cases = {
+        "good": labels,
+        "extra keys": {**labels, **strays},
+        "bool label": {**labels, words[0]: True},
+        "missing tile": missing,
+        "bad key": {**labels, bad_key: 1},
+        "short key": {**labels, "0" * (k - 1): 1},
+        "label out of range": {**labels, words[1]: 3},
+        "label 0": {**labels, words[1]: 0},
+        "bad key before a bad label": {bad_key: 1, **rest, words[1]: 3},
+        "bad label before a bad key": {words[1]: 3, **rest, bad_key: 1},
+        "non-string key": {**labels, 5: 1},
+        "float label": {**labels, words[2]: 1.5},
+        "NaN label": {**labels, words[2]: math.nan},
+    }
+    got = {name: _apply_outcome(lab, ts) for name, lab in cases.items()}
+    monkeypatch.setattr(rewrite, "_block_columns", lambda *args: None)
+    for name, lab in cases.items():
+        assert got[name] == _apply_outcome(lab, ts), name
+    key_error = f"label key {bad_key!r} is not a tile of dimension {k}"
+    range_error = f"label 3 for tile {words[1]} out of range 1..2"
+    assert isinstance(got["good"], TileSet) and got["extra keys"] == got["good"]
+    assert got["missing tile"] == ("LabellingError", f"missing label for tile {words[3]}")
+    assert got["bad key"] == got["bad key before a bad label"] == ("LabellingError", key_error)
+    assert got["label out of range"] == got["bad label before a bad key"] == (
+        "LabellingError", range_error)
+    assert got["label 0"] == ("LabellingError", f"label 0 for tile {words[1]} out of range 1..2")
 
 
 def test_inherit_rule_matches_inherited(catalogue2):

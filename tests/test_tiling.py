@@ -28,6 +28,7 @@ from usokit import (
     tiling_defect,
     twins,
     uso_from_tiles,
+    write_tiling,
 )
 from usokit.cube import _pairwise_ok
 from usokit.pairwise import KERNEL_MIN_DIM
@@ -358,6 +359,38 @@ def test_tiling_defect_names_the_first_defect():
     # the library message of uso_from_tiles stays its own
     with pytest.raises(NotATilingError, match="2 tiles, dimension 1: not a complete"):
         uso_from_tiles(bad)
+
+
+def _per_tile_words(ts):
+    """Oracle: each tile through tile_unpack on its own, then sorted."""
+    return sorted(tile_unpack(t, ts.dim) for t in ts.tiles)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_strings_and_text_match_the_per_tile_codec(k, sampled_tiling):
+    rnd = random.Random(k)
+    full = sampled_tiling(k)
+    sets = [
+        full,
+        TileSet(k, rnd.sample(sorted(full.tiles), len(full) // 3)),
+        TileSet(k, {rnd.getrandbits(2 * k) for _ in range(40)}),
+        TileSet(k, ()),
+    ]
+    for ts in sets:
+        words = _per_tile_words(ts)
+        assert ts.strings() == words
+        assert write_tiling(ts) == f"uso {k}\n" + "".join(f"{w or '-'}\n" for w in words)
+
+
+@pytest.mark.parametrize("k", [31, 32, 33])
+def test_strings_of_the_widest_tiles(k):
+    # 32 digits fill a uint64, the block form's widest word; 33 take the
+    # per-tile route
+    rnd = random.Random(k)
+    tiles = {0, (1 << 2 * k) - 1, 3 << 2 * (k - 1), 3} | {rnd.getrandbits(2 * k) for _ in range(50)}
+    ts = TileSet(k, tiles)
+    assert ts.strings() == _per_tile_words(ts)
+    assert write_tiling(ts).split("\n")[1:-1] == _per_tile_words(ts)
 
 
 def test_k0_tile_set():

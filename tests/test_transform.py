@@ -214,6 +214,31 @@ def test_phase_flip_rejects_partial_class():
         phase_flip(BOW, 1, [frozenset({Edge(0, 1)})])
 
 
+def _error(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value).__name__, str(info.value)
+
+
+def test_phase_flip_rejections_keep_their_messages():
+    canon = canonical_orientation(2)  # 1-classes {00} and {10}
+    for bad, shown in (
+        ({Edge(0, 2)}, "[Edge(vertex=0, dim=2)]"),  # not an i-edge
+        ({Edge(2, 1), (0, 2)}, "[(0, 2), Edge(vertex=2, dim=1)]"),  # a class and a stray
+        ({(1, 1)}, "[(1, 1)]"),  # upper endpoint
+        ({Edge(8, 1)}, "[Edge(vertex=8, dim=1)]"),  # no vertex of the cube
+        (set(), "[]"),
+        ({Edge(0, 1), Edge(2, 1)}, "[Edge(vertex=0, dim=1), Edge(vertex=2, dim=1)]"),
+    ):
+        message = f"not a phase class of dimension 1: {shown}"
+        assert _error(phase_flip, canon, 1, [{Edge(0, 1)}, bad]) == ("PhaseSelectionError", message)
+    # phases() decides the preconditions, in its order
+    not_uso = Orientation(2, (0, 2, 1, 3))  # a cycle
+    wide = canonical_orientation(PHASE_DIM_CAP + 1)
+    for o, i in ((not_uso, 1), (not_uso, 3), (canon, 0), (canon, 3), (wide, 1), (wide, 0)):
+        assert _error(phase_flip, o, i, []) == _error(phases, o, i)
+
+
 def test_phase_swap_matches_partial_swap(catalogue2):
     for ts in catalogue2:
         o = uso_from_tiles(ts)
