@@ -189,7 +189,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     text = _read(args.file)
-    first = text.split(None, 1)[0] if text.split() else ""
+    words = text.split(None, 1)
+    first = words[0] if words else ""
     if first == "uso":
         o = uso_from_tiles(_tiling(text))
     elif first == "o":

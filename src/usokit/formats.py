@@ -25,14 +25,16 @@ above MAX_FORMAT_DIM is rejected by comparison alone, before anything of
 size 2^k is computed: a packed tile of that dimension fills the pairwise
 kernel's widest (64-bit) word.
 
-Tiling text of a block dimension (tiling.BLOCK_DIMS, k = 5..32) goes
-through the tiling module's block codec: write_tiling writes the header
-and one block of sorted lines, and read_tiling first tries the text as
-exactly that form, a "uso <k>" header and 2^k lines of k digits 0-3,
-each ending in a newline.  Any other text, CRLF, blanks, blank lines,
-"uso 05" or a defect of any kind, goes unchanged to the line reader,
-which accepts or rejects it with the messages above; only a repeated
-tile is reported by the block path itself, as the same "duplicate tiles".
+Tiling text goes through the tiling module's two set functions, which
+alone choose between numpy blocks and single words by dimension:
+write_tiling writes the header and tiling.tile_lines, and read_tiling
+first hands the body of a "uso <k>" header (k = 0..32, exactly as written)
+to tiling.pack_lines, which packs exactly 2^k lines of k digits 0-3, each
+ending in a newline, where k is a block dimension.  Any other text, CRLF,
+blanks, blank lines, "uso 05", a text of a dimension read word by word or
+a defect of any kind, goes unchanged to the line reader, which accepts or
+rejects it with the messages above; only a repeated tile is reported by
+the block path itself, as the same "duplicate tiles".
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .cube import Face, Orientation, vertex_bits, vertex_from_bits
 from .errors import FormatError
 from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule
-from .tiling import BLOCK_DIMS, TileSet, _digit_block, _pack_block, tile_pack, tile_unpack
+from .tiling import TileSet, pack_lines, tile_lines, tile_pack
 
 EMPTY_WORD = "-"
 
@@ -157,44 +159,27 @@ def _word(s: str) -> str:
 # tilings
 
 
-# The exact headers write_tiling gives the block dimensions.
-_BLOCK_HEADS = {f"uso {k}": k for k in BLOCK_DIMS}
+# The exact headers write_tiling gives.
+_TILING_HEADS = {f"uso {k}": k for k in range(MAX_FORMAT_DIM + 1)}
 
 
 def write_tiling(ts: TileSet) -> str:
-    if ts.dim in BLOCK_DIMS:
-        return f"uso {ts.dim}\n" + _digit_block(ts.tiles, ts.dim).decode("ascii")
-    lines = [f"uso {ts.dim}"]
-    lines += [_word(s) for s in ts.strings()]
-    return "\n".join(lines) + "\n"
+    k = ts.dim
+    lines = tile_lines(ts.tiles, k) if k else f"{EMPTY_WORD}\n" * len(ts.tiles)
+    return f"uso {k}\n" + lines
 
 
 def read_tiling(text: str) -> TileSet:
-    ts = _read_tiling_block(text)
-    if ts is not None:
-        return ts
+    head, _, body = text.partition("\n")
+    k = _TILING_HEADS.get(head)
+    packed = None if k is None else pack_lines(body, 1 << k, k)
+    if packed is not None:
+        tiles = frozenset(packed)
+        if len(tiles) != 1 << k:
+            raise FormatError("duplicate tiles")
+        return TileSet(k, tiles)
     k, body = _counted_body(text, "uso", "tile")
     return _parse_tiles([ln.strip(_BLANKS) for ln in body], k, "duplicate tiles")
-
-
-def _read_tiling_block(text: str) -> TileSet | None:
-    """The tiles of text in write_tiling's own form, as one numpy block.
-
-    None unless the header is exactly "uso <k>" for a block dimension k and
-    the body exactly 2^k lines of k digits 0-3, each ending in "\\n"; the
-    line reader then reads the text and raises its own errors.
-    """
-    head, _, body = text.partition("\n")
-    k = _BLOCK_HEADS.get(head)
-    if k is None or not body.isascii():
-        return None
-    packed = _pack_block(body.encode("ascii"), 1 << k, k)
-    if packed is None:
-        return None
-    tiles = frozenset(packed.tolist())
-    if len(tiles) != 1 << k:
-        raise FormatError("duplicate tiles")
-    return TileSet(k, tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +270,8 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
         parts = _fields(ln, 2)
         if parts is None:
             raise FormatError(f"expected '<tile> <label>', got {ln!r}")
-        tile = tile_unpack(_parse_tile(parts[0], dim), dim)
+        _parse_tile(parts[0], dim)
+        tile = parts[0] if dim else ""
         label = _number(parts[1], f"bad label {parts[1]!r}")
         if label < 1:
             raise FormatError(f"bad label {label}")

@@ -31,12 +31,11 @@ from .errors import (
     LabellingError,
 )
 from .tiling import (
-    BLOCK_DIMS,
     TileSet,
-    _pack_block,
     _require_tiling,
     canonical_tiles,
     incompatible_tiles,
+    pack_lines,
     tile_pack,
     tile_unpack,
     tile_vertex,
@@ -234,10 +233,24 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
 
 
 def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
-    """The column of each packed key; LabellingError on the first bad item."""
-    columns = _block_columns(labelling, k, i)
-    if columns is not None:
-        return columns
+    """The column of each packed key; LabellingError on the first bad item.
+
+    The keys go to tiling.pack_lines as one text, and its tiles are taken
+    when every label is an int in 1..i; otherwise the per-key loop raises
+    the first defect in the labelling's order.
+    """
+    labels = list(labelling.values())
+    try:
+        text = "\n".join(labelling) + "\n"
+    except TypeError:  # a key that is not a str
+        text = ""
+    packed = pack_lines(text, len(labels), k)
+    if (
+        packed is not None
+        and set(map(type, labels)) == {int}
+        and 1 <= min(labels) <= max(labels) <= i
+    ):
+        return dict(zip(packed, labels))
     columns = {}
     for s, j in labelling.items():
         if not 1 <= j <= i:
@@ -249,27 +262,6 @@ def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
         except ValueError:
             raise LabellingError(f"label key {s!r} is not a tile of dimension {k}") from None
     return columns
-
-
-def _block_columns(labelling, k: int, i: int) -> dict[int, int] | None:
-    """The column of each packed key, with the keys packed in one block.
-
-    None unless k is a block dimension, every label an int in 1..i and
-    every key a k-digit word; _label_columns' per-key loop then raises
-    the first defect in the labelling's order.
-    """
-    if k not in BLOCK_DIMS or not labelling:
-        return None
-    labels = list(labelling.values())
-    if set(map(type, labels)) != {int} or set(map(type, labelling)) != {str}:
-        return None
-    if not 1 <= min(labels) <= max(labels) <= i:
-        return None
-    body = "\n".join(labelling) + "\n"
-    if not body.isascii():
-        return None
-    packed = _pack_block(body.encode("ascii"), len(labels), k)
-    return None if packed is None else dict(zip(packed.tolist(), labels))
 
 
 # ---------------------------------------------------------------------------

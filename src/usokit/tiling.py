@@ -31,15 +31,17 @@ Python int or a numpy uint64 array.  Whole tables go through it at once:
 _tiles_of in one comprehension over the spread table, vertex_outmaps
 through numpy from 2^KERNEL_MIN_DIM tiles, the kernel's threshold.
 
-Digit text has a block form as well, for the dimensions in BLOCK_DIMS
-(from KERNEL_MIN_DIM up to the 32 digits of a uint64): _digit_block
-turns a whole tile set into its sorted "\n"-ended lines with one digit
-matrix, one np.lexsort and one tobytes(), and _pack_block packs such a
-body back, or returns None for any other body so that the caller can take
-the per-tile route with its own messages.  TileSet.strings(),
-formats.write_tiling and formats.read_tiling use it, and so do the label
-keys of rewrite._rewrite; below KERNEL_MIN_DIM numpy's fixed cost per call
-loses to tile_pack and tile_unpack, which stay the per-word codec.
+A whole set of words has two functions, and the route choice lives only
+in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
+pack_lines packs exactly n such lines back, or returns None.  From
+KERNEL_MIN_DIM up to the 32 digits of a uint64 (_BLOCK_DIMS) both work in
+one numpy block: one digit matrix, one np.lexsort and one tobytes() out,
+one frombuffer and one digit bound in.  Below, numpy's fixed cost per call
+loses to tile_pack and tile_unpack: tile_lines sorts the per-word codec's
+words, and pack_lines returns None, as it does for any text not in that
+exact form, so that the caller reads word by word with its own messages.
+TileSet.strings(), formats.write_tiling and formats.read_tiling use them,
+and so do the label keys of rewrite._rewrite.
 
 A tiling is verified once.  Operations that need a complete tiling go
 through ``_require_tiling``, which runs ``tiling_defect`` on first use
@@ -117,41 +119,45 @@ def _spread(x: int) -> int:
 # Dimensions whose digit text goes through numpy in whole blocks: from the
 # kernel's threshold, below which numpy's fixed cost per call loses, up to
 # tiles that fit one uint64.
-BLOCK_DIMS = range(KERNEL_MIN_DIM, MAX_WORD_BITS // 2 + 1)
+_BLOCK_DIMS = range(KERNEL_MIN_DIM, MAX_WORD_BITS // 2 + 1)
 
 _DIGIT_SHIFTS = np.arange(0, MAX_WORD_BITS, 2, dtype=np.uint64)
 _DIGIT_SHIFTS.flags.writeable = False
 
 
-def _digit_block(tiles, k: int) -> bytes:
+def tile_lines(tiles, k: int) -> str:
     """The k-digit words of packed tiles, sorted, one "\\n"-ended line each.
 
-    Digit column j holds coordinate j + 1.  np.lexsort takes its primary
-    key last, so the columns go in reversed: coordinate 1 first is string
-    order.
+    In a block, digit column j holds coordinate j + 1.  np.lexsort takes
+    its primary key last, so the columns go in reversed: coordinate 1
+    first is string order.
     """
+    if k not in _BLOCK_DIMS:
+        return "".join(sorted(tile_unpack(t, k) + "\n" for t in tiles))
     packed = np.fromiter(tiles, np.uint64, len(tiles))
     digits = (packed[:, None] >> _DIGIT_SHIFTS[:k] & 3).astype(np.uint8)
     block = np.empty((len(packed), k + 1), np.uint8)
     block[:, :k] = digits[np.lexsort(digits.T[::-1])] + 48
     block[:, k] = 10
-    return block.tobytes()
+    return block.tobytes().decode("ascii")
 
 
-def _pack_block(body: bytes, n: int, k: int):
+def pack_lines(text: str, n: int, k: int) -> list[int] | None:
     """The packed tiles of n lines of k digits 0-3, each ending in "\\n".
 
-    A uint64 array in line order, or None for any other body.
+    A list in line order, or None for any other text, and for every text
+    of a dimension that the caller reads word by word.
     """
-    if len(body) != n * (k + 1):
+    if k not in _BLOCK_DIMS or len(text) != n * (k + 1) or not text.isascii():
         return None
-    rows = np.frombuffer(body, np.uint8).reshape(n, k + 1)
+    rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(n, k + 1)
     if (rows[:, k] != 10).any():
         return None
     digits = rows[:, :k] - 48  # wraps below "0", so one bound checks both ends
     if (digits > 3).any():
         return None
-    return (digits.astype(np.uint64) << _DIGIT_SHIFTS[:k]).sum(axis=1, dtype=np.uint64)
+    packed = (digits.astype(np.uint64) << _DIGIT_SHIFTS[:k]).sum(axis=1, dtype=np.uint64)
+    return packed.tolist()
 
 
 def _compact(x):
@@ -266,9 +272,7 @@ class TileSet:
         return cls(*_pack_strings(strings, dim))
 
     def strings(self) -> list[str]:
-        if self.dim in BLOCK_DIMS:
-            return _digit_block(self.tiles, self.dim).decode("ascii").split()
-        return sorted(tile_unpack(t, self.dim) for t in self.tiles)
+        return tile_lines(self.tiles, self.dim).splitlines()
 
     def is_pairwise_adjacent(self) -> bool:
         return next(incompatible_tiles(sorted(self.tiles), self.dim), None) is None

@@ -315,7 +315,7 @@ MUTANTS = [
     (
         "block reader without its duplicate check",
         "formats.py",
-        '    if len(tiles) != 1 << k:\n        raise FormatError("duplicate tiles")\n',
+        '        if len(tiles) != 1 << k:\n            raise FormatError("duplicate tiles")\n',
         "",
         [EDITS],
     ),
@@ -329,7 +329,16 @@ MUTANTS = [
     (
         "block label keys without the label-range test",
         "rewrite.py",
-        "    if not 1 <= min(labels) <= max(labels) <= i:\n        return None\n",
+        "        and 1 <= min(labels) <= max(labels) <= i\n",
+        "",
+        [LABELS],
+    ),
+    (
+        # a non-ASCII key then raises UnicodeEncodeError, not the loop's
+        # LabellingError
+        "block codec without its ASCII test",
+        "tiling.py",
+        " or not text.isascii()",
         "",
         [LABELS],
     ),

@@ -11,9 +11,14 @@ products it also covers ``validate``, ``convert`` (both directions) and
 ``sample --k 5``.  Edited copies of a k = 8 tiling hold the text forms
 the reader must keep: CRLF and tab-padded lines, a repeated line, a
 digit 4, a missing final newline and the headers ``uso 08`` and
-``uso  8``.  (A split or stray
-swap cannot be asked for on the command line, since ``--classes`` picks
-whole classes; ``tests/test_transform.py`` covers both.)
+``uso  8``.  A third slice runs ``rule-make`` for every kind,
+``uni-rule`` with and without ``--labels-out`` (its label file then
+rewrites the frame back into the target through ``apply``), and
+``product`` on good parts and on every rejected ``--part``: no ``=``,
+bits of the wrong length or character, a repeated or missing vertex,
+parts of unequal dimension, a missing or non-tiling part.  (A split or
+stray swap cannot be asked for on the command line, since ``--classes``
+picks whole classes; ``tests/test_transform.py`` covers both.)
 
 Every invocation runs in-process through ``run()``, in a directory that
 holds the corpus files, and the digest of its exit code, stdout and
@@ -40,11 +45,13 @@ import tempfile
 from pathlib import Path
 
 from usokit import (
+    NAMED_RULE_KINDS,
     Orientation,
     TileSet,
     canonical_orientation,
     canonical_tiles,
     enumerate_brute,
+    frame_tiles,
     named_rule,
     phases,
     product,
@@ -53,6 +60,7 @@ from usokit import (
     sample_markov,
     tile_of,
     tiles_from_uso,
+    universality_rule,
     uso_from_tiles,
     write_labels,
     write_orientation,
@@ -137,6 +145,7 @@ def build_corpus(root: Path) -> list[list[str]]:
     calls.append(["convert", "broken.uso", "--to", "orientation"])
     calls.append(["hyper-replace", "broken.uso", "--face", "**", "--with", "w2_0.uso"])
     calls += _big_corpus(root, files)
+    calls += _rule_corpus(root, files)
     return calls
 
 
@@ -230,6 +239,52 @@ def _big_corpus(root: Path, small: dict) -> list[list[str]]:
         calls.append(["convert", f"big8_0.{edit}.uso", "--to", "orientation"])
     for seed in (1, 2, 3):
         calls.append(["sample", "--k", "5", "--steps", "40", "--seed", str(seed)])
+    return calls
+
+
+def _rule_corpus(root: Path, small: dict) -> list[list[str]]:
+    """Calls of rule-make, uni-rule and product on the small inputs."""
+    rng = random.Random(19)
+    calls = [["rule-make", "--kind", kind] for kind in NAMED_RULE_KINDS]
+    (root / "frame.uso").write_text(write_tiling(frame_tiles()))
+    targets = ["w0_0.uso", "w1_0.uso", "w2_1.uso", "w5_0.uso", "big6.uso", *small]
+    for name in targets:
+        calls.append(["uni-rule", name])
+        calls.append(["uni-rule", name, "--labels-out", f"{name}.lab"])
+        ts = read_tiling((root / name).read_text())
+        if ts.dim:  # the frame labels and this rule give the target back
+            (root / f"{name}.rule").write_text(write_rule(universality_rule(ts)[0]))
+            calls.append(["apply", "frame.uso", "--rule", f"{name}.rule",
+                          "--labels", f"{name}.lab", "--h", "1"])
+    for name in ("broken.uso", "missing.uso"):
+        calls.append(["uni-rule", name, "--labels-out", f"{name}.lab"])
+    calls.append(["uni-rule", "w2_0.uso", "--labels-out", "nodir/w2_0.lab"])
+
+    def parts(frame_dim: int, d: int) -> list[str]:
+        out = []
+        for v in range(1 << frame_dim):
+            bits = "".join(str(v >> c & 1) for c in range(frame_dim))
+            out += ["--part", f"{bits}=w{d}_{rng.randrange(2)}.uso"]
+        return out
+
+    for frame, frame_dim in (("w0_0.uso", 0), ("w1_1.uso", 1), ("w2_0.uso", 2), ("w3_1.uso", 3)):
+        for d in range(5 - frame_dim):
+            calls.append(["product", frame, *parts(frame_dim, d)])
+    good = parts(2, 1)
+    calls += [
+        ["product", "w2_0.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "11w1_0.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "11="],
+        ["product", "w2_0.uso", *good[:-2], "--part", "110=w1_0.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "1=w1_0.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "1x=w1_0.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "00=w1_0.uso"],
+        ["product", "w2_0.uso", *good[:-2]],
+        ["product", "w2_0.uso", *good[:-2], "--part", "11=w2_0.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "11=missing.uso"],
+        ["product", "w2_0.uso", *good[:-2], "--part", "11=broken.uso"],
+        ["product", "broken.uso", *good],
+    ]
     return calls
 
 

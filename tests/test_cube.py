@@ -25,7 +25,7 @@ from usokit import (
     vertex_bits,
     vertex_from_bits,
 )
-from usokit.cube import _check_edges, drop_bit, insert_bit
+from usokit.cube import _check_edges, check_edge, drop_bit, insert_bit
 
 
 def bits(s):
@@ -57,6 +57,14 @@ def test_neighbor_rejects_bad_dimension():
         neighbor(0, 0, 2)
     with pytest.raises(DimensionError):
         neighbor(0, 3, 2)
+
+
+@pytest.mark.parametrize("v", [4, -1])
+def test_vertices_out_of_range_are_rejected(v):
+    with pytest.raises(DimensionError, match=f"^vertex {v} out of range for dimension 2$"):
+        neighbor(v, 1, 2)
+    with pytest.raises(DimensionError, match=f"^edge vertex {v} out of range$"):
+        check_edge(Edge(v, 1), 2)
 
 
 def test_vertex_bits_round_trip():
@@ -263,6 +271,39 @@ def test_partial_orientation_restrict_and_combine():
     a = PartialOrientation.restrict(o, support)
     b = PartialOrientation.restrict(o, frozenset({2, 3}))
     assert combine(a, b) == o
+
+
+@pytest.mark.parametrize(
+    "support, out, message",
+    [
+        ({0, 1}, {0: 0}, "direction words must cover exactly the support"),
+        ({0}, {0: 0, 1: 0}, "direction words must cover exactly the support"),
+        ({4}, {4: 0}, "vertex 4 out of range"),
+        ({-1}, {-1: 0}, "vertex -1 out of range"),
+        ({0}, {0: 4}, "direction word at vertex 0 out of range"),
+        ({0}, {0: -1}, "direction word at vertex 0 out of range"),
+    ],
+)
+def test_partial_orientation_rejects_bad_input(support, out, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PartialOrientation(2, frozenset(support), out)
+
+
+def test_partial_orientation_equality():
+    o = uso_from_tiles(bow())
+    a = PartialOrientation.restrict(o, {0, 1})
+    assert a == PartialOrientation(2, frozenset({0, 1}), {0: o.out[0], 1: o.out[1]})
+    assert a != PartialOrientation.restrict(o, {0, 2})
+    assert a != PartialOrientation.restrict(canonical_orientation(2), {0, 1})
+    assert a != PartialOrientation.restrict(uso_from_tiles(bow()), {0})
+    assert a != o and a != {0: o.out[0], 1: o.out[1]}
+
+
+def test_combine_rejects_a_dimension_mismatch():
+    a = PartialOrientation.restrict(canonical_orientation(1), {0})
+    b = PartialOrientation.restrict(canonical_orientation(2), {1, 2, 3})
+    with pytest.raises(DimensionError, match="^dimension mismatch$"):
+        combine(a, b)
 
 
 def test_combine_rejects_cut_disagreement():

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from usokit import (
     write_rule,
     write_tiling,
 )
-from usokit import formats, tiling
+from usokit import tiling
 from usokit.formats import _BLANKS, _counted_body, _parse_tiles
 
 EX_RULE = SimpleRule(
@@ -474,23 +475,31 @@ def test_tiling_reader_paths_agree_on_single_edits(k, sampled_tiling):
 
 
 def test_block_codec_is_chosen_by_dimension(monkeypatch, sampled_tiling):
+    # np.lexsort runs only in tile_lines' block route, np.frombuffer only
+    # in pack_lines'
     used = []
 
-    def counting(fn):
-        def wrapper(*args):
-            used.append(args[-1])
-            return fn(*args)
-        return wrapper
+    class CountingNumpy:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("lexsort", "frombuffer"):
+                return fn
 
-    for module in (formats, tiling):
-        for name in ("_digit_block", "_pack_block"):
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+            def wrapper(*args, **kwargs):
+                used.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+    monkeypatch.setattr(tiling, "np", CountingNumpy())
     for k in range(11):
         ts = sampled_tiling(k)
+        used.clear()
         assert read_tiling(write_tiling(ts)).strings() == ts.strings()
-    # write, read, strings twice: from the kernel's threshold on
-    assert used == [k for k in range(5, 11) for _ in range(4)]
+        # write, read, strings twice: from the kernel's threshold on
+        block = ["lexsort", "frombuffer", "lexsort", "lexsort"]
+        assert used == (block if k >= 5 else []), k
     used.clear()
     wide = TileSet(33, {1, 2})
     assert write_tiling(wide) == f"uso 33\n1{'0' * 32}\n2{'0' * 32}\n"
+    assert wide.strings() == [f"1{'0' * 32}", f"2{'0' * 32}"]
     assert used == []

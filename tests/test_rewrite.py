@@ -34,6 +34,7 @@ from usokit import (
     validate_simple,
 )
 from usokit import rewrite
+from usokit.tiling import pack_lines
 
 # the d=2 rule whose application is the worked rewrite fixture
 EX_RULE = SimpleRule(
@@ -311,6 +312,7 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
         if w not in labels:
             strays[w] = len(strays) + 1
     bad_key = "4" * k
+    fullwidth_key = "\uff11" * k  # len() k, but no ASCII digit
     missing = dict(labels)
     del missing[words[3]]
     rest = dict(labels)
@@ -329,9 +331,19 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
         "non-string key": {**labels, 5: 1},
         "float label": {**labels, words[2]: 1.5},
         "NaN label": {**labels, words[2]: math.nan},
+        "non-ASCII key": {**labels, fullwidth_key: 1},
     }
+    packed = []
+
+    def recording(*args):
+        packed.append(pack_lines(*args))
+        return packed[-1]
+
+    monkeypatch.setattr(rewrite, "pack_lines", recording)
     got = {name: _apply_outcome(lab, ts) for name, lab in cases.items()}
-    monkeypatch.setattr(rewrite, "_block_columns", lambda *args: None)
+    # the block route packs the good labellings from the kernel's threshold on
+    assert any(p is not None for p in packed) == (k >= 5)
+    monkeypatch.setattr(rewrite, "pack_lines", lambda *args: None)
     for name, lab in cases.items():
         assert got[name] == _apply_outcome(lab, ts), name
     key_error = f"label key {bad_key!r} is not a tile of dimension {k}"
@@ -342,6 +354,8 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
     assert got["label out of range"] == got["bad label before a bad key"] == (
         "LabellingError", range_error)
     assert got["label 0"] == ("LabellingError", f"label 0 for tile {words[1]} out of range 1..2")
+    assert got["non-ASCII key"] == (
+        "LabellingError", f"label key {fullwidth_key!r} is not a tile of dimension {k}")
 
 
 def test_inherit_rule_matches_inherited(catalogue2):
@@ -423,3 +437,28 @@ def test_product_rule_emulates_product(catalogue1, catalogue2):
         labels = product_labelling(frame_ts)
         direct = product(frame, dict(enumerate(parts)))
         assert apply_generalized(rule, frame_ts, labels, 2) == tiles_from_uso(direct)
+
+
+ONE = canonical_tiles(1)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: GeneralizedRule(1, 0, ()), DimensionError, "a rule needs at least one column"),
+        (lambda: GeneralizedRule(1, 1, ((ONE,),) * 3), ValueError,
+         "expected four rows of replacement sets"),
+        (lambda: GeneralizedRule(1, 2, ((ONE,),) * 4), ValueError, "expected 2 columns per row"),
+        (lambda: GeneralizedRule(2, 1, ((ONE,),) * 4), DimensionError,
+         "replacement set of width 1 in a rule of width 2"),
+        (lambda: universality_rule(canonical_tiles(0)), DimensionError,
+         "the rewrite target needs dimension at least 1"),
+        (lambda: product_rule([]), DimensionError, "need at least one part"),
+        (lambda: product_rule([ONE, canonical_tiles(2)]), DimensionError,
+         "parts of unequal dimensions"),
+    ],
+)
+def test_rule_shape_rejections(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert type(info.value) is error

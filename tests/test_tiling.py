@@ -335,6 +335,12 @@ def test_tileset_construction_rejects_bad_input():
         TileSet.from_strings([])  # dimension unknowable
 
 
+@pytest.mark.parametrize("tile", [16, -1])
+def test_tileset_rejects_packed_tiles_out_of_range(tile):
+    with pytest.raises(ValueError, match=f"^packed tile {tile} out of range for dimension 2$"):
+        TileSet(2, {tile})
+
+
 def test_tileset_equality_is_set_equality():
     a = TileSet.from_strings(["01", "20", "03", "22"])
     assert a == bow()
