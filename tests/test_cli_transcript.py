@@ -16,7 +16,11 @@ digit 4, a missing final newline and the headers ``uso 08`` and
 rewrites the frame back into the target through ``apply``), and
 ``product`` on good parts and on every rejected ``--part``: no ``=``,
 bits of the wrong length or character, a repeated or missing vertex,
-parts of unequal dimension, a missing or non-tiling part.  (A split or
+parts of unequal dimension, a missing or non-tiling part.  A fourth
+runs ``flip``, ``mirror``, ``partial-swap``, ``facet`` and ``inherit`` at
+every coordinate, facet side and ``--kprime`` of the small inputs and the
+k = 8 and 10 products, and rejects a coordinate out of range, a missing
+file and non-tilings of dimension 2 to 10.  (A split or
 stray swap cannot be asked for on the command line, since ``--classes``
 picks whole classes; ``tests/test_transform.py`` covers both.)
 
@@ -146,6 +150,7 @@ def build_corpus(root: Path) -> list[list[str]]:
     calls.append(["hyper-replace", "broken.uso", "--face", "**", "--with", "w2_0.uso"])
     calls += _big_corpus(root, files)
     calls += _rule_corpus(root, files)
+    calls += _transform_corpus(root, files)
     return calls
 
 
@@ -285,6 +290,51 @@ def _rule_corpus(root: Path, small: dict) -> list[list[str]]:
         ["product", "w2_0.uso", *good[:-2], "--part", "11=broken.uso"],
         ["product", "broken.uso", *good],
     ]
+    return calls
+
+
+def _transform_corpus(root: Path, small: dict) -> list[list[str]]:
+    """Calls of flip, mirror, partial-swap, facet and inherit.
+
+    Every coordinate, both facet sides and every --kprime on the small
+    inputs and the k = 8 and 10 products, then the rejections: a
+    coordinate or --kprime out of range, a missing file, and non-tilings
+    of dimension 2, 5, 8 and 10, whose messages name an incompatible pair.
+    One k = 5 copy has an unflippable edge reversed, another a tile moved
+    onto a vertex that another tile holds.
+    """
+    rng = random.Random(23)
+    o = uso_from_tiles(small["s5_0.uso"])
+    bad = _unflippable(o, rng).out
+    (root / "s5_0.bad.uso").write_text(
+        write_tiling(TileSet(5, frozenset(tile_of(v, bad[v], 5) for v in range(32))))
+    )
+    tiles = {v: tile_of(v, o.out[v], 5) for v in range(32)}
+    tiles[9] = tile_of(22, o.out[22] ^ 1, 5)
+    (root / "s5_0.twice.uso").write_text(write_tiling(TileSet(5, frozenset(tiles.values()))))
+
+    inputs = [(name, ts.dim) for name, ts in small.items()]
+    inputs += [(f"big{k}_{s}.uso", k) for k, n in BIG.items() for s in range(n)]
+    calls = []
+    for name, k in inputs:
+        for h in map(str, range(1, k + 1)):
+            for verb in ("flip", "mirror", "partial-swap"):
+                calls.append([verb, name, "--h", h])
+            for side in ("lower", "upper"):
+                calls.append(["facet", name, "--h", h, "--side", side])
+        for kprime in range(k):
+            calls.append(["inherit", name, "--kprime", str(kprime)])
+
+    name, k = inputs[0]
+    rejected = [(name, "0"), (name, str(k + 1))]
+    for file in ("broken.uso", "s5_0.bad.uso", "s5_0.twice.uso", "big8_0.bad.uso",
+                 "big10_0.bad.uso", "missing.uso"):
+        rejected.append((file, "1"))
+    for file, h in rejected:
+        for verb in ("flip", "mirror", "partial-swap"):
+            calls.append([verb, file, "--h", h])
+        calls.append(["facet", file, "--h", h, "--side", "upper"])
+        calls.append(["inherit", file, "--kprime", str(k) if file == name else "0"])
     return calls
 
 
