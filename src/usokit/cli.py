@@ -226,9 +226,10 @@ def _cmd_rule_make(args) -> int:
 def _cmd_uni_rule(args) -> int:
     ts = _read_tiling(args.file)
     rule, labels = universality_rule(ts)
-    sys.stdout.write(write_rule(rule))
+    # the label file first: a failed write leaves no rule on stdout
     if args.labels_out:
         _write_out(args.labels_out, [write_labels(labels)])
+    sys.stdout.write(write_rule(rule))
     return 0
 
 

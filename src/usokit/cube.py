@@ -24,7 +24,10 @@ An orientation is verified once.  Operations that need unique sinks go
 through ``_require_uso``, which runs the pairwise test on first use and
 keeps the verdict on the immutable value; results that are unique sink
 orientations by construction carry the verdict from birth.  The public
-``is_uso`` always runs its test.
+``is_uso`` always runs its test.  A table that has just passed the
+pairwise test, a verified tiling's or a transform's output, becomes an
+orientation through ``_verified``: the pairwise test implies edge
+consistency, so only the constructor's word-range test runs again.
 """
 
 from __future__ import annotations
@@ -183,12 +186,7 @@ class Orientation:
     def __post_init__(self):
         k, out = self.dim, tuple(self.out)
         object.__setattr__(self, "out", out)
-        n = 1 << k
-        if len(out) != n:
-            raise ValueError(f"expected {n} direction words, got {len(out)}")
-        for v, w in enumerate(out):
-            if not 0 <= w < n:
-                raise ValueError(f"direction word {w} at vertex {v} out of range")
+        _check_words(k, out)
         _check_edges(k, out)
 
     def direction(self, v: int, i: int) -> int:
@@ -202,6 +200,36 @@ class Orientation:
             for v in range(1 << self.dim):
                 if not v & ibit:
                     yield Edge(v, i)
+
+
+def _check_words(k: int, out: tuple) -> None:
+    """Raise ValueError unless out holds 2^k words in range(2^k).
+
+    One min and max over the table; the first bad word is looked up only
+    to name it.
+    """
+    n = 1 << k
+    if len(out) != n:
+        raise ValueError(f"expected {n} direction words, got {len(out)}")
+    if not 0 <= min(out) <= max(out) < n:
+        v, w = next((v, w) for v, w in enumerate(out) if not 0 <= w < n)
+        raise ValueError(f"direction word {w} at vertex {v} out of range")
+
+
+def _verified(k: int, out) -> Orientation:
+    """The orientation of a table that has just passed the pairwise test.
+
+    Born with its verdict.  Vertices one coordinate apart differ nowhere
+    else, so the pairwise test already made the two ends of every edge
+    agree on it: the constructor's edge scan is skipped, its word-range
+    test is not.
+    """
+    out = tuple(out)
+    _check_words(k, out)
+    o = object.__new__(Orientation)
+    object.__setattr__(o, "dim", k)
+    object.__setattr__(o, "out", out)
+    return _keep_verdict(o, True)
 
 
 def _check_edges(k: int, out, support=None, what: str = "inconsistent direction of"):

@@ -12,7 +12,8 @@ such a set is the same thing as a unique sink orientation: the vertex map
 is a bijection and the pairwise compatibility test becomes the pairwise
 sink condition.  Twin tiles (differing in a single coordinate, there by
 exactly 2) correspond to flippable edges; twins finds each tile's twins by
-lookup, so incompatible_tiles, the pairwise kernel, is the one pair test.
+lookup, so the pairwise kernel, on tiles or on the vertex table, is the
+one pair test.
 
 Tiles are stored packed, 2 bits per coordinate with coordinate 1 in the
 lowest slot, so the compatibility test is a couple of word operations.
@@ -43,11 +44,19 @@ exact form, so that the caller reads word by word with its own messages.
 TileSet.strings(), formats.write_tiling and formats.read_tiling use them,
 and so do the label keys of rewrite._rewrite.
 
-A tiling is verified once.  Operations that need a complete tiling go
-through ``_require_tiling``, which runs ``tiling_defect`` on first use
-and keeps the verdict on the immutable tile set; ``tiles_from_uso``
-output carries the verdict from birth.  The public ``tiling_defect`` and
-``is_tiling`` always run the test (and keep its verdict).
+A tiling is verified once, by one verdict, ``_tiling_ok``.  Below
+KERNEL_MIN_DIM it is the tile pair test on the packed tiles; from there
+up it is the sink pair test on the vertex table of vertex_outmaps, in
+k-bit words, which is the same test, as tiles that share a vertex are
+incompatible.  Operations that need a complete tiling go through
+``_require_tiling``, which runs the verdict on first use and keeps it on
+the immutable tile set; ``tiles_from_uso`` output carries the verdict
+from birth.  ``uso_from_tiles`` builds the vertex table once, for the
+verdict and the orientation (``cube._verified``, which skips the edge
+scan the pair test implies).  The public ``tiling_defect`` and
+``is_tiling`` always run the verdict (and keep it); ``tiling_defect``
+runs the tile pair scan only after a failed verdict, to name the first
+incompatible pair in tile order.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cube import Orientation, _keep_verdict, _require_uso
+from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_uso, _verified
 from .errors import NotATilingError
 from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
 
@@ -284,35 +293,56 @@ class TileSet:
 PartialTileSet = TileSet
 
 
+def _tiling_ok(ts: TileSet, out: list[int] | None = None) -> bool:
+    """Whether ts is a complete tiling: the one verdict, kept on ts.
+
+    Below KERNEL_MIN_DIM the tile pair test runs on the packed tiles.
+    From there up the sink pair test runs on the vertex table, out if the
+    caller built it, in k-bit words: tiles that share a vertex are
+    incompatible, so 2^k tiles whose vertex map is onto and whose table
+    passes that test are exactly a complete tiling.  Each route is the
+    faster one on its side of the threshold.
+    """
+    k = ts.dim
+    if len(ts.tiles) != 1 << k:
+        ok = False
+    elif k < KERNEL_MIN_DIM:
+        ok = next(incompatible_tiles(sorted(ts.tiles), k), None) is None
+    else:
+        out = out or vertex_outmaps(ts)
+        ok = out is not None and _pairwise_ok(out, k)
+    _keep_verdict(ts, ok)
+    return ok
+
+
 def tiling_defect(ts: TileSet) -> str | None:
     """The tile count if not 2^k, else the first incompatible pair, or None.
 
-    Runs the test on every call and keeps the verdict on ts.
+    Runs the verdict on every call and keeps it on ts.  Only a failed
+    verdict runs the tile pair scan, in tile order, to name the pair.
     """
+    if _tiling_ok(ts):
+        return None
     k = ts.dim
-    defect = None
     if len(ts.tiles) != 1 << k:
-        defect = f"{len(ts.tiles)} tiles, expected {1 << k}"
-    elif (pair := next(incompatible_tiles(sorted(ts.tiles), k), None)) is not None:
-        a, b = (tile_unpack(t, k) for t in pair)
-        defect = f"incompatible tiles {a} and {b}"
-    _keep_verdict(ts, defect is None)
-    return defect
+        return f"{len(ts.tiles)} tiles, expected {1 << k}"
+    a, b = (tile_unpack(t, k) for t in next(incompatible_tiles(sorted(ts.tiles), k)))
+    return f"incompatible tiles {a} and {b}"
 
 
 def is_tiling(ts: TileSet) -> bool:
     """Whether the set is complete: 2^k tiles, pairwise compatible."""
-    return tiling_defect(ts) is None
+    return _tiling_ok(ts)
 
 
-def _require_tiling(ts: TileSet, message: str) -> None:
+def _require_tiling(ts: TileSet, message: str, out: list[int] | None = None) -> None:
     """Raise NotATilingError(message) unless ts is a complete tiling.
 
-    The first call on a value runs tiling_defect; later calls read the
-    verdict it kept.
+    The first call on a value runs the verdict, on out if given; later
+    calls read the verdict it kept.
     """
     if ts._verdict is None:
-        tiling_defect(ts)
+        _tiling_ok(ts, out)
     if not ts._verdict:
         raise NotATilingError(message)
 
@@ -320,8 +350,8 @@ def _require_tiling(ts: TileSet, message: str) -> None:
 def vertex_outmaps(ts: TileSet) -> list[int] | None:
     """Direction words per vertex, or None if the vertex map is not onto.
 
-    Skips the completeness precondition of uso_from_tiles; used to state
-    the equivalence between the tiling test and the sink test.
+    Skips the completeness precondition of uso_from_tiles; from
+    KERNEL_MIN_DIM up the tiling verdict runs the sink test on this table.
     """
     k, tiles = ts.dim, ts.tiles
     n = 1 << k
@@ -338,11 +368,15 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
 
 
 def uso_from_tiles(ts: TileSet) -> Orientation:
-    """The orientation of a complete tiling (raises if incomplete)."""
+    """The orientation of a complete tiling (raises if incomplete).
+
+    The vertex table is built once, for the verdict and the orientation.
+    """
+    out = vertex_outmaps(ts)
     _require_tiling(
-        ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling"
+        ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling", out
     )
-    return _keep_verdict(Orientation(ts.dim, tuple(vertex_outmaps(ts))), True)
+    return _verified(ts.dim, out)
 
 
 def _tiles_of(out, k: int) -> TileSet:

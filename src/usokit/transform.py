@@ -7,8 +7,10 @@ test suite holds the two routes equal.
 
 Inputs are verified once: the unique sink verdict is kept on the immutable
 orientation (``cube._require_uso``), so passing one value through several
-transforms tests it once.  Every output is still checked (``_checked``)
-and born with its verdict; ``is_uso`` always runs its test.
+transforms tests it once.  Every output is still checked (``_checked``):
+the pairwise test runs on it, and it is born with its verdict through
+``cube._verified``, which keeps the word-range test and skips the edge
+scan the pairwise test implies.  ``is_uso`` always runs its test.
 
 Phases of a dimension i are the finest partition of the i-edges such that
 reversing any union of parts keeps the unique sink property.  The pairwise
@@ -40,11 +42,11 @@ from .cube import (
     Edge,
     Face,
     Orientation,
-    _keep_verdict,
     _pairwise_ok,
     _require_coordinate,
     _require_face,
     _require_uso,
+    _verified,
     _vertex_words,
     drop_bit,
     insert_bit,
@@ -65,11 +67,12 @@ def _checked(k: int, out: tuple) -> Orientation:
     """The output check every transform keeps: a failure is a bug here.
 
     The pairwise condition implies edge consistency (vertices differing in
-    one coordinate must agree on it), so it runs before the constructor.
+    one coordinate must agree on it), so the output is built by
+    ``_verified``, which keeps the word-range test and skips the edge scan.
     """
     if not _pairwise_ok(out, k):
         raise InternalError("transform produced an orientation without unique sinks")
-    return _keep_verdict(Orientation(k, out), True)
+    return _verified(k, out)
 
 
 # ---------------------------------------------------------------------------

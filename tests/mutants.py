@@ -42,6 +42,7 @@ ORBITS = "tests/test_enumeration.py::test_join_count_sums_one_facet_per_orbit"
 EDITS = "tests/test_formats.py::test_tiling_reader_paths_agree_on_single_edits"
 TEXT = "tests/test_tiling.py::test_strings_and_text_match_the_per_tile_codec"
 LABELS = "tests/test_rewrite.py::test_labellings_give_the_per_key_loop_results"
+VERDICT = "tests/test_tiling.py::test_verdict_matches_the_tile_pair_test"
 
 MUTANTS = [
     (
@@ -341,6 +342,96 @@ MUTANTS = [
         " or not text.isascii()",
         "",
         [LABELS],
+    ),
+    # the tiling verdict on the vertex table, and orientations built from
+    # tables that passed the pairwise test
+    (
+        "_verified without the word-range test",
+        "cube.py",
+        "    _check_words(k, out)\n    o = object.__new__(Orientation)\n",
+        "    o = object.__new__(Orientation)\n",
+        ["tests/test_cube.py::test_verified_keeps_the_word_range_test"],
+    ),
+    (
+        "vertex route without its pairwise test",
+        "tiling.py",
+        "        ok = out is not None and _pairwise_ok(out, k)\n",
+        "        ok = out is not None\n",
+        [VERDICT],
+    ),
+    (
+        "vertex route taking a vertex map that is not onto",
+        "tiling.py",
+        "        ok = out is not None and _pairwise_ok(out, k)\n",
+        "        ok = out is None or _pairwise_ok(out, k)\n",
+        [VERDICT],
+    ),
+    (
+        "tiling_defect naming the first two tiles without the tile scan",
+        "tiling.py",
+        "for t in next(incompatible_tiles(sorted(ts.tiles), k)))",
+        "for t in sorted(ts.tiles)[:2])",
+        [VERDICT],
+    ),
+    # transforms whose output is edge-consistent but wrong; each is killed
+    # by tests/test_transform.py also with _checked's pairwise test removed
+    # (phase_flip's is "phase_flip keeps only the last class's mask")
+    (
+        "flip_dimension leaving the i-edge at the top vertex",
+        "transform.py",
+        "    return _checked(o.dim, tuple(w ^ ibit for w in o.out))\n",
+        "    top = (1 << o.dim) - 1\n"
+        "    return _checked(o.dim, tuple(w ^ ibit * (v | ibit != top) for v, w in enumerate(o.out)))\n",
+        ["tests/test_transform.py::test_flip_dimension_involution"],
+    ),
+    (
+        "mirror that also reverses the h-edges (a reflection)",
+        "transform.py",
+        "    out = tuple(o.out[v ^ hbit] for v in range(1 << o.dim))\n",
+        "    out = tuple(o.out[v ^ hbit] ^ hbit for v in range(1 << o.dim))\n",
+        ["tests/test_transform.py::test_mirror_of_bow"],
+    ),
+    (
+        "partial_swap along the downward h-edges",
+        "transform.py",
+        "out[v ^ hbit] if w & hbit else w",
+        "out[v ^ hbit] if not w & hbit else w",
+        ["tests/test_transform.py::test_partial_swap_matches_rule"],
+    ),
+    (
+        "facet taking the other side",
+        "transform.py",
+        '    bit = 1 if side == "upper" else 0\n',
+        '    bit = 1 if side == "lower" else 0\n',
+        ["tests/test_transform.py::test_facet_of_bow"],
+    ),
+    (
+        "inherited keeping the source of each top edge",
+        "transform.py",
+        "            out[v | top] & top - 1 if out[v] >> (k - 1) & 1 else out[v] & top - 1\n",
+        "            out[v] & top - 1 if out[v] >> (k - 1) & 1 else out[v | top] & top - 1\n",
+        ["tests/test_transform.py::test_inherited_matches_rule"],
+    ),
+    (
+        "product gluing the part of frame vertex 0 everywhere",
+        "transform.py",
+        "        out.append(frame.out[xf] | parts[xf].out[xp] << k)\n",
+        "        out.append(frame.out[xf] | parts[0].out[xp] << k)\n",
+        ["tests/test_transform.py::test_product_layout_frame_first"],
+    ),
+    (
+        "phase_swap exchanging the h-edges outside the chosen classes",
+        "transform.py",
+        "    for e in covered:\n",
+        "    for e in frozenset().union(*phases(o, h).classes) - covered:\n",
+        ["tests/test_transform.py::test_phase_swap_matches_partial_swap"],
+    ),
+    (
+        "hypervertex_replace with the sub mirrored in its first coordinate",
+        "transform.py",
+        "            bit = sub.out[p] >> a & 1\n",
+        "            bit = sub.out[p ^ 1] >> a & 1\n",
+        ["tests/test_transform.py::test_hypervertex_replace_keeps_the_free_coordinates_in_order"],
     ),
 ]
 

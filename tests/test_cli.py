@@ -147,6 +147,13 @@ def test_uni_rule_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == write_tiling(canonical_tiles(3))
 
 
+def test_uni_rule_writes_no_rule_when_the_label_file_fails(tmp_path, bow_file, capsys):
+    labels = str(tmp_path / "nodir" / "frame.lab")
+    assert run(["uni-rule", bow_file, "--labels-out", labels]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: io: ")
+
+
 def test_rule_make_lists_kinds(capsys):
     assert run(["rule-make", "--kind", "partial-swap"]) == 0
     assert capsys.readouterr().out == (
@@ -523,22 +530,22 @@ def test_convert_reports_the_tiling_defect(tmp_path, capsys):
 
 
 # verb arguments after the input file, and the passes of the tiling kernel
-# and of the vertex kernel: one tiling test per input file, one vertex test
-# per transform output or validate cross-check; apply adds the rule's two
-# union checks
+# and of the vertex kernel: one test of the k = 5 input file, which runs on
+# its vertex table, one vertex test per transform output or validate
+# cross-check; apply adds the rule's two union checks on tiles
 KERNEL_PASSES = {
-    "validate": ([], 1, 1),
-    "convert": (["--to", "tiles"], 1, 0),
-    "uni-rule": ([], 1, 0),
-    "apply": (["--rule", "RULE", "--h", "2"], 3, 0),
-    "flip": (["--h", "2"], 1, 1),
-    "mirror": (["--h", "2"], 1, 1),
-    "partial-swap": (["--h", "2"], 1, 1),
-    "facet": (["--h", "2", "--side", "upper"], 1, 1),
-    "inherit": (["--kprime", "3"], 1, 1),
-    "phase-flip": (["--h", "2", "--classes", "0"], 1, 1),
-    "phase-swap": (["--h", "2", "--classes", "0"], 1, 1),
-    "phases": (["--h", "2"], 1, 0),
+    "validate": ([], 0, 2),
+    "convert": (["--to", "tiles"], 0, 1),
+    "uni-rule": ([], 0, 1),
+    "apply": (["--rule", "RULE", "--h", "2"], 2, 1),
+    "flip": (["--h", "2"], 0, 2),
+    "mirror": (["--h", "2"], 0, 2),
+    "partial-swap": (["--h", "2"], 0, 2),
+    "facet": (["--h", "2", "--side", "upper"], 0, 2),
+    "inherit": (["--kprime", "3"], 0, 2),
+    "phase-flip": (["--h", "2", "--classes", "0"], 0, 2),
+    "phase-swap": (["--h", "2", "--classes", "0"], 0, 2),
+    "phases": (["--h", "2"], 0, 1),
 }
 
 

@@ -25,7 +25,7 @@ from usokit import (
     vertex_bits,
     vertex_from_bits,
 )
-from usokit.cube import _check_edges, check_edge, drop_bit, insert_bit
+from usokit.cube import _check_edges, _verified, check_edge, drop_bit, insert_bit
 
 
 def bits(s):
@@ -128,6 +128,33 @@ def test_orientation_validates_construction():
     # endpoints disagreeing on a shared edge
     with pytest.raises(ValueError):
         Orientation(2, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "out,message",
+    [
+        ((0, 0, 0), "expected 4 direction words, got 3"),
+        ((0, 0, 0, 4), "direction word 4 at vertex 3 out of range"),
+        ((0, -1, 0, 0), "direction word -1 at vertex 1 out of range"),
+        ((0, 0, 7, 4), "direction word 7 at vertex 2 out of range"),
+    ],
+)
+def test_verified_keeps_the_word_range_test(out, message):
+    # the same messages as the constructor; raised, so they hold under -O
+    for build in (Orientation, _verified):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(2, out)
+
+
+def test_verified_is_the_constructor_without_the_edge_scan(kernel_passes):
+    o, built = _verified(2, [0, 2, 0, 2]), Orientation(2, (0, 2, 0, 2))
+    assert o == built and o.out == (0, 2, 0, 2)
+    assert hash(o) == hash(built) and repr(o) == repr(built)
+    assert o._verdict is True and is_uso(o)
+    # the edge scan is skipped: only a table that passed the pairwise test
+    # may come here, and such a table is edge-consistent
+    assert _verified(2, (1, 0, 0, 0)).out == (1, 0, 0, 0)
+    assert kernel_passes["vertex"] == 1
 
 
 def test_unique_sink_canonical():

@@ -34,6 +34,7 @@ from usokit.cube import _pairwise_ok
 from usokit.pairwise import KERNEL_MIN_DIM
 from usokit.tiling import (
     _tiles_of,
+    incompatible_tiles,
     tile_out,
     tile_vertex,
     vertex_outmaps,
@@ -322,6 +323,68 @@ def test_tiling_iff_pairwise_condition_random(strings):
     outs = vertex_outmaps(ts)
     ok = outs is not None and _pairwise_ok(tuple(outs), 2)
     assert is_tiling(ts) == ok
+
+
+def _tile_pair_defect(ts):
+    """Reference: tiling_defect as the tile pair test on the packed tiles."""
+    k = ts.dim
+    if len(ts.tiles) != 1 << k:
+        return f"{len(ts.tiles)} tiles, expected {1 << k}"
+    pair = next(incompatible_tiles(sorted(ts.tiles), k), None)
+    if pair is not None:
+        a, b = (tile_unpack(t, k) for t in pair)
+        return f"incompatible tiles {a} and {b}"
+    return None
+
+
+def _corrupted(ts, rnd):
+    """Copies of a complete tiling that are not tilings: one unflippable
+    edge reversed (if the tiling has one), one tile replaced by a tile on
+    another tile's vertex, one tile dropped."""
+    k = ts.dim
+    if k == 0:
+        return [TileSet(0, ())]
+    out = list(uso_from_tiles(ts).out)
+    copies = []
+    unflippable = [
+        (v, 1 << i) for i in range(k) for v in range(1 << k)
+        if not v >> i & 1 and out[v] != out[v | 1 << i]
+    ]
+    if unflippable:
+        v, bit = rnd.choice(unflippable)
+        bad = list(out)
+        bad[v] ^= bit
+        bad[v | bit] ^= bit
+        copies.append(TileSet(k, frozenset(tile_of(u, w, k) for u, w in enumerate(bad))))
+    v, u = rnd.sample(range(1 << k), 2) if k else (0, 0)
+    tiles = {x: tile_of(x, out[x], k) for x in range(1 << k)}
+    tiles[v] = tile_of(u, out[u] ^ 1 << rnd.randrange(k), k)
+    copies.append(TileSet(k, frozenset(tiles.values())))
+    copies.append(TileSet(k, rnd.sample(sorted(ts.tiles), len(ts) - 1)))
+    return copies
+
+
+def test_verdict_matches_the_tile_pair_test(catalogue1, catalogue2, catalogue3, sampled_tiling):
+    # both routes of the verdict, on every tiling of k <= 3, sampled or
+    # product tilings of k = 4..10, and corrupted copies of each
+    rnd = random.Random(5)
+    tilings = [canonical_tiles(0), *catalogue1, *catalogue2, *catalogue3]
+    tilings += [sampled_tiling(k) for k in range(4, 11)]
+    seen = {True: 0, False: 0}
+    for good in tilings:
+        for ts in [good, *_corrupted(good, rnd)]:
+            want = _tile_pair_defect(ts)
+            fresh = [TileSet(ts.dim, ts.tiles) for _ in range(3)]
+            assert tiling_defect(fresh[0]) == want
+            assert fresh[0]._verdict is (want is None)
+            assert is_tiling(fresh[1]) is (want is None)
+            if want is None:
+                assert uso_from_tiles(fresh[2]) == uso_from_tiles(good)
+            else:
+                with pytest.raises(NotATilingError):
+                    uso_from_tiles(fresh[2])
+            seen[want is None] += 1
+    assert seen == {True: 766, False: 2282}
 
 
 def test_tileset_construction_rejects_bad_input():

@@ -305,6 +305,16 @@ def test_hypervertex_replace_whole_cube():
     assert hypervertex_replace(BOW, Face("**"), canonical_orientation(2)) == canonical_orientation(2)
 
 
+def test_hypervertex_replace_keeps_the_free_coordinates_in_order(catalogue2):
+    # every face of the canonical 3-cube is combed, so any 2-dimensional
+    # USO may go inside one; it lands with its coordinates in face order
+    o = canonical_orientation(3)
+    for ts in catalogue2:
+        sub = uso_from_tiles(ts)
+        for pattern, h in (("**0", 3), ("*0*", 2), ("0**", 1)):
+            assert facet(hypervertex_replace(o, Face(pattern), sub), h, "lower") == sub
+
+
 def test_hypervertex_replace_rejections():
     with pytest.raises(HypervertexError):
         hypervertex_replace(BOW, Face("*0"), UP1)
