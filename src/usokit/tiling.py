@@ -300,8 +300,10 @@ def _tiling_ok(ts: TileSet, out: list[int] | None = None) -> bool:
     From there up the sink pair test runs on the vertex table, out if the
     caller built it, in k-bit words: tiles that share a vertex are
     incompatible, so 2^k tiles whose vertex map is onto and whose table
-    passes that test are exactly a complete tiling.  Each route is the
-    faster one on its side of the threshold.
+    passes that test are exactly a complete tiling.  Below the threshold
+    the tile route is faster.  Above it the vertex route is, and at
+    k = 5 it pays off when the caller needs the table, as uso_from_tiles
+    does; a bare verdict there costs about 0.02 ms more than on tiles.
     """
     k = ts.dim
     if len(ts.tiles) != 1 << k:

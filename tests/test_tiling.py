@@ -356,7 +356,7 @@ def _corrupted(ts, rnd):
         bad[v] ^= bit
         bad[v | bit] ^= bit
         copies.append(TileSet(k, frozenset(tile_of(u, w, k) for u, w in enumerate(bad))))
-    v, u = rnd.sample(range(1 << k), 2) if k else (0, 0)
+    v, u = rnd.sample(range(1 << k), 2)
     tiles = {x: tile_of(x, out[x], k) for x in range(1 << k)}
     tiles[v] = tile_of(u, out[u] ^ 1 << rnd.randrange(k), k)
     copies.append(TileSet(k, frozenset(tiles.values())))
