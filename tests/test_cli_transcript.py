@@ -22,11 +22,17 @@ every coordinate, facet side and ``--kprime`` of the small inputs and the
 k = 8 and 10 products, and rejects a coordinate out of range, a missing
 file and non-tilings of dimension 2 to 10.  (A split or
 stray swap cannot be asked for on the command line, since ``--classes``
-picks whole classes; ``tests/test_transform.py`` covers both.)
+picks whole classes; ``tests/test_transform.py`` covers both.)  A fifth
+runs ``count`` and ``enumerate`` with both methods at every dimension up
+to 3 they take, with ``--jobs 1`` and ``2``, and ``count --k 4 --method
+join``; it rejects each method's out-of-range ``--k`` and ``--jobs 0``,
+and writes ``--out`` to a new file, into a missing directory, and over an
+existing file that a rejected ``--k`` must leave as it was.
 
 Every invocation runs in-process through ``run()``, in a directory that
 holds the corpus files, and the digest of its exit code, stdout and
-stderr must equal the one in ``cli_transcript.json``.  The test names the
+stderr, and for an ``--out`` call the target's text afterwards, must equal
+the one in ``cli_transcript.json``.  The test names the
 first invocation that differs.  No invocation reaches an argparse error,
 whose wording varies between Python versions.
 
@@ -151,6 +157,7 @@ def build_corpus(root: Path) -> list[list[str]]:
     calls += _big_corpus(root, files)
     calls += _rule_corpus(root, files)
     calls += _transform_corpus(root, files)
+    calls += _enumeration_corpus(root)
     return calls
 
 
@@ -338,12 +345,41 @@ def _transform_corpus(root: Path, small: dict) -> list[list[str]]:
     return calls
 
 
+def _enumeration_corpus(root: Path) -> list[list[str]]:
+    """Calls of count and enumerate, on stdout and through --out."""
+    calls = []
+    for verb in ("count", "enumerate"):
+        for method, ks, rejected in (("brute", range(4), (-1, 4)), ("join", range(1, 4), (0, 5))):
+            for k in ks:
+                for jobs in ("1", "2"):
+                    calls.append([verb, "--k", str(k), "--method", method, "--jobs", jobs])
+            for k in rejected:
+                calls.append([verb, "--k", str(k), "--method", method])
+        calls.append([verb, "--k", "2", "--method", "join", "--jobs", "0"])
+    calls.append(["count", "--k", "4", "--method", "join"])
+    (root / "kept.txt").write_text("earlier\n")
+    for verb, k, method in (("count", "3", "join"), ("enumerate", "2", "brute")):
+        calls.append([verb, "--k", k, "--method", method, "--out", f"{verb}.out"])
+        calls.append([verb, "--k", k, "--method", method, "--out", f"nodir/{verb}.out"])
+    calls.append(["count", "--k", "5", "--method", "join", "--out", "kept.txt"])
+    calls.append(["enumerate", "--k", "4", "--method", "brute", "--out", "kept.txt"])
+    return calls
+
+
 def digest(argv) -> str:
-    """sha256 prefix of run(argv)'s exit code, stdout and stderr."""
+    """sha256 prefix of run(argv)'s exit code, stdout and stderr.
+
+    An --out call adds the target's text after the run, or None if there
+    is no target file.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    parts = [code, out.getvalue(), err.getvalue()]
+    if "--out" in argv:
+        target = Path(argv[argv.index("--out") + 1])
+        parts.append(target.read_bytes().decode() if target.is_file() else None)
+    blob = json.dumps(parts)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
