@@ -94,21 +94,26 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _tiling(text: str, where: str = "") -> TileSet:
-    """The tiling in text, verified; the error names the defect."""
-    ts = read_tiling(text)
+def _read_tiling(path: str) -> TileSet:
+    """The tiling in the file, verified; the error names the defect."""
+    ts = read_tiling(_read(path))
     defect = tiling_defect(ts)
     if defect is not None:
-        raise NotATilingError(where + defect)
+        raise NotATilingError(f"{path}: {defect}")
     return ts
 
 
-def _read_tiling(path: str) -> TileSet:
-    return _tiling(_read(path), f"{path}: ")
+def _uso(ts: TileSet, where: str = "") -> Orientation:
+    """The orientation of the tiling ts, from one vertex table; the error
+    names the defect."""
+    try:
+        return uso_from_tiles(ts)
+    except NotATilingError:
+        raise NotATilingError(where + tiling_defect(ts)) from None
 
 
 def _read_uso(path: str) -> Orientation:
-    return uso_from_tiles(_read_tiling(path))
+    return _uso(read_tiling(_read(path)), f"{path}: ")
 
 
 def _write_out(path: str, chunks) -> None:
@@ -172,8 +177,8 @@ def _print_tiling(o: Orientation) -> None:
 
 
 def _cmd_validate(args) -> int:
-    ts = _read_tiling(args.file)
-    o = uso_from_tiles(ts)
+    ts = read_tiling(_read(args.file))
+    o = _uso(ts, f"{args.file}: ")
     if not is_uso(o, "pairwise"):
         raise InternalError("the pairwise test rejects a complete tiling")
     # the face scan is 3^k, skip the cross-check for big inputs
@@ -192,7 +197,7 @@ def _cmd_convert(args) -> int:
     words = text.split(None, 1)
     first = words[0] if words else ""
     if first == "uso":
-        o = uso_from_tiles(_tiling(text))
+        o = _uso(read_tiling(text))
     elif first == "o":
         o = read_orientation(text)
     else:

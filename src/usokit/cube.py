@@ -24,10 +24,10 @@ An orientation is verified once.  Operations that need unique sinks go
 through ``_require_uso``, which runs the pairwise test on first use and
 keeps the verdict on the immutable value; results that are unique sink
 orientations by construction carry the verdict from birth.  The public
-``is_uso`` always runs its test.  A table that has just passed the
-pairwise test, a verified tiling's or a transform's output, becomes an
-orientation through ``_verified``: the pairwise test implies edge
-consistency, so only the constructor's word-range test runs again.
+``is_uso`` always runs its test.  ``_verified`` builds an orientation with
+only the constructor's word-range test from a verified tiling's table,
+which has just passed the pairwise test, or from a transform's output,
+an USO by theorem, which the test suite guards.
 """
 
 from __future__ import annotations
@@ -217,11 +217,11 @@ def _check_words(k: int, out: tuple) -> None:
 
 
 def _verified(k: int, out) -> Orientation:
-    """The orientation of a table that has just passed the pairwise test.
+    """The orientation of a table known to have unique sinks.
 
-    Born with its verdict.  Vertices one coordinate apart differ nowhere
-    else, so the pairwise test already made the two ends of every edge
-    agree on it: the constructor's edge scan is skipped, its word-range
+    Born with its verdict, without a test: out is a verified tiling's table
+    or a transform's output.  Unique sinks make the two ends of every edge
+    agree on it, so the constructor's edge scan is skipped; its word-range
     test is not.
     """
     out = tuple(out)

@@ -373,15 +373,23 @@ MUTANTS = [
         "for t in sorted(ts.tiles)[:2])",
         [VERDICT],
     ),
-    # transforms whose output is edge-consistent but wrong; each is killed
-    # by tests/test_transform.py also with _checked's pairwise test removed
+    # transforms whose output is wrong, edge-consistent or not; no output
+    # is tested at run time, so tests/test_transform.py is their only guard
     # (phase_flip's is "phase_flip keeps only the last class's mask")
     (
         "flip_dimension leaving the i-edge at the top vertex",
         "transform.py",
-        "    return _checked(o.dim, tuple(w ^ ibit for w in o.out))\n",
+        "    return _verified(o.dim, tuple(w ^ ibit for w in o.out))\n",
         "    top = (1 << o.dim) - 1\n"
-        "    return _checked(o.dim, tuple(w ^ ibit * (v | ibit != top) for v, w in enumerate(o.out)))\n",
+        "    return _verified(o.dim, tuple(w ^ ibit * (v | ibit != top) for v, w in enumerate(o.out)))\n",
+        ["tests/test_transform.py::test_flip_dimension_involution"],
+    ),
+    (
+        # edge-inconsistent: each i-edge's ends disagree on it
+        "flip_dimension flipping the i-bit at lower endpoints only",
+        "transform.py",
+        "    return _verified(o.dim, tuple(w ^ ibit for w in o.out))\n",
+        "    return _verified(o.dim, tuple(w ^ ibit * (not v & ibit) for v, w in enumerate(o.out)))\n",
         ["tests/test_transform.py::test_flip_dimension_involution"],
     ),
     (
@@ -396,6 +404,14 @@ MUTANTS = [
         "transform.py",
         "out[v ^ hbit] if w & hbit else w",
         "out[v ^ hbit] if not w & hbit else w",
+        ["tests/test_transform.py::test_partial_swap_matches_rule"],
+    ),
+    (
+        # edge-inconsistent: an upward h-edge's upper end keeps its word
+        "partial_swap moving the lower endpoints only",
+        "transform.py",
+        "out[v ^ hbit] if w & hbit else w",
+        "out[v ^ hbit] if w & hbit and not v & hbit else w",
         ["tests/test_transform.py::test_partial_swap_matches_rule"],
     ),
     (

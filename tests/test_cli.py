@@ -523,6 +523,31 @@ def test_input_tiling_verified_once(argv, bow_file, kernel_passes, capsys):
     assert kernel_passes["tiling"] == 1
 
 
+@pytest.mark.parametrize(
+    "method, line",
+    [
+        ("pairwise", "error: internal: the pairwise test rejects a complete tiling\n"),
+        ("face-scan", "error: internal: the face scan disagrees with the pairwise test\n"),
+    ],
+)
+def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsys):
+    import usokit.cli
+
+    real = usokit.cli.is_uso
+    monkeypatch.setattr(usokit.cli, "is_uso", lambda o, m: m != method and real(o, m))
+    assert run(["validate", bow_file]) == 3
+    assert capsys.readouterr() == ("", line)
+
+
+def test_unknown_method_is_a_usage_error(capsys):
+    for verb in ("count", "enumerate"):
+        assert run([verb, "--k", "2", "--method", "walk"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse's own line, whose wording varies between Python versions
+        assert "--method" in captured.err and "'walk'" in captured.err
+
+
 def test_convert_reports_the_tiling_defect(tmp_path, capsys):
     f = write(tmp_path, "bad.uso", "uso 1\n0\n3\n")
     assert run(["convert", f, "--to", "orientation"]) == 1
@@ -531,20 +556,20 @@ def test_convert_reports_the_tiling_defect(tmp_path, capsys):
 
 # verb arguments after the input file, and the passes of the tiling kernel
 # and of the vertex kernel: one test of the k = 5 input file, which runs on
-# its vertex table, one vertex test per transform output or validate
-# cross-check; apply adds the rule's two union checks on tiles
+# its vertex table, and validate's pairwise cross-check; no transform
+# output is tested; apply adds the rule's two union checks on tiles
 KERNEL_PASSES = {
     "validate": ([], 0, 2),
     "convert": (["--to", "tiles"], 0, 1),
     "uni-rule": ([], 0, 1),
     "apply": (["--rule", "RULE", "--h", "2"], 2, 1),
-    "flip": (["--h", "2"], 0, 2),
-    "mirror": (["--h", "2"], 0, 2),
-    "partial-swap": (["--h", "2"], 0, 2),
-    "facet": (["--h", "2", "--side", "upper"], 0, 2),
-    "inherit": (["--kprime", "3"], 0, 2),
-    "phase-flip": (["--h", "2", "--classes", "0"], 0, 2),
-    "phase-swap": (["--h", "2", "--classes", "0"], 0, 2),
+    "flip": (["--h", "2"], 0, 1),
+    "mirror": (["--h", "2"], 0, 1),
+    "partial-swap": (["--h", "2"], 0, 1),
+    "facet": (["--h", "2", "--side", "upper"], 0, 1),
+    "inherit": (["--kprime", "3"], 0, 1),
+    "phase-flip": (["--h", "2", "--classes", "0"], 0, 1),
+    "phase-swap": (["--h", "2", "--classes", "0"], 0, 1),
     "phases": (["--h", "2"], 0, 1),
 }
 

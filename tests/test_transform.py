@@ -22,6 +22,7 @@ from usokit import (
     hypervertex_check,
     hypervertex_replace,
     inherited,
+    is_uso,
     markov_walk,
     mirror,
     named_rule,
@@ -397,3 +398,29 @@ def test_transforms_reject_non_usos(name, bad):
     for _ in range(2):
         with pytest.raises(NotAnUsoError, match="^input is not a unique sink orientation$"):
             NEEDS_USO[name](fresh)
+
+
+# each transform on a verified k = 5 input; the parts and the sub come
+# from transforms too, so they are born verified
+TRANSFORMS = {
+    "product": lambda o: product(o, {v: inherited(o, 1) for v in range(32)}),
+    "inherited": lambda o: inherited(o, 2),
+    "facet": lambda o: facet(o, 3, "upper"),
+    "flip_dimension": lambda o: flip_dimension(o, 2),
+    "mirror": lambda o: mirror(o, 2),
+    "partial_swap": lambda o: partial_swap(o, 2),
+    "phase_flip": lambda o: phase_flip(o, 2, phases(o, 2).classes[:1]),
+    "phase_swap": lambda o: phase_swap(o, 2, phases(o, 2).classes[0]),
+    "hypervertex_replace": lambda o: hypervertex_replace(o, Face.full(5), flip_dimension(o, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_transforms_test_no_output(name, sampled_tiling, kernel_passes):
+    o = uso_from_tiles(sampled_tiling(5))
+    before = dict(kernel_passes)
+    out = TRANSFORMS[name](o)
+    assert kernel_passes == before
+    # born with its verdict, which the independent test confirms
+    assert out._verdict is True
+    assert is_uso(out)
