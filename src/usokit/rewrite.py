@@ -12,7 +12,9 @@ the even-digit sets of any two columns must be disjoint and unite to a
 complete d-dimensional tiling, and likewise the odd-digit sets.  Replacing
 a digit that records a facet (high bit) and an edge direction (low bit)
 with a whole tiling fragment keeps every cross pair compatible, which is
-why sound rules map tilings to tilings in any dimension.
+why sound rules map tilings to tilings in any dimension.  These pair
+conditions are all that validity means; that the columns of each row cover
+the same vertices follows from them and is not checked again.
 
 Width 0 rules delete the coordinate; their replacement sets live over the
 single empty tile.
@@ -26,32 +28,19 @@ from typing import Mapping
 from .cube import _require_coordinate
 from .errors import (
     DimensionError,
-    InternalError,
     InvalidRuleError,
     LabellingError,
 )
 from .tiling import (
     TileSet,
     _require_tiling,
+    bow,
     canonical_tiles,
     incompatible_tiles,
     pack_lines,
     tile_pack,
     tile_unpack,
     tile_vertex,
-)
-
-NAMED_RULE_KINDS = (
-    "identity",
-    "comb",
-    "flip",
-    "copy-upper",
-    "copy-lower",
-    "mirror",
-    "partial-swap",
-    "take-upper-facet",
-    "take-lower-facet",
-    "inherit",
 )
 
 # digit lists per kind: (d, S0, S1, S2, S3)
@@ -67,6 +56,7 @@ _NAMED = {
     "take-lower-facet": (0, [""], [""], [], []),
     "inherit": (0, [""], [], [], [""]),
 }
+NAMED_RULE_KINDS = tuple(_NAMED)
 
 
 @dataclass(frozen=True)
@@ -144,10 +134,9 @@ def _union_violations(name_a, a: TileSet, name_b, b: TileSet):
 def validate_generalized(rule: GeneralizedRule) -> list[str]:
     """Violations over every column pairing; empty means valid.
 
-    On a clean rule the even-digit (and odd-digit) replacement sets of all
-    columns must project to the same vertex sets; that is implied by the
-    pair conditions, so a difference raises InternalError rather than being
-    reported.
+    The pair conditions are the whole of validity.  They imply that the
+    columns of each row project to the same vertex set; the tests check
+    that, not each call.
     """
     out = []
     for j in range(1, rule.i + 1):
@@ -158,16 +147,6 @@ def validate_generalized(rule: GeneralizedRule) -> list[str]:
             out += _union_violations(
                 f"S1.{j}", rule.set_for(1, j), f"S3.{jp}", rule.set_for(3, jp)
             )
-    if not out:
-        for m in range(4):
-            first = {tile_vertex(t, rule.d) for t in rule.set_for(m, 1).tiles}
-            for j in range(2, rule.i + 1):
-                vs = {tile_vertex(t, rule.d) for t in rule.set_for(m, j).tiles}
-                if vs != first:
-                    raise InternalError(
-                        f"column vertex projections of S{m} differ despite "
-                        f"clean pair checks"
-                    )
     return out
 
 
@@ -268,7 +247,6 @@ def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
 # one rule per target: every tiling is one application away from the frame
 
 
-FRAME_TILES = ("01", "03", "20", "22")
 FRAME_LABELLING = {"01": 2, "03": 1, "20": 2, "22": 1}
 
 
@@ -309,8 +287,8 @@ def universality_rule(k_set: TileSet):
 
 
 def frame_tiles() -> TileSet:
-    """The fixed rewrite frame used by universality_rule."""
-    return TileSet.from_strings(FRAME_TILES)
+    """The fixed rewrite frame used by universality_rule: the bow."""
+    return bow()
 
 
 # ---------------------------------------------------------------------------

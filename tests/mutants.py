@@ -328,6 +328,19 @@ MUTANTS = [
         [TEXT],
     ),
     (
+        # a rule with one tile dropped then passes validation, and the
+        # columns of that row no longer cover the same vertices
+        "_union_violations without its tile-count test",
+        "rewrite.py",
+        "    if len(a.tiles) + len(b.tiles) != 1 << d:\n"
+        "        out.append(\n"
+        '            f"{name_a} + {name_b} has {len(a.tiles) + len(b.tiles)} tiles, "\n'
+        '            f"needs {1 << d}"\n'
+        "        )\n",
+        "",
+        ["tests/test_rewrite.py::test_column_vertex_projections_agree"],
+    ),
+    (
         "block label keys without the label-range test",
         "rewrite.py",
         "        and 1 <= min(labels) <= max(labels) <= i\n",

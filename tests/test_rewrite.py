@@ -34,7 +34,7 @@ from usokit import (
     validate_simple,
 )
 from usokit import rewrite
-from usokit.tiling import pack_lines
+from usokit.tiling import pack_lines, tile_vertex
 
 # the d=2 rule whose application is the worked rewrite fixture
 EX_RULE = SimpleRule(
@@ -414,16 +414,64 @@ def test_opposing_edges_comb_the_connecting_edges(catalogue2):
                 _opposing_edges_comb_output(rule, ts, h)
 
 
-def test_column_vertex_projections_agree():
-    # columns of an accepted rule project to the same unoriented vertices
-    rule, _ = universality_rule(TARGET3)
-    assert validate_generalized(rule) == []
-    for m in range(4):
-        projections = [
-            {tuple(c >= "2" for c in s) for s in sets_of(rule, m, j)}
-            for j in (1, 2)
-        ]
-        assert projections[0] == projections[1]
+def _vertex_split(ts):
+    """The four prefix sets of a tiling, keyed by its last digit."""
+    d = ts.dim - 1
+    groups = [[], [], [], []]
+    for s in ts.strings():
+        groups[int(s[-1])].append(s[:-1])
+    return [PartialTileSet.from_strings(g, d) for g in groups]
+
+
+def _random_two_column_rule(rnd, d, cats):
+    cat = cats[d + 1]
+    v = _vertex_split(cat[rnd.randrange(len(cat))])
+    w = _vertex_split(cat[rnd.randrange(len(cat))])
+    return GeneralizedRule(
+        d, 2, ((v[3], v[1]), (w[3], w[1]), (v[2], v[0]), (w[2], w[0]))
+    )
+
+
+def _perturbed(rnd, rule, move):
+    """The rule with one tile dropped from a set, or moved to another set."""
+    cells = [(m, j) for m in range(4) for j in range(rule.i)]
+    sets = {c: set(rule.columns[c[0]][c[1]].tiles) for c in cells}
+    source = rnd.choice([c for c in cells if sets[c]])
+    tile = rnd.choice(sorted(sets[source]))
+    sets[source].discard(tile)
+    if move:
+        sets[rnd.choice([c for c in cells if c != source])].add(tile)
+    columns = tuple(
+        tuple(PartialTileSet(rule.d, frozenset(sets[m, j])) for j in range(rule.i))
+        for m in range(4)
+    )
+    return GeneralizedRule(rule.d, rule.i, columns)
+
+
+def test_column_vertex_projections_agree(catalogue1, catalogue2, catalogue3):
+    # the pair conditions alone make the columns of each row of an accepted
+    # rule project to the same unoriented vertices
+    rnd = random.Random(5)
+    cats = {1: catalogue1, 2: catalogue2, 3: catalogue3}
+    rules = [universality_rule(ts)[0] for ts in catalogue2 + catalogue3]
+    rules += [
+        product_rule(catalogue2[(n + v) % len(catalogue2)] for v in range(4))
+        for n in range(len(catalogue2))
+    ]
+    rules += [_random_two_column_rule(rnd, rnd.randrange(3), cats) for _ in range(300)]
+    rules += [_perturbed(rnd, r, move) for r in rules for move in (False, True)]
+    outcomes = set()
+    for rule in rules:
+        accepted = validate_generalized(rule) == []
+        outcomes.add(accepted)
+        if not accepted:
+            continue
+        for row in rule.columns:
+            first, *rest = (
+                {tile_vertex(t, rule.d) for t in s.tiles} for s in row
+            )
+            assert all(vs == first for vs in rest)
+    assert outcomes == {True, False}
 
 
 def test_product_rule_emulates_product(catalogue1, catalogue2):
