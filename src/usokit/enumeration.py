@@ -22,12 +22,13 @@ Three routes:
   in this process; the jobs argument of enumerate_join and count_usos is
   accepted and ignored.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph.  Each step draws a
-  coordinate uniformly, computes its phase classes by the same kernel,
-  and reverses a uniformly chosen subset of classes through
-  transform._flip, the edge reversal phase_flip uses.  Reversing a union
-  of classes leaves the class family itself unchanged, so every move has
-  the same probability as its inverse and the walk's stationary
-  distribution is uniform.  Randomness comes from SplitMix64
+  coordinate uniformly, computes its phase classes by the same pair rule
+  (transform._linked), closed on the one table in Python ints by
+  transform._phase_masks, and reverses a uniformly chosen subset of
+  classes through transform._flip, the edge reversal phase_flip uses.
+  Reversing a union of classes leaves the class family itself unchanged,
+  so every move has the same probability as its inverse and the walk's
+  stationary distribution is uniform.  Randomness comes from SplitMix64
   (RNG_ALGORITHM below), a 64-bit splittable generator, so samples
   reproduce across platforms.
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
-from .tiling import TileSet, _tiles_of, tile_of
+from .tiling import TileSet, _built, _tiles_of, tile_of
 from .transform import _distinct, _edge_classes, _edge_index, _flip, _phase_masks, _union
 
 MAX_BRUTE_DIM = 3
@@ -243,6 +244,7 @@ def _join_classes(k: int, li: int) -> np.ndarray:
 
 
 def _join_stream(k: int) -> Iterator[TileSet]:
+    """The join's tilings; a connecting bit sets only digit k, so in range."""
     tables = _facet_tiles(k)
     top = 1 << (k - 1)
     shift = 2 * (k - 1)
@@ -252,7 +254,7 @@ def _join_stream(k: int) -> Iterator[TileSet]:
             for pick in range(1 << len(classes)):
                 word = _union(classes, pick)
                 bits = [(word >> p & 1) << shift for p in range(top)]
-                yield TileSet(
+                yield _built(
                     k, frozenset([*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
                 )
 

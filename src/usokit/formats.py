@@ -45,7 +45,7 @@ from .cube import Face, Orientation, vertex_bits, vertex_from_bits
 from .errors import FormatError
 from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule
-from .tiling import TileSet, pack_lines, tile_lines, tile_pack
+from .tiling import TileSet, _built, pack_lines, tile_lines, tile_pack
 
 EMPTY_WORD = "-"
 
@@ -144,11 +144,14 @@ def _parse_bits(word: str, k: int) -> int:
 
 
 def _parse_tiles(words: list[str], k: int, duplicate: str) -> TileSet:
-    """The tile set of the words; FormatError(duplicate) on a repeat."""
+    """The tile set of the words; FormatError(duplicate) on a repeat.
+
+    _parse_tile takes only k digits 0-3, so every tile is in range.
+    """
     tiles = frozenset(_parse_tile(w, k) for w in words)
     if len(tiles) != len(words):
         raise FormatError(duplicate)
-    return TileSet(k, tiles)
+    return _built(k, tiles)
 
 
 def _word(s: str) -> str:
@@ -177,7 +180,7 @@ def read_tiling(text: str) -> TileSet:
         tiles = frozenset(packed)
         if len(tiles) != 1 << k:
             raise FormatError("duplicate tiles")
-        return TileSet(k, tiles)
+        return _built(k, tiles)  # k digits 0-3 each, so in range
     k, body = _counted_body(text, "uso", "tile")
     return _parse_tiles([ln.strip(_BLANKS) for ln in body], k, "duplicate tiles")
 

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .tiling import (
     TileSet,
+    _built,
     _require_tiling,
     bow,
     canonical_tiles,
@@ -208,7 +209,9 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
             f"rewrite produced {len(out)} tiles, expected {1 << new_dim}; "
             f"the rule is not sound on this input"
         )
-    return TileSet(new_dim, frozenset(out))
+    # rest keeps t's digits but h, and s (width d) fills the d slots at h,
+    # so each tile has new_dim digits and is in range
+    return _built(new_dim, frozenset(out))
 
 
 def _label_columns(labelling, k: int, i: int) -> dict[int, int]:

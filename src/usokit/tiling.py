@@ -293,6 +293,18 @@ class TileSet:
 PartialTileSet = TileSet
 
 
+def _built(k: int, tiles: frozenset) -> TileSet:
+    """The TileSet of a frozenset that the library built in range for k.
+
+    Skips __init__ and so _freeze_tiles: each caller's tiles are in range
+    by construction.  _verdict stays None, its class default.
+    """
+    ts = object.__new__(TileSet)
+    object.__setattr__(ts, "dim", k)
+    object.__setattr__(ts, "tiles", tiles)
+    return ts
+
+
 def _tiling_ok(ts: TileSet, out: list[int] | None = None) -> bool:
     """Whether ts is a complete tiling: the one verdict, kept on ts.
 
@@ -382,11 +394,14 @@ def uso_from_tiles(ts: TileSet) -> Orientation:
 
 
 def _tiles_of(out, k: int) -> TileSet:
-    """The tile set of the 2^k direction words of a k-cube, unchecked."""
+    """The tile set of the 2^k direction words of a k-cube, unchecked.
+
+    Words below 2^k spread to tiles below 4^k, so no range check is needed.
+    """
     if k <= 10:  # every word is one _SPREAD entry
         s = _SPREAD
-        return TileSet(k, frozenset([s[v] << 1 | s[w] for v, w in enumerate(out)]))
-    return TileSet(k, frozenset([_spread(v) << 1 | _spread(w) for v, w in enumerate(out)]))
+        return _built(k, frozenset([s[v] << 1 | s[w] for v, w in enumerate(out)]))
+    return _built(k, frozenset([_spread(v) << 1 | _spread(w) for v, w in enumerate(out)]))
 
 
 def tiles_from_uso(o: Orientation) -> TileSet:

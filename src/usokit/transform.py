@@ -23,10 +23,13 @@ satisfies the pair).  Valid flip sets are therefore exactly the unions of
 connected components of that constraint graph, which is what the default
 method computes.  method="brute" instead tries all 2^(2^(k-1)) subsets
 against the sink test, literally; both are capped at k <= 5.
-One numpy kernel, ``_edge_classes``, grows the components of a batch of
-tables as bitmasks of projection indices to a fixpoint; ``_phase_masks``
-runs it on one table, the facet join on whole batches (see
-``enumeration``).  The tests check it against a pure-Python union-find.
+The pair rule has one home, ``_linked``, and its closure two forms, each
+growing the components as bitmasks of projection indices:
+``_edge_classes`` is a numpy fixpoint over a batch of tables, which the
+facet join runs on whole batches (see ``enumeration``), and
+``_phase_masks`` closes one table in Python ints, where numpy's fixed
+cost per operation would dominate.  The tests check both against a
+pure-Python union-find and each other.
 ``_flip`` is the one edge reversal on masks: ``phase_flip`` ORs the masks
 of the chosen classes and reverses that word through it, and so does each
 step of the flip walk.
@@ -204,22 +207,29 @@ def _flip(out: list, k: int, i: int, word: int) -> None:
             out[v | ibit] ^= ibit
 
 
-def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
-    """Phase classes of the i-edges for a batch of direction tables.
+def _linked(tables: np.ndarray, index: _EdgeIndex) -> np.ndarray:
+    """The pair rule: entry (r, p, q) links i-edges p and q of table r.
 
-    Row r of tables satisfies the pairwise sink condition.  Entry (r, p) of
-    the result is the bitmask of the class of i-edge p by the pair rule
-    above; masks take in their linked edges' masks until none changes.
-    Edges p and q give two vertex pairs straddling i, lower p with upper q
-    and lower q with upper p: joined and its transpose.  Forward reach alone
-    gave the same classes on all k <= 4 tables and 378,165 k = 5 cases, but
-    that is unproven, so both stay.
+    Row r of tables satisfies the pairwise sink condition.  Edges p and q
+    give two vertex pairs straddling i, lower p with upper q and lower q
+    with upper p: joined and its transpose.  Forward reach alone gave the
+    same classes on all k <= 4 tables and 378,165 k = 5 cases, but that is
+    unproven, so both stay.  The diagonal is set.
     """
-    index = _edge_index(k, i)
     ends = tables[:, index.lower]
     tops = tables[:, index.upper]
     joined = (index.apart & ~(ends[:, :, None] ^ tops[:, None, :])) == 0
-    linked = joined | joined.transpose(0, 2, 1)
+    return joined | joined.transpose(0, 2, 1)
+
+
+def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
+    """Phase classes of the i-edges for a batch of direction tables.
+
+    Entry (r, p) of the result is the bitmask of the class of i-edge p in
+    table r; masks take in their linked edges' masks until none changes.
+    """
+    index = _edge_index(k, i)
+    linked = _linked(tables, index)
     masks = linked @ index.weights
     while True:
         grown = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)
@@ -242,13 +252,32 @@ def _union(classes, pick: int) -> int:
     return word
 
 
-# Sized to the reuse there is: rewrite-sweep's 2,232 k=3 tables (744 USOs
-# at 3 coordinates), and 64 at a time in a k=5 sample/walk pair.  Long k=5
+# The closure of one table, in Python ints: a numpy round costs more than
+# the whole bit-frontier walk over 2^(k-1) <= 16 row masks.  Sized to the
+# reuse there is: rewrite-sweep's 2,232 k=3 tables (744 USOs at 3
+# coordinates), and 64 at a time in a k=5 sample/walk pair.  Long k=5
 # walks fill any size; 1 << 16 entries held about 43 MB.
 @lru_cache(maxsize=1 << 12)
 def _phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
-    """_edge_classes on one table, each class once, by lowest edge."""
-    return _distinct(_edge_classes(np.array([out], dtype=np.uint8), k, i)[0].tolist())
+    """The i-edge classes of one table, as masks, in order of lowest edge.
+
+    Each class grows from the lowest edge not yet placed: the edges linked
+    to a frontier edge join the class and the frontier, until it is empty.
+    """
+    index = _edge_index(k, i)
+    rows = (_linked(np.array([out], dtype=np.uint8), index)[0] @ index.weights).tolist()
+    classes = []
+    left = (1 << len(rows)) - 1
+    while left:
+        cls = frontier = left & -left
+        while frontier:
+            edge = frontier & -frontier
+            new = rows[edge.bit_length() - 1] & ~cls
+            cls |= new
+            frontier ^= edge | new
+        classes.append(cls)
+        left &= ~cls
+    return tuple(classes)
 
 
 def _brute_phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:

@@ -71,13 +71,27 @@ MUTANTS = [
         [WALKS + "[5]"],
     ),
     (
-        # the brute phases order their classes on their own, so the method
-        # check sees the pairs route's order
+        # _distinct orders the join stream's classes, and so its tilings
         "_distinct reversed",
         "transform.py",
         "    return tuple(mask for p, mask in enumerate(masks) if not mask & (1 << p) - 1)\n",
         "    return tuple(reversed([m for p, m in enumerate(masks) if not m & (1 << p) - 1]))\n",
-        ["tests/test_transform.py::test_phases_methods_agree"],
+        ["tests/test_enumeration.py::test_join_stream_order_is_pinned"],
+    ),
+    # the one-table closure
+    (
+        "closure adds direct neighbours only",
+        "transform.py",
+        "            frontier ^= edge | new\n",
+        "            frontier ^= edge\n",
+        [WALKS],
+    ),
+    (
+        "classes not in lowest-edge order",
+        "transform.py",
+        "        cls = frontier = left & -left\n",
+        "        cls = frontier = 1 << left.bit_length() - 1\n",
+        [WALKS],
     ),
     (
         "_union keeps only the last class",
@@ -488,10 +502,10 @@ EQUIVALENT = [
         # classes on every k <= 3 table at every coordinate, on all 744^2
         # combed joins (which covers every k = 4 USO at every coordinate)
         # and on 378,165 k = 5 walk cases; that is not a proof.
-        "kernel without the transpose",
+        "pair rule without the transpose",
         "transform.py",
-        "    linked = joined | joined.transpose(0, 2, 1)\n",
-        "    linked = joined\n",
+        "    return joined | joined.transpose(0, 2, 1)\n",
+        "    return joined\n",
     ),
     (
         # one more round turns the start into linked @ index.weights

@@ -339,12 +339,26 @@ def test_join_classes_are_the_combed_joins_phases(n):
         assert _join_classes(n + 1, li).tolist() == want
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_edge_classes_match_phase_projections_on_walks(k):
+def _closures_agree(tables, k):
+    """Both phase closures against the union-find, at every coordinate: the
+    batch fixpoint's per-edge masks, and _phase_masks' classes, which are
+    also _distinct of those masks."""
     import numpy as np
 
+    from usokit.transform import _distinct, _edge_classes, _phase_masks
+
+    for i in range(1, k + 1):
+        batch = _edge_classes(np.array(tables), k, i).tolist()
+        for out, row in zip(tables, batch):
+            classes = _phase_projections(out, k, i)
+            assert row == _class_masks(classes, 1 << (k - 1))
+            want = tuple(sum(1 << p for p in cls) for cls in classes)
+            assert _phase_masks(out, k, i) == want == _distinct(row)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_edge_classes_match_phase_projections_on_walks(k):
     from usokit.enumeration import _walk
-    from usokit.transform import _edge_classes
 
     tables = [tuple(out) for out in _walk(k, 40, 100 + k)]
     if k == 5:
@@ -352,9 +366,13 @@ def test_edge_classes_match_phase_projections_on_walks(k):
         # that takes 6 growing rounds, the most seen on k = 5 walks
         *_, deep = _walk(5, 1783, 1000)
         tables.append(tuple(deep))
-    for i in range(1, k + 1):
-        want = [_class_masks(_phase_projections(out, k, i), 1 << (k - 1)) for out in tables]
-        assert _edge_classes(np.array(tables), k, i).tolist() == want
+    _closures_agree(tables, k)
+
+
+def test_closures_match_phase_projections_on_every_k3_table():
+    from usokit.enumeration import _catalogue
+
+    _closures_agree(list(_catalogue(3)), 3)
 
 
 def _stream_digest(tilings):

@@ -404,6 +404,41 @@ def test_tileset_rejects_packed_tiles_out_of_range(tile):
         TileSet(2, {tile})
 
 
+def test_tileset_range_check_keeps_its_message_at_dimension_3():
+    with pytest.raises(ValueError, match="^packed tile 64 out of range for dimension 3$"):
+        TileSet(3, {1 << 6})
+
+
+def test_library_built_sets_match_public_ones(catalogue3, sampled_tiling):
+    # each route builds its set with tiling._built, skipping the range check
+    from itertools import islice
+
+    from usokit import (
+        apply_generalized,
+        enumerate_join,
+        frame_tiles,
+        read_tiling,
+        universality_rule,
+    )
+
+    target = catalogue3[100]
+    rule, labels = universality_rule(target)
+    built = [
+        _tiles_of(uso_from_tiles(target).out, 3),
+        *islice(enumerate_join(3), 0, 744 * 4, 97),
+        read_tiling(write_tiling(target)),  # per tile
+        read_tiling(write_tiling(sampled_tiling(6))),  # block
+        apply_generalized(rule, frame_tiles(), labels, 1),
+    ]
+    for ts in built:
+        public = TileSet(ts.dim, set(ts.tiles))
+        assert ts == public and hash(ts) == hash(public)
+        assert ts._verdict is None
+        assert is_tiling(ts)
+        assert ts._verdict is True
+    assert built[-1] == target
+
+
 def test_tileset_equality_is_set_equality():
     a = TileSet.from_strings(["01", "20", "03", "22"])
     assert a == bow()
