@@ -11,8 +11,10 @@ Three routes:
   work are exactly the flip sets of its k-edges: the unions of its
   k-phases (Schurr's phases, see transform).  So the phase kernel,
   transform._edge_classes, run on the combed joins of one lower facet
-  with every upper facet, drives both routes with class masks; the stream
-  yields their unions one by one, from per-facet tile tables.
+  with every upper facet, drives both routes with class masks.  The
+  stream takes, per facet pair and class, the tiles of the class's edges
+  from per-facet tile tables, once without and once with the connecting
+  bit, and yields one tiling per choice of list for each class.
   The counter needs the sum of 2^phases per facet pair.  That sum over
   all upper facets is the same for every lower facet in one orbit of the
   counting group (coordinate permutations, mirror and flip_dimension,
@@ -21,16 +23,19 @@ Three routes:
   10 x 744 facet pairs instead of 744^2 at k = 4.  Stream and count run
   in this process; the jobs argument of enumerate_join and count_usos is
   accepted and ignored.  Capped at k <= 4.
-* sample_markov: random walk on the flip graph.  Each step draws a
-  coordinate uniformly, computes its phase classes by the same pair rule
-  (transform._linked), closed on the one table in Python ints by
-  transform._phase_masks, and reverses a uniformly chosen subset of
-  classes through transform._flip, the edge reversal phase_flip uses.
-  Reversing a union of classes leaves the class family itself unchanged,
-  so every move has the same probability as its inverse and the walk's
-  stationary distribution is uniform.  Randomness comes from SplitMix64
-  (RNG_ALGORITHM below), a 64-bit splittable generator, so samples
-  reproduce across platforms.
+* sample_markov: random walk on the flip graph, its state a byte per
+  vertex.  Each step draws a coordinate uniformly, takes its phase
+  classes by the same pair rule (transform._linked), closed on the one
+  table in Python ints by transform._phase_masks, and reverses a
+  uniformly chosen subset of classes through transform._flip, the edge
+  reversal phase_flip uses.  Reversing a union of classes leaves the
+  class family itself unchanged, so every move has the same probability
+  as its inverse and the walk's stationary distribution is uniform.  The
+  same fact lets the walk keep the classes of the last coordinate drawn
+  and compute them again only when another coordinate comes up: a move
+  at i reverses only i-edges, and the pair rule reads no direction at i.
+  Randomness comes from SplitMix64 (RNG_ALGORITHM below), a 64-bit
+  splittable generator, so samples reproduce across platforms.
 
 The number of 5-dimensional orientations with unique sinks is
 638 560 878 292 512; everything at that scale is out of reach here, which
@@ -42,7 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import or_
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -244,19 +249,27 @@ def _join_classes(k: int, li: int) -> np.ndarray:
 
 
 def _join_stream(k: int) -> Iterator[TileSet]:
-    """The join's tilings; a connecting bit sets only digit k, so in range."""
+    """The join's tilings; a connecting bit sets only digit k, so in range.
+
+    Each class of a facet pair contributes the lower and upper tiles of its
+    edges whole: without the connecting bit, or with it.  product varies
+    its last factor fastest, so over the classes in reverse, class c is bit
+    c of a count from 0: every class down, then class 0 flipped, and so on.
+    """
     tables = _facet_tiles(k)
-    top = 1 << (k - 1)
-    shift = 2 * (k - 1)
+    bit = 1 << 2 * (k - 1)
     for li, (low_tiles, _) in enumerate(tables):
         for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
-            classes = _distinct(masks)
-            for pick in range(1 << len(classes)):
-                word = _union(classes, pick)
-                bits = [(word >> p & 1) << shift for p in range(top)]
-                yield _built(
-                    k, frozenset([*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
-                )
+            sides = []
+            for cls in reversed(_distinct(masks)):
+                tiles = []
+                while cls:
+                    p = (cls & -cls).bit_length() - 1
+                    tiles += low_tiles[p], up_tiles[p]
+                    cls &= cls - 1
+                sides.append((tiles, [t | bit for t in tiles]))
+            for pick in product(*sides):
+                yield _built(k, frozenset(chain.from_iterable(pick)))
 
 
 def enumerate_join(k: int, jobs: int = 1) -> Iterator[TileSet]:
@@ -334,17 +347,12 @@ def _check_sample_dim(k: int) -> None:
         )
 
 
-def _step(out: list, k: int, rng: SplitMix64) -> None:
-    i = 1 + rng.randbelow(k)
-    classes = _phase_masks(tuple(out), k, i)
-    _flip(out, k, i, _union(classes, rng.randbelow(1 << len(classes))))
-
-
-def _walk(k: int, steps: int, seed: int) -> Iterator[list]:
+def _walk(k: int, steps: int, seed: int) -> Iterator[bytearray]:
     """The direction words after 0, 1, ..., steps moves from canonical.
 
-    Yields one list, updated in place between yields.  The arguments are
-    checked on the call, before any move.
+    Yields one bytearray, a word per byte (k <= MAX_SAMPLE_DIM), updated in
+    place between yields.  The arguments are checked on the call, before
+    any move.
     """
     _check_sample_dim(k)
     if steps < 0:
@@ -352,13 +360,19 @@ def _walk(k: int, steps: int, seed: int) -> Iterator[list]:
     return _moves(k, steps, seed)
 
 
-def _moves(k: int, steps: int, seed: int) -> Iterator[list]:
-    out = [0] * (1 << k)
+def _moves(k: int, steps: int, seed: int) -> Iterator[bytearray]:
+    out = bytearray(1 << k)
     yield out
     rng = SplitMix64(seed)
+    # a move reverses only i-edges, and the pair rule does not read their
+    # direction, so the classes of i hold until another coordinate is drawn
+    last, classes = None, ()
     for _ in range(steps):
         if k:
-            _step(out, k, rng)
+            i = 1 + rng.randbelow(k)
+            if i != last:
+                last, classes = i, _phase_masks(bytes(out), k, i)
+            _flip(out, k, i, _union(classes, rng.randbelow(1 << len(classes))))
         yield out
 
 

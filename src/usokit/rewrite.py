@@ -272,7 +272,8 @@ def universality_rule(k_set: TileSet):
     for t in k_set.tiles:
         v[t >> shift & 3].add(t & (1 << shift) - 1)
     def pts(tiles):
-        return TileSet(d, frozenset(tiles))
+        # the low 2d bits of the target's tiles, so in range for d
+        return _built(d, frozenset(tiles))
 
     canon = canonical_tiles(d)
     empty = pts(())
@@ -314,11 +315,9 @@ def product_rule(parts) -> GeneralizedRule:
         if p.dim != d:
             raise DimensionError("parts of unequal dimensions")
         _require_tiling(p, "every part must be a complete tiling")
+    # m < 4 and s < 4^d, so every m | s << 2 is in range for d + 1
     columns = tuple(
-        tuple(
-            TileSet(d + 1, frozenset(m | s << 2 for s in p.tiles))
-            for p in parts
-        )
+        tuple(_built(d + 1, frozenset(m | s << 2 for s in p.tiles)) for p in parts)
         for m in range(4)
     )
     return GeneralizedRule(d + 1, len(parts), columns)

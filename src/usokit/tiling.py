@@ -65,6 +65,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import or_
 from typing import Iterator
 
 import numpy as np
@@ -95,6 +96,7 @@ def _spread_table() -> list[int]:
 
 
 _SPREAD = _spread_table()
+_SPREAD_UP = [t << 1 for t in _SPREAD]  # the vertex half of a tile
 
 
 def tile_pack(s: str) -> int:
@@ -398,9 +400,8 @@ def _tiles_of(out, k: int) -> TileSet:
 
     Words below 2^k spread to tiles below 4^k, so no range check is needed.
     """
-    if k <= 10:  # every word is one _SPREAD entry
-        s = _SPREAD
-        return _built(k, frozenset([s[v] << 1 | s[w] for v, w in enumerate(out)]))
+    if k <= 10:  # every word is one _SPREAD entry; map stops with out
+        return _built(k, frozenset(map(or_, _SPREAD_UP, map(_SPREAD.__getitem__, out))))
     return _built(k, frozenset([_spread(v) << 1 | _spread(w) for v, w in enumerate(out)]))
 
 

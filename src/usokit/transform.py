@@ -27,12 +27,14 @@ The pair rule has one home, ``_linked``, and its closure two forms, each
 growing the components as bitmasks of projection indices:
 ``_edge_classes`` is a numpy fixpoint over a batch of tables, which the
 facet join runs on whole batches (see ``enumeration``), and
-``_phase_masks`` closes one table in Python ints, where numpy's fixed
-cost per operation would dominate.  The tests check both against a
-pure-Python union-find and each other.
-``_flip`` is the one edge reversal on masks: ``phase_flip`` ORs the masks
-of the chosen classes and reverses that word through it, and so does each
-step of the flip walk.
+``_phase_masks`` closes one table, given as a byte per vertex, in Python
+ints, where numpy's fixed cost per operation would dominate.  The tests
+check both against a pure-Python union-find and each other.
+``_flip`` is the one edge reversal on masks, visiting only the set bits of
+its word: ``phase_flip`` ORs the masks of the chosen classes and reverses
+that word through it, and so does each step of the flip walk, which keeps
+a coordinate's classes across its consecutive steps there (reversing
+i-edges changes no pair-rule input at i).
 """
 
 from __future__ import annotations
@@ -179,9 +181,8 @@ class _EdgeIndex(NamedTuple):
     """The i-edges of the k-cube by projection index p."""
 
     ends: tuple  # lower endpoint of edge p, as ints
-    lower: np.ndarray  # the same endpoints, for numpy indexing
-    upper: np.ndarray
-    apart: np.ndarray  # lower[p] ^ lower[q]
+    both: np.ndarray  # the lower endpoints, then the upper ones, for numpy indexing
+    apart: np.ndarray  # ends[p] ^ ends[q]
     weights: np.ndarray  # 1 << p
 
 
@@ -192,19 +193,22 @@ def _edge_index(k: int, i: int) -> _EdgeIndex:
     # vertex words of phase tables fit a byte (PHASE_DIM_CAP, MAX_JOIN_DIM)
     apart = (lower[:, None] ^ lower[None, :]).astype(np.uint8)
     weights = 1 << np.arange(len(ends), dtype=np.int64)
-    index = _EdgeIndex(ends, lower, lower | 1 << (i - 1), apart, weights)
+    index = _EdgeIndex(ends, np.concatenate([lower, lower | 1 << (i - 1)]), apart, weights)
     for a in index[1:]:
         a.flags.writeable = False
     return index
 
 
-def _flip(out: list, k: int, i: int, word: int) -> None:
-    """Reverse the i-edges whose projection indices are the bits of word."""
+def _flip(out, k: int, i: int, word: int) -> None:
+    """Reverse, in the table out, the i-edges whose projection indices are
+    the set bits of word."""
     ibit = 1 << (i - 1)
-    for p, v in enumerate(_edge_index(k, i).ends):
-        if word >> p & 1:
-            out[v] ^= ibit
-            out[v | ibit] ^= ibit
+    ends = _edge_index(k, i).ends
+    while word:
+        v = ends[(word & -word).bit_length() - 1]
+        out[v] ^= ibit
+        out[v | ibit] ^= ibit
+        word &= word - 1
 
 
 def _linked(tables: np.ndarray, index: _EdgeIndex) -> np.ndarray:
@@ -212,13 +216,15 @@ def _linked(tables: np.ndarray, index: _EdgeIndex) -> np.ndarray:
 
     Row r of tables satisfies the pairwise sink condition.  Edges p and q
     give two vertex pairs straddling i, lower p with upper q and lower q
-    with upper p: joined and its transpose.  Forward reach alone gave the
+    with upper p: joined and its transpose.  A pair is joined when its
+    words differ at every other coordinate where its vertices differ, so
+    no coordinate but i can witness it.  Forward reach alone gave the
     same classes on all k <= 4 tables and 378,165 k = 5 cases, but that is
     unproven, so both stay.  The diagonal is set.
     """
-    ends = tables[:, index.lower]
-    tops = tables[:, index.upper]
-    joined = (index.apart & ~(ends[:, :, None] ^ tops[:, None, :])) == 0
+    m = len(index.ends)
+    words = tables[:, index.both]
+    joined = (words[:, :m, None] ^ words[:, None, m:]) & index.apart == index.apart
     return joined | joined.transpose(0, 2, 1)
 
 
@@ -253,19 +259,24 @@ def _union(classes, pick: int) -> int:
 
 
 # The closure of one table, in Python ints: a numpy round costs more than
-# the whole bit-frontier walk over 2^(k-1) <= 16 row masks.  Sized to the
-# reuse there is: rewrite-sweep's 2,232 k=3 tables (744 USOs at 3
-# coordinates), and 64 at a time in a k=5 sample/walk pair.  Long k=5
-# walks fill any size; 1 << 16 entries held about 43 MB.
+# the whole bit-frontier walk over 2^(k-1) <= 16 row masks.  The key is
+# the table's bytes, from phases(), phase_flip and the flip walk alike.
+# The walk asks only when its coordinate changes, about 4 steps in 5 at
+# k = 5.  Sized to the reuse there is: rewrite-sweep's 2,232 k=3 tables
+# (744 USOs at 3 coordinates), and about 51 at a time in a k=5
+# sample/walk pair, whose second chain hits the first one's entries.
+# Long k=5 walks fill any size; 1 << 16 entries held about 43 MB.
 @lru_cache(maxsize=1 << 12)
-def _phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
+def _phase_masks(table: bytes, k: int, i: int) -> tuple[int, ...]:
     """The i-edge classes of one table, as masks, in order of lowest edge.
+
+    table holds the 2^k direction words, one byte each.
 
     Each class grows from the lowest edge not yet placed: the edges linked
     to a frontier edge join the class and the frontier, until it is empty.
     """
     index = _edge_index(k, i)
-    rows = (_linked(np.array([out], dtype=np.uint8), index)[0] @ index.weights).tolist()
+    rows = (_linked(np.frombuffer(table, np.uint8)[None], index)[0] @ index.weights).tolist()
     classes = []
     left = (1 << len(rows)) - 1
     while left:
@@ -332,7 +343,7 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
     """Partition the i-edges into their flip classes."""
     _require_phase_input(o, i)
     if method == "pairs":
-        masks = _phase_masks(o.out, o.dim, i)
+        masks = _phase_masks(bytes(o.out), o.dim, i)
     elif method == "brute":
         masks = _brute_phase_masks(o.out, o.dim, i)
     else:
@@ -355,7 +366,7 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
     of the masks of _phase_masks.
     """
     _require_phase_input(o, i)
-    known = set(_phase_masks(o.out, o.dim, i))
+    known = set(_phase_masks(bytes(o.out), o.dim, i))
     bits = {Edge(v, i): 1 << p for p, v in enumerate(_edge_index(o.dim, i).ends)}
     word = 0
     for cls in classes:

@@ -2,8 +2,8 @@
 
 The digest is perfbench's stream_digest, blake2b-8 over every tiling's
 sorted packed tiles in stream order.  tier-1 pins only the head of the
-stream (test_enumeration.py); this walks all 5,541,744 tilings, about a
-minute on one core, so it runs as its own CI step:
+stream (test_enumeration.py); this walks all 5,541,744 tilings, about
+25 s on one core, so it runs as its own CI step:
 
     PYTHONPATH=src python tests/join_stream_k4.py
 

@@ -13,7 +13,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 90 s on two cores.  Exits 1 and names every mutant that survived or
+About 100 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -43,6 +43,7 @@ EDITS = "tests/test_formats.py::test_tiling_reader_paths_agree_on_single_edits"
 TEXT = "tests/test_tiling.py::test_strings_and_text_match_the_per_tile_codec"
 LABELS = "tests/test_rewrite.py::test_labellings_give_the_per_key_loop_results"
 VERDICT = "tests/test_tiling.py::test_verdict_matches_the_tile_pair_test"
+REFERENCE = "tests/test_enumeration.py::test_join_stream_is_the_reference_pick_loop"
 
 MUTANTS = [
     (
@@ -103,9 +104,31 @@ MUTANTS = [
     (
         "_flip without the upper endpoint",
         "transform.py",
-        "            out[v | ibit] ^= ibit\n",
+        "        out[v | ibit] ^= ibit\n",
         "",
         ["tests/test_enumeration.py::test_walk_stays_on_tilings"],
+    ),
+    # the flip walk keeps a coordinate's classes; the stream splices them
+    (
+        "classes reused across a coordinate change",
+        "enumeration.py",
+        "            if i != last:\n",
+        "            if last is None:\n",
+        ["tests/test_enumeration.py::test_walk_stays_on_tilings"],
+    ),
+    (
+        "stream classes not reversed before product",
+        "enumeration.py",
+        "            for cls in reversed(_distinct(masks)):\n",
+        "            for cls in _distinct(masks):\n",
+        [REFERENCE],
+    ),
+    (
+        "upper tiles without the connecting bit",
+        "enumeration.py",
+        "[t | bit for t in tiles]",
+        "[t if t & bit << 1 else t | bit for t in tiles]",
+        [REFERENCE],
     ),
     (
         "i-edges on the wrong coordinate",
@@ -493,8 +516,8 @@ EQUIVALENT = [
         # joined or its transpose: the same undirected graph
         "kernel with lower and upper endpoints swapped",
         "transform.py",
-        "    ends = tables[:, index.lower]\n    tops = tables[:, index.upper]\n",
-        "    ends = tables[:, index.upper]\n    tops = tables[:, index.lower]\n",
+        "(words[:, :m, None] ^ words[:, None, m:])",
+        "(words[:, m:, None] ^ words[:, None, :m])",
     ),
     (
         # joined and its transpose are the two vertex pairs straddling i

@@ -147,6 +147,29 @@ def test_sample_frozen_value():
     assert sample_markov(2, 7, 42).strings() == ["00", "12", "20", "32"]
 
 
+# blake2b-8 of write_tiling(sample_markov(k, 64, seed)) for seeds 1, 2 and 1000
+SAMPLE_DIGESTS = {
+    1: ("675f324c530ae6eb", "b3a2af43bc8e89ec", "675f324c530ae6eb"),
+    2: ("e1e618eb88a446aa", "311a68995f149752", "931bbdf27b704489"),
+    3: ("6372cb420d5578b4", "b14ebd11da67b453", "7075cf78aca3c3dc"),
+    4: ("4dbf5acc61151708", "9af991d93681a417", "2a73dc3cb9f1688c"),
+    5: ("6dbba3148c8d0239", "ec6d4df63b633e9e", "e7c5b36dc13d65e5"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(SAMPLE_DIGESTS))
+def test_sample_outputs_are_pinned(k):
+    from usokit import write_tiling
+
+    def digest(ts):
+        return hashlib.blake2b(write_tiling(ts).encode(), digest_size=8).hexdigest()
+
+    for seed, want in zip((1, 2, 1000), SAMPLE_DIGESTS[k]):
+        assert digest(sample_markov(k, 64, seed)) == want
+        *_, last = markov_walk(k, 64, seed)
+        assert digest(last.current) == want
+
+
 def test_sample_edge_cases():
     assert sample_markov(2, 0, 5) == canonical_tiles(2)
     assert sample_markov(0, 5, 1) == TileSet.from_strings([""], 0)
@@ -175,7 +198,7 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
     moves = [{} for _ in range(n)]
     for s, out in enumerate(cat):
         for i in range(1, k + 1):
-            classes = _phase_masks(out, k, i)
+            classes = _phase_masks(bytes(out), k, i)
             weight = Fraction(1, k << len(classes))
             for pick in range(1 << len(classes)):
                 image = list(out)
@@ -353,7 +376,7 @@ def _closures_agree(tables, k):
             classes = _phase_projections(out, k, i)
             assert row == _class_masks(classes, 1 << (k - 1))
             want = tuple(sum(1 << p for p in cls) for cls in classes)
-            assert _phase_masks(out, k, i) == want == _distinct(row)
+            assert _phase_masks(bytes(out), k, i) == want == _distinct(row)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -373,6 +396,70 @@ def test_closures_match_phase_projections_on_every_k3_table():
     from usokit.enumeration import _catalogue
 
     _closures_agree(list(_catalogue(3)), 3)
+
+
+def _reference_join_stream(k):
+    """The join stream as one pick loop per facet pair: pick's bit c flips
+    class c, in the order of the classes' lowest edges."""
+    from operator import or_
+
+    from usokit.enumeration import _facet_tiles, _join_classes
+    from usokit.transform import _distinct, _union
+
+    tables = _facet_tiles(k)
+    top = 1 << (k - 1)
+    shift = 2 * (k - 1)
+    for li, (low_tiles, _) in enumerate(tables):
+        for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
+            classes = _distinct(masks)
+            for pick in range(1 << len(classes)):
+                word = _union(classes, pick)
+                bits = [(word >> p & 1) << shift for p in range(top)]
+                yield TileSet(k, [*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
+
+
+@pytest.mark.parametrize("k, n", [(1, None), (2, None), (3, None), (4, 20000)])
+def test_join_stream_is_the_reference_pick_loop(k, n):
+    got = list(itertools.islice(enumerate_join(k), n))
+    assert got == list(itertools.islice(_reference_join_stream(k), n))
+    assert [ts.dim for ts in got] == [k] * len(got)
+
+
+def _keeps_classes(table, k, picks_for):
+    """Reversing a union of i-classes leaves the i-classes as they were."""
+    from usokit.transform import _flip, _phase_masks, _union
+
+    masks = _phase_masks.__wrapped__  # each table's own closure, not a cache hit
+    for i in range(1, k + 1):
+        classes = masks(bytes(table), k, i)
+        for pick in picks_for(len(classes)):
+            image = bytearray(table)
+            _flip(image, k, i, _union(classes, pick))
+            assert masks(bytes(image), k, i) == classes
+
+
+def test_a_step_keeps_its_coordinates_classes():
+    # what lets the flip walk keep a coordinate's classes across its moves
+    from usokit.enumeration import _catalogue, _walk
+
+    def every(c):
+        return range(1 << c)
+
+    def spread(c):
+        # every pick up to 6 classes; else each class alone, all of them,
+        # and seeded unions
+        if c <= 6:
+            return every(c)
+        rng = SplitMix64(c)
+        return [1 << j for j in range(c)] + [(1 << c) - 1] + [
+            rng.randbelow(1 << c) for _ in range(16)
+        ]
+
+    for table in _catalogue(3):
+        _keeps_classes(table, 3, every)
+    for k, seed in ((4, 41), (5, 51)):
+        for table in itertools.islice(_walk(k, 300, seed), 0, None, 10):
+            _keeps_classes(bytes(table), k, spread)
 
 
 def _stream_digest(tilings):

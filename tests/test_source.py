@@ -17,3 +17,32 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+class _AttributeReads(ast.NodeVisitor):
+    """The functions, by their dotted nesting, that read one attribute name."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.found = name, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.add(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+def test_the_pair_rule_has_one_home():
+    # _EdgeIndex.apart, the coordinates where two i-edges' lower endpoints
+    # differ, is what the phase pair rule masks with: a second reader of it
+    # would be a second form of the rule beside transform._linked
+    found = set()
+    for p in sorted(Path(usokit.__file__).parent.glob("*.py")):
+        reads = _AttributeReads("apart")
+        reads.visit(ast.parse(p.read_text(), filename=str(p)))
+        found |= {f"{p.stem}.{scope}" for scope in reads.found}
+    assert found == {"transform._linked"}

@@ -417,6 +417,7 @@ def test_library_built_sets_match_public_ones(catalogue3, sampled_tiling):
         apply_generalized,
         enumerate_join,
         frame_tiles,
+        product_rule,
         read_tiling,
         universality_rule,
     )
@@ -437,6 +438,14 @@ def test_library_built_sets_match_public_ones(catalogue3, sampled_tiling):
         assert is_tiling(ts)
         assert ts._verdict is True
     assert built[-1] == target
+    # replacement sets of the universality and product rules: fragments,
+    # the empty set among them
+    parts = [catalogue3[0], catalogue3[743], catalogue3[100]]
+    for r in (rule, product_rule(parts)):
+        for ts in (s for column in r.columns for s in column):
+            public = TileSet(ts.dim, set(ts.tiles))
+            assert ts == public and hash(ts) == hash(public)
+            assert ts._verdict is None
 
 
 def test_tileset_equality_is_set_equality():
