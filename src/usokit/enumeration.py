@@ -11,7 +11,8 @@ Three routes:
   work are exactly the flip sets of its k-edges: the unions of its
   k-phases (Schurr's phases, see transform).  So the phase kernel,
   transform._edge_classes, run on the combed joins of one lower facet
-  with every upper facet, drives both routes with class masks.  The
+  with every upper facet, drives both routes with class masks: a pair's
+  row holds each class at its lowest edge and 0 at its other edges.  The
   stream takes, per facet pair and class, the tiles of the class's edges
   from per-facet tile tables, once without and once with the connecting
   bit, and yields one tiling per choice of list for each class.
@@ -55,7 +56,7 @@ import numpy as np
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _built, _tiles_of, tile_of
-from .transform import _distinct, _edge_classes, _edge_index, _flip, _phase_masks, _union
+from .transform import _edge_classes, _flip, _phase_masks, _union
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -241,7 +242,8 @@ def _join_classes(k: int, li: int) -> np.ndarray:
     Row j is the combed join of _catalogue(k - 1)[li] as lower facet with
     entry j as upper facet: every connecting edge points down, which is a
     USO.  The connecting words the pair accepts are the unions of its
-    k-phases, so the pair gives 2^(number of phases) tilings.
+    k-phases, so the pair gives 2^(number of nonzero entries) tilings:
+    each class sits at its lowest edge, and the row holds 0 elsewhere.
     """
     cat = _catalogue_array(k - 1)
     combed = np.concatenate([np.broadcast_to(cat[li], cat.shape), cat], axis=1)
@@ -261,7 +263,7 @@ def _join_stream(k: int) -> Iterator[TileSet]:
     for li, (low_tiles, _) in enumerate(tables):
         for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
             sides = []
-            for cls in reversed(_distinct(masks)):
+            for cls in filter(None, reversed(masks)):
                 tiles = []
                 while cls:
                     p = (cls & -cls).bit_length() - 1
@@ -290,11 +292,9 @@ def _join_count(k: int) -> int:
     orbit-size times.
     """
     _check_join_dim(k)
-    below = _edge_index(k, k).weights - 1
     total = 0
     for li, orbit_size in _facet_orbits(k - 1):
-        # a class is counted once, at its lowest edge
-        phases = ((_join_classes(k, li) & below) == 0).sum(axis=1)
+        phases = np.count_nonzero(_join_classes(k, li), axis=1)
         total += orbit_size * int((1 << phases).sum())
     return total
 

@@ -28,19 +28,23 @@ growing the components as bitmasks of projection indices:
 ``_edge_classes`` is a numpy fixpoint over a batch of tables, which the
 facet join runs on whole batches (see ``enumeration``), and
 ``_phase_masks`` closes one table, given as a byte per vertex, in Python
-ints, where numpy's fixed cost per operation would dominate.  The tests
-check both against a pure-Python union-find and each other.
+ints, where numpy's fixed cost per operation would dominate.  Both give
+each class's mask once, in order of its lowest edge; the batch closure
+writes 0 at its other edges.  The tests check both against a
+pure-Python union-find.
 ``_flip`` is the one edge reversal on masks, visiting only the set bits of
 its word: ``phase_flip`` ORs the masks of the chosen classes and reverses
 that word through it, and so does each step of the flip walk, which keeps
 a coordinate's classes across its consecutive steps there (reversing
-i-edges changes no pair-rule input at i).
+i-edges changes no pair-rule input at i).  ``phase_swap`` tests its edge
+word against the same masks; ``_edge_bits`` is the one Edge-to-bit map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -130,9 +134,8 @@ def facet(o: Orientation, h: int, side: str = "lower") -> Orientation:
         raise ValueError(f"side must be lower or upper, not {side!r}")
     pos = h - 1
     bit = 1 if side == "upper" else 0
-    out = []
-    for p in range(1 << (o.dim - 1)):
-        out.append(drop_bit(o.out[insert_bit(p, pos, bit)], pos))
+    # the facet's vertices in increasing order, as insert_bit(p, pos, bit) gives them
+    out = [drop_bit(w, pos) for v, w in enumerate(o.out) if v >> pos & 1 == bit]
     return _verified(o.dim - 1, out)
 
 
@@ -199,6 +202,12 @@ def _edge_index(k: int, i: int) -> _EdgeIndex:
     return index
 
 
+@lru_cache(maxsize=None)
+def _edge_bits(k: int, i: int) -> MappingProxyType:
+    """Edge(lower endpoint, i) -> 1 << projection index, read-only."""
+    return MappingProxyType({Edge(v, i): 1 << p for p, v in enumerate(_edge_index(k, i).ends)})
+
+
 def _flip(out, k: int, i: int, word: int) -> None:
     """Reverse, in the table out, the i-edges whose projection indices are
     the set bits of word."""
@@ -231,8 +240,10 @@ def _linked(tables: np.ndarray, index: _EdgeIndex) -> np.ndarray:
 def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
     """Phase classes of the i-edges for a batch of direction tables.
 
-    Entry (r, p) of the result is the bitmask of the class of i-edge p in
-    table r; masks take in their linked edges' masks until none changes.
+    Each edge's mask takes in its linked edges' masks until none changes.
+    Entry (r, p) of the result is then the bitmask of the class of i-edge
+    p in table r if p is that class's lowest edge, and 0 otherwise: a
+    row's nonzero entries, in order, are _phase_masks of its table.
     """
     index = _edge_index(k, i)
     linked = _linked(tables, index)
@@ -240,13 +251,8 @@ def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
     while True:
         grown = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)
         if (grown == masks).all():
-            return masks
+            return np.where(masks & index.weights - 1, 0, masks)
         masks = grown
-
-
-def _distinct(masks) -> tuple[int, ...]:
-    """Each class of a per-edge mask row once, in order of its lowest edge."""
-    return tuple(mask for p, mask in enumerate(masks) if not mask & (1 << p) - 1)
 
 
 def _union(classes, pick: int) -> int:
@@ -348,15 +354,8 @@ def phases(o: Orientation, i: int, method: str = "pairs") -> PhasePartition:
         masks = _brute_phase_masks(o.out, o.dim, i)
     else:
         raise ValueError(f"unknown method {method!r}")
-    ends = _edge_index(o.dim, i).ends
-    classes = []
-    for mask in masks:
-        cls = []
-        while mask:
-            cls.append(Edge(ends[(mask & -mask).bit_length() - 1], i))
-            mask &= mask - 1
-        classes.append(frozenset(cls))
-    return PhasePartition(i, tuple(classes))
+    bits = _edge_bits(o.dim, i).items()
+    return PhasePartition(i, tuple(frozenset(e for e, b in bits if mask & b) for mask in masks))
 
 
 def phase_flip(o: Orientation, i: int, classes) -> Orientation:
@@ -367,7 +366,7 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
     """
     _require_phase_input(o, i)
     known = set(_phase_masks(bytes(o.out), o.dim, i))
-    bits = {Edge(v, i): 1 << p for p, v in enumerate(_edge_index(o.dim, i).ends)}
+    bits = _edge_bits(o.dim, i)
     word = 0
     for cls in classes:
         try:
@@ -389,17 +388,17 @@ def phase_swap(o: Orientation, h: int, edges) -> Orientation:
     bit of digit h on every tile whose vertex touches a chosen edge.
     """
     wanted = set(edges)
-    matched = [cls for cls in phases(o, h).classes if cls & wanted]
-    if any(not cls <= wanted for cls in matched):
+    _require_phase_input(o, h)
+    bits = _edge_bits(o.dim, h)
+    word = sum(bits.get(e, 0) for e in wanted)  # a set holds each edge once
+    if any(cls & word and cls & ~word for cls in _phase_masks(bytes(o.out), o.dim, h)):
         raise PhaseSelectionError(f"edge set splits a phase class of dimension {h}")
-    covered = frozenset().union(*matched)
-    if covered != wanted:
-        stray = sorted(wanted - covered)
-        raise PhaseSelectionError(f"not h-edges of this cube: {stray}")
+    stray = wanted.difference(bits)
+    if stray:
+        raise PhaseSelectionError(f"not h-edges of this cube: {sorted(stray)}")
     hbit = 1 << (h - 1)
-    out = list(o.out)
-    for e in covered:
-        out[e.vertex], out[e.vertex | hbit] = out[e.vertex | hbit], out[e.vertex]
+    lower = {e.vertex for e, bit in bits.items() if word & bit}
+    out = tuple(o.out[v ^ hbit] if v & ~hbit in lower else w for v, w in enumerate(o.out))
     return _verified(o.dim, out)
 
 

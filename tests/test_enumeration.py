@@ -339,11 +339,12 @@ def test_join_count_sums_one_facet_per_orbit(n):
         assert sorted(size for _, size in orbits) == [8, 24, 24, 48, 48, 48, 64, 96, 192, 192]
 
 
-def _class_masks(classes, m):
+def _lowest_edge_masks(classes, m):
+    """The batch closure's row form: each class's mask at its lowest edge,
+    0 at its other edges."""
     masks = [0] * m
     for cls in classes:
-        for p in cls:
-            masks[p] = sum(1 << q for q in cls)
+        masks[min(cls)] = sum(1 << q for q in cls)
     return masks
 
 
@@ -356,27 +357,41 @@ def test_join_classes_are_the_combed_joins_phases(n):
     lows = [rep for rep, _ in _facet_orbits(n)] if n == 3 else range(len(cat))
     for li in lows:
         want = [
-            _class_masks(_phase_projections(cat[li] + up, n + 1, n + 1), 1 << n)
+            _lowest_edge_masks(_phase_projections(cat[li] + up, n + 1, n + 1), 1 << n)
             for up in cat
         ]
         assert _join_classes(n + 1, li).tolist() == want
 
 
-def _closures_agree(tables, k):
-    """Both phase closures against the union-find, at every coordinate: the
-    batch fixpoint's per-edge masks, and _phase_masks' classes, which are
-    also _distinct of those masks."""
+def test_join_count_is_the_all_pairs_sum():
+    # every lower facet, not one per orbit: this tests the orbit argument
+    # of _join_count at k = 4 itself
     import numpy as np
 
-    from usokit.transform import _distinct, _edge_classes, _phase_masks
+    from usokit.enumeration import _catalogue, _join_classes, _join_count
+
+    total = sum(
+        int((1 << np.count_nonzero(_join_classes(4, li), axis=1)).sum())
+        for li in range(len(_catalogue(3)))
+    )
+    assert total == _join_count(4) == 5541744
+
+
+def _closures_agree(tables, k):
+    """Both phase closures against the union-find, at every coordinate: the
+    batch fixpoint's rows, each class at its lowest edge, and _phase_masks'
+    classes in the order of their lowest edges."""
+    import numpy as np
+
+    from usokit.transform import _edge_classes, _phase_masks
 
     for i in range(1, k + 1):
         batch = _edge_classes(np.array(tables), k, i).tolist()
         for out, row in zip(tables, batch):
             classes = _phase_projections(out, k, i)
-            assert row == _class_masks(classes, 1 << (k - 1))
+            assert row == _lowest_edge_masks(classes, 1 << (k - 1))
             want = tuple(sum(1 << p for p in cls) for cls in classes)
-            assert _phase_masks(bytes(out), k, i) == want == _distinct(row)
+            assert _phase_masks(bytes(out), k, i) == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -386,9 +401,12 @@ def test_edge_classes_match_phase_projections_on_walks(k):
     tables = [tuple(out) for out in _walk(k, 40, 100 + k)]
     if k == 5:
         # after step 1783 of _walk(5, 2000, 1000) the 5-edges form one class
-        # that takes 6 growing rounds, the most seen on k = 5 walks
-        *_, deep = _walk(5, 1783, 1000)
-        tables.append(tuple(deep))
+        # that takes 6 growing rounds, the most seen on k = 5 walks; after
+        # step 825 of _walk(5, 825, 1006) they also take 6, and 5 rounds
+        # leave even the lowest edge's mask short
+        for steps, seed in ((1783, 1000), (825, 1006)):
+            *_, deep = _walk(5, steps, seed)
+            tables.append(tuple(deep))
     _closures_agree(tables, k)
 
 
@@ -400,20 +418,23 @@ def test_closures_match_phase_projections_on_every_k3_table():
 
 def _reference_join_stream(k):
     """The join stream as one pick loop per facet pair: pick's bit c flips
-    class c, in the order of the classes' lowest edges."""
+    class c, in the order of the classes' lowest edges.  The classes are
+    the union-find's on the combed join, not the library's closure."""
     from operator import or_
 
-    from usokit.enumeration import _facet_tiles, _join_classes
-    from usokit.transform import _distinct, _union
+    from usokit.enumeration import _catalogue, _facet_tiles
 
+    cat = _catalogue(k - 1)
     tables = _facet_tiles(k)
     top = 1 << (k - 1)
     shift = 2 * (k - 1)
-    for li, (low_tiles, _) in enumerate(tables):
-        for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
-            classes = _distinct(masks)
+    for low, (low_tiles, _) in zip(cat, tables):
+        for up, (_, up_tiles) in zip(cat, tables):
+            classes = _phase_projections(low + up, k, k)
             for pick in range(1 << len(classes)):
-                word = _union(classes, pick)
+                word = sum(
+                    1 << p for c, cls in enumerate(classes) if pick >> c & 1 for p in cls
+                )
                 bits = [(word >> p & 1) << shift for p in range(top)]
                 yield TileSet(k, [*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
 

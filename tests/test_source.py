@@ -46,3 +46,26 @@ def test_the_pair_rule_has_one_home():
         reads.visit(ast.parse(p.read_text(), filename=str(p)))
         found |= {f"{p.stem}.{scope}" for scope in reads.found}
     assert found == {"transform._linked"}
+
+
+def _names(tree):
+    """Every name, attribute and imported name the module's code uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_edge_index_stays_in_transform():
+    # the phase closures hand out each class once, at its lowest edge, so
+    # no other module needs the i-edges' projection indices to name one
+    found = [
+        p.name
+        for p in sorted(Path(usokit.__file__).parent.glob("*.py"))
+        if p.name != "transform.py"
+        and "_edge_index" in set(_names(ast.parse(p.read_text(), filename=str(p))))
+    ]
+    assert found == []
