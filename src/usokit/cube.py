@@ -7,8 +7,9 @@ Conventions used throughout the package:
   first, so vertex ``0b10`` of the 2-cube prints as ``"01"``.
 * ``Orientation.out[v]`` is a k-bit direction word: bit ``i - 1`` is 1
   exactly when the i-edge at ``v`` points into the upper i-facet.  Both
-  endpoints of an edge carry the same bit, so the table is redundant and
-  the constructor rejects tables whose endpoints disagree.
+  endpoints of an edge carry the same bit, so the table is redundant.
+  Edges are checked where a table enters: the constructors reject a
+  caller's table whose endpoints disagree.
 * An edge is named by its endpoint in the lower i-facet plus ``i``.
 
 A vertex is a sink of a face when no edge of the face leaves it, which is
@@ -24,10 +25,11 @@ An orientation is verified once.  Operations that need unique sinks go
 through ``_require_uso``, which runs the pairwise test on first use and
 keeps the verdict on the immutable value; results that are unique sink
 orientations by construction carry the verdict from birth.  The public
-``is_uso`` always runs its test.  ``_verified`` builds an orientation with
-only the constructor's word-range test from a verified tiling's table,
-which has just passed the pairwise test, or from a transform's output,
-an USO by theorem, which the test suite guards.
+``is_uso`` always runs its test.  ``_consistent`` builds an orientation with
+only the word-range test from a table whose edges agree by construction;
+``_verified`` adds the verdict, for a verified tiling's table, a
+transform's output (an USO by theorem, which the test suite guards) and
+the all-down table.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
-import numpy as np
-
 from .errors import DimensionError, NotAnUsoError
-from .pairwise import KERNEL_MIN_DIM, incompatible_pairs
+from .pairwise import incompatible_pairs
 
 FACE_CHARS = "01*"
 
@@ -216,33 +216,28 @@ def _check_words(k: int, out: tuple) -> None:
         raise ValueError(f"direction word {w} at vertex {v} out of range")
 
 
-def _verified(k: int, out) -> Orientation:
-    """The orientation of a table known to have unique sinks.
-
-    Born with its verdict, without a test: out is a verified tiling's table
-    or a transform's output.  Unique sinks make the two ends of every edge
-    agree on it, so the constructor's edge scan is skipped; its word-range
-    test is not.
+def _consistent(k: int, out) -> Orientation:
+    """The orientation of a table whose edges agree by construction: the
+    constructor without its edge scan.  _verdict stays None, its default.
     """
     out = tuple(out)
     _check_words(k, out)
     o = object.__new__(Orientation)
     object.__setattr__(o, "dim", k)
     object.__setattr__(o, "out", out)
-    return _keep_verdict(o, True)
+    return o
+
+
+def _verified(k: int, out) -> Orientation:
+    """The orientation of a table known to have unique sinks, which make the
+    ends of every edge agree; born with its verdict."""
+    return _keep_verdict(_consistent(k, out), True)
 
 
 def _check_edges(k: int, out, support=None, what: str = "inconsistent direction of"):
     """Raise ValueError naming the edge of lowest coordinate, then lowest
     vertex, whose endpoints in support (default: all 2^k) disagree on it.
-
-    A whole table of 2^KERNEL_MIN_DIM words or more is tested by numpy first.
     """
-    if support is None and k >= KERNEL_MIN_DIM:
-        words = np.fromiter(out, np.int64, 1 << k)
-        halves = (words.reshape(-1, 2, 1 << i) for i in range(k))
-        if not any(((h[:, 0] ^ h[:, 1]) >> i & 1).any() for i, h in enumerate(halves)):
-            return
     vertices = range(1 << k) if support is None else sorted(support)
     for i in range(k):
         ibit = 1 << i
@@ -254,7 +249,7 @@ def _check_edges(k: int, out, support=None, what: str = "inconsistent direction 
 
 def canonical_orientation(k: int) -> Orientation:
     """All edges point down; the unique sink is the all-zero vertex."""
-    return Orientation(k, (0,) * (1 << k))
+    return _verified(k, (0,) * (1 << k))
 
 
 def unique_sink(o: Orientation, f: Face):
@@ -349,14 +344,14 @@ def flippable_edges(o: Orientation) -> set[Edge]:
 
 
 def flip_edges(o: Orientation, edges) -> Orientation:
-    """Reverse the given edges.  No unique-sink guarantee on the result."""
+    """Reverse the given edges at both ends.  No unique-sink guarantee."""
     out = list(o.out)
     for e in set(edges):
         check_edge(e, o.dim)
         ibit = 1 << (e.dim - 1)
         out[e.vertex] ^= ibit
         out[e.vertex | ibit] ^= ibit
-    return Orientation(o.dim, tuple(out))
+    return _consistent(o.dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,4 +411,4 @@ def combine(a: PartialOrientation, b: PartialOrientation) -> Orientation:
     out = [merged[v] for v in range(1 << k)]
     # each side is consistent on its own, so any disagreement is on the cut
     _check_edges(k, out, what="cut disagreement on")
-    return Orientation(k, tuple(out))
+    return _consistent(k, out)

@@ -418,11 +418,46 @@ MUTANTS = [
     # the tiling verdict on the vertex table, and orientations built from
     # tables that passed the pairwise test
     (
-        "_verified without the word-range test",
+        "_consistent, and so _verified, without the word-range test",
         "cube.py",
         "    _check_words(k, out)\n    o = object.__new__(Orientation)\n",
         "    o = object.__new__(Orientation)\n",
         ["tests/test_cube.py::test_verified_keeps_the_word_range_test"],
+    ),
+    # edges are scanned where a table enters, once
+    (
+        # edge-inconsistent: the upper end of each flipped edge keeps its bit
+        "flip_edges reversing the lower endpoints only",
+        "cube.py",
+        "        out[e.vertex] ^= ibit\n        out[e.vertex | ibit] ^= ibit\n",
+        "        out[e.vertex] ^= ibit\n",
+        ["tests/test_cube.py::test_flip_edges_combs"],
+    ),
+    (
+        "combine without its cut check",
+        "cube.py",
+        '    _check_edges(k, out, what="cut disagreement on")\n',
+        "",
+        ["tests/test_cube.py::test_combine_rejects_cut_disagreement"],
+    ),
+    (
+        "_check_edges missing the last coordinate",
+        "cube.py",
+        "    for i in range(k):\n        ibit = 1 << i\n        for v in vertices:\n",
+        "    for i in range(k - 1):\n        ibit = 1 << i\n        for v in vertices:\n",
+        [
+            "tests/test_cube.py::test_edge_check_names_the_lowest_disagreement",
+            "tests/test_cube.py::test_edge_check_matches_the_double_loop",
+        ],
+    ),
+    (
+        # from k = 5 the verdict and the pairwise cross-check then run the
+        # same test on the same vertex table
+        "validate without the tile pair cross-check",
+        "cli.py",
+        " or not ts.is_pairwise_adjacent()",
+        "",
+        ["tests/test_cli.py::test_validate_cross_checks_the_other_encoding"],
     ),
     (
         "vertex route without its pairwise test",
@@ -491,6 +526,13 @@ MUTANTS = [
         "transform.py",
         '    bit = 1 if side == "upper" else 0\n',
         '    bit = 1 if side == "lower" else 0\n',
+        ["tests/test_transform.py::test_facet_of_bow"],
+    ),
+    (
+        "facet starting one run late",
+        "transform.py",
+        "range(bit * run, 1 << o.dim, 2 * run)",
+        "range(bit * run + run, 1 << o.dim, 2 * run)",
         ["tests/test_transform.py::test_facet_of_bow"],
     ),
     (

@@ -3,6 +3,7 @@
 import pytest
 
 from usokit import (
+    TileSet,
     bow,
     canonical_tiles,
     named_rule,
@@ -539,6 +540,30 @@ def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsy
     assert capsys.readouterr() == ("", line)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_cross_checks_the_other_encoding(
+    seed, sampled_tiling, tmp_path, monkeypatch, capsys
+):
+    # from k = 5 the verdict and is_uso both run _pairwise_ok on the vertex
+    # table; with both bindings passing anything, a tiling with one
+    # direction digit changed must still fail the tile pair test
+    import random
+
+    import usokit.cube
+    import usokit.tiling
+
+    for module in (usokit.cube, usokit.tiling):
+        monkeypatch.setattr(module, "_pairwise_ok", lambda out, k: True)
+    rnd = random.Random(seed)
+    ts = sampled_tiling(7)
+    t = rnd.choice(sorted(ts.tiles))
+    bad = TileSet(7, (ts.tiles - {t}) | {t ^ 1 << 2 * rnd.randrange(7)})
+    f = write(tmp_path, "bad.uso", write_tiling(bad))
+    assert run(["validate", f]) == 3
+    line = "error: internal: the pairwise test rejects a complete tiling\n"
+    assert capsys.readouterr() == ("", line)
+
+
 def test_unknown_method_is_a_usage_error(capsys):
     for verb in ("count", "enumerate"):
         assert run([verb, "--k", "2", "--method", "walk"]) == 2
@@ -556,10 +581,10 @@ def test_convert_reports_the_tiling_defect(tmp_path, capsys):
 
 # verb arguments after the input file, and the passes of the tiling kernel
 # and of the vertex kernel: one test of the k = 5 input file, which runs on
-# its vertex table, and validate's pairwise cross-check; no transform
+# its vertex table; validate cross-checks on both encodings; no transform
 # output is tested; apply adds the rule's two union checks on tiles
 KERNEL_PASSES = {
-    "validate": ([], 0, 2),
+    "validate": ([], 1, 2),
     "convert": (["--to", "tiles"], 0, 1),
     "uni-rule": ([], 0, 1),
     "apply": (["--rule", "RULE", "--h", "2"], 2, 1),

@@ -20,12 +20,14 @@ from usokit import (
     flippable_edges,
     is_uso,
     neighbor,
+    read_orientation,
     unique_sink,
     uso_from_tiles,
     vertex_bits,
     vertex_from_bits,
+    write_orientation,
 )
-from usokit.cube import _check_edges, _verified, check_edge, drop_bit, insert_bit
+from usokit.cube import _consistent, _verified, check_edge, drop_bit, insert_bit
 
 
 def bits(s):
@@ -38,6 +40,9 @@ TWO_SINKS = Orientation(2, (0, 2, 1, 3))
 
 # The directed 4-cycle 00 -> 10 -> 11 -> 01 -> 00; its full face has no sink.
 CYCLE = Orientation(2, (1, 3, 0, 2))
+
+BOW = uso_from_tiles(bow())
+BOW_HALVES = tuple(PartialOrientation.restrict(BOW, s) for s in ({0, 1}, {2, 3}))
 
 
 def test_neighbor_toggles_one_bit():
@@ -350,7 +355,7 @@ def test_edge_check_names_the_lowest_disagreement():
         Orientation(2, two)
     with pytest.raises(ValueError, match=message):
         PartialOrientation(2, frozenset(range(4)), dict(enumerate(two)))
-    # the numpy route: the 3-edge at 11000 and the 1-edge at 01111
+    # a whole 5-cube table: the 3-edge at 11000 and the 1-edge at 01111
     five = [0] * 32
     five[3] ^= 4
     five[30] ^= 1
@@ -363,28 +368,95 @@ def test_edge_check_names_the_lowest_disagreement():
         combine(a, b)
 
 
-def _edge_error(k, out, support=None):
+def _loop_edge_error(k, out, support, what="inconsistent direction of"):
+    """The message naming the first disagreeing edge within support, by
+    coordinate and then vertex, from the plain double loop; None if none."""
+    for i in range(1, k + 1):
+        for v in range(1 << k):
+            u = v | 1 << (i - 1)
+            if u != v and v in support and u in support:
+                if out[v] >> (i - 1) & 1 != out[u] >> (i - 1) & 1:
+                    return f"{what} the {i}-edge at {vertex_bits(v, k)}"
+    return None
+
+
+def _error(build, *args):
     try:
-        _check_edges(k, out, support)
+        build(*args)
     except ValueError as exc:
         return str(exc)
     return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(5, 7), st.randoms(use_true_random=False), st.integers(0, 3))
-def test_edge_check_numpy_route_matches_the_loop(k, rnd, flips):
-    n = 1 << k
-    out = [0] * n
+def _random_table(k, rnd):
+    """A consistent table: each edge's direction drawn by a coin."""
+    out = [0] * (1 << k)
     for i in range(k):
-        for v in range(n):
+        for v in range(1 << k):
             if not v >> i & 1 and rnd.random() < 0.5:
                 out[v] |= 1 << i
                 out[v | 1 << i] |= 1 << i
-    for _ in range(flips):
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 8), st.randoms(use_true_random=False), st.integers(0, 3))
+def test_edge_check_matches_the_double_loop(k, rnd, flips):
+    n, every = 1 << k, frozenset(range(1 << k))
+    base, other = _random_table(k, rnd), _random_table(k, rnd)
+    out = list(base)
+    for _ in range(flips if k else 0):
         out[rnd.randrange(n)] ^= 1 << rnd.randrange(k)
-    # a support given takes the loop, none the numpy test first
-    assert _edge_error(k, out) == _edge_error(k, out, range(n))
+    assert _error(Orientation, k, out) == _loop_edge_error(k, out, every)
+    support = frozenset(v for v in range(n) if rnd.random() < 0.5)
+    words = {v: out[v] for v in support}
+    assert _error(PartialOrientation, k, support, words) == _loop_edge_error(k, out, support)
+    # two consistent sides can disagree only on the cut
+    a = PartialOrientation(k, support, {v: other[v] for v in support})
+    b = PartialOrientation(k, every - support, {v: base[v] for v in every - support})
+    merged = [other[v] if v in support else base[v] for v in range(n)]
+    cut = _loop_edge_error(k, merged, every, "cut disagreement on")
+    assert _error(combine, a, b) == cut
+    if cut is None:
+        assert combine(a, b) == Orientation(k, merged)
+
+
+@pytest.mark.parametrize(
+    "build, scans",
+    [
+        (lambda: Orientation(3, (0,) * 8), 1),
+        (lambda: read_orientation(write_orientation(canonical_orientation(3))), 1),
+        (lambda: combine(*BOW_HALVES), 1),
+        (lambda: flip_edges(BOW, {Edge(0, 1), Edge(1, 2)}), 0),
+        (lambda: canonical_orientation(3), 0),
+    ],
+    ids=["Orientation", "read_orientation", "combine", "flip_edges", "canonical_orientation"],
+)
+def test_edges_are_scanned_once_where_a_table_enters(build, scans, monkeypatch):
+    import usokit.cube
+
+    calls = []
+    real = usokit.cube._check_edges
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(usokit.cube, "_check_edges", counting)
+    build()
+    assert len(calls) == scans
+
+
+def test_consistent_is_the_constructor_without_the_edge_scan():
+    for k, out in ((0, (0,)), (2, (0, 2, 0, 2)), (3, (5, 5, 1, 1, 5, 5, 1, 1))):
+        o, built = _consistent(k, list(out)), Orientation(k, out)
+        assert o == built and o.out == out
+        assert hash(o) == hash(built) and repr(o) == repr(built)
+        assert o._verdict is None
+    # no edge scan: only tables consistent by construction may come here
+    assert _consistent(2, (1, 0, 0, 0)).out == (1, 0, 0, 0)
+    with pytest.raises(ValueError, match="^direction word 4 at vertex 3 out of range$"):
+        _consistent(2, (0, 0, 0, 4))
 
 
 def test_combine_rejects_non_partition():

@@ -69,3 +69,11 @@ def test_edge_index_stays_in_transform():
         and "_edge_index" in set(_names(ast.parse(p.read_text(), filename=str(p))))
     ]
     assert found == []
+
+
+def test_cube_checks_edges_without_numpy():
+    # _check_edges has one route, the loop; the edge scan runs only on
+    # tables from outside the library, so no threshold picks a faster one
+    path = Path(usokit.__file__).parent / "cube.py"
+    names = set(_names(ast.parse(path.read_text(), filename=str(path))))
+    assert names & {"numpy", "np", "KERNEL_MIN_DIM"} == set()

@@ -35,6 +35,7 @@ from usokit import (
     tiles_from_uso,
     uso_from_tiles,
 )
+from usokit.cube import drop_bit, insert_bit
 
 DOWN1 = Orientation(1, (0, 0))
 UP1 = Orientation(1, (1, 1))
@@ -108,6 +109,15 @@ def test_facet_matches_rules(catalogue2):
         for h in (1, 2):
             assert tiles_from_uso(facet(o, h, "lower")) == apply_simple(lower, ts, h)
             assert tiles_from_uso(facet(o, h, "upper")) == apply_simple(upper, ts, h)
+
+
+@pytest.mark.parametrize("k", [3, 6, 8])
+def test_facet_is_the_table_of_its_vertices(k, sampled_tiling):
+    o = uso_from_tiles(sampled_tiling(k))
+    for h in range(1, k + 1):
+        for bit, side in enumerate(("lower", "upper")):
+            vertices = (insert_bit(p, h - 1, bit) for p in range(1 << (k - 1)))
+            assert facet(o, h, side).out == tuple(drop_bit(o.out[v], h - 1) for v in vertices)
 
 
 def test_flip_dimension_involution(catalogue2):
