@@ -18,6 +18,10 @@ The modules split as follows:
 - enumeration: exhaustive streams, counting, the seeded flip walk
 - formats: the line-based text forms used by the command line driver
 - errors: the exception hierarchy and the categories the CLI prints
+
+Importing the package does not import numpy.  The numpy routes (the
+pairwise kernel and the block text codec from dimension 5 up, the phase
+kernel, the facet join) import it on first use, through ``_lazy``.
 """
 
 from types import ModuleType as _ModuleType

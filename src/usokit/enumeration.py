@@ -38,6 +38,9 @@ Three routes:
   Randomness comes from SplitMix64 (RNG_ALGORITHM below), a 64-bit
   splittable generator, so samples reproduce across platforms.
 
+The join and the walk run the phase kernel, so they import numpy on
+first use (see _lazy); the brute route never does.
+
 The number of 5-dimensional orientations with unique sinks is
 638 560 878 292 512; everything at that scale is out of reach here, which
 is what the caps encode.
@@ -51,8 +54,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .cube import _pairwise_ok, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _built, _tiles_of, tile_of
@@ -109,19 +111,15 @@ def _catalogue(k: int) -> tuple:
             f"brute enumeration is capped at dimension {MAX_BRUTE_DIM}"
         )
     n = 1 << k
-    edges = k * (n >> 1)
-    positions = []
-    for v in range(n):
-        row = []
-        for i in range(1, k + 1):
-            e = (i - 1) * (n >> 1) + drop_bit(v, i - 1)
-            row.append((e, i - 1))
-        positions.append(row)
+    # column i, entry w: the table's i-bits when the n/2 i-edges point as
+    # the bits of w, the i-edge at vertex v being bit drop_bit(v, i)
+    columns = [
+        [tuple((w >> drop_bit(v, i) & 1) << i for v in range(n)) for w in range(1 << (n >> 1))]
+        for i in range(k)
+    ]
     found = []
-    for word in range(1 << edges):
-        out = tuple(
-            sum((word >> e & 1) << b for e, b in positions[v]) for v in range(n)
-        )
+    for parts in product(*columns):
+        out = tuple(map(sum, zip(*parts))) if k else (0,)
         if _pairwise_ok(out, k):
             found.append(out)
     found.sort(key=lambda out: _serial_key(out, k))

@@ -35,6 +35,11 @@ blanks, blank lines, "uso 05", a text of a dimension read word by word or
 a defect of any kind, goes unchanged to the line reader, which accepts or
 rejects it with the messages above; only a repeated tile is reported by
 the block path itself, as the same "duplicate tiles".
+
+A label table of dimension k >= 1 in its plain form, lines of k digits
+0-3, one space and a label without leading zeros, each ending in a
+newline, is read whole: one pattern match and one split.  Any other text,
+and a plain one with a repeated tile, goes to the line reader.
 """
 
 from __future__ import annotations
@@ -268,6 +273,24 @@ def write_labels(labels: dict[str, int]) -> str:
 
 
 def read_labels(text: str, dim: int) -> dict[str, int]:
+    """The label of each tile word of a "<tile> <label>" table.
+
+    A text in its plain form is read whole: one match and one split.  Any
+    other text, and a plain one with a repeated tile, goes to the line
+    reader, which accepts or rejects it with its own messages.
+    """
+    if dim > 0 and re.fullmatch(f"(?:[0-3]{{{dim}}} [1-9][0-9]*\n)*", text):
+        words = text.split()
+        try:
+            labels = dict(zip(words[::2], map(int, words[1::2])))
+        except ValueError:  # more digits than int() converts
+            labels = {}
+        if 2 * len(labels) == len(words):
+            return labels
+    return _read_label_lines(text, dim)
+
+
+def _read_label_lines(text: str, dim: int) -> dict[str, int]:
     labels = {}
     for ln in _lines(text):
         parts = _fields(ln, 2)

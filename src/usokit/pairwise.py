@@ -17,14 +17,15 @@ lexicographic (a, b) order.  Sets of fewer than 2^KERNEL_MIN_DIM words go
 through the pure-Python double loop, which is also the reference; larger
 sets go through numpy, one block of rows against all later columns at a
 time, so a corrupted input stops at the first block holding a failure.
-Both routes yield the same pairs in the same order.
+Both routes yield the same pairs in the same order.  numpy is imported on
+the first block (see _lazy), so smaller sets never import it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-import numpy as np
+from ._lazy import np
 
 # Smallest dimension whose complete sets (2^k words) go through numpy.
 # Below it the loop beats numpy's per-call overhead.
@@ -39,7 +40,8 @@ MAX_WORD_BITS = 64
 # of these sizes.
 _BLOCK_CELLS = 1 << 16
 
-_DTYPES = ((8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64))
+# by name, so that importing this module does not import numpy
+_DTYPES = ((8, "uint8"), (16, "uint16"), (32, "uint32"), (64, "uint64"))
 
 
 def incompatible_pairs(

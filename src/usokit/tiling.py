@@ -42,7 +42,9 @@ loses to tile_pack and tile_unpack: tile_lines sorts the per-word codec's
 words, and pack_lines returns None, as it does for any text not in that
 exact form, so that the caller reads word by word with its own messages.
 TileSet.strings(), formats.write_tiling and formats.read_tiling use them,
-and so do the label keys of rewrite._rewrite.
+and so do the label keys of rewrite._rewrite.  numpy is imported on the
+first numpy route taken (see _lazy), so tile sets below KERNEL_MIN_DIM
+never import it.
 
 A tiling is verified once, by one verdict, ``_tiling_ok``.  Below
 KERNEL_MIN_DIM it is the tile pair test on the packed tiles; from there
@@ -68,8 +70,7 @@ from itertools import product as iproduct
 from operator import or_
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import np
 from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_uso, _verified
 from .errors import NotATilingError
 from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
@@ -132,8 +133,13 @@ def _spread(x: int) -> int:
 # tiles that fit one uint64.
 _BLOCK_DIMS = range(KERNEL_MIN_DIM, MAX_WORD_BITS // 2 + 1)
 
-_DIGIT_SHIFTS = np.arange(0, MAX_WORD_BITS, 2, dtype=np.uint64)
-_DIGIT_SHIFTS.flags.writeable = False
+
+@lru_cache(maxsize=None)
+def _digit_shifts():
+    """The 2-bit slot of each of the 32 digits of a uint64, read-only."""
+    shifts = np.arange(0, MAX_WORD_BITS, 2, dtype=np.uint64)
+    shifts.flags.writeable = False
+    return shifts
 
 
 def tile_lines(tiles, k: int) -> str:
@@ -146,7 +152,7 @@ def tile_lines(tiles, k: int) -> str:
     if k not in _BLOCK_DIMS:
         return "".join(sorted(tile_unpack(t, k) + "\n" for t in tiles))
     packed = np.fromiter(tiles, np.uint64, len(tiles))
-    digits = (packed[:, None] >> _DIGIT_SHIFTS[:k] & 3).astype(np.uint8)
+    digits = (packed[:, None] >> _digit_shifts()[:k] & 3).astype(np.uint8)
     block = np.empty((len(packed), k + 1), np.uint8)
     block[:, :k] = digits[np.lexsort(digits.T[::-1])] + 48
     block[:, k] = 10
@@ -167,7 +173,7 @@ def pack_lines(text: str, n: int, k: int) -> list[int] | None:
     digits = rows[:, :k] - 48  # wraps below "0", so one bound checks both ends
     if (digits > 3).any():
         return None
-    packed = (digits.astype(np.uint64) << _DIGIT_SHIFTS[:k]).sum(axis=1, dtype=np.uint64)
+    packed = (digits.astype(np.uint64) << _digit_shifts()[:k]).sum(axis=1, dtype=np.uint64)
     return packed.tolist()
 
 

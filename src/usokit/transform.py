@@ -31,7 +31,9 @@ facet join runs on whole batches (see ``enumeration``), and
 ints, where numpy's fixed cost per operation would dominate.  Both give
 each class's mask once, in order of its lowest edge; the batch closure
 writes 0 at its other edges.  The tests check both against a
-pure-Python union-find.
+pure-Python union-find.  Both run on ``_edge_index``'s numpy arrays, so
+phases, phase_flip and phase_swap import numpy on first use (see
+``_lazy``); the other transforms never do.
 ``_flip`` is the one edge reversal on masks, visiting only the set bits of
 its word: ``phase_flip`` ORs the masks of the chosen classes and reverses
 that word through it, and so does each step of the flip walk, which keeps
@@ -47,8 +49,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .cube import (
     Edge,
     Face,

@@ -13,7 +13,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 130 s on two cores.  Exits 1 and names every mutant that survived or
+About 125 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -47,6 +47,8 @@ TEXT = "tests/test_tiling.py::test_strings_and_text_match_the_per_tile_codec"
 LABELS = "tests/test_rewrite.py::test_labellings_give_the_per_key_loop_results"
 VERDICT = "tests/test_tiling.py::test_verdict_matches_the_tile_pair_test"
 REFERENCE = "tests/test_enumeration.py::test_join_stream_is_the_reference_pick_loop"
+NUMPY_FREE = "tests/test_source.py::test_small_verbs_run_without_numpy"
+LABEL_TEXT = "tests/test_formats.py::test_label_reader_keeps_the_line_readers_messages"
 
 MUTANTS = [
     (
@@ -570,6 +572,57 @@ MUTANTS = [
         "            bit = sub.out[p] >> a & 1\n",
         "            bit = sub.out[p ^ 1] >> a & 1\n",
         ["tests/test_transform.py::test_hypervertex_replace_keeps_the_free_coordinates_in_order"],
+    ),
+    (
+        "brute tables reading edge v mod n/2, not drop_bit(v, i)",
+        "enumeration.py",
+        "[tuple((w >> drop_bit(v, i) & 1) << i for v in range(n))",
+        "[tuple((w >> v % (n >> 1) & 1) << i for v in range(n))",
+        ["tests/test_enumeration.py::test_join_matches_brute"],
+    ),
+    # numpy on first use
+    (
+        "tiling importing numpy eagerly",
+        "tiling.py",
+        "from ._lazy import np\n",
+        "import numpy as np\n",
+        [NUMPY_FREE],
+    ),
+    (
+        "the proxy replaced by numpy itself",
+        "_lazy.py",
+        "np = _Numpy()\n",
+        "import numpy as np\n",
+        [NUMPY_FREE],
+    ),
+    (
+        "16-bit words in an 8-bit dtype",
+        "pairwise.py",
+        '(16, "uint16")',
+        '(16, "uint8")',
+        ["tests/test_pairwise.py::test_kernel_matches_reference_on_valid_usos"],
+    ),
+    # the whole-text label reader
+    (
+        "whole-text label reader at dimension 0",
+        "formats.py",
+        "    if dim > 0 and re.fullmatch(",
+        "    if re.fullmatch(",
+        [LABEL_TEXT],
+    ),
+    (
+        "whole-text label reader without the repeat test",
+        "formats.py",
+        "        if 2 * len(labels) == len(words):\n",
+        "        if labels or not words:\n",
+        [LABEL_TEXT],
+    ),
+    (
+        "whole-text label reader taking any digit in a tile",
+        "formats.py",
+        "[0-3]{{{dim}}} [1-9]",
+        "[0-9]{{{dim}}} [1-9]",
+        [LABEL_TEXT],
     ),
 ]
 

@@ -28,8 +28,8 @@ from usokit import (
     write_rule,
     write_tiling,
 )
-from usokit import tiling
-from usokit.formats import _BLANKS, _counted_body, _parse_tiles
+from usokit import formats, tiling
+from usokit.formats import _BLANKS, _counted_body, _parse_tiles, _read_label_lines
 
 EX_RULE = SimpleRule(
     d=2,
@@ -403,6 +403,53 @@ def test_label_reader_fuzz_value_or_format_error(case):
     except FormatError:
         return
     assert read_labels(write_labels(labels), dim) == labels
+
+
+# the whole-text label reader against the line reader
+
+def test_label_reader_routes_agree_on_a_k10_table(sampled_tiling, monkeypatch):
+    words = sampled_tiling(10).strings()
+    labels = {w: 1 + j * 7919 % 100003 for j, w in enumerate(words)}
+    text = write_labels(labels)
+    assert _read_label_lines(text, 10) == labels
+
+    def refuse(text, dim):
+        raise AssertionError("the line reader ran on a plain table")
+
+    monkeypatch.setattr(formats, "_read_label_lines", refuse)
+    assert read_labels(text, 10) == labels
+
+
+# every malformed label text of the tests above, plain tables with a
+# repeated tile or a digit above 3, a label int() does not convert, and
+# dimension-0 lines without their tile, which split into one word each
+MALFORMED_LABELS = [
+    *((text, 2) for text in ("01\n", "01 2 3\n", "01 x\n", "01 0\n", "0 1\n")),
+    *((text, 2) for text in ("01 1\n01 2\n", "20 1\n01 1\n20 2\n", "01 1\n40 1\n")),
+    *((f"0 1{end}2 2\n", 1) for end in OTHER_LINE_ENDS),
+    *((f"0{blank}1\n", 1) for blank in OTHER_BLANKS),
+    *((f"0 {number}\n", 1) for number in LOOSE_NUMBERS),
+    *((f"{word} 1\n", len(word)) for word in LOOSE_WORDS),
+    ("0 -2\n", 1),
+    (f"0 {'9' * 5000}\n", 1),
+    (" 1\n 2\n", 0),
+]
+
+
+@pytest.mark.parametrize("text,dim", MALFORMED_LABELS)
+def test_label_reader_keeps_the_line_readers_messages(text, dim):
+    got = _outcome(lambda t: read_labels(t, dim), text)
+    assert isinstance(got, str)
+    assert got == _outcome(lambda t: _read_label_lines(t, dim), text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(label_texts(), st.tuples(st.integers(0, 2), st.text(max_size=30))))
+def test_label_reader_fuzz_agrees_with_the_line_reader(case):
+    dim, text = case
+    assert _outcome(lambda t: read_labels(t, dim), text) == _outcome(
+        lambda t: _read_label_lines(t, dim), text
+    )
 
 
 # the block reader against the line reader
