@@ -24,12 +24,13 @@ Three routes:
   10 x 744 facet pairs instead of 744^2 at k = 4.  Stream and count run
   in this process; the jobs argument of enumerate_join and count_usos is
   accepted and ignored.  Capped at k <= 4.
-* sample_markov: random walk on the flip graph, its state a byte per
-  vertex.  Each step draws a coordinate uniformly, takes its phase
-  classes by the same pair rule (transform._linked), closed on the one
-  table in Python ints by transform._phase_masks, and reverses a
-  uniformly chosen subset of classes through transform._flip, the edge
-  reversal phase_flip uses.  Reversing a union of classes leaves the
+* sample_markov: random walk on the flip graph, its state one int with
+  a byte lane per vertex.  Each step draws a coordinate uniformly, takes
+  its phase classes by the same pair rule (transform._linked), closed on
+  the state's bytes in Python ints by transform._phase_masks, and
+  reverses a uniformly chosen subset of classes with one XOR, of the mask
+  transform._reversal looks up per byte of the subset's edge word, the
+  edge reversal phase_flip uses.  Reversing a union of classes leaves the
   class family itself unchanged, so every move has the same probability
   as its inverse and the walk's stationary distribution is uniform.  The
   same fact lets the walk keep the classes of the last coordinate drawn
@@ -37,6 +38,8 @@ Three routes:
   at i reverses only i-edges, and the pair rule reads no direction at i.
   Randomness comes from SplitMix64 (RNG_ALGORITHM below), a 64-bit
   splittable generator, so samples reproduce across platforms.
+  markov_walk's states hold their step's bytes and build the tiling only
+  when it is read (ChainState.current).
 
 The join and the walk run the phase kernel, so they import numpy on
 first use (see _lazy); the brute route never does.
@@ -50,15 +53,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from typing import Iterator
 
 from ._lazy import np
 from .cube import _pairwise_ok, drop_bit
-from .errors import EnumerationLimitError
+from .errors import DimensionError, EnumerationLimitError
 from .tiling import TileSet, _built, _tiles_of, tile_of
-from .transform import _edge_classes, _flip, _phase_masks, _union
+from .transform import _edge_classes, _phase_masks, _reversal, _union
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -95,8 +98,23 @@ class SplitMix64:
                 return z % n
 
 
+def _check_dim(k: int, low: int, cap: int, limit: str) -> None:
+    """Raise unless k is an int in low..cap; a bool is not a dimension.
+
+    Outside the range, the EnumerationLimitError says limit.
+    """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise DimensionError(f"dimension must be an int, not {k!r}")
+    if not low <= k <= cap:
+        raise EnumerationLimitError(limit)
+
+
 # ---------------------------------------------------------------------------
 # brute force
+
+
+def _check_brute_dim(k: int) -> None:
+    _check_dim(k, 0, MAX_BRUTE_DIM, f"brute enumeration is capped at dimension {MAX_BRUTE_DIM}")
 
 
 @lru_cache(maxsize=None)
@@ -104,12 +122,9 @@ def _catalogue(k: int) -> tuple:
     """All k-dimensional USO direction tables, canonically ordered.
 
     Canonical order is lexicographic in the serialized tiling (sorted tile
-    strings), matching what the stream verbs print.
+    strings), matching what the stream verbs print.  The callers check k:
+    the public routes through _check_brute_dim, the join with k - 1.
     """
-    if not 0 <= k <= MAX_BRUTE_DIM:
-        raise EnumerationLimitError(
-            f"brute enumeration is capped at dimension {MAX_BRUTE_DIM}"
-        )
     n = 1 << k
     # column i, entry w: the table's i-bits when the n/2 i-edges point as
     # the bits of w, the i-edge at vertex v being bit drop_bit(v, i)
@@ -135,6 +150,7 @@ def enumerate_brute(k: int) -> Iterator[TileSet]:
 
     The dimension is checked on the call, before any tiling is built.
     """
+    _check_brute_dim(k)
     return (_tiles_of(out, k) for out in _catalogue(k))
 
 
@@ -143,10 +159,7 @@ def enumerate_brute(k: int) -> Iterator[TileSet]:
 
 
 def _check_join_dim(k: int) -> None:
-    if not 1 <= k <= MAX_JOIN_DIM:
-        raise EnumerationLimitError(
-            f"join enumeration is capped at dimensions 1..{MAX_JOIN_DIM}"
-        )
+    _check_dim(k, 1, MAX_JOIN_DIM, f"join enumeration is capped at dimensions 1..{MAX_JOIN_DIM}")
 
 
 def _swap_bits(w: int, i: int) -> int:
@@ -319,6 +332,7 @@ def count_usos(k: int, method: str = "brute", jobs: int = 1) -> EnumerationRepor
     """
     start = time.perf_counter()
     if method == "brute":
+        _check_brute_dim(k)
         n = len(_catalogue(k))
     elif method == "join":
         n = _join_count(k)
@@ -333,24 +347,33 @@ def count_usos(k: int, method: str = "brute", jobs: int = 1) -> EnumerationRepor
 
 @dataclass(frozen=True)
 class ChainState:
-    current: TileSet
+    """The flip walk seeded with seed, after step moves.
+
+    Holds that step's direction table, a byte per vertex of the dim-cube.
+    .current, the tiling, is built from the table on its first read and
+    kept, so a walk whose states are not read builds no tiling.  Two
+    states are equal when their tilings, steps and seeds are.
+    """
+
+    table: bytes
+    dim: int
     step: int
     seed: int
 
+    @cached_property
+    def current(self) -> TileSet:
+        return _tiles_of(self.table, self.dim)
+
 
 def _check_sample_dim(k: int) -> None:
-    if not 0 <= k <= MAX_SAMPLE_DIM:
-        raise EnumerationLimitError(
-            f"sampling is capped at dimension {MAX_SAMPLE_DIM}"
-        )
+    _check_dim(k, 0, MAX_SAMPLE_DIM, f"sampling is capped at dimension {MAX_SAMPLE_DIM}")
 
 
-def _walk(k: int, steps: int, seed: int) -> Iterator[bytearray]:
-    """The direction words after 0, 1, ..., steps moves from canonical.
+def _walk(k: int, steps: int, seed: int) -> Iterator[bytes]:
+    """The direction tables after 0, 1, ..., steps moves from canonical.
 
-    Yields one bytearray, a word per byte (k <= MAX_SAMPLE_DIM), updated in
-    place between yields.  The arguments are checked on the call, before
-    any move.
+    Yields each table as bytes, a word per byte (k <= MAX_SAMPLE_DIM).  The
+    arguments are checked on the call, before any move.
     """
     _check_sample_dim(k)
     if steps < 0:
@@ -358,9 +381,13 @@ def _walk(k: int, steps: int, seed: int) -> Iterator[bytearray]:
     return _moves(k, steps, seed)
 
 
-def _moves(k: int, steps: int, seed: int) -> Iterator[bytearray]:
-    out = bytearray(1 << k)
-    yield out
+def _moves(k: int, steps: int, seed: int) -> Iterator[bytes]:
+    # the table as one int, vertex v's word in byte lane v, so a move is
+    # one XOR (transform._reversal)
+    size = 1 << k
+    state = 0
+    table = bytes(size)
+    yield table
     rng = SplitMix64(seed)
     # a move reverses only i-edges, and the pair rule does not read their
     # direction, so the classes of i hold until another coordinate is drawn
@@ -369,9 +396,10 @@ def _moves(k: int, steps: int, seed: int) -> Iterator[bytearray]:
         if k:
             i = 1 + rng.randbelow(k)
             if i != last:
-                last, classes = i, _phase_masks(bytes(out), k, i)
-            _flip(out, k, i, _union(classes, rng.randbelow(1 << len(classes))))
-        yield out
+                last, classes = i, _phase_masks(table, k, i)
+            state ^= _reversal(k, i, _union(classes, rng.randbelow(1 << len(classes))))
+            table = state.to_bytes(size, "little")
+        yield table
 
 
 def markov_walk(k: int, steps: int, seed: int) -> Iterator[ChainState]:
@@ -380,12 +408,12 @@ def markov_walk(k: int, steps: int, seed: int) -> Iterator[ChainState]:
     The arguments are checked on the call, before any state is built.
     """
     walk = enumerate(_walk(k, steps, seed))
-    return (ChainState(_tiles_of(out, k), step, seed) for step, out in walk)
+    return (ChainState(table, k, step, seed) for step, table in walk)
 
 
 def sample_markov(k: int, steps: int, seed: int) -> TileSet:
     """The tiling after `steps` flip-walk moves from canonical."""
     # the 0-cube has one orientation, so no move changes it
-    for out in _walk(k, steps if k else min(steps, 0), seed):
+    for table in _walk(k, steps if k else min(steps, 0), seed):
         pass
-    return _tiles_of(out, k)
+    return _tiles_of(table, k)

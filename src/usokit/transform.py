@@ -34,11 +34,14 @@ writes 0 at its other edges.  The tests check both against a
 pure-Python union-find.  Both run on ``_edge_index``'s numpy arrays, so
 phases, phase_flip and phase_swap import numpy on first use (see
 ``_lazy``); the other transforms never do.
-``_flip`` is the one edge reversal on masks, visiting only the set bits of
-its word: ``phase_flip`` ORs the masks of the chosen classes and reverses
-that word through it, and so does each step of the flip walk, which keeps
-a coordinate's classes across its consecutive steps there (reversing
-i-edges changes no pair-rule input at i).  ``phase_swap`` tests its edge
+``_reversal`` is the one edge reversal on masks: it reads the table as one
+int, a byte lane per vertex, and gives the XOR mask that reverses the
+edges of a word, looked up per byte of the word in a cached per-(k, i)
+table, so reversing any set of edges is one XOR.  ``phase_flip`` ORs the
+masks of the chosen classes and reverses that word through it, and so
+does each step of the flip walk, which keeps a coordinate's classes
+across its consecutive steps there (reversing i-edges changes no
+pair-rule input at i).  ``phase_swap`` tests its edge
 word against the same masks; ``_edge_bits`` is the one Edge-to-bit map.
 """
 
@@ -211,16 +214,30 @@ def _edge_bits(k: int, i: int) -> MappingProxyType:
     return MappingProxyType({Edge(v, i): 1 << p for p, v in enumerate(_edge_index(k, i).ends)})
 
 
-def _flip(out, k: int, i: int, word: int) -> None:
-    """Reverse, in the table out, the i-edges whose projection indices are
-    the set bits of word."""
+@lru_cache(maxsize=None)
+def _reversal_rows(k: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte of an i-edge word, per value of that byte: the XOR mask that
+    reverses those edges in a table held as one int, a byte lane per vertex
+    (int.from_bytes(table, "little"), vertex v's word in bits 8v..8v+7)."""
     ibit = 1 << (i - 1)
-    ends = _edge_index(k, i).ends
-    while word:
-        v = ends[(word & -word).bit_length() - 1]
-        out[v] ^= ibit
-        out[v | ibit] ^= ibit
-        word &= word - 1
+    lanes = [ibit << 8 * v | ibit << 8 * (v | ibit) for v in _edge_index(k, i).ends]
+    rows = []
+    for start in range(0, len(lanes), 8):
+        row = [0]
+        for lane in lanes[start:start + 8]:
+            row += [mask | lane for mask in row]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _reversal(k: int, i: int, word: int) -> int:
+    """The XOR mask that reverses, in a table held as one int, the i-edges
+    whose projection indices are the set bits of word."""
+    mask = 0
+    for row in _reversal_rows(k, i):
+        mask ^= row[word & 0xFF]
+        word >>= 8
+    return mask
 
 
 def _linked(tables: np.ndarray, index: _EdgeIndex) -> np.ndarray:
@@ -368,7 +385,8 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
     of the masks of _phase_masks.
     """
     _require_phase_input(o, i)
-    known = set(_phase_masks(bytes(o.out), o.dim, i))
+    table = bytes(o.out)
+    known = set(_phase_masks(table, o.dim, i))
     bits = _edge_bits(o.dim, i)
     word = 0
     for cls in classes:
@@ -379,9 +397,8 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
         if mask not in known:
             raise PhaseSelectionError(f"not a phase class of dimension {i}: {sorted(cls)}")
         word |= mask
-    out = list(o.out)
-    _flip(out, o.dim, i, word)
-    return _verified(o.dim, out)
+    state = int.from_bytes(table, "little") ^ _reversal(o.dim, i, word)
+    return _verified(o.dim, state.to_bytes(len(table), "little"))
 
 
 def phase_swap(o: Orientation, h: int, edges) -> Orientation:

@@ -49,6 +49,7 @@ VERDICT = "tests/test_tiling.py::test_verdict_matches_the_tile_pair_test"
 REFERENCE = "tests/test_enumeration.py::test_join_stream_is_the_reference_pick_loop"
 NUMPY_FREE = "tests/test_source.py::test_small_verbs_run_without_numpy"
 LABEL_TEXT = "tests/test_formats.py::test_label_reader_keeps_the_line_readers_messages"
+REVERSAL = "tests/test_transform.py::test_reversal_is_the_per_edge_loop"
 
 MUTANTS = [
     (
@@ -116,12 +117,35 @@ MUTANTS = [
         "            word = cls\n",
         ["tests/test_enumeration.py::test_phase_walk_mixes_exactly"],
     ),
+    # the one-XOR reversal and the walk's lazy states
     (
-        "_flip without the upper endpoint",
+        "reversal table without the upper endpoint's lane",
         "transform.py",
-        "        out[v | ibit] ^= ibit\n",
-        "",
+        "[ibit << 8 * v | ibit << 8 * (v | ibit) for v in",
+        "[ibit << 8 * v for v in",
         ["tests/test_enumeration.py::test_walk_stays_on_tilings"],
+    ),
+    (
+        # no word below k = 5 has a second byte
+        "reversal ignoring the edge word's second byte",
+        "transform.py",
+        "        word >>= 8\n",
+        "        word = 0\n",
+        [REVERSAL + "_at_k5"],
+    ),
+    (
+        "phase_flip reading its table in the other byte order",
+        "transform.py",
+        'state = int.from_bytes(table, "little")',
+        'state = int.from_bytes(table, "big")',
+        ["tests/test_transform.py::test_phase_flip_single_class"],
+    ),
+    (
+        "states' tilings built from the walk's first table",
+        "enumeration.py",
+        "for step, table in walk)",
+        "for step, table in walk for table in [bytes(1 << k)])",
+        ["tests/test_enumeration.py::test_states_hold_their_steps_tilings"],
     ),
     # the flip walk keeps a coordinate's classes; the stream splices them
     (

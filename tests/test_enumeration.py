@@ -6,6 +6,7 @@ import pytest
 
 from usokit import (
     ChainState,
+    DimensionError,
     EnumerationLimitError,
     RNG_ALGORITHM,
     SplitMix64,
@@ -138,6 +139,67 @@ def test_walk_shape_and_determinism():
     assert states == list(markov_walk(2, 7, 42))
 
 
+def test_walk_builds_only_the_tilings_read(monkeypatch):
+    import usokit.enumeration
+
+    tiles_of = usokit.enumeration._tiles_of
+    calls = []
+
+    def counted(out, k):
+        calls.append(k)
+        return tiles_of(out, k)
+
+    monkeypatch.setattr(usokit.enumeration, "_tiles_of", counted)
+    *_, last = markov_walk(5, 64, 1)
+    assert calls == []
+    assert last.current is last.current
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_states_hold_their_steps_tilings(k):
+    from usokit.enumeration import _walk
+    from usokit.tiling import _tiles_of
+
+    tables = [bytes(table) for table in _walk(k, 40, 300 + k)]
+    # every state is read after the walk has ended
+    states = list(markov_walk(k, 40, 300 + k))
+    assert [s.step for s in states] == list(range(41))
+    assert [s.current for s in states] == [_tiles_of(table, k) for table in tables]
+
+
+def test_states_compare_by_tiling_step_and_seed():
+    first, again = list(markov_walk(3, 30, 9)), list(markov_walk(3, 30, 9))
+    assert first == again
+    assert [hash(s) for s in first] == [hash(s) for s in again]
+    assert all(a != b for a, b in zip(first, again[1:]))
+    assert all(a != b for a, b in zip(first, markov_walk(3, 30, 10)))
+    # the 0-cube walk stays on one tiling; its states differ by step
+    zero = list(markov_walk(0, 3, 9))
+    assert len({s.current for s in zero}) == 1
+    assert len(set(zero)) == 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: sample_markov(k, 2, 1),
+        lambda k: markov_walk(k, 2, 1),
+        enumerate_brute,
+        enumerate_join,
+        lambda k: count_usos(k, "join"),
+        lambda k: count_usos(k, "brute"),
+    ],
+    ids=["sample", "walk", "brute", "join", "count-join", "count-brute"],
+)
+@pytest.mark.parametrize("k", [True, False, 2.0])
+def test_dimension_must_be_an_int(call, k):
+    # a bool would pass the range checks and give dim=True, which
+    # write_tiling prints as "uso True"
+    with pytest.raises(DimensionError, match=f"not {k!r}$"):
+        call(k)
+
+
 def test_walk_stays_on_tilings():
     for state in markov_walk(3, 50, 7):
         assert is_tiling(state.current)
@@ -190,7 +252,7 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
     import numpy as np
 
     from usokit.enumeration import _catalogue
-    from usokit.transform import _flip, _phase_masks, _union
+    from usokit.transform import _phase_masks, _union
 
     cat = _catalogue(k)
     index = {out: s for s, out in enumerate(cat)}
@@ -201,8 +263,7 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
             classes = _phase_masks(bytes(out), k, i)
             weight = Fraction(1, k << len(classes))
             for pick in range(1 << len(classes)):
-                image = list(out)
-                _flip(image, k, i, _union(classes, pick))
+                image = _reversed(bytes(out), k, i, _union(classes, pick))
                 t = index[tuple(image)]
                 moves[s][t] = moves[s].get(t, 0) + weight
     assert all(sum(row.values()) == 1 for row in moves)
@@ -224,6 +285,14 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
         law = law @ matrix
         distances.append(abs(law - 1 / n).sum() / 2)
     assert distances[-2] >= 1e-3 > distances[-1]
+
+
+def _reversed(table: bytes, k, i, word) -> bytes:
+    """table with the i-edges of word reversed, through the walk's one XOR."""
+    from usokit.transform import _reversal
+
+    state = int.from_bytes(table, "little") ^ _reversal(k, i, word)
+    return state.to_bytes(len(table), "little")
 
 
 def test_negative_steps_rejected():
@@ -448,15 +517,14 @@ def test_join_stream_is_the_reference_pick_loop(k, n):
 
 def _keeps_classes(table, k, picks_for):
     """Reversing a union of i-classes leaves the i-classes as they were."""
-    from usokit.transform import _flip, _phase_masks, _union
+    from usokit.transform import _phase_masks, _union
 
     masks = _phase_masks.__wrapped__  # each table's own closure, not a cache hit
     for i in range(1, k + 1):
         classes = masks(bytes(table), k, i)
         for pick in picks_for(len(classes)):
-            image = bytearray(table)
-            _flip(image, k, i, _union(classes, pick))
-            assert masks(bytes(image), k, i) == classes
+            image = _reversed(bytes(table), k, i, _union(classes, pick))
+            assert masks(image, k, i) == classes
 
 
 def test_a_step_keeps_its_coordinates_classes():

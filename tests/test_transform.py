@@ -11,6 +11,7 @@ from usokit import (
     Orientation,
     PHASE_DIM_CAP,
     PhaseSelectionError,
+    SplitMix64,
     TileSet,
     apply_simple,
     bow,
@@ -200,6 +201,43 @@ def test_phase_flip_every_class_is_flip_dimension(catalogue2):
             part = phases(o, i)
             assert phase_flip(o, i, part.classes) == flip_dimension(o, i)
             assert phase_flip(o, i, []) == o
+
+
+def _reference_flip(out, k, i, word):
+    """Reverse, in the list out, the i-edges whose projection indices are
+    the set bits of word, one edge at a time."""
+    ibit = 1 << (i - 1)
+    while word:
+        v = insert_bit((word & -word).bit_length() - 1, i - 1, 0)
+        out[v] ^= ibit
+        out[v | ibit] ^= ibit
+        word &= word - 1
+
+
+def _reversal_is_the_reference(k, i, words):
+    from usokit.transform import _reversal
+
+    # both are XORs of the table, so they agree on every table when they
+    # agree on the zero one
+    for word in words:
+        out = [0] * (1 << k)
+        _reference_flip(out, k, i, word)
+        assert _reversal(k, i, word) == int.from_bytes(bytes(out), "little"), (k, i, word)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reversal_is_the_per_edge_loop(k):
+    for i in range(1, k + 1):
+        _reversal_is_the_reference(k, i, range(1 << (1 << (k - 1))))
+
+
+def test_reversal_is_the_per_edge_loop_at_k5():
+    # a k = 5 word has 16 edges, two bytes: the one-edge words try each
+    # lane alone, and only the random ones set bits in both bytes at once
+    rng = SplitMix64(5)
+    words = [1 << p for p in range(16)] + [rng.randbelow(1 << 16) for _ in range(2000)]
+    for i in range(1, 6):
+        _reversal_is_the_reference(5, i, words)
 
 
 def test_phase_flip_single_class():
