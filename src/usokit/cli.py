@@ -179,7 +179,8 @@ def _print_tiling(o: Orientation) -> None:
 def _cmd_validate(args) -> int:
     ts = read_tiling(_read(args.file))
     o = _uso(ts, f"{args.file}: ")
-    # one of the two pair tests runs on the encoding the verdict did not
+    # the verdict and is_uso test the vertex table; the tile pair test is
+    # the encoding neither did
     if not is_uso(o, "pairwise") or not ts.is_pairwise_adjacent():
         raise InternalError("the pairwise test rejects a complete tiling")
     # the face scan is 3^k, skip the cross-check for big inputs

@@ -58,8 +58,8 @@ from itertools import chain, product
 from typing import Iterator
 
 from ._lazy import np
-from .cube import _pairwise_ok, drop_bit
-from .errors import DimensionError, EnumerationLimitError
+from .cube import _pairwise_ok, _require_dim, drop_bit
+from .errors import EnumerationLimitError
 from .tiling import TileSet, _built, _tiles_of, tile_of
 from .transform import _edge_classes, _phase_masks, _reversal, _union
 
@@ -99,12 +99,11 @@ class SplitMix64:
 
 
 def _check_dim(k: int, low: int, cap: int, limit: str) -> None:
-    """Raise unless k is an int in low..cap; a bool is not a dimension.
+    """Raise unless k is an int (cube._require_dim) in low..cap.
 
     Outside the range, the EnumerationLimitError says limit.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise DimensionError(f"dimension must be an int, not {k!r}")
+    _require_dim(k)
     if not low <= k <= cap:
         raise EnumerationLimitError(limit)
 

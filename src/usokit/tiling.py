@@ -30,7 +30,8 @@ bits at a time; tile_vertex and tile_out compact with the five-step mask
 ladder of _compact, which takes the 64-bit tiles of 32 coordinates, as a
 Python int or a numpy uint64 array.  Whole tables go through it at once:
 _tiles_of in one comprehension over the spread table, vertex_outmaps
-through numpy from 2^KERNEL_MIN_DIM tiles, the kernel's threshold.
+through _SPLIT, the spread table's inverse, up to 5 digits and through
+numpy above.
 
 A whole set of words has two functions, and the route choice lives only
 in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
@@ -46,11 +47,10 @@ and so do the label keys of rewrite._rewrite.  numpy is imported on the
 first numpy route taken (see _lazy), so tile sets below KERNEL_MIN_DIM
 never import it.
 
-A tiling is verified once, by one verdict, ``_tiling_ok``.  Below
-KERNEL_MIN_DIM it is the tile pair test on the packed tiles; from there
-up it is the sink pair test on the vertex table of vertex_outmaps, in
-k-bit words, which is the same test, as tiles that share a vertex are
-incompatible.  Operations that need a complete tiling go through
+A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
+the sink pair test on the vertex table of vertex_outmaps, in k-bit words,
+which is the tile pair test in other words, as tiles that share a vertex
+are incompatible.  Operations that need a complete tiling go through
 ``_require_tiling``, which runs the verdict on first use and keeps it on
 the immutable tile set; ``tiles_from_uso`` output carries the verdict
 from birth.  ``uso_from_tiles`` builds the vertex table once, for the
@@ -71,7 +71,7 @@ from operator import or_
 from typing import Iterator
 
 from ._lazy import np
-from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_uso, _verified
+from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_dim, _require_uso, _verified
 from .errors import NotATilingError
 from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
 
@@ -98,6 +98,10 @@ def _spread_table() -> list[int]:
 
 _SPREAD = _spread_table()
 _SPREAD_UP = [t << 1 for t in _SPREAD]  # the vertex half of a tile
+
+# _SPREAD's inverse on 5 digits: entry t is the (vertex, direction word) of
+# tile t, as the 1,024 pairs sorted by their tiles fill 0..1023
+_SPLIT = sorted(iproduct(range(32), repeat=2), key=lambda p: _SPREAD_UP[p[0]] | _SPREAD[p[1]])
 
 
 def tile_pack(s: str) -> int:
@@ -259,6 +263,7 @@ def _pack_strings(strings, dim: int | None):
         if not strings:
             raise ValueError("cannot infer dimension from an empty set")
         dim = len(strings[0])
+    _require_dim(dim)
     for s in strings:
         if len(s) != dim:
             raise ValueError(f"tile {s!r} does not have length {dim}")
@@ -282,6 +287,7 @@ class TileSet:
     _verdict: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _require_dim(self.dim)
         object.__setattr__(self, "tiles", _freeze_tiles(self.tiles, self.dim))
 
     @classmethod
@@ -316,23 +322,13 @@ def _built(k: int, tiles: frozenset) -> TileSet:
 def _tiling_ok(ts: TileSet, out: list[int] | None = None) -> bool:
     """Whether ts is a complete tiling: the one verdict, kept on ts.
 
-    Below KERNEL_MIN_DIM the tile pair test runs on the packed tiles.
-    From there up the sink pair test runs on the vertex table, out if the
-    caller built it, in k-bit words: tiles that share a vertex are
-    incompatible, so 2^k tiles whose vertex map is onto and whose table
-    passes that test are exactly a complete tiling.  Below the threshold
-    the tile route is faster.  Above it the vertex route is, and at
-    k = 5 it pays off when the caller needs the table, as uso_from_tiles
-    does; a bare verdict there costs about 0.02 ms more than on tiles.
+    The sink pair test on the vertex table, out if the caller built it:
+    tiles that share a vertex are incompatible, so 2^k tiles whose vertex
+    map is onto and whose table passes the test are exactly a complete
+    tiling.
     """
-    k = ts.dim
-    if len(ts.tiles) != 1 << k:
-        ok = False
-    elif k < KERNEL_MIN_DIM:
-        ok = next(incompatible_tiles(sorted(ts.tiles), k), None) is None
-    else:
-        out = out or vertex_outmaps(ts)
-        ok = out is not None and _pairwise_ok(out, k)
+    out = out or vertex_outmaps(ts)
+    ok = out is not None and _pairwise_ok(out, ts.dim)
     _keep_verdict(ts, ok)
     return ok
 
@@ -372,15 +368,15 @@ def _require_tiling(ts: TileSet, message: str, out: list[int] | None = None) -> 
 def vertex_outmaps(ts: TileSet) -> list[int] | None:
     """Direction words per vertex, or None if the vertex map is not onto.
 
-    Skips the completeness precondition of uso_from_tiles; from
-    KERNEL_MIN_DIM up the tiling verdict runs the sink test on this table.
+    Skips the completeness precondition of uso_from_tiles; the tiling
+    verdict runs the sink test on this table.
     """
     k, tiles = ts.dim, ts.tiles
     n = 1 << k
     if len(tiles) != n:
         return None
-    if k < KERNEL_MIN_DIM:
-        out = {_compact(t >> 1): _compact(t) for t in tiles}
+    if k <= 5:  # every tile is one _SPLIT entry
+        out = dict(map(_SPLIT.__getitem__, tiles))
         return [out[v] for v in range(n)] if len(out) == n else None
     packed = np.fromiter(tiles, np.uint64, n)
     # a vertex no tile lands on keeps the -1
@@ -437,6 +433,7 @@ def twins(ts: TileSet) -> set[tuple[str, str]]:
 
 def canonical_tiles(k: int) -> TileSet:
     """The tiling of the canonical orientation: all digits even."""
+    _require_dim(k)
     return _tiles_of((0,) * (1 << k), k)
 
 

@@ -58,6 +58,7 @@ from .cube import (
     Face,
     Orientation,
     _require_coordinate,
+    _require_dim,
     _require_face,
     _require_uso,
     _verified,
@@ -116,6 +117,7 @@ def inherited(o: Orientation, k_prime: int) -> Orientation:
     not matter; tests pin that down.
     """
     _require_uso(o)
+    _require_dim(k_prime)
     if not 0 <= k_prime < o.dim:
         raise DimensionError(f"target dimension {k_prime} out of range 0..{o.dim - 1}")
     out = list(o.out)

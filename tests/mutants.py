@@ -13,7 +13,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 125 s on two cores.  Exits 1 and names every mutant that survived or
+About 145 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -277,6 +277,23 @@ MUTANTS = [
         "    return table.tolist()\n",
         ["tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path"],
     ),
+    (
+        "split table with vertex and word swapped",
+        "tiling.py",
+        "key=lambda p: _SPREAD_UP[p[0]] | _SPREAD[p[1]])",
+        "key=lambda p: _SPREAD_UP[p[1]] | _SPREAD[p[0]])",
+        [VERDICT],
+    ),
+    (
+        "split route taken at k = 6",
+        "tiling.py",
+        "    if k <= 5:  # every tile is one _SPLIT entry\n",
+        "    if k <= 6:  # every tile is one _SPLIT entry\n",
+        [
+            "tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path[6]",
+            "tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path[7]",
+        ],
+    ),
     # twins by partner lookup, and gk_adjacent through the kernel
     (
         "twin partner on the low bit of digit i",
@@ -477,8 +494,8 @@ MUTANTS = [
         ],
     ),
     (
-        # from k = 5 the verdict and the pairwise cross-check then run the
-        # same test on the same vertex table
+        # the verdict and the pairwise cross-check then run the same test on
+        # the same vertex table, at every k
         "validate without the tile pair cross-check",
         "cli.py",
         " or not ts.is_pairwise_adjacent()",
@@ -486,17 +503,17 @@ MUTANTS = [
         ["tests/test_cli.py::test_validate_cross_checks_the_other_encoding"],
     ),
     (
-        "vertex route without its pairwise test",
+        "tiling verdict without its pairwise test",
         "tiling.py",
-        "        ok = out is not None and _pairwise_ok(out, k)\n",
-        "        ok = out is not None\n",
+        "    ok = out is not None and _pairwise_ok(out, ts.dim)\n",
+        "    ok = out is not None\n",
         [VERDICT],
     ),
     (
-        "vertex route taking a vertex map that is not onto",
+        "tiling verdict taking a vertex map that is not onto",
         "tiling.py",
-        "        ok = out is not None and _pairwise_ok(out, k)\n",
-        "        ok = out is None or _pairwise_ok(out, k)\n",
+        "    ok = out is not None and _pairwise_ok(out, ts.dim)\n",
+        "    ok = out is None or _pairwise_ok(out, ts.dim)\n",
         [VERDICT],
     ),
     (

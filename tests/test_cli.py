@@ -521,7 +521,7 @@ def test_out_errors_name_the_requested_path(tmp_path, capsys):
 )
 def test_input_tiling_verified_once(argv, bow_file, kernel_passes, capsys):
     assert run([argv[0], bow_file, *argv[1:]]) == 0
-    assert kernel_passes["tiling"] == 1
+    assert kernel_passes == {"tiling": 0, "vertex": 1}
 
 
 @pytest.mark.parametrize(
@@ -544,7 +544,7 @@ def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsy
 def test_validate_cross_checks_the_other_encoding(
     seed, sampled_tiling, tmp_path, monkeypatch, capsys
 ):
-    # from k = 5 the verdict and is_uso both run _pairwise_ok on the vertex
+    # at every k the verdict and is_uso both run _pairwise_ok on the vertex
     # table; with both bindings passing anything, a tiling with one
     # direction digit changed must still fail the tile pair test
     import random
@@ -555,13 +555,14 @@ def test_validate_cross_checks_the_other_encoding(
     for module in (usokit.cube, usokit.tiling):
         monkeypatch.setattr(module, "_pairwise_ok", lambda out, k: True)
     rnd = random.Random(seed)
-    ts = sampled_tiling(7)
-    t = rnd.choice(sorted(ts.tiles))
-    bad = TileSet(7, (ts.tiles - {t}) | {t ^ 1 << 2 * rnd.randrange(7)})
-    f = write(tmp_path, "bad.uso", write_tiling(bad))
-    assert run(["validate", f]) == 3
-    line = "error: internal: the pairwise test rejects a complete tiling\n"
-    assert capsys.readouterr() == ("", line)
+    for k in (3, 7):
+        ts = sampled_tiling(k)
+        t = rnd.choice(sorted(ts.tiles))
+        bad = TileSet(k, (ts.tiles - {t}) | {t ^ 1 << 2 * rnd.randrange(k)})
+        f = write(tmp_path, f"bad{k}.uso", write_tiling(bad))
+        assert run(["validate", f]) == 3
+        line = "error: internal: the pairwise test rejects a complete tiling\n"
+        assert capsys.readouterr() == ("", line)
 
 
 def test_unknown_method_is_a_usage_error(capsys):

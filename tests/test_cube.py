@@ -12,12 +12,15 @@ from usokit import (
     NotAnUsoError,
     Orientation,
     PartialOrientation,
+    TileSet,
     bow,
     canonical_orientation,
+    canonical_tiles,
     combine,
     edge_at,
     flip_edges,
     flippable_edges,
+    inherited,
     is_uso,
     neighbor,
     read_orientation,
@@ -525,3 +528,31 @@ def test_is_uso_ignores_a_kept_verdict():
     assert not is_uso(o)
     with pytest.raises(NotAnUsoError):
         flippable_edges(o)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Orientation(True, (0, 0)),
+        lambda: PartialOrientation(True, frozenset({0, 1}), {0: 0, 1: 0}),
+        lambda: TileSet(True, frozenset({0, 2})),
+        lambda: TileSet.from_strings(["0", "2"], True),
+        lambda: canonical_orientation(True),
+        lambda: canonical_tiles(True),
+        lambda: inherited(canonical_orientation(2), True),
+    ],
+    ids=[
+        "Orientation",
+        "PartialOrientation",
+        "TileSet",
+        "from_strings",
+        "canonical_orientation",
+        "canonical_tiles",
+        "inherited",
+    ],
+)
+def test_a_bool_is_not_a_dimension(call):
+    # each would build a value with dim=True, which write_tiling prints as
+    # "uso True" and read_tiling rejects
+    with pytest.raises(DimensionError, match="^dimension must be an int, not True$"):
+        call()

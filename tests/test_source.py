@@ -24,33 +24,58 @@ def test_no_assert_statements():
     assert found == []
 
 
-class _AttributeReads(ast.NodeVisitor):
-    """The functions, by their dotted nesting, that read one attribute name."""
+class _Uses(ast.NodeVisitor):
+    """The functions, by their dotted nesting in classes and functions, that
+    use one name, as an attribute or as a plain name."""
 
-    def __init__(self, name):
-        self.name, self.scope, self.found = name, [], set()
+    def __init__(self, name, attribute):
+        self.name, self.attribute, self.scope, self.found = name, attribute, [], set()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
 
-    def visit_Attribute(self, node):
-        if node.attr == self.name:
+    visit_ClassDef = visit_FunctionDef
+
+    def _see(self, name, attribute):
+        if (name, attribute) == (self.name, self.attribute):
             self.found.add(".".join(self.scope) or "<module>")
+
+    def visit_Attribute(self, node):
+        self._see(node.attr, True)
         self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self._see(node.id, False)
+
+
+def _users(name, attribute):
+    """Module-qualified scopes of the library that use name."""
+    found = set()
+    for p in sorted(Path(usokit.__file__).parent.glob("*.py")):
+        uses = _Uses(name, attribute)
+        uses.visit(ast.parse(p.read_text(), filename=str(p)))
+        found |= {f"{p.stem}.{scope}" for scope in uses.found}
+    return found
 
 
 def test_the_pair_rule_has_one_home():
     # _EdgeIndex.apart, the coordinates where two i-edges' lower endpoints
     # differ, is what the phase pair rule masks with: a second reader of it
     # would be a second form of the rule beside transform._linked
-    found = set()
-    for p in sorted(Path(usokit.__file__).parent.glob("*.py")):
-        reads = _AttributeReads("apart")
-        reads.visit(ast.parse(p.read_text(), filename=str(p)))
-        found |= {f"{p.stem}.{scope}" for scope in reads.found}
-    assert found == {"transform._linked"}
+    assert _users("apart", attribute=True) == {"transform._linked"}
+
+
+def test_the_tiling_verdict_has_one_route():
+    # the verdict is the sink pair test on the vertex table at every k; the
+    # tile pair test serves fragments and names a failed tiling's first pair
+    assert _users("incompatible_tiles", attribute=False) == {
+        "tiling.tiling_defect",
+        "tiling.TileSet.is_pairwise_adjacent",
+        "tiling.gk_adjacent",
+        "rewrite._union_violations",
+    }
 
 
 def _names(tree):

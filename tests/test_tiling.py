@@ -31,8 +31,9 @@ from usokit import (
     write_tiling,
 )
 from usokit.cube import _pairwise_ok
-from usokit.pairwise import KERNEL_MIN_DIM
 from usokit.tiling import (
+    _SPLIT,
+    _compact,
     _tiles_of,
     incompatible_tiles,
     tile_out,
@@ -160,13 +161,16 @@ def test_codec_matches_the_per_bit_loops(case):
 
 
 def _outmap_cases(k):
-    """A tiling, a set with two tiles on one vertex, one tile short, one over."""
+    """A tiling, a set with two tiles on one vertex, one tile short, one
+    over; at k = 0 the tiling and the empty set."""
     frame = uso_from_tiles(sample_markov(min(k, 4), 16, 40 + k))
     if k > 4:
         part = uso_from_tiles(sample_markov(k - 4, 16, 50 + k))
         frame = product(frame, {v: part for v in range(16)})
     ts = tiles_from_uso(frame)
     tiles = sorted(ts.tiles)
+    if k == 0:
+        return [ts, TileSet(0, ())]
     # the first tile moved onto the second one's vertex, keeping its word
     moved = tile_of(tile_vertex(tiles[1], k), tile_out(tiles[0], k), k)
     if moved == tiles[1]:
@@ -180,12 +184,12 @@ def _outmap_cases(k):
     ]
 
 
-@pytest.mark.parametrize("k", range(1, KERNEL_MIN_DIM + 3))
+@pytest.mark.parametrize("k", range(8))
 def test_vertex_outmaps_matches_the_dict_path(k):
-    # both sides of the numpy threshold at 2^KERNEL_MIN_DIM tiles
-    good, twice, short, over = _outmap_cases(k)
+    # both routes: the split table up to 5 digits, numpy from k = 6
+    good, *bad = _outmap_cases(k)
     assert vertex_outmaps(good) == _reference_outmaps(good) == list(uso_from_tiles(good).out)
-    for ts in (twice, short, over):
+    for ts in bad:
         assert _reference_outmaps(ts) is None
         assert vertex_outmaps(ts) is None
 
@@ -197,6 +201,10 @@ def test_vertex_outmaps_matches_the_dict_path_random(case):
     k, tiles = case
     ts = TileSet(k, frozenset(tiles))
     assert vertex_outmaps(ts) == _reference_outmaps(ts)
+
+
+def test_split_table_is_the_compact_ladder():
+    assert _SPLIT == [(_compact(t >> 1), _compact(t)) for t in range(1024)]
 
 
 @pytest.mark.parametrize("k", [*range(11), 12])
@@ -523,13 +531,13 @@ def test_tiling_verdict_is_kept_but_the_verifiers_always_test(kernel_passes):
     ts = TileSet.from_strings(["01", "03", "20", "22"])
     o = uso_from_tiles(ts)
     twins(ts)
-    assert kernel_passes == {"tiling": 1, "vertex": 0}
+    assert kernel_passes == {"tiling": 0, "vertex": 1}
     assert ts == bow() and hash(ts) == hash(bow()) and repr(ts) == repr(bow())
     assert is_tiling(ts) and tiling_defect(ts) is None
-    assert kernel_passes["tiling"] == 3
+    assert kernel_passes["vertex"] == 3
     # verified by construction: no test for the round trip
     assert tiles_from_uso(o) == ts and twins(tiles_from_uso(o))
-    assert kernel_passes == {"tiling": 3, "vertex": 0}
+    assert kernel_passes == {"tiling": 0, "vertex": 3}
 
 
 def test_a_rejected_tiling_stays_rejected(kernel_passes):
@@ -539,4 +547,4 @@ def test_a_rejected_tiling_stays_rejected(kernel_passes):
             uso_from_tiles(bad)
         with pytest.raises(NotATilingError, match="^twins are defined on complete tilings$"):
             twins(bad)
-    assert kernel_passes["tiling"] == 1
+    assert kernel_passes == {"tiling": 0, "vertex": 1}
