@@ -68,8 +68,9 @@ from .rewrite import (
 )
 from .tiling import (
     TileSet,
+    _defect,
+    is_tiling,
     tiles_from_uso,
-    tiling_defect,
     twins,
     uso_from_tiles,
 )
@@ -94,26 +95,21 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _read_tiling(path: str) -> TileSet:
-    """The tiling in the file, verified; the error names the defect."""
-    ts = read_tiling(_read(path))
-    defect = tiling_defect(ts)
-    if defect is not None:
-        raise NotATilingError(f"{path}: {defect}")
+def _tiling(text: str, where: str = "") -> TileSet:
+    """The tiling of a tile text, verified once; the error names the
+    defect of the rejected set."""
+    ts = read_tiling(text)
+    if not is_tiling(ts):
+        raise NotATilingError(where + _defect(ts))
     return ts
 
 
-def _uso(ts: TileSet, where: str = "") -> Orientation:
-    """The orientation of the tiling ts, from one vertex table; the error
-    names the defect."""
-    try:
-        return uso_from_tiles(ts)
-    except NotATilingError:
-        raise NotATilingError(where + tiling_defect(ts)) from None
+def _read_tiling(path: str) -> TileSet:
+    return _tiling(_read(path), f"{path}: ")
 
 
 def _read_uso(path: str) -> Orientation:
-    return _uso(read_tiling(_read(path)), f"{path}: ")
+    return uso_from_tiles(_read_tiling(path))
 
 
 def _write_out(path: str, chunks) -> None:
@@ -177,8 +173,8 @@ def _print_tiling(o: Orientation) -> None:
 
 
 def _cmd_validate(args) -> int:
-    ts = read_tiling(_read(args.file))
-    o = _uso(ts, f"{args.file}: ")
+    ts = _read_tiling(args.file)
+    o = uso_from_tiles(ts)
     # the verdict and is_uso test the vertex table; the tile pair test is
     # the encoding neither did
     if not is_uso(o, "pairwise") or not ts.is_pairwise_adjacent():
@@ -199,7 +195,7 @@ def _cmd_convert(args) -> int:
     words = text.split(None, 1)
     first = words[0] if words else ""
     if first == "uso":
-        o = _uso(read_tiling(text))
+        o = uso_from_tiles(_tiling(text))
     elif first == "o":
         o = read_orientation(text)
     else:

@@ -27,9 +27,9 @@ keeps the verdict on the immutable value; results that are unique sink
 orientations by construction carry the verdict from birth.  The public
 ``is_uso`` always runs its test.  ``_consistent`` builds an orientation with
 only the word-range test from a table whose edges agree by construction;
-``_verified`` adds the verdict, for a verified tiling's table, a
-transform's output (an USO by theorem, which the test suite guards) and
-the all-down table.
+``_verified`` adds the verdict, for a transform's output (an USO by
+theorem, which the test suite guards), the all-down table and a verified
+tiling's vertex table, which the tile set keeps as its own verdict.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def is_uso(o: Orientation, method: str = "pairwise") -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _keep_verdict(value, verdict: bool):
+def _keep_verdict(value, verdict):
     """Record a verification verdict on a frozen Orientation or TileSet."""
     object.__setattr__(value, "_verdict", verdict)
     return value

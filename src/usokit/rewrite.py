@@ -235,13 +235,15 @@ def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
         return dict(zip(packed, labels))
     columns = {}
     for s, j in labelling.items():
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise LabellingError(f"label {j!r} for tile {s} is not an int")
         if not 1 <= j <= i:
             raise LabellingError(f"label {j} for tile {s} out of range 1..{i}")
         try:
             if len(s) != k:
                 raise ValueError
             columns[tile_pack(s)] = j
-        except ValueError:
+        except (TypeError, ValueError):  # a key that is not a str, or not a tile
             raise LabellingError(f"label key {s!r} is not a tile of dimension {k}") from None
     return columns
 

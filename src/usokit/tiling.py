@@ -50,15 +50,14 @@ never import it.
 A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
 the sink pair test on the vertex table of vertex_outmaps, in k-bit words,
 which is the tile pair test in other words, as tiles that share a vertex
-are incompatible.  Operations that need a complete tiling go through
-``_require_tiling``, which runs the verdict on first use and keeps it on
-the immutable tile set; ``tiles_from_uso`` output carries the verdict
-from birth.  ``uso_from_tiles`` builds the vertex table once, for the
-verdict and the orientation (``cube._verified``, which skips the edge
-scan the pair test implies).  The public ``tiling_defect`` and
-``is_tiling`` always run the verdict (and keep it); ``tiling_defect``
-runs the tile pair scan only after a failed verdict, to name the first
-incompatible pair in tile order.
+are incompatible.  The immutable tile set keeps the verdict: False, or
+the table that passed, which ``uso_from_tiles`` hands to ``cube._verified``
+(no edge scan, as the pair test implies it).  Operations that need a
+complete tiling go through ``_require_tiling``, which runs the verdict on
+first use; ``tiles_from_uso`` output keeps its orientation's table from
+birth.  The public ``is_tiling`` and ``tiling_defect`` always run the
+verdict (and keep it); ``_defect`` names a failed set's defect, the tile
+count or the first incompatible pair in tile order by the tile pair scan.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import or_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ._lazy import np
 from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_dim, _require_uso, _verified
@@ -279,12 +278,12 @@ class TileSet:
 
     A complete tiling, or a fragment of one such as a replacement set of a
     rewriting rule.  _verdict is None until the set is verified, then
-    whether it is a complete tiling; see _require_tiling.
+    False, or the vertex table that passed; see _tiling_ok.
     """
 
     dim: int
     tiles: frozenset
-    _verdict: bool | None = field(default=None, init=False, compare=False, repr=False)
+    _verdict: Sequence | bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_dim(self.dim)
@@ -319,28 +318,23 @@ def _built(k: int, tiles: frozenset) -> TileSet:
     return ts
 
 
-def _tiling_ok(ts: TileSet, out: list[int] | None = None) -> bool:
+def _tiling_ok(ts: TileSet) -> bool:
     """Whether ts is a complete tiling: the one verdict, kept on ts.
 
-    The sink pair test on the vertex table, out if the caller built it:
-    tiles that share a vertex are incompatible, so 2^k tiles whose vertex
-    map is onto and whose table passes the test are exactly a complete
-    tiling.
+    The sink pair test on the vertex table: tiles that share a vertex are
+    incompatible, so 2^k tiles whose vertex map is onto and whose table
+    passes the test are exactly a complete tiling.  A table that passed is
+    the kept verdict, and uso_from_tiles reads it.
     """
-    out = out or vertex_outmaps(ts)
+    out = vertex_outmaps(ts)
     ok = out is not None and _pairwise_ok(out, ts.dim)
-    _keep_verdict(ts, ok)
+    _keep_verdict(ts, out if ok else False)
     return ok
 
 
-def tiling_defect(ts: TileSet) -> str | None:
-    """The tile count if not 2^k, else the first incompatible pair, or None.
-
-    Runs the verdict on every call and keeps it on ts.  Only a failed
-    verdict runs the tile pair scan, in tile order, to name the pair.
-    """
-    if _tiling_ok(ts):
-        return None
+def _defect(ts: TileSet) -> str:
+    """What a set that failed the verdict lacks: the tile count if not 2^k,
+    else the first incompatible pair, by the tile pair scan in tile order."""
     k = ts.dim
     if len(ts.tiles) != 1 << k:
         return f"{len(ts.tiles)} tiles, expected {1 << k}"
@@ -348,19 +342,27 @@ def tiling_defect(ts: TileSet) -> str | None:
     return f"incompatible tiles {a} and {b}"
 
 
+def tiling_defect(ts: TileSet) -> str | None:
+    """The tile count if not 2^k, else the first incompatible pair, or None.
+
+    Runs the verdict on every call and keeps it on ts.
+    """
+    return None if _tiling_ok(ts) else _defect(ts)
+
+
 def is_tiling(ts: TileSet) -> bool:
     """Whether the set is complete: 2^k tiles, pairwise compatible."""
     return _tiling_ok(ts)
 
 
-def _require_tiling(ts: TileSet, message: str, out: list[int] | None = None) -> None:
+def _require_tiling(ts: TileSet, message: str) -> None:
     """Raise NotATilingError(message) unless ts is a complete tiling.
 
-    The first call on a value runs the verdict, on out if given; later
-    calls read the verdict it kept.
+    The first call on a value runs the verdict; later calls read the
+    verdict it kept.
     """
     if ts._verdict is None:
-        _tiling_ok(ts, out)
+        _tiling_ok(ts)
     if not ts._verdict:
         raise NotATilingError(message)
 
@@ -369,7 +371,7 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
     """Direction words per vertex, or None if the vertex map is not onto.
 
     Skips the completeness precondition of uso_from_tiles; the tiling
-    verdict runs the sink test on this table.
+    verdict, its one caller, runs the sink test on this table.
     """
     k, tiles = ts.dim, ts.tiles
     n = 1 << k
@@ -386,15 +388,10 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
 
 
 def uso_from_tiles(ts: TileSet) -> Orientation:
-    """The orientation of a complete tiling (raises if incomplete).
-
-    The vertex table is built once, for the verdict and the orientation.
-    """
-    out = vertex_outmaps(ts)
-    _require_tiling(
-        ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling", out
-    )
-    return _verified(ts.dim, out)
+    """The orientation of a complete tiling (raises if incomplete): the
+    vertex table its verdict kept."""
+    _require_tiling(ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling")
+    return _verified(ts.dim, ts._verdict)
 
 
 def _tiles_of(out, k: int) -> TileSet:
@@ -410,7 +407,7 @@ def _tiles_of(out, k: int) -> TileSet:
 def tiles_from_uso(o: Orientation) -> TileSet:
     """The tiling of a unique sink orientation (raises otherwise)."""
     _require_uso(o)
-    return _keep_verdict(_tiles_of(o.out, o.dim), True)
+    return _keep_verdict(_tiles_of(o.out, o.dim), o.out)
 
 
 def twins(ts: TileSet) -> set[tuple[str, str]]:

@@ -64,6 +64,21 @@ def kernel_passes(monkeypatch):
 
 
 @pytest.fixture
+def vertex_tables(monkeypatch):
+    """The tile sets whose vertex table was built, one entry per build."""
+    import usokit.tiling
+
+    built = []
+
+    def counting(ts, build=usokit.tiling.vertex_outmaps):
+        built.append(ts)
+        return build(ts)
+
+    monkeypatch.setattr(usokit.tiling, "vertex_outmaps", counting)
+    return built
+
+
+@pytest.fixture
 def no_processes(monkeypatch):
     """Make any request for a process pool or a child process raise.
 

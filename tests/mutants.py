@@ -13,7 +13,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 145 s on two cores.  Exits 1 and names every mutant that survived or
+About 125-165 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -363,7 +363,7 @@ MUTANTS = [
     (
         "tiles_from_uso output born without its verdict",
         "tiling.py",
-        "    return _keep_verdict(_tiles_of(o.out, o.dim), True)\n",
+        "    return _keep_verdict(_tiles_of(o.out, o.dim), o.out)\n",
         "    return _tiles_of(o.out, o.dim)\n",
         ["tests/test_tiling.py::test_tiling_verdict_is_kept_but_the_verifiers_always_test"],
     ),
@@ -443,6 +443,20 @@ MUTANTS = [
         ["tests/width_one_rules.py::test_width_one_rules_are_valid_exactly_when_sound"],
     ),
     (
+        "per-key labels taking a bool as a column",
+        "rewrite.py",
+        "        if isinstance(j, bool) or not isinstance(j, int):\n",
+        "        if not isinstance(j, int):\n",
+        [LABELS],
+    ),
+    (
+        "per-key label keys that are not a str raising TypeError",
+        "rewrite.py",
+        "        except (TypeError, ValueError):",
+        "        except ValueError:",
+        [LABELS],
+    ),
+    (
         "block label keys without the label-range test",
         "rewrite.py",
         "        and 1 <= min(labels) <= max(labels) <= i\n",
@@ -503,6 +517,22 @@ MUTANTS = [
         ["tests/test_cli.py::test_validate_cross_checks_the_other_encoding"],
     ),
     (
+        "uso_from_tiles builds its own table",
+        "tiling.py",
+        "    return _verified(ts.dim, ts._verdict)\n",
+        "    return _verified(ts.dim, vertex_outmaps(ts))\n",
+        ["tests/test_tiling.py::test_one_vertex_table_per_verdict"],
+    ),
+    (
+        # the same stderr, from a second verdict
+        "the CLI names a rejected input through tiling_defect",
+        "cli.py",
+        "        raise NotATilingError(where + _defect(ts))\n",
+        "        from .tiling import tiling_defect\n\n"
+        "        raise NotATilingError(where + tiling_defect(ts))\n",
+        ["tests/test_cli.py::test_verbs_reject_an_input_from_one_table"],
+    ),
+    (
         "tiling verdict without its pairwise test",
         "tiling.py",
         "    ok = out is not None and _pairwise_ok(out, ts.dim)\n",
@@ -517,7 +547,7 @@ MUTANTS = [
         [VERDICT],
     ),
     (
-        "tiling_defect naming the first two tiles without the tile scan",
+        "_defect naming the first two tiles without the tile scan",
         "tiling.py",
         "for t in next(incompatible_tiles(sorted(ts.tiles), k)))",
         "for t in sorted(ts.tiles)[:2])",

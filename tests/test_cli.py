@@ -3,11 +3,17 @@
 import pytest
 
 from usokit import (
+    Edge,
     TileSet,
     bow,
     canonical_tiles,
+    flip_edges,
+    flippable_edges,
     named_rule,
     sample_markov,
+    tile_of,
+    tiling_defect,
+    uso_from_tiles,
     write_rule,
     write_tiling,
 )
@@ -608,3 +614,40 @@ def test_verbs_verify_each_input_once(verb, tmp_path, kernel_passes, capsys):
     argv = [verb, f, *(rule if a == "RULE" else a for a in extra)]
     assert run(argv) == 0, capsys.readouterr().err
     assert kernel_passes == {"tiling": tiling_passes, "vertex": vertex_passes}
+
+
+def _rejected_k5(case):
+    """The k = 5 input of KERNEL_PASSES made not a tiling: one edge that is
+    not flippable reversed, so its vertex map stays onto, or one tile moved
+    onto the vertex of another, so the map is not onto."""
+    o = uso_from_tiles(sample_markov(5, 64, 11))
+    if case == "reversed edge":
+        edge = min(
+            Edge(v, i) for i in range(1, 6) for v in range(32) if not v >> (i - 1) & 1
+            and Edge(v, i) not in flippable_edges(o)
+        )
+        out = flip_edges(o, [edge]).out
+        return TileSet(5, {tile_of(v, w, 5) for v, w in enumerate(out)})
+    tiles = {tile_of(v, w, 5) for v, w in enumerate(o.out) if v}
+    return TileSet(5, tiles | {tile_of(1, o.out[1] ^ 1, 5)})
+
+
+@pytest.mark.parametrize("case, vertex_passes", [("reversed edge", 1), ("not onto", 0)])
+@pytest.mark.parametrize("verb", sorted(KERNEL_PASSES))
+def test_verbs_reject_an_input_from_one_table(
+    verb, case, vertex_passes, tmp_path, kernel_passes, vertex_tables, capsys
+):
+    # the verdict builds one vertex table and tests it once; the tile scan
+    # that names the defect is the one tile kernel pass
+    bad = _rejected_k5(case)
+    f = write(tmp_path, "k5.uso", write_tiling(bad))
+    where = "" if verb == "convert" else f"{f}: "
+    line = f"error: not-a-tiling: {where}{tiling_defect(bad)}\n"
+    kernel_passes.update(tiling=0, vertex=0)
+    vertex_tables.clear()
+    # apply's rule file comes after the input, so it is never read
+    argv = [verb, f, *KERNEL_PASSES[verb][0]]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", line)
+    assert kernel_passes == {"tiling": 1, "vertex": vertex_passes}
+    assert len(vertex_tables) == 1

@@ -300,7 +300,7 @@ def _apply_outcome(labelling, ts):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("k", [3, 5, 8])
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
 def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch):
     ts = sampled_tiling(k)
     words = ts.strings()
@@ -330,6 +330,7 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
         "bad label before a bad key": {words[1]: 3, **rest, bad_key: 1},
         "non-string key": {**labels, 5: 1},
         "float label": {**labels, words[2]: 1.5},
+        "string label": {**labels, words[2]: "1"},
         "NaN label": {**labels, words[2]: math.nan},
         "non-ASCII key": {**labels, fullwidth_key: 1},
     }
@@ -356,6 +357,12 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
     assert got["label 0"] == ("LabellingError", f"label 0 for tile {words[1]} out of range 1..2")
     assert got["non-ASCII key"] == (
         "LabellingError", f"label key {fullwidth_key!r} is not a tile of dimension {k}")
+    # labels and keys of the wrong type; a bool is not a column, as it is
+    # not a dimension
+    assert got["bool label"] == ("LabellingError", f"label True for tile {words[0]} is not an int")
+    for name, label in (("float label", "1.5"), ("NaN label", "nan"), ("string label", "'1'")):
+        assert got[name] == ("LabellingError", f"label {label} for tile {words[2]} is not an int")
+    assert got["non-string key"] == ("LabellingError", f"label key 5 is not a tile of dimension {k}")
 
 
 def test_inherit_rule_matches_inherited(catalogue2):

@@ -71,11 +71,18 @@ def test_the_tiling_verdict_has_one_route():
     # the verdict is the sink pair test on the vertex table at every k; the
     # tile pair test serves fragments and names a failed tiling's first pair
     assert _users("incompatible_tiles", attribute=False) == {
-        "tiling.tiling_defect",
+        "tiling._defect",
         "tiling.TileSet.is_pairwise_adjacent",
         "tiling.gk_adjacent",
         "rewrite._union_violations",
     }
+
+
+def test_the_verdict_builds_every_vertex_table():
+    # a tile set keeps the table that passed its verdict, so no other
+    # function builds one: one table per verdict
+    users = _users("vertex_outmaps", attribute=False) | _users("vertex_outmaps", attribute=True)
+    assert users == {"tiling._tiling_ok"}
 
 
 def _names(tree):

@@ -384,7 +384,11 @@ def test_verdict_matches_the_tile_pair_test(catalogue1, catalogue2, catalogue3, 
             want = _tile_pair_defect(ts)
             fresh = [TileSet(ts.dim, ts.tiles) for _ in range(3)]
             assert tiling_defect(fresh[0]) == want
-            assert fresh[0]._verdict is (want is None)
+            # kept: the vertex table that passed, or False
+            if want is None:
+                assert fresh[0]._verdict == vertex_outmaps(ts)
+            else:
+                assert fresh[0]._verdict is False
             assert is_tiling(fresh[1]) is (want is None)
             if want is None:
                 assert uso_from_tiles(fresh[2]) == uso_from_tiles(good)
@@ -444,7 +448,7 @@ def test_library_built_sets_match_public_ones(catalogue3, sampled_tiling):
         assert ts == public and hash(ts) == hash(public)
         assert ts._verdict is None
         assert is_tiling(ts)
-        assert ts._verdict is True
+        assert ts._verdict == vertex_outmaps(ts)
     assert built[-1] == target
     # replacement sets of the universality and product rules: fragments,
     # the empty set among them
@@ -538,6 +542,25 @@ def test_tiling_verdict_is_kept_but_the_verifiers_always_test(kernel_passes):
     # verified by construction: no test for the round trip
     assert tiles_from_uso(o) == ts and twins(tiles_from_uso(o))
     assert kernel_passes == {"tiling": 0, "vertex": 3}
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_one_vertex_table_per_verdict(k, sampled_tiling, vertex_tables):
+    # the verdict keeps the table that passed, and uso_from_tiles reads it
+    ts = TileSet(k, sampled_tiling(k).tiles)
+    vertex_tables.clear()  # the fixture's first k = 8 call builds parts
+    assert is_tiling(ts)
+    o = uso_from_tiles(ts)
+    assert vertex_tables == [ts]
+    # a tiling of an orientation keeps that orientation's table from birth
+    assert uso_from_tiles(tiles_from_uso(o)) == o
+    assert vertex_tables == [ts]
+    # rejected, its vertex map not onto: built once, and False is kept
+    bad = TileSet(k, (ts.tiles - {min(ts.tiles)}) | {max(ts.tiles) ^ 1})
+    for _ in range(2):
+        with pytest.raises(NotATilingError):
+            uso_from_tiles(bad)
+    assert vertex_tables == [ts, bad] and bad._verdict is False
 
 
 def test_a_rejected_tiling_stays_rejected(kernel_passes):

@@ -288,10 +288,14 @@ def test_phase_flip_rejections_keep_their_messages():
         assert _error(phase_flip, o, i, []) == _error(phases, o, i)
 
 
-def test_phase_swap_matches_partial_swap(catalogue2):
-    for ts in catalogue2:
+def test_phase_swap_matches_partial_swap(catalogue2, catalogue3):
+    # the paper's relation: the partial swap is the phase swap of the
+    # upward h-edges; every USO of k <= 3, and 60 walks each at k = 4, 5
+    tilings = [*catalogue2, *catalogue3]
+    tilings += [sample_markov(k, 30, 1000 * k + seed) for k in (4, 5) for seed in range(60)]
+    for ts in tilings:
         o = uso_from_tiles(ts)
-        for h in (1, 2):
+        for h in range(1, o.dim + 1):
             upward = {
                 e for cls in phases(o, h).classes for e in cls
                 if o.direction(e.vertex, h) == 1
