@@ -66,16 +66,22 @@ def vertex_from_bits(bits: str) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
-def _require_dim(k) -> None:
-    """Raise DimensionError unless k is an int; a bool is not a dimension.
-
-    The one type check of a dimension, where one enters the package.
-    """
+def _require_dim(k, what: str = "dimension") -> None:
+    """Raise DimensionError unless k is an int and not a bool: the one type
+    check of a dimension or a coordinate, where one enters the package."""
     if isinstance(k, bool) or not isinstance(k, int):
-        raise DimensionError(f"dimension must be an int, not {k!r}")
+        raise DimensionError(f"{what} must be an int, not {k!r}")
+
+
+def _require_cube_dim(k) -> None:
+    """_require_dim, and no value is built with a negative dimension."""
+    _require_dim(k)
+    if k < 0:
+        raise DimensionError(f"dimension {k} is negative")
 
 
 def _require_coordinate(i: int, k: int) -> None:
+    _require_dim(i, "coordinate")
     if not 1 <= i <= k:
         raise DimensionError(f"coordinate {i} out of range 1..{k}")
 
@@ -193,7 +199,7 @@ class Orientation:
     _verdict: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _require_dim(self.dim)
+        _require_cube_dim(self.dim)
         k, out = self.dim, tuple(self.out)
         object.__setattr__(self, "out", out)
         _check_words(k, out)
@@ -259,7 +265,7 @@ def _check_edges(k: int, out, support=None, what: str = "inconsistent direction 
 
 def canonical_orientation(k: int) -> Orientation:
     """All edges point down; the unique sink is the all-zero vertex."""
-    _require_dim(k)
+    _require_cube_dim(k)
     return _verified(k, (0,) * (1 << k))
 
 
@@ -383,7 +389,7 @@ class PartialOrientation:
     out: Mapping[int, int]
 
     def __post_init__(self):
-        _require_dim(self.dim)
+        _require_cube_dim(self.dim)
         n = 1 << self.dim
         if set(self.out) != set(self.support):
             raise ValueError("direction words must cover exactly the support")

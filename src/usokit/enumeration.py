@@ -364,17 +364,13 @@ class ChainState:
         return _tiles_of(self.table, self.dim)
 
 
-def _check_sample_dim(k: int) -> None:
-    _check_dim(k, 0, MAX_SAMPLE_DIM, f"sampling is capped at dimension {MAX_SAMPLE_DIM}")
-
-
 def _walk(k: int, steps: int, seed: int) -> Iterator[bytes]:
     """The direction tables after 0, 1, ..., steps moves from canonical.
 
     Yields each table as bytes, a word per byte (k <= MAX_SAMPLE_DIM).  The
     arguments are checked on the call, before any move.
     """
-    _check_sample_dim(k)
+    _check_dim(k, 0, MAX_SAMPLE_DIM, f"sampling is capped at dimension {MAX_SAMPLE_DIM}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     return _moves(k, steps, seed)

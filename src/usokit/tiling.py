@@ -24,14 +24,12 @@ to 0 and prints as "" here, "-" in files.
 
 A packed tile is a vertex and its direction word interleaved bit by bit
 (a Morton code): the vertex in the odd bits, the direction word in the
-even ones.  One bit-parallel codec converts between the two spellings.
-tile_of spreads each word through _SPREAD, a 1,024-entry table read 10
-bits at a time; tile_vertex and tile_out compact with the five-step mask
-ladder of _compact, which takes the 64-bit tiles of 32 coordinates, as a
-Python int or a numpy uint64 array.  Whole tables go through it at once:
-_tiles_of in one comprehension over the spread table, vertex_outmaps
-through _SPLIT, the spread table's inverse, up to 5 digits and through
-numpy above.
+even ones.  One 1,024-entry table in each direction converts between the
+two spellings, 10 tile bits at a time: tile_of spreads each word through
+_SPREAD, and tile_vertex and tile_out split a tile through _SPLIT, its
+inverse.  Whole tables go through them at once: _tiles_of in one
+comprehension over _SPREAD, vertex_outmaps through _SPLIT, as a list up
+to 5 digits and as a numpy array above.
 
 A whole set of words has two functions, and the route choice lives only
 in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
@@ -70,7 +68,7 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from ._lazy import np
-from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_dim, _require_uso, _verified
+from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_cube_dim, _require_uso, _verified
 from .errors import NotATilingError
 from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
 
@@ -145,6 +143,14 @@ def _digit_shifts():
     return shifts
 
 
+@lru_cache(maxsize=None)
+def _split_words():
+    """_SPLIT as read-only uint64 words: vertex | direction word << 32."""
+    split = np.array([v | w << 32 for v, w in _SPLIT], np.uint64)
+    split.flags.writeable = False
+    return split
+
+
 def tile_lines(tiles, k: int) -> str:
     """The k-digit words of packed tiles, sorted, one "\\n"-ended line each.
 
@@ -180,35 +186,23 @@ def pack_lines(text: str, n: int, k: int) -> list[int] | None:
     return packed.tolist()
 
 
-def _compact(x):
-    """Bit 2i of a 64-bit word moved to bit i; the other bits dropped.
-
-    The Morton mask ladder, for a Python int or a numpy uint64 array.
-    """
-    x = x & 0x5555555555555555
-    x = (x | x >> 1) & 0x3333333333333333
-    x = (x | x >> 2) & 0x0F0F0F0F0F0F0F0F
-    x = (x | x >> 4) & 0x00FF00FF00FF00FF
-    x = (x | x >> 8) & 0x0000FFFF0000FFFF
-    return (x | x >> 16) & 0x00000000FFFFFFFF
-
-
-def _compact_digits(t: int, k: int) -> int:
-    """Bit 2i of t moved to bit i, for i < k: _compact per 32 digits."""
-    t &= (1 << 2 * k) - 1
-    if k <= 32:
-        return _compact(t)
-    return _compact(t) | _compact_digits(t >> 64, k - 32) << 32
+def _split(t: int) -> tuple[int, int]:
+    """The (vertex, direction word) of a tile, through _SPLIT 10 bits at a time."""
+    v, w = _SPLIT[t & 1023]
+    if t >> 10:
+        hv, hw = _split(t >> 10)
+        return v | hv << 5, w | hw << 5
+    return v, w
 
 
 def tile_vertex(t: int, k: int) -> int:
     """Cube vertex of a tile: bit i is the high bit of digit i."""
-    return _compact_digits(t >> 1, k)
+    return _split(t & (1 << 2 * k) - 1)[0]
 
 
 def tile_out(t: int, k: int) -> int:
     """Direction word of a tile: bit i is the low bit of digit i."""
-    return _compact_digits(t, k)
+    return _split(t & (1 << 2 * k) - 1)[1]
 
 
 def tile_of(v: int, out_word: int, k: int) -> int:
@@ -262,7 +256,7 @@ def _pack_strings(strings, dim: int | None):
         if not strings:
             raise ValueError("cannot infer dimension from an empty set")
         dim = len(strings[0])
-    _require_dim(dim)
+    _require_cube_dim(dim)
     for s in strings:
         if len(s) != dim:
             raise ValueError(f"tile {s!r} does not have length {dim}")
@@ -286,7 +280,7 @@ class TileSet:
     _verdict: Sequence | bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _require_dim(self.dim)
+        _require_cube_dim(self.dim)
         object.__setattr__(self, "tiles", _freeze_tiles(self.tiles, self.dim))
 
     @classmethod
@@ -381,9 +375,12 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
         out = dict(map(_SPLIT.__getitem__, tiles))
         return [out[v] for v in range(n)] if len(out) == n else None
     packed = np.fromiter(tiles, np.uint64, n)
+    pairs = _split_words()[packed & 1023]
+    for shift in range(5, k, 5):  # the later 5-digit chunks
+        pairs |= _split_words()[packed >> 2 * shift & 1023] << shift
     # a vertex no tile lands on keeps the -1
     table = np.full(n, -1, np.int64)
-    table[_compact(packed >> 1)] = _compact(packed)
+    table[pairs & 0xFFFFFFFF] = pairs >> 32
     return None if (table < 0).any() else table.tolist()
 
 
@@ -430,7 +427,7 @@ def twins(ts: TileSet) -> set[tuple[str, str]]:
 
 def canonical_tiles(k: int) -> TileSet:
     """The tiling of the canonical orientation: all digits even."""
-    _require_dim(k)
+    _require_cube_dim(k)
     return _tiles_of((0,) * (1 << k), k)
 
 

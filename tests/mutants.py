@@ -2,18 +2,19 @@
 
 An entry of MUTANTS is (name, file under src/usokit, exact old text, new
 text, tests).  For each entry the sweep copies src/ to a temporary
-directory, makes the one substitution and runs ``pytest -x`` on the named
-tests in one child process with that copy on PYTHONPATH; the child must
-fail.  Before any mutant, the same tests run once on an unchanged copy and
-must pass, so a failure is the mutant's doing.  An entry whose old text is
-not found exactly once fails the sweep, so entries cannot go stale.
+directory of its own, makes the one substitution and runs ``pytest -x`` on
+the named tests in one child process with that copy on PYTHONPATH; the
+child must fail.  Before any mutant, the same tests run once on an
+unchanged copy and must pass, so a failure is the mutant's doing.  An
+entry whose old text is not found exactly once fails the sweep, so entries
+cannot go stale.
 
 EQUIVALENT holds mutants that no test should kill, each with its reason.
 Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 125-165 s on two cores.  Exits 1 and names every mutant that survived or
+About 90 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -243,32 +244,36 @@ MUTANTS = [
         [CODEC],
     ),
     (
-        "_compact without its 8-bit step",
+        "_split places later chunks 4 digits apart",
         "tiling.py",
-        "    x = (x | x >> 8) & 0x0000FFFF0000FFFF\n",
-        "",
+        "return v | hv << 5, w | hw << 5",
+        "return v | hv << 4, w | hw << 4",
         [CODEC],
     ),
     (
-        "_compact_digits puts digits past 32 one bit too high",
+        "tile_vertex reads the direction word",
         "tiling.py",
-        "_compact_digits(t >> 64, k - 32) << 32",
-        "_compact_digits(t >> 64, k - 32) << 33",
-        [CODEC],
-    ),
-    (
-        "tile_vertex reads the low bits",
-        "tiling.py",
-        "_compact_digits(t >> 1, k)",
-        "_compact_digits(t, k)",
+        "_split(t & (1 << 2 * k) - 1)[0]",
+        "_split(t & (1 << 2 * k) - 1)[1]",
         [CODEC],
     ),
     (
         "vertex_outmaps swaps vertex and word",
         "tiling.py",
-        "    table[_compact(packed >> 1)] = _compact(packed)\n",
-        "    table[_compact(packed)] = _compact(packed >> 1)\n",
+        "    table[pairs & 0xFFFFFFFF] = pairs >> 32\n",
+        "    table[pairs >> 32] = pairs & 0xFFFFFFFF\n",
         ["tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path"],
+    ),
+    (
+        # two chunks reach k = 10; only a wider tiling sees the third
+        "vertex_outmaps skips its third chunk",
+        "tiling.py",
+        "    for shift in range(5, k, 5):",
+        "    for shift in range(5, min(k, 10), 5):",
+        [
+            "tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path[11]",
+            "tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path[12]",
+        ],
     ),
     (
         "vertex_outmaps ignores a vertex no tile lands on",
@@ -508,12 +513,11 @@ MUTANTS = [
         ],
     ),
     (
-        # the verdict and the pairwise cross-check then run the same test on
-        # the same vertex table, at every k
+        # the verdict's test on the vertex table is then the only pair test
         "validate without the tile pair cross-check",
         "cli.py",
-        " or not ts.is_pairwise_adjacent()",
-        "",
+        "    if not ts.is_pairwise_adjacent():\n",
+        "    if False:\n",
         ["tests/test_cli.py::test_validate_cross_checks_the_other_encoding"],
     ),
     (
@@ -695,6 +699,21 @@ MUTANTS = [
         "[0-9]{{{dim}}} [1-9]",
         [LABEL_TEXT],
     ),
+    # dimensions and coordinates of the wrong kind
+    (
+        "a dimension of -1 taken",
+        "cube.py",
+        "    if k < 0:\n        raise DimensionError(f\"dimension {k} is negative\")",
+        "    if k < -1:\n        raise DimensionError(f\"dimension {k} is negative\")",
+        ["tests/test_cube.py::test_no_value_has_a_negative_dimension"],
+    ),
+    (
+        "_require_coordinate without its type check",
+        "cube.py",
+        "    _require_dim(i, \"coordinate\")\n",
+        "",
+        ["tests/test_transform.py::test_a_coordinate_is_an_int"],
+    ),
 ]
 
 EQUIVALENT = [
@@ -736,10 +755,13 @@ EQUIVALENT = [
 ]
 
 
-def _pytest(src: Path, tests) -> int:
-    # no bytecode: a mutant of the same size and second as a cached .pyc
-    # would otherwise be read from that cache
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def _pytest(src: Path, tests, cache: Path) -> int:
+    # every child writes and reads bytecode in one shared cache, so pytest,
+    # hypothesis and the test modules compile once; a .pyc path there holds
+    # its source copy's directory, so no child reads another mutant's
+    # bytecode
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True)
     return done.returncode
@@ -758,18 +780,22 @@ def main() -> int:
     survived = []
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        cache = Path(tmp) / "pycache"
+
+        def copy(name: str) -> Path:
+            src = Path(tmp) / name
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            return src
+
         tests = sorted({t for *_, named in MUTANTS for t in named})
-        if _pytest(src, tests) != 0:
+        if _pytest(copy("baseline"), tests, cache) != 0:
             print("the named tests fail on the unchanged source", file=sys.stderr)
             return 1
-        for name, file, old, new, named in MUTANTS:
+        for n, (name, file, old, new, named) in enumerate(MUTANTS):
+            src = copy(f"mutant{n}")
             path = src / "usokit" / file
-            text = path.read_text()
-            path.write_text(text.replace(old, new))
-            code = _pytest(src, named)
-            path.write_text(text)
+            path.write_text(path.read_text().replace(old, new))
+            code = _pytest(src, named, cache)
             # the unchanged copy passed, so any failure (a test, or a module
             # that no longer imports or collects) is the mutant's
             print(f"{name}: {f'killed (pytest exit {code})' if code else 'SURVIVED'}")

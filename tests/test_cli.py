@@ -538,10 +538,15 @@ def test_input_tiling_verified_once(argv, bow_file, kernel_passes, capsys):
     ],
 )
 def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsys):
+    # each cross-check made to disagree: the pairwise one is the tile pair
+    # test, the encoding the verdict did not use
     import usokit.cli
 
-    real = usokit.cli.is_uso
-    monkeypatch.setattr(usokit.cli, "is_uso", lambda o, m: m != method and real(o, m))
+    if method == "pairwise":
+        monkeypatch.setattr(TileSet, "is_pairwise_adjacent", lambda ts: False)
+    else:
+        real = usokit.cli.is_uso
+        monkeypatch.setattr(usokit.cli, "is_uso", lambda o, m: m != method and real(o, m))
     assert run(["validate", bow_file]) == 3
     assert capsys.readouterr() == ("", line)
 
@@ -550,16 +555,14 @@ def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsy
 def test_validate_cross_checks_the_other_encoding(
     seed, sampled_tiling, tmp_path, monkeypatch, capsys
 ):
-    # at every k the verdict and is_uso both run _pairwise_ok on the vertex
-    # table; with both bindings passing anything, a tiling with one
-    # direction digit changed must still fail the tile pair test
+    # at every k the verdict runs _pairwise_ok on the vertex table; with
+    # that binding passing anything, a tiling with one direction digit
+    # changed must still fail the tile pair test
     import random
 
-    import usokit.cube
     import usokit.tiling
 
-    for module in (usokit.cube, usokit.tiling):
-        monkeypatch.setattr(module, "_pairwise_ok", lambda out, k: True)
+    monkeypatch.setattr(usokit.tiling, "_pairwise_ok", lambda out, k: True)
     rnd = random.Random(seed)
     for k in (3, 7):
         ts = sampled_tiling(k)
@@ -588,10 +591,10 @@ def test_convert_reports_the_tiling_defect(tmp_path, capsys):
 
 # verb arguments after the input file, and the passes of the tiling kernel
 # and of the vertex kernel: one test of the k = 5 input file, which runs on
-# its vertex table; validate cross-checks on both encodings; no transform
+# its vertex table; validate cross-checks on the tiles, once; no transform
 # output is tested; apply adds the rule's two union checks on tiles
 KERNEL_PASSES = {
-    "validate": ([], 1, 2),
+    "validate": ([], 1, 1),
     "convert": (["--to", "tiles"], 0, 1),
     "uni-rule": ([], 0, 1),
     "apply": (["--rule", "RULE", "--h", "2"], 2, 1),

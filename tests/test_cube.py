@@ -556,3 +556,31 @@ def test_a_bool_is_not_a_dimension(call):
     # "uso True" and read_tiling rejects
     with pytest.raises(DimensionError, match="^dimension must be an int, not True$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Orientation(-1, ()),
+        lambda: PartialOrientation(-1, frozenset(), {}),
+        lambda: TileSet(-2, frozenset()),
+        lambda: TileSet.from_strings([], -1),
+        lambda: TileSet.from_strings(["0"], -1),
+        lambda: canonical_orientation(-1),
+        lambda: canonical_tiles(-1),
+    ],
+    ids=[
+        "Orientation",
+        "PartialOrientation",
+        "TileSet",
+        "from_strings",
+        "from_strings-word",
+        "canonical_orientation",
+        "canonical_tiles",
+    ],
+)
+def test_no_value_has_a_negative_dimension(call):
+    # each raised a raw "negative shift count" ValueError, or named the
+    # word's length
+    with pytest.raises(DimensionError, match="^dimension -[12] is negative$"):
+        call()

@@ -33,7 +33,6 @@ from usokit import (
 from usokit.cube import _pairwise_ok
 from usokit.tiling import (
     _SPLIT,
-    _compact,
     _tiles_of,
     incompatible_tiles,
     tile_out,
@@ -160,14 +159,19 @@ def test_codec_matches_the_per_bit_loops(case):
     assert tile_of(v, o, k) == _reference_tile_of(v, o, k)
 
 
+def _walk_product(k, seed):
+    """A 16-step walk up to k = 4; above, its product with one k - 4 part."""
+    walk = uso_from_tiles(sample_markov(min(k, 4), 16, seed))
+    if k <= 4:
+        return walk
+    part = _walk_product(k - 4, seed + 10)
+    return product(walk, {v: part for v in range(16)})
+
+
 def _outmap_cases(k):
     """A tiling, a set with two tiles on one vertex, one tile short, one
     over; at k = 0 the tiling and the empty set."""
-    frame = uso_from_tiles(sample_markov(min(k, 4), 16, 40 + k))
-    if k > 4:
-        part = uso_from_tiles(sample_markov(k - 4, 16, 50 + k))
-        frame = product(frame, {v: part for v in range(16)})
-    ts = tiles_from_uso(frame)
+    ts = tiles_from_uso(_walk_product(k, 40 + k))
     tiles = sorted(ts.tiles)
     if k == 0:
         return [ts, TileSet(0, ())]
@@ -184,9 +188,10 @@ def _outmap_cases(k):
     ]
 
 
-@pytest.mark.parametrize("k", range(8))
+@pytest.mark.parametrize("k", range(13))
 def test_vertex_outmaps_matches_the_dict_path(k):
-    # both routes: the split table up to 5 digits, numpy from k = 6
+    # both routes: the split table up to 5 digits, numpy from k = 6, in
+    # two 5-digit chunks up to k = 10 and three above
     good, *bad = _outmap_cases(k)
     assert vertex_outmaps(good) == _reference_outmaps(good) == list(uso_from_tiles(good).out)
     for ts in bad:
@@ -204,7 +209,8 @@ def test_vertex_outmaps_matches_the_dict_path_random(case):
 
 
 def test_split_table_is_the_compact_ladder():
-    assert _SPLIT == [(_compact(t >> 1), _compact(t)) for t in range(1024)]
+    # the one decoding table against the per-bit loops
+    assert _SPLIT == [(_reference_vertex(t, 5), _reference_out(t, 5)) for t in range(1024)]
 
 
 @pytest.mark.parametrize("k", [*range(11), 12])

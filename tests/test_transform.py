@@ -13,6 +13,7 @@ from usokit import (
     PhaseSelectionError,
     SplitMix64,
     TileSet,
+    apply_generalized,
     apply_simple,
     bow,
     canonical_orientation,
@@ -32,9 +33,12 @@ from usokit import (
     phase_swap,
     phases,
     product,
+    product_labelling,
+    product_rule,
     sample_markov,
     tiles_from_uso,
     uso_from_tiles,
+    vertex_bits,
 )
 from usokit.cube import drop_bit, insert_bit
 
@@ -476,3 +480,106 @@ def test_transforms_test_no_output(name, sampled_tiling, kernel_passes):
     # born with its verdict, which the independent test confirms
     assert out._verdict is True
     assert is_uso(out)
+
+
+def _rule_tiles(kind, o, h):
+    """The named rule's emulation of a transform at coordinate h."""
+    return apply_simple(named_rule(kind), tiles_from_uso(o), h)
+
+
+def _fresh_uso(o):
+    """o, once a new value of its table passes the pairwise test (not o's
+    kept verdict), and the face scan where it is cheap."""
+    fresh = Orientation(o.dim, o.out)
+    assert is_uso(fresh)
+    if o.dim <= 6:
+        assert is_uso(fresh, "face-scan")
+    return o
+
+
+def _checked_product(frame, parts):
+    """product, held to product_rule applied with product_labelling."""
+    got = product(frame, parts)
+    frame_ts = tiles_from_uso(frame)
+    rule = product_rule([tiles_from_uso(parts[v]) for v in range(1 << frame.dim)])
+    want = apply_generalized(rule, frame_ts, product_labelling(frame_ts), frame.dim)
+    assert tiles_from_uso(got) == want
+    return _fresh_uso(got)
+
+
+def _lifted(low, rng):
+    """A USO one dimension up: low times a random 1-cube part per vertex."""
+    return _checked_product(low, {v: (DOWN1, UP1)[rng.randbelow(2)] for v in range(1 << low.dim)})
+
+
+def _chain_step(o, rng):
+    """One random transform of o, checked; the next state, of o's dimension."""
+    k = o.dim
+    h = 1 + rng.randbelow(k)
+    kinds = ["flip", "mirror", "partial-swap", "facet", "inherit", "hypervertex"]
+    kinds += ["phase-flip", "phase-swap"] if k <= PHASE_DIM_CAP else []
+    kind = kinds[rng.randbelow(len(kinds))]
+    if kind in ("flip", "mirror", "partial-swap"):
+        got = {"flip": flip_dimension, "mirror": mirror, "partial-swap": partial_swap}[kind](o, h)
+        assert tiles_from_uso(got) == _rule_tiles(kind, o, h)
+    elif kind == "facet":
+        side = ("lower", "upper")[rng.randbelow(2)]
+        low = facet(o, h, side)
+        assert tiles_from_uso(low) == _rule_tiles(f"take-{side}-facet", o, h)
+        got = _lifted(_fresh_uso(low), rng)
+    elif kind == "inherit":
+        low = inherited(o, k - 1)
+        assert tiles_from_uso(low) == _rule_tiles("inherit", o, k)
+        got = _lifted(_fresh_uso(low), rng)
+    elif kind == "hypervertex":
+        # a face that is one flippable edge, given the other direction
+        edges = sorted(flippable_edges(o))
+        e = edges[rng.randbelow(len(edges))]
+        bits = vertex_bits(e.vertex, k)
+        face = Face(bits[:e.dim - 1] + "*" + bits[e.dim:])
+        up = 1 - o.direction(e.vertex, e.dim)
+        got = hypervertex_replace(o, face, Orientation(1, (up, up)))
+        assert got == flip_edges(o, [e])
+    else:
+        classes = phases(o, h).classes
+        picked = [c for c in classes if rng.randbelow(2)]
+        if kind == "phase-flip":
+            got = phase_flip(o, h, picked)
+        else:
+            got = phase_swap(o, h, frozenset().union(*picked))
+    return _fresh_uso(got)
+
+
+@pytest.mark.parametrize("k, steps", [(5, 200), (6, 120), (7, 80), (8, 60), (9, 40), (10, 30)])
+def test_transform_chains_keep_usos_above_k4(k, steps):
+    # seeded chains through all nine transforms, each step held to its
+    # rule emulation where one exists and to a fresh unique sink verdict
+    rng = SplitMix64(0xC4A1 + k)
+    o = _fresh_uso(uso_from_tiles(sample_markov(5, 40, rng.next_u64() % 1000)))
+    if k > 5:
+        parts = [uso_from_tiles(sample_markov(k - 5, 20, seed)) for seed in (k, k + 100)]
+        o = _checked_product(o, {v: parts[rng.randbelow(2)] for v in range(32)})
+    for _ in range(steps):
+        o = _chain_step(o, rng)
+        assert o.dim == k
+
+
+COORDINATE_CALLS = {
+    "phases": lambda o, i: phases(o, i),
+    "phase_flip": lambda o, i: phase_flip(o, i, []),
+    "phase_swap": lambda o, i: phase_swap(o, i, ()),
+    "flip_dimension": flip_dimension,
+    "mirror": mirror,
+    "partial_swap": partial_swap,
+    "facet": facet,
+    "apply_simple": lambda o, i: apply_simple(named_rule("flip"), tiles_from_uso(o), i),
+    "direction": lambda o, i: o.direction(0, i),
+}
+
+
+@pytest.mark.parametrize("i", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name", sorted(COORDINATE_CALLS))
+def test_a_coordinate_is_an_int(name, i):
+    # True acted on coordinate 1, and 1.0 or "1" raised a raw TypeError
+    with pytest.raises(DimensionError, match=f"^coordinate must be an int, not {i!r}$"):
+        COORDINATE_CALLS[name](BOW, i)
