@@ -1,11 +1,13 @@
 """Command line driver.
 
 Every verb reads and writes the text forms of the formats module; outputs
-are deterministic.  Exit codes: 0 on success, 1 on a domain violation
-(not a tiling, not an USO, invalid rule, bad phase selection, bad label),
-2 on usage, parse, or range errors, 3 when an internal cross-check fails
-(a bug).  Failures print a single line ``error: <category>: <detail>`` to
-stderr.
+are deterministic.  A verb is a function from its parsed arguments to its
+output as text chunks; run() alone writes them, to stdout or to the verb's
+--out file, and maps errors to exit codes: 0 on success, 1 on a domain
+violation (not a tiling, not an USO, invalid rule, bad phase selection,
+bad label), 2 on usage, parse, or range errors, 3 when an internal
+cross-check fails (a bug).  Failures print a single line
+``error: <category>: <detail>`` to stderr.
 
 Randomized verbs require an explicit --seed; the generator is SplitMix64
 (see the enumeration module), so equal seeds reproduce equal output on
@@ -164,15 +166,11 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
-def _print_tiling(o: Orientation) -> None:
-    sys.stdout.write(write_tiling(tiles_from_uso(o)))
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     ts = _read_tiling(args.file)
     o = uso_from_tiles(ts)
     # the verdict tested the vertex table; the tile pair test is the
@@ -186,11 +184,10 @@ def _cmd_validate(args) -> int:
     pairs = len(twins(ts))
     if flips != pairs:
         raise InternalError(f"{flips} flippable edges but {pairs} twin pairs")
-    print(f"uso dim={ts.dim} flippable={flips} twins={pairs}")
-    return 0
+    return [f"uso dim={ts.dim} flippable={flips} twins={pairs}\n"]
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args):
     text = _read(args.file)
     words = text.split(None, 1)
     first = words[0] if words else ""
@@ -200,14 +197,10 @@ def _cmd_convert(args) -> int:
         o = read_orientation(text)
     else:
         raise FormatError(f"unrecognized header in {args.file}")
-    if args.to == "tiles":
-        _print_tiling(o)
-    else:
-        sys.stdout.write(write_orientation(o))
-    return 0
+    return [write_tiling(tiles_from_uso(o)) if args.to == "tiles" else write_orientation(o)]
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args):
     ts = _read_tiling(args.file)
     rule = read_rule(_read(args.rule))
     if args.labels:
@@ -217,26 +210,23 @@ def _cmd_apply(args) -> int:
         result = apply_simple(rule, ts, args.h, checked=True)
     else:
         raise LabellingError(f"rule has {rule.i} columns, --labels required")
-    sys.stdout.write(write_tiling(result))
-    return 0
+    return [write_tiling(result)]
 
 
-def _cmd_rule_make(args) -> int:
-    sys.stdout.write(write_rule(named_rule(args.kind)))
-    return 0
+def _cmd_rule_make(args):
+    return [write_rule(named_rule(args.kind))]
 
 
-def _cmd_uni_rule(args) -> int:
+def _cmd_uni_rule(args):
     ts = _read_tiling(args.file)
     rule, labels = universality_rule(ts)
     # the label file first: a failed write leaves no rule on stdout
     if args.labels_out:
         _write_out(args.labels_out, [write_labels(labels)])
-    sys.stdout.write(write_rule(rule))
-    return 0
+    return [write_rule(rule)]
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args):
     frame = _read_uso(args.frame)
     parts = {}
     for spec in args.part or []:
@@ -256,27 +246,26 @@ def _cmd_product(args) -> int:
         raise ValueError(
             f"missing --part for vertex {vertex_bits(missing[0], frame.dim)}"
         )
-    _print_tiling(product(frame, parts))
-    return 0
+    return [write_tiling(tiles_from_uso(product(frame, parts)))]
 
 
 def _transform_verb(transform, *options):
-    """The verb printing transform(input, *option values) as a tiling."""
+    """The verb returning transform(input, *option values) as a tiling."""
 
-    def cmd(args) -> int:
+    def cmd(args):
         o = _read_uso(args.file)
-        _print_tiling(transform(o, *(getattr(args, name) for name in options)))
-        return 0
+        result = transform(o, *(getattr(args, name) for name in options))
+        return [write_tiling(tiles_from_uso(result))]
 
     return cmd
 
 
-def _cmd_phases(args) -> int:
+def _cmd_phases(args):
     o = _read_uso(args.file)
-    part = phases(o, args.h, args.method)
-    for cls in part.classes:
-        print(" ".join(f"{vertex_bits(e.vertex, o.dim)}/{e.dim}" for e in sorted(cls)))
-    return 0
+    return [
+        " ".join(f"{vertex_bits(e.vertex, o.dim)}/{e.dim}" for e in sorted(cls)) + "\n"
+        for cls in phases(o, args.h, args.method).classes
+    ]
 
 
 def _parse_class_indexes(spec: str, n: int) -> list[int]:
@@ -292,14 +281,14 @@ def _parse_class_indexes(spec: str, n: int) -> list[int]:
 
 
 def _phase_verb(edit):
-    """The verb printing edit(input, h, the --classes picked) as a tiling."""
+    """The verb returning edit(input, h, the --classes picked) as a tiling."""
 
-    def cmd(args) -> int:
+    def cmd(args):
         o = _read_uso(args.file)
         classes = phases(o, args.h).classes
         picked = _parse_class_indexes(args.classes, len(classes))
-        _print_tiling(edit(o, args.h, [classes[c] for c in picked]))
-        return 0
+        result = edit(o, args.h, [classes[c] for c in picked])
+        return [write_tiling(tiles_from_uso(result))]
 
     return cmd
 
@@ -308,45 +297,33 @@ def _swap_classes(o: Orientation, h: int, classes) -> Orientation:
     return phase_swap(o, h, frozenset().union(*classes))
 
 
-def _cmd_hyper_replace(args) -> int:
+def _cmd_hyper_replace(args):
     o = _read_uso(args.file)
     try:
         face = Face(args.face)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     sub = _read_uso(args.with_file)
-    _print_tiling(hypervertex_replace(o, face, sub))
-    return 0
+    return [write_tiling(tiles_from_uso(hypervertex_replace(o, face, sub)))]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     _check_jobs(args.jobs)
+    # enumerate_* check k before run() opens --out; tilings are made as written
     if args.method == "brute":
         stream = enumerate_brute(args.k)
     else:
         stream = enumerate_join(args.k, args.jobs)
-    chunks = (("\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream))
-    if args.out:
-        _write_out(args.out, chunks)
-    else:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-    return 0
+    return (("\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream))
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     _check_jobs(args.jobs)
-    report = count_usos(args.k, args.method, args.jobs)
-    if args.out:
-        _write_out(args.out, [report.line() + "\n"])
-    else:
-        print(report.line())
-    return 0
+    return [count_usos(args.k, args.method, args.jobs).line() + "\n"]
 
 
-def _cmd_sample(args) -> int:
-    sys.stdout.write(write_tiling(sample_markov(args.k, args.steps, args.seed)))
-    return 0
+def _cmd_sample(args):
+    return [write_tiling(sample_markov(args.k, args.steps, args.seed))]
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +346,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         return p
 
+    # the arguments that several verbs take, each declared once
+    shared = {
+        "file": {},
+        "--h": {"type": _integer, "required": True},
+        "--classes": {"required": True, "metavar": "<idx,...>",
+                      "help": "0-based indexes into the phases output"},
+        "--jobs": {"type": _integer, "default": 1},
+    }
+
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **shared[name])
+
     p = verb("validate", _cmd_validate, "check a tiling file, report edge stats")
-    p.add_argument("file")
+    add(p, "file")
 
     p = verb("convert", _cmd_convert, "convert between tiling and orientation form")
-    p.add_argument("file")
+    add(p, "file")
     p.add_argument("--to", required=True, choices=("tiles", "orientation"))
 
     p = verb("apply", _cmd_apply, "apply a rewriting rule at one coordinate")
-    p.add_argument("file")
+    add(p, "file")
     p.add_argument("--rule", required=True)
     p.add_argument("--labels")
-    p.add_argument("--h", type=_integer, required=True)
+    add(p, "--h")
 
     p = verb("rule-make", _cmd_rule_make, "emit a built-in rule file")
     p.add_argument("--kind", required=True, choices=NAMED_RULE_KINDS)
 
     p = verb("uni-rule", _cmd_uni_rule, "emit the rule rewriting the frame to this tiling")
-    p.add_argument("file")
+    add(p, "file")
     p.add_argument("--labels-out", help="also write the frame label file here")
 
     p = verb("product", _cmd_product, "glue one part tiling onto every frame vertex")
@@ -400,48 +390,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("inherit", _transform_verb(inherited, "kprime"),
              "collapse down to a lower dimension")
-    p.add_argument("file")
+    add(p, "file")
     p.add_argument("--kprime", type=_integer, required=True)
 
     p = verb("facet", _transform_verb(facet, "h", "side"), "restrict to one facet")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
+    add(p, "file", "--h")
     p.add_argument("--side", required=True, choices=("lower", "upper"))
 
     p = verb("flip", _transform_verb(flip_dimension, "h"),
              "reverse every edge of one coordinate")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
+    add(p, "file", "--h")
 
     p = verb("mirror", _transform_verb(mirror, "h"),
              "swap the two facets of one coordinate")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
+    add(p, "file", "--h")
 
     p = verb("partial-swap", _transform_verb(partial_swap, "h"),
              "swap facets along upward edges only")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
+    add(p, "file", "--h")
 
     p = verb("phases", _cmd_phases, "print the flip classes of one coordinate")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
+    add(p, "file", "--h")
     p.add_argument("--method", default="pairs", choices=("pairs", "brute"))
 
     p = verb("phase-flip", _phase_verb(phase_flip), "reverse chosen flip classes")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
-    p.add_argument("--classes", required=True, metavar="<idx,...>",
-                   help="0-based indexes into the phases output")
+    add(p, "file", "--h", "--classes")
 
     p = verb("phase-swap", _phase_verb(_swap_classes), "swap facets along chosen flip classes")
-    p.add_argument("file")
-    p.add_argument("--h", type=_integer, required=True)
-    p.add_argument("--classes", required=True, metavar="<idx,...>",
-                   help="0-based indexes into the phases output")
+    add(p, "file", "--h", "--classes")
 
     p = verb("hyper-replace", _cmd_hyper_replace, "reorient inside a combed face")
-    p.add_argument("file")
+    add(p, "file")
     p.add_argument("--face", required=True, help="pattern over 0, 1, *")
     p.add_argument("--with", dest="with_file", required=True, metavar="FILE")
 
@@ -450,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("brute", "join"),
                    help=f"brute caps at k={MAX_BRUTE_DIM}, join at k={MAX_JOIN_DIM}")
     p.add_argument("--out", help="write the stream here instead of stdout")
-    p.add_argument("--jobs", type=_integer, default=1)
+    add(p, "--jobs")
 
     p = verb("count", _cmd_count, "count the tilings of a dimension")
     p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--method", required=True, choices=("brute", "join"))
     p.add_argument("--out", help="write the report line here instead of stdout")
-    p.add_argument("--jobs", type=_integer, default=1)
+    add(p, "--jobs")
 
     p = verb("sample", _cmd_sample, "draw one tiling by a seeded flip walk")
     p.add_argument("--k", type=_integer, required=True,
@@ -474,7 +453,12 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        chunks = args.func(args)
+        if getattr(args, "out", None):
+            _write_out(args.out, chunks)
+        else:
+            sys.stdout.writelines(chunks)
+        return 0
     except UsoError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         if isinstance(exc, InternalError):

@@ -103,12 +103,14 @@ class Edge(NamedTuple):
 
 def edge_at(v: int, i: int) -> Edge:
     """The i-edge incident to v, in canonical (lower endpoint) form."""
+    _require_dim(i, "coordinate")
+    if i < 1:
+        raise DimensionError(f"coordinate {i} is less than 1")
     return Edge(v & ~(1 << (i - 1)), i)
 
 
 def check_edge(e: Edge, k: int) -> None:
-    if not 1 <= e.dim <= k:
-        raise DimensionError(f"edge dimension {e.dim} out of range 1..{k}")
+    _require_coordinate(e.dim, k)
     if not 0 <= e.vertex < 1 << k:
         raise DimensionError(f"edge vertex {e.vertex} out of range")
     if e.vertex >> (e.dim - 1) & 1:

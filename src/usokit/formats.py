@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 
-from .cube import Face, Orientation, vertex_bits, vertex_from_bits
+from .cube import Face, Orientation, _require_cube_dim, vertex_bits, vertex_from_bits
 from .errors import FormatError
 from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule
@@ -279,6 +279,7 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
     other text, and a plain one with a repeated tile, goes to the line
     reader, which accepts or rejects it with its own messages.
     """
+    _require_cube_dim(dim)
     if dim > 0 and re.fullmatch(f"(?:[0-3]{{{dim}}} [1-9][0-9]*\n)*", text):
         words = text.split()
         try:

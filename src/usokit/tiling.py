@@ -114,6 +114,7 @@ def tile_pack(s: str) -> int:
 
 
 def tile_unpack(t: int, k: int) -> str:
+    _require_cube_dim(k)
     return "".join(_CHUNKS[t >> (10 * i) & 1023] for i in range((k + 4) // 5))[:k]
 
 
@@ -197,16 +198,19 @@ def _split(t: int) -> tuple[int, int]:
 
 def tile_vertex(t: int, k: int) -> int:
     """Cube vertex of a tile: bit i is the high bit of digit i."""
+    _require_cube_dim(k)
     return _split(t & (1 << 2 * k) - 1)[0]
 
 
 def tile_out(t: int, k: int) -> int:
     """Direction word of a tile: bit i is the low bit of digit i."""
+    _require_cube_dim(k)
     return _split(t & (1 << 2 * k) - 1)[1]
 
 
 def tile_of(v: int, out_word: int, k: int) -> int:
     """Packed tile of a vertex and its direction word (digit = 2v_i + o_i)."""
+    _require_cube_dim(k)
     m = (1 << k) - 1
     return _spread(v & m) << 1 | _spread(out_word & m)
 

@@ -4,7 +4,8 @@ An entry of MUTANTS is (name, file under src/usokit, exact old text, new
 text, tests).  For each entry the sweep copies src/ to a temporary
 directory of its own, makes the one substitution and runs ``pytest -x`` on
 the named tests in one child process with that copy on PYTHONPATH; the
-child must fail.  Before any mutant, the same tests run once on an
+child must fail.  Two children run at once, and their results print in
+entry order.  Before any mutant, the same tests run once, alone, on an
 unchanged copy and must pass, so a failure is the mutant's doing.  An
 entry whose old text is not found exactly once fails the sweep, so entries
 cannot go stale.
@@ -14,7 +15,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 90 s on two cores.  Exits 1 and names every mutant that survived or
+About 50 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -710,9 +712,56 @@ MUTANTS = [
     (
         "_require_coordinate without its type check",
         "cube.py",
-        "    _require_dim(i, \"coordinate\")\n",
-        "",
+        "    _require_dim(i, \"coordinate\")\n    if not 1 <= i <= k:\n",
+        "    if not 1 <= i <= k:\n",
         ["tests/test_transform.py::test_a_coordinate_is_an_int"],
+    ),
+    (
+        "tile_unpack without its dimension check",
+        "tiling.py",
+        '    _require_cube_dim(k)\n    return "".join(_CHUNKS',
+        '    return "".join(_CHUNKS',
+        ["tests/test_cube.py::test_a_dimension_parameter_is_an_int"],
+    ),
+    # one output route: a verb returns its text, and run() writes it
+    (
+        "run() writing to stdout when --out is given",
+        "cli.py",
+        '        if getattr(args, "out", None):\n',
+        "        if False:\n",
+        ["tests/test_cli.py::test_count"],
+    ),
+    (
+        "run() writing only the first chunk",
+        "cli.py",
+        "            sys.stdout.writelines(chunks)\n",
+        "            sys.stdout.writelines(list(chunks)[:1])\n",
+        ["tests/test_cli.py::test_enumerate_stdout_and_file"],
+    ),
+    (
+        "the shared --h without its number type",
+        "cli.py",
+        '"--h": {"type": _integer, "required": True}',
+        '"--h": {"required": True}',
+        [
+            "tests/test_cli.py::test_parser_arguments_are_pinned",
+            "tests/test_cli.py::test_flip_and_mirror",
+        ],
+    ),
+    (
+        # the stream is then made before run() opens --out
+        "enumerate building its whole text first",
+        "cli.py",
+        '    return (("\\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream))\n',
+        '    return [("\\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream)]\n',
+        ["tests/test_cli.py::test_out_directory_fails_before_the_stream"],
+    ),
+    (
+        "phase lines without their newline",
+        "cli.py",
+        'for e in sorted(cls)) + "\\n"\n',
+        "for e in sorted(cls))\n",
+        ["tests/test_cli.py::test_phases_output"],
     ),
 ]
 
@@ -791,16 +840,23 @@ def main() -> int:
         if _pytest(copy("baseline"), tests, cache) != 0:
             print("the named tests fail on the unchanged source", file=sys.stderr)
             return 1
-        for n, (name, file, old, new, named) in enumerate(MUTANTS):
+
+        def attempt(n: int) -> int:
+            _, file, old, new, named = MUTANTS[n]
             src = copy(f"mutant{n}")
             path = src / "usokit" / file
             path.write_text(path.read_text().replace(old, new))
-            code = _pytest(src, named, cache)
-            # the unchanged copy passed, so any failure (a test, or a module
-            # that no longer imports or collects) is the mutant's
-            print(f"{name}: {f'killed (pytest exit {code})' if code else 'SURVIVED'}")
-            if not code:
-                survived.append(name)
+            return _pytest(src, named, cache)
+
+        # one child per core; map hands the exit codes back in entry order
+        with ThreadPoolExecutor(2) as pool:
+            for (name, *_), code in zip(MUTANTS, pool.map(attempt, range(len(MUTANTS)))):
+                # the unchanged copy passed, so any failure (a test, or a
+                # module that no longer imports or collects) is the mutant's
+                print(f"{name}: {f'killed (pytest exit {code})' if code else 'SURVIVED'}",
+                      flush=True)
+                if not code:
+                    survived.append(name)
     print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, "
           f"{time.perf_counter() - start:.1f} s")
     for name in survived:

@@ -654,3 +654,113 @@ def test_verbs_reject_an_input_from_one_table(
     assert capsys.readouterr() == ("", line)
     assert kernel_passes == {"tiling": 1, "vertex": vertex_passes}
     assert len(vertex_tables) == 1
+
+
+# build_parser's arguments, verb by verb in order, without argparse's own
+# -h: (option or positional name, dest, type, required, default, choices,
+# metavar, help, action class).  The help and usage texts follow from it,
+# and its entries hold no argparse wording, which varies between versions.
+FILE = ("file", "file", None, True, None, None, None, None, "_StoreAction")
+H = ("--h", "h", "_integer", True, None, None, None, None, "_StoreAction")
+CLASSES = (
+    "--classes", "classes", None, True, None, None, "<idx,...>",
+    "0-based indexes into the phases output", "_StoreAction",
+)
+JOBS = ("--jobs", "jobs", "_integer", False, 1, None, None, None, "_StoreAction")
+KIND_CHOICES = (
+    "identity", "comb", "flip", "copy-upper", "copy-lower", "mirror",
+    "partial-swap", "take-upper-facet", "take-lower-facet", "inherit",
+)
+ARGUMENTS = [
+    ("validate", "check a tiling file, report edge stats", [FILE]),
+    ("convert", "convert between tiling and orientation form", [
+        FILE,
+        ("--to", "to", None, True, None, ("tiles", "orientation"), None, None, "_StoreAction"),
+    ]),
+    ("apply", "apply a rewriting rule at one coordinate", [
+        FILE,
+        ("--rule", "rule", None, True, None, None, None, None, "_StoreAction"),
+        ("--labels", "labels", None, False, None, None, None, None, "_StoreAction"),
+        H,
+    ]),
+    ("rule-make", "emit a built-in rule file", [
+        ("--kind", "kind", None, True, None, KIND_CHOICES, None, None, "_StoreAction"),
+    ]),
+    ("uni-rule", "emit the rule rewriting the frame to this tiling", [
+        FILE,
+        ("--labels-out", "labels_out", None, False, None, None, None,
+         "also write the frame label file here", "_StoreAction"),
+    ]),
+    ("product", "glue one part tiling onto every frame vertex", [
+        ("frame", "frame", None, True, None, None, None, None, "_StoreAction"),
+        ("--part", "part", None, False, None, None, "<vertexbits>=<file>",
+         "part tiling per frame vertex (repeat for every vertex)", "_AppendAction"),
+    ]),
+    ("inherit", "collapse down to a lower dimension", [
+        FILE,
+        ("--kprime", "kprime", "_integer", True, None, None, None, None, "_StoreAction"),
+    ]),
+    ("facet", "restrict to one facet", [
+        FILE,
+        H,
+        ("--side", "side", None, True, None, ("lower", "upper"), None, None, "_StoreAction"),
+    ]),
+    ("flip", "reverse every edge of one coordinate", [FILE, H]),
+    ("mirror", "swap the two facets of one coordinate", [FILE, H]),
+    ("partial-swap", "swap facets along upward edges only", [FILE, H]),
+    ("phases", "print the flip classes of one coordinate", [
+        FILE,
+        H,
+        ("--method", "method", None, False, "pairs", ("pairs", "brute"), None, None,
+         "_StoreAction"),
+    ]),
+    ("phase-flip", "reverse chosen flip classes", [FILE, H, CLASSES]),
+    ("phase-swap", "swap facets along chosen flip classes", [FILE, H, CLASSES]),
+    ("hyper-replace", "reorient inside a combed face", [
+        FILE,
+        ("--face", "face", None, True, None, None, None, "pattern over 0, 1, *", "_StoreAction"),
+        ("--with", "with_file", None, True, None, None, "FILE", None, "_StoreAction"),
+    ]),
+    ("enumerate", "stream every tiling of a dimension", [
+        ("--k", "k", "_integer", True, None, None, None, None, "_StoreAction"),
+        ("--method", "method", None, True, None, ("brute", "join"), None,
+         "brute caps at k=3, join at k=4", "_StoreAction"),
+        ("--out", "out", None, False, None, None, None,
+         "write the stream here instead of stdout", "_StoreAction"),
+        JOBS,
+    ]),
+    ("count", "count the tilings of a dimension", [
+        ("--k", "k", "_integer", True, None, None, None, None, "_StoreAction"),
+        ("--method", "method", None, True, None, ("brute", "join"), None, None, "_StoreAction"),
+        ("--out", "out", None, False, None, None, None,
+         "write the report line here instead of stdout", "_StoreAction"),
+        JOBS,
+    ]),
+    ("sample", "draw one tiling by a seeded flip walk", [
+        ("--k", "k", "_integer", True, None, None, None, "dimension, at most 5", "_StoreAction"),
+        ("--steps", "steps", "_integer", True, None, None, None, None, "_StoreAction"),
+        ("--seed", "seed", "_integer", True, None, None, None, None, "_StoreAction"),
+    ]),
+]
+
+
+def test_parser_arguments_are_pinned():
+    import argparse
+
+    from usokit.cli import build_parser
+
+    (verbs,) = build_parser()._subparsers._group_actions
+    helps = {a.dest: a.help for a in verbs._choices_actions}
+    found = [
+        (name, helps[name], [
+            (
+                "/".join(a.option_strings) or a.dest, a.dest,
+                getattr(a.type, "__name__", a.type), a.required, a.default,
+                a.choices, a.metavar, a.help, type(a).__name__,
+            )
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, p in verbs.choices.items()
+    ]
+    assert found == ARGUMENTS

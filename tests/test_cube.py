@@ -23,7 +23,10 @@ from usokit import (
     inherited,
     is_uso,
     neighbor,
+    read_labels,
     read_orientation,
+    tile_of,
+    tile_unpack,
     unique_sink,
     uso_from_tiles,
     vertex_bits,
@@ -31,6 +34,7 @@ from usokit import (
     write_orientation,
 )
 from usokit.cube import _consistent, _verified, check_edge, drop_bit, insert_bit
+from usokit.tiling import tile_out, tile_vertex
 
 
 def bits(s):
@@ -568,6 +572,10 @@ def test_a_bool_is_not_a_dimension(call):
         lambda: TileSet.from_strings(["0"], -1),
         lambda: canonical_orientation(-1),
         lambda: canonical_tiles(-1),
+        lambda: tile_of(0, 0, -1),
+        lambda: tile_vertex(0, -1),
+        lambda: tile_out(0, -1),
+        lambda: tile_unpack(5, -1),
     ],
     ids=[
         "Orientation",
@@ -577,10 +585,39 @@ def test_a_bool_is_not_a_dimension(call):
         "from_strings-word",
         "canonical_orientation",
         "canonical_tiles",
+        "tile_of",
+        "tile_vertex",
+        "tile_out",
+        "tile_unpack",
     ],
 )
 def test_no_value_has_a_negative_dimension(call):
-    # each raised a raw "negative shift count" ValueError, or named the
-    # word's length
+    # each raised a raw "negative shift count" ValueError, named the word's
+    # length, or (tile_unpack) returned ""
     with pytest.raises(DimensionError, match="^dimension -[12] is negative$"):
         call()
+
+
+DIMENSION_CALLS = {
+    "tile_of": lambda k: tile_of(1, 1, k),
+    "tile_vertex": lambda k: tile_vertex(7, k),
+    "tile_out": lambda k: tile_out(7, k),
+    "tile_unpack": lambda k: tile_unpack(5, k),
+    "read_labels": lambda k: read_labels("0 1\n", k),
+}
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name", sorted(DIMENSION_CALLS))
+def test_a_dimension_parameter_is_an_int(name, k):
+    # True was taken as 1, and 1.0 or "1" raised a raw TypeError or
+    # returned a value
+    with pytest.raises(DimensionError, match=f"^dimension must be an int, not {k!r}$"):
+        DIMENSION_CALLS[name](k)
+
+
+@pytest.mark.parametrize("i", [0, -1])
+def test_edge_at_takes_coordinates_from_1(i):
+    # 1 << (i - 1) raised a raw "negative shift count" ValueError
+    with pytest.raises(DimensionError, match=f"^coordinate {i} is less than 1$"):
+        edge_at(0, i)

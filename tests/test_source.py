@@ -85,6 +85,13 @@ def test_the_verdict_builds_every_vertex_table():
     assert users == {"tiling._tiling_ok"}
 
 
+def test_only_run_writes_stdout():
+    # a verb returns its text, and run() alone writes it, to stdout or to
+    # --out, so every verb's output takes one route and one error mapping
+    assert _users("stdout", attribute=True) == {"cli.run"}
+    assert _users("print", attribute=False) == {"cli.run"}
+
+
 def _names(tree):
     """Every name, attribute and imported name the module's code uses."""
     for node in ast.walk(tree):

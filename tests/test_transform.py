@@ -17,6 +17,7 @@ from usokit import (
     apply_simple,
     bow,
     canonical_orientation,
+    edge_at,
     facet,
     flip_dimension,
     flip_edges,
@@ -574,6 +575,8 @@ COORDINATE_CALLS = {
     "facet": facet,
     "apply_simple": lambda o, i: apply_simple(named_rule("flip"), tiles_from_uso(o), i),
     "direction": lambda o, i: o.direction(0, i),
+    "edge_at": lambda o, i: edge_at(0, i),
+    "flip_edges": lambda o, i: flip_edges(o, [Edge(0, i)]),
 }
 
 
