@@ -76,6 +76,7 @@ from .tiling import (
     twins,
     uso_from_tiles,
 )
+from .pairwise import FACE_SINK_MIN_DIM
 from .transform import (
     facet,
     flip_dimension,
@@ -177,8 +178,9 @@ def _cmd_validate(args):
     # encoding it did not use
     if not ts.is_pairwise_adjacent():
         raise InternalError("the pairwise test rejects a complete tiling")
-    # the face scan is 3^k, skip the cross-check for big inputs
-    if o.dim <= 6 and not is_uso(o, "face-scan"):
+    # and the vertex test it did not use: the face-sink recursion below
+    # FACE_SINK_MIN_DIM, the pair test from it
+    if not is_uso(o, "pairwise" if o.dim >= FACE_SINK_MIN_DIM else "face-scan"):
         raise InternalError("the face scan disagrees with the pairwise test")
     flips = len(flippable_edges(o))
     pairs = len(twins(ts))

@@ -182,7 +182,7 @@ def read_tiling(text: str) -> TileSet:
     k = _TILING_HEADS.get(head)
     packed = None if k is None else pack_lines(body, 1 << k, k)
     if packed is not None:
-        tiles = frozenset(packed)
+        tiles = frozenset(packed.tolist())
         if len(tiles) != 1 << k:
             raise FormatError("duplicate tiles")
         return _built(k, tiles)  # k digits 0-3 each, so in range

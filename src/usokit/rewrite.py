@@ -18,6 +18,19 @@ the same vertices follows from them and is not checked again.
 
 Width 0 rules delete the coordinate; their replacement sets live over the
 single empty tile.
+
+The splice has two routes with one result.  From SPLICE_MIN_TILES = 128
+input tiles it is one numpy block: the tiles in one uint64 array, each
+tile's replacement set chosen by its digit at h and its column (the
+labels packed through tiling.pack_lines and matched to the tiles by
+np.searchsorted), one broadcast OR and one frozenset of the output.
+Below 128 tiles, and for any labelling the block declines (a missing
+label, a bad key or label), the loop splices tile by tile and raises
+the messages; a wrong output count is reported after either route.
+Best of 60 (2 cores, Python 3.11.7, numpy 2.4.6), loop against block:
+23 against 25 us at 64 tiles, 53 against 28 us at 128 and 457 against
+122 us at 1,024 for a width-1 rule without labels; with labels 59
+against 78, 107 against 92 and 840 against 404 us.
 """
 
 from __future__ import annotations
@@ -25,12 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._lazy import np
 from .cube import _require_coordinate
 from .errors import (
     DimensionError,
     InvalidRuleError,
     LabellingError,
 )
+from .pairwise import MAX_WORD_BITS
 from .tiling import (
     TileSet,
     _built,
@@ -58,6 +73,10 @@ _NAMED = {
     "inherit": (0, [""], [], [], [""]),
 }
 NAMED_RULE_KINDS = tuple(_NAMED)
+
+# Smallest input tile count that _rewrite splices as one numpy block (see
+# the module docstring); below it the loop is faster.
+SPLICE_MIN_TILES = 128
 
 
 @dataclass(frozen=True)
@@ -183,6 +202,9 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     """Replace the digit at coordinate h of every tile with its replacement set.
 
     A tile's column is its label, or 1 for every tile when labelling is None.
+    From SPLICE_MIN_TILES input tiles the numpy block splices; the loop
+    splices smaller sets and the labellings the block declines, and raises
+    their messages.  Both give the same set, so the count check is shared.
     """
     if checked:
         violations = validate_generalized(rule)
@@ -191,6 +213,25 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
         _require_tiling(k_set, "input is not a complete tiling")
     k = k_set.dim
     _require_coordinate(h, k)
+    new_dim = k + rule.d - 1
+    out = None
+    if len(k_set.tiles) >= SPLICE_MIN_TILES and max(k, new_dim) <= MAX_WORD_BITS // 2:
+        out = _splice_block(rule, k_set, labelling, h)
+    if out is None:
+        out = _splice_loop(rule, k_set, labelling, h)
+    if len(out) != 1 << new_dim:
+        raise InvalidRuleError(
+            f"rewrite produced {len(out)} tiles, expected {1 << new_dim}; "
+            f"the rule is not sound on this input"
+        )
+    # rest keeps t's digits but h, and s (width d) fills the d slots at h,
+    # so each tile has new_dim digits and is in range
+    return _built(new_dim, out)
+
+
+def _splice_loop(rule, k_set, labelling, h) -> frozenset:
+    """The splice, one tile and one replacement at a time."""
+    k = k_set.dim
     columns = None if labelling is None else _label_columns(labelling, k, rule.i)
     shift = 2 * (h - 1)
     below = (1 << shift) - 1
@@ -203,36 +244,79 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
         rest = t & below | (t >> (shift + 2)) << above
         for s in rule.columns[t >> shift & 3][j - 1].tiles:
             out.add(rest | s << shift)
-    new_dim = k + rule.d - 1
-    if len(out) != 1 << new_dim:
-        raise InvalidRuleError(
-            f"rewrite produced {len(out)} tiles, expected {1 << new_dim}; "
-            f"the rule is not sound on this input"
-        )
-    # rest keeps t's digits but h, and s (width d) fills the d slots at h,
-    # so each tile has new_dim digits and is in range
-    return _built(new_dim, frozenset(out))
+    return frozenset(out)
+
+
+def _splice_block(rule, k_set, labelling, h) -> frozenset | None:
+    """The splice as one numpy block, or None for a labelling the loop
+    must read (a missing label, or a bad key or label).
+
+    The replacement sets are the rows of one table, padded to its widest
+    set; a tile's row is its digit at h and its column.  One broadcast OR
+    gives every output tile, and the padding is masked out.
+    """
+    shift = 2 * (h - 1)
+    tiles = np.fromiter(k_set.tiles, np.uint64, len(k_set.tiles))
+    if labelling is None:
+        group = (tiles >> shift & 3).astype(np.intp)
+        sets = [row[0] for row in rule.columns]
+    else:
+        tiles.sort()
+        j = _block_columns(labelling, tiles, k_set.dim, rule.i)
+        if j is None:
+            return None
+        group = (tiles >> shift & 3).astype(np.intp) * rule.i + j
+        sets = [s for row in rule.columns for s in row]
+    sizes = [len(s.tiles) for s in sets]
+    width = max(sizes)
+    table = np.array([sorted(s.tiles) + [0] * (width - n) for s, n in zip(sets, sizes)], np.uint64)
+    rest = tiles & (1 << shift) - 1 | tiles >> shift + 2 << shift + 2 * rule.d
+    block = rest[:, None] | table[group] << shift
+    if min(sizes) < width:
+        block = block[(np.arange(width) < np.array(sizes)[:, None])[group]]
+    return frozenset(block.ravel().tolist())
+
+
+def _packed_labels(labelling, k: int, i: int):
+    """The keys packed by tiling.pack_lines, as one text, and the labels,
+    when every key is a k-digit word and every label an int in 1..i; else
+    None."""
+    labels = list(labelling.values())
+    try:
+        text = "\n".join(labelling) + "\n"
+    except TypeError:  # a key that is not a str
+        return None
+    keys = pack_lines(text, len(labels), k)
+    if keys is None or set(map(type, labels)) != {int} or not 1 <= min(labels) <= max(labels) <= i:
+        return None
+    return keys, labels
+
+
+def _block_columns(labelling, tiles, k: int, i: int):
+    """The 0-based column of each of the sorted packed tiles, or None for a
+    labelling that _packed_labels refuses or that misses a tile.  The keys
+    meet the tiles in one np.searchsorted."""
+    packed = _packed_labels(labelling, k, i)
+    if packed is None:
+        return None
+    keys, labels = packed
+    order = keys.argsort()
+    keys = keys[order]
+    at = np.minimum(np.searchsorted(keys, tiles), len(keys) - 1)
+    if (keys[at] != tiles).any():
+        return None
+    return np.array(labels, np.intp)[order[at]] - 1
 
 
 def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
     """The column of each packed key; LabellingError on the first bad item.
 
-    The keys go to tiling.pack_lines as one text, and its tiles are taken
-    when every label is an int in 1..i; otherwise the per-key loop raises
-    the first defect in the labelling's order.
+    The packed keys are taken when _packed_labels gives them; otherwise
+    the per-key loop raises the first defect in the labelling's order.
     """
-    labels = list(labelling.values())
-    try:
-        text = "\n".join(labelling) + "\n"
-    except TypeError:  # a key that is not a str
-        text = ""
-    packed = pack_lines(text, len(labels), k)
-    if (
-        packed is not None
-        and set(map(type, labels)) == {int}
-        and 1 <= min(labels) <= max(labels) <= i
-    ):
-        return dict(zip(packed, labels))
+    packed = _packed_labels(labelling, k, i)
+    if packed is not None:
+        return dict(zip(packed[0].tolist(), packed[1]))
     columns = {}
     for s, j in labelling.items():
         if isinstance(j, bool) or not isinstance(j, int):

@@ -33,10 +33,11 @@ to 5 digits and as a numpy array above.
 
 A whole set of words has two functions, and the route choice lives only
 in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
-pack_lines packs exactly n such lines back, or returns None.  From
-KERNEL_MIN_DIM up to the 32 digits of a uint64 (_BLOCK_DIMS) both work in
-one numpy block: one digit matrix, one np.lexsort and one tobytes() out,
-one frombuffer and one digit bound in.  Below, numpy's fixed cost per call
+pack_lines packs exactly n such lines back into a uint64 array, or
+returns None.  From KERNEL_MIN_DIM up to the 32 digits of a uint64
+(_BLOCK_DIMS) both work in one numpy block: one digit matrix, one
+np.lexsort and one tobytes() out, one frombuffer, one digit bound and
+one matrix product in.  Below, numpy's fixed cost per call
 loses to tile_pack and tile_unpack: tile_lines sorts the per-word codec's
 words, and pack_lines returns None, as it does for any text not in that
 exact form, so that the caller reads word by word with its own messages.
@@ -46,11 +47,12 @@ first numpy route taken (see _lazy), so tile sets below KERNEL_MIN_DIM
 never import it.
 
 A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
-the sink pair test on the vertex table of vertex_outmaps, in k-bit words,
-which is the tile pair test in other words, as tiles that share a vertex
-are incompatible.  The immutable tile set keeps the verdict: False, or
-the table that passed, which ``uso_from_tiles`` hands to ``cube._verified``
-(no edge scan, as the pair test implies it).  Operations that need a
+the sink test of orientations (cube._unique_sinks: the pair test, or from
+k = 9 the face-sink recursion) on the vertex table of vertex_outmaps, in
+k-bit words, which is the tile pair test in other words, as tiles that
+share a vertex are incompatible.  The immutable tile set keeps the
+verdict: False, or the table that passed, which ``uso_from_tiles`` hands
+to ``cube._verified`` (no edge scan, as the sink test implies it).  Operations that need a
 complete tiling go through ``_require_tiling``, which runs the verdict on
 first use; ``tiles_from_uso`` output keeps its orientation's table from
 birth.  The public ``is_tiling`` and ``tiling_defect`` always run the
@@ -68,7 +70,7 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from ._lazy import np
-from .cube import Orientation, _keep_verdict, _pairwise_ok, _require_cube_dim, _require_uso, _verified
+from .cube import Orientation, _keep_verdict, _require_cube_dim, _require_uso, _unique_sinks, _verified
 from .errors import NotATilingError
 from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
 
@@ -169,11 +171,11 @@ def tile_lines(tiles, k: int) -> str:
     return block.tobytes().decode("ascii")
 
 
-def pack_lines(text: str, n: int, k: int) -> list[int] | None:
+def pack_lines(text: str, n: int, k: int):
     """The packed tiles of n lines of k digits 0-3, each ending in "\\n".
 
-    A list in line order, or None for any other text, and for every text
-    of a dimension that the caller reads word by word.
+    A uint64 array in line order, or None for any other text, and for
+    every text of a dimension that the caller reads word by word.
     """
     if k not in _BLOCK_DIMS or len(text) != n * (k + 1) or not text.isascii():
         return None
@@ -183,8 +185,8 @@ def pack_lines(text: str, n: int, k: int) -> list[int] | None:
     digits = rows[:, :k] - 48  # wraps below "0", so one bound checks both ends
     if (digits > 3).any():
         return None
-    packed = (digits.astype(np.uint64) << _digit_shifts()[:k]).sum(axis=1, dtype=np.uint64)
-    return packed.tolist()
+    # digit j times 4^j, summed in one exact uint64 matrix product
+    return digits @ (np.uint64(1) << _digit_shifts()[:k])
 
 
 def _split(t: int) -> tuple[int, int]:
@@ -319,13 +321,14 @@ def _built(k: int, tiles: frozenset) -> TileSet:
 def _tiling_ok(ts: TileSet) -> bool:
     """Whether ts is a complete tiling: the one verdict, kept on ts.
 
-    The sink pair test on the vertex table: tiles that share a vertex are
-    incompatible, so 2^k tiles whose vertex map is onto and whose table
-    passes the test are exactly a complete tiling.  A table that passed is
-    the kept verdict, and uso_from_tiles reads it.
+    The sink test of orientations on the vertex table (cube._unique_sinks):
+    tiles that share a vertex are incompatible, so 2^k tiles whose vertex
+    map is onto and whose table passes the test are exactly a complete
+    tiling.  A table that passed is the kept verdict, and uso_from_tiles
+    reads it.
     """
     out = vertex_outmaps(ts)
-    ok = out is not None and _pairwise_ok(out, ts.dim)
+    ok = out is not None and _unique_sinks(out, ts.dim)
     _keep_verdict(ts, out if ok else False)
     return ok
 

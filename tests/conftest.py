@@ -49,17 +49,22 @@ def sampled_tiling():
 
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """Calls of the pairwise kernel made by the tiling and the cube module."""
+    """Calls of the vertex tests made by the tiling and the cube module: the
+    pairwise kernel, and in cube the face-sink recursion, a vertex pass."""
     import usokit.cube
     import usokit.tiling
 
     calls = {"tiling": 0, "vertex": 0}
-    for module, kind in ((usokit.tiling, "tiling"), (usokit.cube, "vertex")):
-        def counting(*args, kernel=module.incompatible_pairs, kind=kind):
+    for module, name, kind in (
+        (usokit.tiling, "incompatible_pairs", "tiling"),
+        (usokit.cube, "incompatible_pairs", "vertex"),
+        (usokit.cube, "face_sinks_ok", "vertex"),
+    ):
+        def counting(*args, test=getattr(module, name), kind=kind):
             calls[kind] += 1
-            return kernel(*args)
+            return test(*args)
 
-        monkeypatch.setattr(module, "incompatible_pairs", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 

@@ -15,7 +15,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 50 s on two cores.  Exits 1 and names every mutant that survived or
+About 60 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -53,6 +53,10 @@ REFERENCE = "tests/test_enumeration.py::test_join_stream_is_the_reference_pick_l
 NUMPY_FREE = "tests/test_source.py::test_small_verbs_run_without_numpy"
 LABEL_TEXT = "tests/test_formats.py::test_label_reader_keeps_the_line_readers_messages"
 REVERSAL = "tests/test_transform.py::test_reversal_is_the_per_edge_loop"
+SMALL_TABLES = "tests/test_pairwise.py::test_recursion_decides_every_small_table_as_the_definition"
+SEEDED_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_definition_on_seeded_tables"
+BIG_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_pair_test_on_corrupted_products"
+SPLICE = "tests/test_rewrite.py::test_block_splice_is_the_loop"
 
 MUTANTS = [
     (
@@ -209,12 +213,12 @@ MUTANTS = [
         ["tests/test_formats.py::test_orientation_text_lists_vertices_in_bit_order"],
     ),
     (
-        # the face scan decodes its patterns through Face
+        # unique_sink, the recursion's oracle, decodes its face through Face
         "Face.fixed_values reads '*' as 1",
         "cube.py",
         'self.pattern.replace("*", "0")',
         'self.pattern.replace("*", "1")',
-        ["tests/test_cube.py::test_verifier_equivalence_exhaustive_small"],
+        [SMALL_TABLES],
     ),
     (
         "hypervertex_check with AND in place of OR",
@@ -466,8 +470,8 @@ MUTANTS = [
     (
         "block label keys without the label-range test",
         "rewrite.py",
-        "        and 1 <= min(labels) <= max(labels) <= i\n",
-        "",
+        " or not 1 <= min(labels) <= max(labels) <= i:\n",
+        ":\n",
         [LABELS],
     ),
     (
@@ -539,17 +543,17 @@ MUTANTS = [
         ["tests/test_cli.py::test_verbs_reject_an_input_from_one_table"],
     ),
     (
-        "tiling verdict without its pairwise test",
+        "tiling verdict without its sink test",
         "tiling.py",
-        "    ok = out is not None and _pairwise_ok(out, ts.dim)\n",
+        "    ok = out is not None and _unique_sinks(out, ts.dim)\n",
         "    ok = out is not None\n",
         [VERDICT],
     ),
     (
         "tiling verdict taking a vertex map that is not onto",
         "tiling.py",
-        "    ok = out is not None and _pairwise_ok(out, ts.dim)\n",
-        "    ok = out is None or _pairwise_ok(out, ts.dim)\n",
+        "    ok = out is not None and _unique_sinks(out, ts.dim)\n",
+        "    ok = out is None or _unique_sinks(out, ts.dim)\n",
         [VERDICT],
     ),
     (
@@ -672,6 +676,72 @@ MUTANTS = [
         "import numpy as np\n",
         [NUMPY_FREE],
     ),
+    # the face-sink recursion, both routes
+    (
+        "recursion always keeping the lower facet's sink (numpy route)",
+        "pairwise.py",
+        "        nxt[:, 2] = np.where(lo & bit, hi, lo)\n",
+        "        nxt[:, 2] = lo\n",
+        [BIG_TABLES],
+    ),
+    (
+        "recursion always keeping the upper facet's sink (list route)",
+        "pairwise.py",
+        "            nxt += (lo, hi, hi if lo & bit else lo)\n",
+        "            nxt += (lo, hi, hi)\n",
+        [SMALL_TABLES],
+    ),
+    (
+        # the first pass's faces are all edges, the k-edges
+        "recursion without the edge test of its first pass (numpy route)",
+        "pairwise.py",
+        "        if ((lo ^ hi) & bit).any():\n",
+        "        if cols > 1 and ((lo ^ hi) & bit).any():\n",
+        [BIG_TABLES],
+    ),
+    (
+        "recursion without the edge test of its first pass (list route)",
+        "pairwise.py",
+        "            if (lo ^ hi) & bit:\n",
+        "            if b < k - 1 and (lo ^ hi) & bit:\n",
+        [SEEDED_TABLES],
+    ),
+    (
+        "recursion blocks dropping their second half of columns",
+        "pairwise.py",
+        "return _sinks_agree(s[:, :m], b, cells) and _sinks_agree(s[:, m:], b, cells)",
+        "return _sinks_agree(s[:, :m], b, cells)",
+        [SEEDED_TABLES],
+    ),
+    (
+        "failing pair block searched from the row's start",
+        "pairwise.py",
+        "                for c in np.flatnonzero(bad[r, r:]).tolist():\n",
+        "                for c in np.flatnonzero(bad[r]).tolist():\n",
+        ["tests/test_pairwise.py::test_kernel_gives_every_pair_of_corrupted_tables"],
+    ),
+    # the block splice
+    (
+        "block splice ignoring the label column",
+        "rewrite.py",
+        "        group = (tiles >> shift & 3).astype(np.intp) * rule.i + j\n",
+        "        group = (tiles >> shift & 3).astype(np.intp) * rule.i\n",
+        [SPLICE],
+    ),
+    (
+        "block splice keeping the padding",
+        "rewrite.py",
+        "    if min(sizes) < width:\n",
+        "    if False:\n",
+        [SPLICE],
+    ),
+    (
+        "block splice taking a stray label for a tile's",
+        "rewrite.py",
+        "    if (keys[at] != tiles).any():\n",
+        "    if False:\n",
+        [SPLICE],
+    ),
     (
         "16-bit words in an 8-bit dtype",
         "pairwise.py",
@@ -715,6 +785,13 @@ MUTANTS = [
         "    _require_dim(i, \"coordinate\")\n    if not 1 <= i <= k:\n",
         "    if not 1 <= i <= k:\n",
         ["tests/test_transform.py::test_a_coordinate_is_an_int"],
+    ),
+    (
+        "_require_vertex without its type check",
+        "cube.py",
+        "    _require_dim(v, what)\n",
+        "",
+        ["tests/test_cube.py::test_named_vertices_are_ints_of_the_cube"],
     ),
     (
         "tile_unpack without its dimension check",
@@ -767,13 +844,15 @@ MUTANTS = [
 
 EQUIVALENT = [
     (
-        # the face patterns' (fixed, free) pairs are all disjoint pairs of
-        # k-bit words, a set the swap maps onto itself, and the face scan
-        # asks every pair of that set
-        "_face_masks with fixed and free swapped",
-        "cube.py",
-        "    return tuple((f.fixed_values, f.free_mask) for f in faces)\n",
-        "    return tuple((f.free_mask, f.fixed_values) for f in faces)\n",
+        # inverted, each pass keeps the facet sink whose edge leaves,
+        # which is the face's source when the bits agree: the recursion
+        # then asks for a unique source in every face, that is a unique
+        # sink in every face of the reversed orientation, and reversing
+        # every edge keeps an USO an USO and a non-USO a non-USO
+        "recursion keeping the sink whose edge leaves",
+        "pairwise.py",
+        "        nxt[:, 2] = np.where(lo & bit, hi, lo)\n",
+        "        nxt[:, 2] = np.where(lo & bit, lo, hi)\n",
     ),
     (
         # apart is symmetric, so this transposes joined, and linked is

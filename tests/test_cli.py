@@ -551,18 +551,37 @@ def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsy
     assert capsys.readouterr() == ("", line)
 
 
+@pytest.mark.parametrize("k, other", [(3, "face-scan"), (8, "face-scan"), (9, "pairwise"),
+                                      (10, "pairwise")])
+def test_validate_cross_checks_with_the_other_vertex_test(
+    k, other, sampled_tiling, tmp_path, monkeypatch, capsys
+):
+    # at every k: the face-sink recursion where the verdict was the pair
+    # test, the pair test where it was the recursion
+    import usokit.cli
+
+    f = write(tmp_path, "k.uso", write_tiling(sampled_tiling(k)))
+    assert run(["validate", f]) == 0
+    asked = []
+    monkeypatch.setattr(usokit.cli, "is_uso", lambda o, m: asked.append(m))
+    assert run(["validate", f]) == 3
+    line = "error: internal: the face scan disagrees with the pairwise test\n"
+    assert capsys.readouterr().err == line
+    assert asked == [other]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_validate_cross_checks_the_other_encoding(
     seed, sampled_tiling, tmp_path, monkeypatch, capsys
 ):
-    # at every k the verdict runs _pairwise_ok on the vertex table; with
+    # at every k the verdict runs _unique_sinks on the vertex table; with
     # that binding passing anything, a tiling with one direction digit
     # changed must still fail the tile pair test
     import random
 
     import usokit.tiling
 
-    monkeypatch.setattr(usokit.tiling, "_pairwise_ok", lambda out, k: True)
+    monkeypatch.setattr(usokit.tiling, "_unique_sinks", lambda out, k: True)
     rnd = random.Random(seed)
     for k in (3, 7):
         ts = sampled_tiling(k)
@@ -591,10 +610,12 @@ def test_convert_reports_the_tiling_defect(tmp_path, capsys):
 
 # verb arguments after the input file, and the passes of the tiling kernel
 # and of the vertex kernel: one test of the k = 5 input file, which runs on
-# its vertex table; validate cross-checks on the tiles, once; no transform
-# output is tested; apply adds the rule's two union checks on tiles
+# its vertex table; validate cross-checks on the tiles, once, and with the
+# vertex test the verdict did not use, the face-sink recursion (a vertex
+# pass); no transform output is tested; apply adds the rule's two union
+# checks on tiles
 KERNEL_PASSES = {
-    "validate": ([], 1, 1),
+    "validate": ([], 1, 2),
     "convert": (["--to", "tiles"], 0, 1),
     "uni-rule": ([], 0, 1),
     "apply": (["--rule", "RULE", "--h", "2"], 2, 1),

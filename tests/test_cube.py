@@ -79,6 +79,26 @@ def test_vertices_out_of_range_are_rejected(v):
         check_edge(Edge(v, 1), 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: neighbor(True, 1, 2), "vertex must be an int, not True"),
+        (lambda: edge_at(-1, 1), "vertex -1 out of range"),
+        (lambda: edge_at(1.0, 1), "vertex must be an int, not 1.0"),
+        (lambda: flip_edges(BOW, [Edge(True, 2)]), "edge vertex must be an int, not True"),
+        (lambda: flip_edges(BOW, [Edge(1.0, 2)]), "edge vertex must be an int, not 1.0"),
+        (lambda: BOW.direction(-1, 1), "vertex -1 out of range for dimension 2"),
+        (lambda: BOW.direction(4, 1), "vertex 4 out of range for dimension 2"),
+        (lambda: BOW.direction(False, 1), "vertex must be an int, not False"),
+    ],
+)
+def test_named_vertices_are_ints_of_the_cube(call, message):
+    # one check, _require_vertex, wherever a vertex is named: no bool is
+    # read as 0 or 1, no negative vertex wraps or indexes from the end
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_vertex_bits_round_trip():
     for v in range(16):
         assert vertex_from_bits(vertex_bits(v, 4)) == v

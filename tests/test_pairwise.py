@@ -2,6 +2,7 @@
 checks that ride on it (header cap, no asserts, exit code 3)."""
 
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -31,11 +32,15 @@ from usokit import (
     write_tiling,
 )
 from usokit import cli
-from usokit.cube import _pairwise_ok
+from usokit.cube import Face, _consistent, _pairwise_ok, unique_sink
 from usokit.pairwise import (
+    FACE_SINK_MIN_DIM,
     KERNEL_MIN_DIM,
+    _face_sinks_ok_np,
+    _face_sinks_ok_py,
     _incompatible_pairs_np,
     _incompatible_pairs_py,
+    face_sinks_ok,
     incompatible_pairs,
 )
 from usokit.tiling import incompatible_tiles, low_bits_mask
@@ -48,12 +53,8 @@ def seeded_uso(k, seed):
     if k <= 5:
         return uso_from_tiles(sample_markov(k, 60, seed))
     a = k // 2
-    frame = uso_from_tiles(sample_markov(a, 60, seed))
-    parts = {
-        v: uso_from_tiles(sample_markov(k - a, 60, seed * 100 + v))
-        for v in range(1 << a)
-    }
-    return product(frame, parts)
+    parts = {v: seeded_uso(k - a, seed * 100 + v) for v in range(1 << a)}
+    return product(seeded_uso(a, seed), parts)
 
 
 def corrupted(o, seed):
@@ -126,12 +127,130 @@ def test_blocks_stop_at_the_first_failure():
     assert list(islice(_incompatible_pairs_np(verts, bad.out, k, 50), 3)) == want
 
 
+def endpoint_flipped(o, seed, i=None):
+    """o with one end of one i-edge reversed: its two ends disagree."""
+    rng = random.Random(seed)
+    out = list(o.out)
+    out[rng.randrange(len(out))] ^= 1 << ((i or rng.randrange(1, o.dim + 1)) - 1)
+    return out
+
+
+def words_swapped(o, seed):
+    """o with the words of two vertices swapped."""
+    rng = random.Random(seed)
+    u, v = rng.sample(range(len(o.out)), 2)
+    out = list(o.out)
+    out[u], out[v] = out[v], out[u]
+    return out
+
+
+@pytest.mark.parametrize("k", range(5, 9))
+def test_kernel_gives_every_pair_of_corrupted_tables(k):
+    # a failing block is searched row by row: the same pairs in the same
+    # order as the loop, whichever corruption and block size
+    o = seeded_uso(k, k)
+    verts = tuple(range(1 << k))
+    for out in (corrupted(o, k).out, endpoint_flipped(o, k), words_swapped(o, k)):
+        want = list(_incompatible_pairs_py(verts, out))
+        assert want
+        assert list(_incompatible_pairs_np(verts, out, k)) == want
+        assert list(_incompatible_pairs_np(verts, out, k, 50)) == want
+
+
 def test_words_wider_than_the_kernel_take_the_loop():
     # no numpy dtype holds these; the loop still answers
     wide = 1 << 80
     x = [wide * a for a in range(1 << KERNEL_MIN_DIM)]
     y = [0] * len(x)
     assert first(incompatible_pairs(x, y, 81)) is None
+
+
+# ---------------------------------------------------------------------------
+# the face-sink recursion
+
+
+def literal_ok(out, k):
+    """The definition: unique_sink's search finds one sink in every face."""
+    o = _consistent(k, out)
+    faces = itertools.product("01*", repeat=k)
+    return all(isinstance(unique_sink(o, Face("".join(f))), int) for f in faces)
+
+
+def sink_tests(out, k):
+    """Each route of the recursion, the pair test and the literal search."""
+    return [
+        _face_sinks_ok_py(out, k),
+        _face_sinks_ok_np(out, k),
+        _face_sinks_ok_np(out, k, 1),
+        _pairwise_ok(out, k),
+        literal_ok(out, k),
+    ]
+
+
+def test_recursion_decides_every_small_table_as_the_definition():
+    # every table of k-bit words, edge-consistent or not, at k <= 2
+    for k, usos in ((0, 1), (1, 2), (2, 12)):
+        n = 1 << k
+        hits = 0
+        for out in itertools.product(range(n), repeat=n):
+            verdicts = sink_tests(out, k)
+            assert len(set(verdicts)) == 1, (k, out, verdicts)
+            hits += verdicts[0]
+        assert hits == usos
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_recursion_matches_the_definition_on_seeded_tables(k):
+    rng = random.Random(k)
+    n = 1 << k
+    edges = [(v, 1 << i) for i in range(k) for v in range(n) if not v >> i & 1]
+    for seed in range(60):
+        # any words, an edge-consistent table from one bit per edge, and a
+        # walk's USO as it is, with one edge reversed and with one end of
+        # an edge reversed
+        consistent = [0] * n
+        for v, bit in edges:
+            if rng.getrandbits(1):
+                consistent[v] |= bit
+                consistent[v | bit] |= bit
+        o = seeded_uso(k, seed)
+        tables = [
+            [rng.randrange(n) for _ in range(n)],
+            consistent,
+            o.out,
+            corrupted(o, seed).out,
+            endpoint_flipped(o, seed),
+        ]
+        verdicts = [sink_tests(out, k) for out in tables]
+        for out, got in zip(tables, verdicts):
+            assert len(set(got)) == 1, out
+        assert [got[0] for got in verdicts[2:]] == [True, False, False]
+
+
+def test_recursion_accepts_every_k3_uso(catalogue3):
+    assert len(catalogue3) == 744
+    for ts in catalogue3:
+        assert sink_tests(uso_from_tiles(ts).out, 3) == [True] * 5
+
+
+@pytest.mark.parametrize("k", [FACE_SINK_MIN_DIM, 10, 12])
+def test_recursion_matches_the_pair_test_on_corrupted_products(k):
+    o = seeded_uso(k, k)
+    tables = [o.out, corrupted(o, k).out, words_swapped(o, k)]
+    # one end of an edge reversed at the top coordinate, the first pass's,
+    # and at a random one
+    tables += [endpoint_flipped(o, k, k), endpoint_flipped(o, k + 1)]
+    verdicts = []
+    for out in tables:
+        ok = face_sinks_ok(out, k)
+        assert _pairwise_ok(out, k) == ok
+        # columns split into blocks; sink_tests splits down to one column
+        for cells in (3 ** (k - 4), 3 ** (k - 2)):
+            assert _face_sinks_ok_np(out, k, cells) == ok
+        if k == FACE_SINK_MIN_DIM:
+            assert _face_sinks_ok_py(out, k) == ok
+        verdicts.append(ok)
+    assert verdicts == [True] + [False] * 4
 
 
 # ---------------------------------------------------------------------------

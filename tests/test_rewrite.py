@@ -517,3 +517,85 @@ def test_rule_shape_rejections(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         make()
     assert type(info.value) is error
+
+
+def _split_rule(rnd, d, i, tilings):
+    """A rule of width d with i columns, each row pair a random split of a
+    random complete d-tiling: valid for one column, mostly not for two."""
+    columns = [[], [], [], []]
+    for _ in range(i):
+        for m in (0, 1):
+            tiles = sorted(rnd.choice(tilings).tiles)
+            part = {t for t in tiles if rnd.getrandbits(1)}
+            columns[m].append(TileSet(d, part))
+            columns[m + 2].append(TileSet(d, set(tiles) - part))
+    return GeneralizedRule(d, i, tuple(map(tuple, columns)))
+
+
+def _subset_rule(rnd, d, i):
+    """A rule whose sets are random subsets of all 4^d tiles: unsound."""
+    sets = [[TileSet(d, {t for t in range(4 ** d) if rnd.random() < 0.3}) for _ in range(i)]
+            for _ in range(4)]
+    return GeneralizedRule(d, i, tuple(map(tuple, sets)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("k", range(5, 11))
+def test_block_splice_is_the_loop(k, sampled_tiling, catalogue1, catalogue2, monkeypatch):
+    # seeded rules of widths 0-2 with 1 or 2 columns, product rules and
+    # unsound ones, under good and defective labellings: the block gives
+    # the loop's set, declines only what the loop rejects, and _rewrite
+    # gives the same result or message by either route
+    rnd = random.Random(k)
+    ts = sampled_tiling(k)
+    words = ts.strings()
+    tilings = {0: [canonical_tiles(0)], 1: catalogue1, 2: catalogue2}
+    rules = [named_rule(rnd.choice(NAMED_RULE_KINDS)) for _ in range(3)]
+    rules += [_split_rule(rnd, d, i, tilings[d]) for d in (0, 1, 2) for i in (1, 2)]
+    rules += [product_rule(rnd.choices(tilings[d], k=2)) for d in (0, 1)]
+    rules += [_subset_rule(rnd, d, 2) for d in (1, 2)]
+    for rule in rules:
+        labels = {w: 1 + rnd.randrange(rule.i) for w in words}
+        stray = "".join(rnd.choice("0123") for _ in range(k))
+        missing = dict(labels)
+        del missing[rnd.choice(words)]
+        labellings = [
+            None,
+            labels,
+            {**labels, stray: 1},
+            missing,
+            {**labels, rnd.choice(words): rule.i + 1},
+            {**labels, "4" * k: 1},
+            {**labels, rnd.choice(words): True},
+        ]
+        for labelling in labellings:
+            h = 1 + rnd.randrange(k)
+            loop = _outcome(rewrite._splice_loop, rule, ts, labelling, h)
+            block = rewrite._splice_block(rule, ts, labelling, h)
+            if block is None:
+                assert labelling is not None and isinstance(loop, tuple)
+            else:
+                assert block == loop
+            got = []
+            for least in (0, 1 << 40):
+                monkeypatch.setattr(rewrite, "SPLICE_MIN_TILES", least)
+                got.append(_outcome(apply_generalized, rule, ts, labelling or {}, h)
+                           if labelling else _outcome(apply_simple, rule, ts, h))
+            assert got[0] == got[1]
+
+
+def test_block_splice_leaves_wider_tiles_to_the_loop():
+    # tiles of 33 digits do not fit the block's uint64 words, also when a
+    # width-0 rule makes the output 32 digits wide: the loop splices them
+    # and the count check reports the fragment, not numpy an overflow
+    k, n = 33, rewrite.SPLICE_MIN_TILES
+    ts = TileSet(k, {t | (t & 1) << 2 * k - 1 for t in range(n)})
+    message = f"rewrite produced {n // 2} tiles, expected {1 << k - 1}; "
+    with pytest.raises(InvalidRuleError, match=f"^{re.escape(message)}"):
+        apply_simple(named_rule("take-lower-facet"), ts, k)
