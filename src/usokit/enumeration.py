@@ -371,6 +371,9 @@ def _walk(k: int, steps: int, seed: int) -> Iterator[bytes]:
     arguments are checked on the call, before any move.
     """
     _check_dim(k, 0, MAX_SAMPLE_DIM, f"sampling is capped at dimension {MAX_SAMPLE_DIM}")
+    for name, value in (("steps", steps), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     return _moves(k, steps, seed)
@@ -408,7 +411,9 @@ def markov_walk(k: int, steps: int, seed: int) -> Iterator[ChainState]:
 
 def sample_markov(k: int, steps: int, seed: int) -> TileSet:
     """The tiling after `steps` flip-walk moves from canonical."""
+    walk = _walk(k, steps, seed)
+    table = next(walk)
     # the 0-cube has one orientation, so no move changes it
-    for table in _walk(k, steps if k else min(steps, 0), seed):
+    for table in walk if k else ():
         pass
     return _tiles_of(table, k)

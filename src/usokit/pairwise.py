@@ -112,8 +112,8 @@ def _incompatible_pairs_np(
     """
     n = len(x)
     dtype = next(t for bits, t in _DTYPES if width <= bits)
-    xs = np.fromiter(x, dtype, n)
-    ys = np.fromiter(y, dtype, n)
+    xs = np.asarray(x, dtype)
+    ys = np.asarray(y, dtype)
     a0 = 0
     while a0 < n - 1:
         a1 = min(n - 1, a0 + max(1, cells // (n - a0 - 1)))
@@ -161,7 +161,7 @@ def _face_sinks_ok_py(out, k: int) -> bool:
 
 def _face_sinks_ok_np(out, k: int, cells: int = _FACE_CELLS) -> bool:
     dtype = next(t for bits, t in _DTYPES if k <= bits)
-    return not k or _sinks_agree(np.fromiter(out, dtype, 1 << k).reshape(-1, 1), k - 1, cells)
+    return not k or _sinks_agree(np.asarray(out, dtype).reshape(-1, 1), k - 1, cells)
 
 
 def _sinks_agree(s, b: int, cells: int) -> bool:

@@ -19,27 +19,29 @@ the same vertices follows from them and is not checked again.
 Width 0 rules delete the coordinate; their replacement sets live over the
 single empty tile.
 
-The splice has two routes with one result.  From SPLICE_MIN_TILES = 128
-input tiles it is one numpy block: the tiles in one uint64 array, each
-tile's replacement set chosen by its digit at h and its column (the
-labels packed through tiling.pack_lines and matched to the tiles by
-np.searchsorted), one broadcast OR and one frozenset of the output.
-Below 128 tiles, and for any labelling the block declines (a missing
-label, a bad key or label), the loop splices tile by tile and raises
-the messages; a wrong output count is reported after either route.
-Best of 60 (2 cores, Python 3.11.7, numpy 2.4.6), loop against block:
-23 against 25 us at 64 tiles, 53 against 28 us at 128 and 457 against
-122 us at 1,024 for a width-1 rule without labels; with labels 59
-against 78, 107 against 92 and 840 against 404 us.
+A labelling is read once, by _tile_columns, into a 0-based column per
+input tile: packed keys and one np.searchsorted from k = 5, a per-key
+loop, which raises every LabellingError, otherwise.  The splice has two
+routes with one result, and neither reads a labelling.  From
+SPLICE_MIN_TILES = 128 input tiles it is one numpy block: the tiles in
+one uint64 array, each tile's replacement set chosen by its digit at h
+and its column, one broadcast OR and one frozenset of the output.  Below
+128 tiles the loop splices tile by tile; a wrong output count is
+reported after either route.
+Best of 60 (2 shared cores, Python 3.11.7, numpy 2.4.6), loop against
+block: 17 against 17 us at 64 tiles, 36 against 22 us at 128 and 274
+against 84 us at 1,024 for a width-1 rule without labels; with labels
+44 against 42, 78 against 56 and 460 against 239 us.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 from ._lazy import np
-from .cube import _require_coordinate
+from .cube import _require_coordinate, _require_dim
 from .errors import (
     DimensionError,
     InvalidRuleError,
@@ -88,6 +90,8 @@ class GeneralizedRule:
     columns: tuple[tuple[TileSet, ...], ...]
 
     def __post_init__(self):
+        _require_dim(self.d, "rule width")
+        _require_dim(self.i, "column count")
         if self.i < 1:
             raise DimensionError("a rule needs at least one column")
         if len(self.columns) != 4:
@@ -201,10 +205,10 @@ def apply_generalized(
 def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     """Replace the digit at coordinate h of every tile with its replacement set.
 
-    A tile's column is its label, or 1 for every tile when labelling is None.
-    From SPLICE_MIN_TILES input tiles the numpy block splices; the loop
-    splices smaller sets and the labellings the block declines, and raises
-    their messages.  Both give the same set, so the count check is shared.
+    A tile's column is its label, or 1 for every tile when labelling is None;
+    _tile_columns reads the labelling before a splice is chosen.  From
+    SPLICE_MIN_TILES input tiles the numpy block splices, the loop below.
+    Both give the same set, so the count check is shared.
     """
     if checked:
         violations = validate_generalized(rule)
@@ -214,11 +218,13 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     k = k_set.dim
     _require_coordinate(h, k)
     new_dim = k + rule.d - 1
-    out = None
-    if len(k_set.tiles) >= SPLICE_MIN_TILES and max(k, new_dim) <= MAX_WORD_BITS // 2:
-        out = _splice_block(rule, k_set, labelling, h)
-    if out is None:
-        out = _splice_loop(rule, k_set, labelling, h)
+    tiles, columns = k_set.tiles, None
+    if labelling is not None:
+        tiles, columns = _tile_columns(labelling, k_set, rule.i)
+    if len(tiles) >= SPLICE_MIN_TILES and max(k, new_dim) <= MAX_WORD_BITS // 2:
+        out = _splice_block(rule, tiles, columns, h)
+    else:
+        out = _splice_loop(rule, tiles, columns, h)
     if len(out) != 1 << new_dim:
         raise InvalidRuleError(
             f"rewrite produced {len(out)} tiles, expected {1 << new_dim}; "
@@ -229,94 +235,31 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     return _built(new_dim, out)
 
 
-def _splice_loop(rule, k_set, labelling, h) -> frozenset:
-    """The splice, one tile and one replacement at a time."""
-    k = k_set.dim
-    columns = None if labelling is None else _label_columns(labelling, k, rule.i)
-    shift = 2 * (h - 1)
-    below = (1 << shift) - 1
-    above = shift + 2 * rule.d
-    out = set()
-    for t in k_set.tiles:
-        j = 1 if columns is None else columns.get(t)
-        if j is None:
-            raise LabellingError(f"missing label for tile {tile_unpack(t, k)}")
-        rest = t & below | (t >> (shift + 2)) << above
-        for s in rule.columns[t >> shift & 3][j - 1].tiles:
-            out.add(rest | s << shift)
-    return frozenset(out)
+def _tile_columns(labelling, k_set: TileSet, i: int):
+    """The input tiles and the 0-based column of each; the one reader of a
+    labelling.
 
-
-def _splice_block(rule, k_set, labelling, h) -> frozenset | None:
-    """The splice as one numpy block, or None for a labelling the loop
-    must read (a missing label, or a bad key or label).
-
-    The replacement sets are the rows of one table, padded to its widest
-    set; a tile's row is its digit at h and its column.  One broadcast OR
-    gives every output tile, and the padding is masked out.
+    Where tiling.pack_lines takes the keys and every label is an int in
+    1..i, the keys are packed and met by the sorted tiles in one
+    np.searchsorted, and both come back as arrays.  Every other labelling,
+    and one that misses a tile, goes through the per-key loop, which gives
+    lists and raises LabellingError: on the first bad key or label in the
+    labelling's order, else for the first unlabelled tile in k_set.tiles.
     """
-    shift = 2 * (h - 1)
-    tiles = np.fromiter(k_set.tiles, np.uint64, len(k_set.tiles))
-    if labelling is None:
-        group = (tiles >> shift & 3).astype(np.intp)
-        sets = [row[0] for row in rule.columns]
-    else:
-        tiles.sort()
-        j = _block_columns(labelling, tiles, k_set.dim, rule.i)
-        if j is None:
-            return None
-        group = (tiles >> shift & 3).astype(np.intp) * rule.i + j
-        sets = [s for row in rule.columns for s in row]
-    sizes = [len(s.tiles) for s in sets]
-    width = max(sizes)
-    table = np.array([sorted(s.tiles) + [0] * (width - n) for s, n in zip(sets, sizes)], np.uint64)
-    rest = tiles & (1 << shift) - 1 | tiles >> shift + 2 << shift + 2 * rule.d
-    block = rest[:, None] | table[group] << shift
-    if min(sizes) < width:
-        block = block[(np.arange(width) < np.array(sizes)[:, None])[group]]
-    return frozenset(block.ravel().tolist())
-
-
-def _packed_labels(labelling, k: int, i: int):
-    """The keys packed by tiling.pack_lines, as one text, and the labels,
-    when every key is a k-digit word and every label an int in 1..i; else
-    None."""
+    k = k_set.dim
     labels = list(labelling.values())
     try:
-        text = "\n".join(labelling) + "\n"
+        keys = pack_lines("\n".join(labelling) + "\n", len(labels), k)
     except TypeError:  # a key that is not a str
-        return None
-    keys = pack_lines(text, len(labels), k)
-    if keys is None or set(map(type, labels)) != {int} or not 1 <= min(labels) <= max(labels) <= i:
-        return None
-    return keys, labels
-
-
-def _block_columns(labelling, tiles, k: int, i: int):
-    """The 0-based column of each of the sorted packed tiles, or None for a
-    labelling that _packed_labels refuses or that misses a tile.  The keys
-    meet the tiles in one np.searchsorted."""
-    packed = _packed_labels(labelling, k, i)
-    if packed is None:
-        return None
-    keys, labels = packed
-    order = keys.argsort()
-    keys = keys[order]
-    at = np.minimum(np.searchsorted(keys, tiles), len(keys) - 1)
-    if (keys[at] != tiles).any():
-        return None
-    return np.array(labels, np.intp)[order[at]] - 1
-
-
-def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
-    """The column of each packed key; LabellingError on the first bad item.
-
-    The packed keys are taken when _packed_labels gives them; otherwise
-    the per-key loop raises the first defect in the labelling's order.
-    """
-    packed = _packed_labels(labelling, k, i)
-    if packed is not None:
-        return dict(zip(packed[0].tolist(), packed[1]))
+        keys = None
+    if keys is not None and set(map(type, labels)) == {int} and 1 <= min(labels) <= max(labels) <= i:
+        tiles = np.fromiter(k_set.tiles, np.uint64, len(k_set.tiles))
+        tiles.sort()
+        order = keys.argsort()
+        # the key at or after each tile's place, or the last key
+        at = order.take(np.searchsorted(keys, tiles, sorter=order), mode="clip")
+        if (keys[at] == tiles).all():
+            return tiles, np.array(labels, np.intp)[at] - 1
     columns = {}
     for s, j in labelling.items():
         if isinstance(j, bool) or not isinstance(j, int):
@@ -326,10 +269,55 @@ def _label_columns(labelling, k: int, i: int) -> dict[int, int]:
         try:
             if len(s) != k:
                 raise ValueError
-            columns[tile_pack(s)] = j
+            columns[tile_pack(s)] = j - 1
         except (TypeError, ValueError):  # a key that is not a str, or not a tile
             raise LabellingError(f"label key {s!r} is not a tile of dimension {k}") from None
-    return columns
+    try:
+        return k_set.tiles, [columns[t] for t in k_set.tiles]
+    except KeyError as missing:
+        raise LabellingError(f"missing label for tile {tile_unpack(missing.args[0], k)}") from None
+
+
+def _splice_loop(rule, tiles, columns, h) -> frozenset:
+    """The splice, one tile and one replacement at a time."""
+    shift = 2 * (h - 1)
+    below = (1 << shift) - 1
+    above = shift + 2 * rule.d
+    if columns is None:
+        columns = repeat(0)
+    elif not isinstance(columns, list):  # the packed route's arrays
+        tiles, columns = tiles.tolist(), columns.tolist()
+    out = set()
+    for t, j in zip(tiles, columns):
+        rest = t & below | (t >> (shift + 2)) << above
+        for s in rule.columns[t >> shift & 3][j].tiles:
+            out.add(rest | s << shift)
+    return frozenset(out)
+
+
+def _splice_block(rule, tiles, columns, h) -> frozenset:
+    """The splice as one numpy block.
+
+    The replacement sets are the rows of one table, column by column and
+    padded to its widest set; a tile's row is 4 times its column plus its
+    digit at h.  One broadcast OR gives every output tile, and the padding
+    is masked out.
+    """
+    shift = 2 * (h - 1)
+    if not isinstance(tiles, np.ndarray):
+        tiles = np.fromiter(tiles, np.uint64, len(tiles))
+    group = (tiles >> shift & 3).astype(np.intp)
+    if columns is not None:
+        group += np.multiply(columns, 4)
+    sets = [s for column in zip(*rule.columns) for s in column]
+    sizes = [len(s.tiles) for s in sets]
+    width = max(sizes)
+    table = np.array([sorted(s.tiles) + [0] * (width - n) for s, n in zip(sets, sizes)], np.uint64)
+    rest = tiles & (1 << shift) - 1 | tiles >> shift + 2 << shift + 2 * rule.d
+    block = rest[:, None] | table[group] << shift
+    if min(sizes) < width:
+        block = block[(np.arange(width) < np.array(sizes)[:, None])[group]]
+    return frozenset(block.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,9 @@ loses to tile_pack and tile_unpack: tile_lines sorts the per-word codec's
 words, and pack_lines returns None, as it does for any text not in that
 exact form, so that the caller reads word by word with its own messages.
 TileSet.strings(), formats.write_tiling and formats.read_tiling use them,
-and so do the label keys of rewrite._rewrite.  numpy is imported on the
-first numpy route taken (see _lazy), so tile sets below KERNEL_MIN_DIM
-never import it.
+and so does rewrite._tile_columns for the label keys.  numpy is imported
+on the first numpy route taken (see _lazy), so tile sets below
+KERNEL_MIN_DIM never import it.
 
 A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
 the sink test of orientations (cube._unique_sinks: the pair test, or from
@@ -324,11 +324,13 @@ def _tiling_ok(ts: TileSet) -> bool:
     The sink test of orientations on the vertex table (cube._unique_sinks):
     tiles that share a vertex are incompatible, so 2^k tiles whose vertex
     map is onto and whose table passes the test are exactly a complete
-    tiling.  A table that passed is the kept verdict, and uso_from_tiles
-    reads it.
+    tiling.  A table that passed is the kept verdict, as a list, and
+    uso_from_tiles reads it.
     """
     out = vertex_outmaps(ts)
     ok = out is not None and _unique_sinks(out, ts.dim)
+    if ok and not isinstance(out, list):  # the numpy route's table
+        out = out.tolist()
     _keep_verdict(ts, out if ok else False)
     return ok
 
@@ -368,8 +370,9 @@ def _require_tiling(ts: TileSet, message: str) -> None:
         raise NotATilingError(message)
 
 
-def vertex_outmaps(ts: TileSet) -> list[int] | None:
-    """Direction words per vertex, or None if the vertex map is not onto.
+def vertex_outmaps(ts: TileSet):
+    """Direction words per vertex, a list up to k = 5 and an int64 array
+    above, or None if the vertex map is not onto.
 
     Skips the completeness precondition of uso_from_tiles; the tiling
     verdict, its one caller, runs the sink test on this table.
@@ -388,7 +391,7 @@ def vertex_outmaps(ts: TileSet) -> list[int] | None:
     # a vertex no tile lands on keeps the -1
     table = np.full(n, -1, np.int64)
     table[pairs & 0xFFFFFFFF] = pairs >> 32
-    return None if (table < 0).any() else table.tolist()
+    return None if (table < 0).any() else table
 
 
 def uso_from_tiles(ts: TileSet) -> Orientation:

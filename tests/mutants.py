@@ -284,9 +284,17 @@ MUTANTS = [
     (
         "vertex_outmaps ignores a vertex no tile lands on",
         "tiling.py",
-        "    return None if (table < 0).any() else table.tolist()\n",
-        "    return table.tolist()\n",
+        "    return None if (table < 0).any() else table\n",
+        "    return table\n",
         ["tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path"],
+    ),
+    (
+        # the kernels read the numpy table; the verdict keeps it as a list
+        "verdict keeping the numpy route's table",
+        "tiling.py",
+        "        out = out.tolist()\n",
+        "        pass\n",
+        [VERDICT],
     ),
     (
         "split table with vertex and word swapped",
@@ -467,11 +475,41 @@ MUTANTS = [
         "        except ValueError:",
         [LABELS],
     ),
+    # the packed route of the one label reader
     (
-        "block label keys without the label-range test",
+        "packed labels without the label-range test",
         "rewrite.py",
-        " or not 1 <= min(labels) <= max(labels) <= i:\n",
+        " and 1 <= min(labels) <= max(labels) <= i:\n",
         ":\n",
+        [LABELS],
+    ),
+    (
+        "packed labels taking a bool as a column",
+        "rewrite.py",
+        " and set(map(type, labels)) == {int}",
+        "",
+        [LABELS],
+    ),
+    (
+        # the nearest key's label then stands in for a missing one
+        "packed route without its all-tiles-matched test",
+        "rewrite.py",
+        "        if (keys[at] == tiles).all():\n",
+        "        if True:\n",
+        [LABELS],
+    ),
+    (
+        "packed columns off by one",
+        "rewrite.py",
+        "            return tiles, np.array(labels, np.intp)[at] - 1\n",
+        "            return tiles, np.array(labels, np.intp)[at]\n",
+        [LABELS],
+    ),
+    (
+        "per-key columns off by one",
+        "rewrite.py",
+        "            columns[tile_pack(s)] = j - 1\n",
+        "            columns[tile_pack(s)] = j\n",
         [LABELS],
     ),
     (
@@ -724,21 +762,14 @@ MUTANTS = [
     (
         "block splice ignoring the label column",
         "rewrite.py",
-        "        group = (tiles >> shift & 3).astype(np.intp) * rule.i + j\n",
-        "        group = (tiles >> shift & 3).astype(np.intp) * rule.i\n",
+        "        group += np.multiply(columns, 4)\n",
+        "        pass\n",
         [SPLICE],
     ),
     (
         "block splice keeping the padding",
         "rewrite.py",
         "    if min(sizes) < width:\n",
-        "    if False:\n",
-        [SPLICE],
-    ),
-    (
-        "block splice taking a stray label for a tile's",
-        "rewrite.py",
-        "    if (keys[at] != tiles).any():\n",
         "    if False:\n",
         [SPLICE],
     ),

@@ -306,6 +306,24 @@ def test_negative_steps_rejected():
         sample_markov(0, -1, 1)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_walk_arguments_are_ints(k):
+    # a bool would count as one step, and a float would reach range() or
+    # the generator as a raw TypeError; both are refused before any move,
+    # on the call
+    for steps, seed, message in (
+        (True, 1, "steps must be an int, got True"),
+        (2.0, 1, "steps must be an int, got 2.0"),
+        (2, 1.5, "seed must be an int, got 1.5"),
+        (2, False, "seed must be an int, got False"),
+    ):
+        for walk in (sample_markov, markov_walk):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                walk(k, steps, seed)
+    # a negative seed is a seed
+    assert sample_markov(k, 4, -5) == sample_markov(k, 4, -5 & (1 << 64) - 1)
+
+
 def test_sample_k0_does_not_walk(monkeypatch):
     # every step of the 0-cube walk is the same state; sampling must not
     # spend time proportional to steps on it

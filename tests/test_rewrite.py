@@ -495,6 +495,7 @@ def test_product_rule_emulates_product(catalogue1, catalogue2):
 
 
 ONE = canonical_tiles(1)
+MIRROR = named_rule("mirror")
 
 
 @pytest.mark.parametrize(
@@ -511,6 +512,17 @@ ONE = canonical_tiles(1)
         (lambda: product_rule([]), DimensionError, "need at least one part"),
         (lambda: product_rule([ONE, canonical_tiles(2)]), DimensionError,
          "parts of unequal dimensions"),
+        # a bool width would be written as "rule d=True i=True", which
+        # read_rule rejects, and a float column count would reach the
+        # validator's range() as a raw TypeError
+        (lambda: GeneralizedRule(True, True, MIRROR.columns), DimensionError,
+         "rule width must be an int, not True"),
+        (lambda: GeneralizedRule(1.0, 1, MIRROR.columns), DimensionError,
+         "rule width must be an int, not 1.0"),
+        (lambda: GeneralizedRule(1, True, MIRROR.columns), DimensionError,
+         "column count must be an int, not True"),
+        (lambda: GeneralizedRule(1, 1.0, MIRROR.columns), DimensionError,
+         "column count must be an int, not 1.0"),
     ],
 )
 def test_rule_shape_rejections(make, error, message):
@@ -549,9 +561,9 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("k", range(5, 11))
 def test_block_splice_is_the_loop(k, sampled_tiling, catalogue1, catalogue2, monkeypatch):
     # seeded rules of widths 0-2 with 1 or 2 columns, product rules and
-    # unsound ones, under good and defective labellings: the block gives
-    # the loop's set, declines only what the loop rejects, and _rewrite
-    # gives the same result or message by either route
+    # unsound ones, under good and defective labellings: _rewrite gives the
+    # same result or message by either splice, and on the columns of every
+    # labelling the label reader takes the two splices give one set
     rnd = random.Random(k)
     ts = sampled_tiling(k)
     words = ts.strings()
@@ -576,18 +588,29 @@ def test_block_splice_is_the_loop(k, sampled_tiling, catalogue1, catalogue2, mon
         ]
         for labelling in labellings:
             h = 1 + rnd.randrange(k)
-            loop = _outcome(rewrite._splice_loop, rule, ts, labelling, h)
-            block = rewrite._splice_block(rule, ts, labelling, h)
-            if block is None:
-                assert labelling is not None and isinstance(loop, tuple)
-            else:
-                assert block == loop
             got = []
             for least in (0, 1 << 40):
                 monkeypatch.setattr(rewrite, "SPLICE_MIN_TILES", least)
-                got.append(_outcome(apply_generalized, rule, ts, labelling or {}, h)
+                got.append(_outcome(apply_generalized, rule, ts, labelling, h)
                            if labelling else _outcome(apply_simple, rule, ts, h))
             assert got[0] == got[1]
+            # the label reader's two routes: the packed arrays, and the
+            # per-key loop's lists
+            routes = [(ts.tiles, None)]
+            if labelling is not None:
+                routes = []
+                for pack in (pack_lines, lambda *args: None):
+                    monkeypatch.setattr(rewrite, "pack_lines", pack)
+                    routes.append(_outcome(rewrite._tile_columns, labelling, ts, rule.i))
+                monkeypatch.setattr(rewrite, "pack_lines", pack_lines)
+            for route in routes:
+                if isinstance(route[0], str):  # the error _rewrite raised
+                    assert route == got[0]
+                    continue
+                spliced = {rewrite._splice_block(rule, *route, h), rewrite._splice_loop(rule, *route, h)}
+                assert len(spliced) == 1
+                if isinstance(got[0], TileSet):
+                    assert spliced == {got[0].tiles}
 
 
 def test_block_splice_leaves_wider_tiles_to_the_loop():

@@ -85,6 +85,46 @@ def test_the_verdict_builds_every_vertex_table():
     assert users == {"tiling._tiling_ok"}
 
 
+class _LabelReaders(ast.NodeVisitor):
+    """The functions of one module that call pack_lines, or read a
+    labelling: use the name for more than a parameter, an argument passed
+    on or a test against None."""
+
+    def __init__(self):
+        self.scope, self.found, self.passed = [], set(), set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "pack_lines":
+            self.found.add(".".join(self.scope))
+        self.passed |= {id(a) for a in node.args}
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        if all(isinstance(c, ast.Constant) and c.value is None for c in node.comparators):
+            self.passed.add(id(node.left))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "labelling" and id(node) not in self.passed:
+            self.found.add(".".join(self.scope))
+
+
+def test_one_function_reads_a_labelling():
+    # the labelling becomes a column per tile in one place, before either
+    # splice is chosen; the splices read tiles and columns only
+    path = Path(usokit.__file__).parent / "rewrite.py"
+    readers = _LabelReaders()
+    readers.visit(ast.parse(path.read_text(), filename=str(path)))
+    assert readers.found == {"_tile_columns"}
+    for splice in (usokit.rewrite._splice_loop, usokit.rewrite._splice_block):
+        assert splice.__code__.co_varnames[:4] == ("rule", "tiles", "columns", "h")
+
+
 def test_only_run_writes_stdout():
     # a verb returns its text, and run() alone writes it, to stdout or to
     # --out, so every verb's output takes one route and one error mapping
@@ -127,6 +167,7 @@ _NUMPY_FREE_ARGV = [
     ["validate", "{uso}"],
     ["convert", "{uso}", "--to", "orientation"],
     ["apply", "{uso}", "--rule", "{rule}", "--h", "3"],
+    ["apply", "{uso}", "--rule", "{rule}", "--labels", "{labels}", "--h", "2"],
     ["rule-make", "--kind", "partial-swap"],
     ["uni-rule", "{uso}"],
     ["product", "{frame}", "--part", "0={uso}", "--part", "1={uso}"],
@@ -176,10 +217,13 @@ def test_small_verbs_run_without_numpy(tmp_path, capsys):
     # numpy runs only from the kernel's threshold and in the phase and join
     # kernels, so neither the import nor these verbs below k=5 may reach it
     uso, frame, rule = tmp_path / "k3.uso", tmp_path / "k1.uso", tmp_path / "mirror.rule"
-    uso.write_text(usokit.write_tiling(usokit.sample_markov(3, 30, 5)))
+    labels = tmp_path / "k3.labels"
+    k3 = usokit.sample_markov(3, 30, 5)
+    uso.write_text(usokit.write_tiling(k3))
     frame.write_text(usokit.write_tiling(usokit.sample_markov(1, 1, 5)))
     rule.write_text(usokit.write_rule(usokit.named_rule("mirror")))
-    files = {"uso": uso, "frame": frame, "rule": rule}
+    labels.write_text(usokit.write_labels({s: 1 for s in k3.strings()}))
+    files = {"uso": uso, "frame": frame, "rule": rule, "labels": labels}
     argvs = [[a.format(**files) for a in argv] for argv in _NUMPY_FREE_ARGV]
     imported, results, after = _child("block", argvs)
     assert (imported, after) == (False, False)
