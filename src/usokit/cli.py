@@ -35,6 +35,7 @@ from .enumeration import (
     MAX_JOIN_DIM,
     MAX_SAMPLE_DIM,
     RNG_ALGORITHM,
+    _check_jobs,
     count_usos,
     enumerate_brute,
     enumerate_join,
@@ -160,11 +161,6 @@ def _integer(text: str) -> int:
         return _number(text, "")
     except FormatError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,7 @@ def _cmd_hyper_replace(args):
 
 
 def _cmd_enumerate(args):
-    _check_jobs(args.jobs)
+    _check_jobs(args.jobs, "--jobs")
     # enumerate_* check k before run() opens --out; tilings are made as written
     if args.method == "brute":
         stream = enumerate_brute(args.k)
@@ -320,7 +316,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_count(args):
-    _check_jobs(args.jobs)
+    _check_jobs(args.jobs, "--jobs")
     return [count_usos(args.k, args.method, args.jobs).line() + "\n"]
 
 

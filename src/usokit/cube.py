@@ -47,9 +47,13 @@ from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
-from .pairwise import FACE_SINK_MIN_DIM, face_sinks_ok, incompatible_pairs
+from .pairwise import FACE_SINK_MIN_DIM, MAX_WORD_BITS, face_sinks_ok, incompatible_pairs
 
 FACE_CHARS = "01*"
+
+# Largest dimension a table is built for or a text may state: 2 bits per
+# coordinate per tile fill the pairwise kernel's widest (64-bit) word.
+MAX_FORMAT_DIM = MAX_WORD_BITS // 2
 
 _BIT_WORD = re.compile("[01]*")
 
@@ -84,6 +88,14 @@ def _require_cube_dim(k) -> None:
     _require_dim(k)
     if k < 0:
         raise DimensionError(f"dimension {k} is negative")
+
+
+def _require_table_dim(k) -> None:
+    """_require_cube_dim, and k at most MAX_FORMAT_DIM, by comparison alone:
+    before any value of size 2^k is built."""
+    _require_cube_dim(k)
+    if k > MAX_FORMAT_DIM:
+        raise DimensionError(f"dimension {k} exceeds the cap {MAX_FORMAT_DIM}")
 
 
 def _require_coordinate(i: int, k: int) -> None:
@@ -285,7 +297,7 @@ def _check_edges(k: int, out, support=None, what: str = "inconsistent direction 
 
 def canonical_orientation(k: int) -> Orientation:
     """All edges point down; the unique sink is the all-zero vertex."""
-    _require_cube_dim(k)
+    _require_table_dim(k)
     return _verified(k, (0,) * (1 << k))
 
 

@@ -23,7 +23,7 @@ Three routes:
   takes one representative per orbit, weighted by the orbit's size:
   10 x 744 facet pairs instead of 744^2 at k = 4.  Stream and count run
   in this process; the jobs argument of enumerate_join and count_usos is
-  accepted and ignored.  Capped at k <= 4.
+  checked and ignored.  Capped at k <= 4.
 * sample_markov: random walk on the flip graph, its state one int with
   a byte lane per vertex.  Each step draws a coordinate uniformly, takes
   its phase classes by the same pair rule (transform._linked), closed on
@@ -61,7 +61,7 @@ from ._lazy import np
 from .cube import _pairwise_ok, _require_dim, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _built, _tiles_of, tile_of
-from .transform import _edge_classes, _phase_masks, _reversal, _union
+from .transform import _edge_classes, _phase_masks, _reversal, _reversal_rows, _union
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
@@ -88,14 +88,29 @@ class SplitMix64:
         return z ^ z >> 31
 
     def randbelow(self, n: int) -> int:
-        """Uniform int in range(n), unbiased by rejection."""
+        """Uniform int in range(n), unbiased by rejection.
+
+        For a power of two the threshold is 2^64 itself, so the first draw
+        is taken, and its low bits are z % n.
+        """
         if n <= 0:
             raise ValueError("empty range")
+        if not n & n - 1:
+            return self.next_u64() & n - 1
         threshold = (1 << 64) - ((1 << 64) % n)
         while True:
             z = self.next_u64()
             if z < threshold:
                 return z % n
+
+
+def _check_jobs(jobs, name: str = "jobs") -> None:
+    """Raise ValueError unless jobs is an int, not a bool, of at least 1:
+    the rule of the CLI's --jobs, which calls it with that name."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ValueError(f"{name} must be an int, got {jobs!r}")
+    if jobs < 1:
+        raise ValueError(f"{name} must be at least 1, got {jobs}")
 
 
 def _check_dim(k: int, low: int, cap: int, limit: str) -> None:
@@ -287,10 +302,11 @@ def _join_stream(k: int) -> Iterator[TileSet]:
 def enumerate_join(k: int, jobs: int = 1) -> Iterator[TileSet]:
     """Every k-dimensional USO tiling, by joining facet pairs.
 
-    The dimension is checked on the call, before any tiling is built.  The
-    stream runs in this process; jobs is accepted and ignored.
+    The dimension and jobs are checked on the call, before any tiling is
+    built.  The stream runs in this process; jobs is checked and ignored.
     """
     _check_join_dim(k)
+    _check_jobs(jobs)
     return _join_stream(k)
 
 
@@ -327,8 +343,10 @@ class EnumerationReport:
 def count_usos(k: int, method: str = "brute", jobs: int = 1) -> EnumerationReport:
     """Count all k-dimensional USOs with the chosen method.
 
-    The count runs in this process; jobs is accepted and ignored.
+    The count runs in this process; jobs is checked as by the CLI's --jobs
+    and ignored.
     """
+    _check_jobs(jobs)
     start = time.perf_counter()
     if method == "brute":
         _check_brute_dim(k)
@@ -386,16 +404,16 @@ def _moves(k: int, steps: int, seed: int) -> Iterator[bytes]:
     state = 0
     table = bytes(size)
     yield table
-    rng = SplitMix64(seed)
+    draw = SplitMix64(seed).randbelow
     # a move reverses only i-edges, and the pair rule does not read their
     # direction, so the classes of i hold until another coordinate is drawn
-    last, classes = None, ()
+    last, classes, rows = None, (), ()
     for _ in range(steps):
         if k:
-            i = 1 + rng.randbelow(k)
+            i = 1 + draw(k)
             if i != last:
-                last, classes = i, _phase_masks(table, k, i)
-            state ^= _reversal(k, i, _union(classes, rng.randbelow(1 << len(classes))))
+                last, classes, rows = i, _phase_masks(table, k, i), _reversal_rows(k, i)
+            state ^= _reversal(rows, _union(classes, draw(1 << len(classes))))
             table = state.to_bytes(size, "little")
         yield table
 

@@ -46,9 +46,15 @@ from __future__ import annotations
 
 import re
 
-from .cube import Face, Orientation, _require_cube_dim, vertex_bits, vertex_from_bits
+from .cube import (
+    MAX_FORMAT_DIM,
+    Face,
+    Orientation,
+    _require_table_dim,
+    vertex_bits,
+    vertex_from_bits,
+)
 from .errors import FormatError
-from .pairwise import MAX_WORD_BITS
 from .rewrite import GeneralizedRule
 from .tiling import TileSet, _built, pack_lines, tile_lines, tile_pack
 
@@ -57,10 +63,6 @@ EMPTY_WORD = "-"
 # ASCII decimals; a negative one is read only so that the caller's range
 # check rejects it by value.
 _NUMBER = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
-
-# Largest dimension a header may state: 2 bits per coordinate per tile.
-MAX_FORMAT_DIM = MAX_WORD_BITS // 2
-
 
 # Words are separated and padded by ASCII space and tab only; str.split()
 # and str.strip() would also take \x0b, \x0c, \x85, \xa0, \u3000 and the
@@ -279,7 +281,7 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
     other text, and a plain one with a repeated tile, goes to the line
     reader, which accepts or rejects it with its own messages.
     """
-    _require_cube_dim(dim)
+    _require_table_dim(dim)
     if dim > 0 and re.fullmatch(f"(?:[0-3]{{{dim}}} [1-9][0-9]*\n)*", text):
         words = text.split()
         try:

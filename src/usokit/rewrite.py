@@ -52,6 +52,7 @@ from .tiling import (
     TileSet,
     _built,
     _require_tiling,
+    _unpack,
     bow,
     canonical_tiles,
     incompatible_tiles,
@@ -401,5 +402,5 @@ def product_labelling(frame: TileSet) -> dict[str, int]:
     """Label every frame tile with its vertex index plus one."""
     k = frame.dim
     return {
-        tile_unpack(t, k): tile_vertex(t, k) + 1 for t in frame.tiles
+        _unpack(t, k): tile_vertex(t, k) + 1 for t in frame.tiles
     }

@@ -36,8 +36,9 @@ in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
 pack_lines packs exactly n such lines back into a uint64 array, or
 returns None.  From KERNEL_MIN_DIM up to the 32 digits of a uint64
 (_BLOCK_DIMS) both work in one numpy block: one digit matrix, one
-np.lexsort and one tobytes() out, one frombuffer, one digit bound and
-one matrix product in.  Below, numpy's fixed cost per call
+np.lexsort and one tobytes() out, one frombuffer, one bound test on
+every column at once (digits, then the newline) and one matrix product
+in, with per-k constants cached.  Below, numpy's fixed cost per call
 loses to tile_pack and tile_unpack: tile_lines sorts the per-word codec's
 words, and pack_lines returns None, as it does for any text not in that
 exact form, so that the caller reads word by word with its own messages.
@@ -70,7 +71,15 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from ._lazy import np
-from .cube import Orientation, _keep_verdict, _require_cube_dim, _require_uso, _unique_sinks, _verified
+from .cube import (
+    Orientation,
+    _keep_verdict,
+    _require_cube_dim,
+    _require_table_dim,
+    _require_uso,
+    _unique_sinks,
+    _verified,
+)
 from .errors import NotATilingError
 from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
 
@@ -115,8 +124,23 @@ def tile_pack(s: str) -> int:
     return int(s[::-1], 4) if s else 0
 
 
+def _require_tile(t, k: int) -> None:
+    """Raise ValueError unless t is an int, not a bool, in range(4^k): the
+    check of a packed tile where a caller names one."""
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0 or t >> 2 * k:
+        raise ValueError(f"tile {t!r} out of range for dimension {k}")
+
+
 def tile_unpack(t: int, k: int) -> str:
+    """The k-digit word of packed tile t; ValueError for a tile not in
+    range(4^k)."""
     _require_cube_dim(k)
+    _require_tile(t, k)
+    return _unpack(t, k)
+
+
+def _unpack(t: int, k: int) -> str:
+    """tile_unpack without the checks, for tiles of a tile set."""
     return "".join(_CHUNKS[t >> (10 * i) & 1023] for i in range((k + 4) // 5))[:k]
 
 
@@ -154,6 +178,19 @@ def _split_words():
     return split
 
 
+@lru_cache(maxsize=None)
+def _line_form(k: int):
+    """Per column of a block of k-digit lines: the byte it starts at, the
+    largest offset from it (digits "0"-"3", then exactly "\n") and its
+    weight (4^j for digit j, 0 for the newline); read-only."""
+    start = np.array([48] * k + [10], np.uint8)
+    top = np.array([3] * k + [0], np.uint8)
+    weights = np.append(np.uint64(1) << _digit_shifts()[:k], np.uint64(0))
+    for a in (start, top, weights):
+        a.flags.writeable = False
+    return start, top, weights
+
+
 def tile_lines(tiles, k: int) -> str:
     """The k-digit words of packed tiles, sorted, one "\\n"-ended line each.
 
@@ -162,7 +199,7 @@ def tile_lines(tiles, k: int) -> str:
     first is string order.
     """
     if k not in _BLOCK_DIMS:
-        return "".join(sorted(tile_unpack(t, k) + "\n" for t in tiles))
+        return "".join(sorted(_unpack(t, k) + "\n" for t in tiles))
     packed = np.fromiter(tiles, np.uint64, len(tiles))
     digits = (packed[:, None] >> _digit_shifts()[:k] & 3).astype(np.uint8)
     block = np.empty((len(packed), k + 1), np.uint8)
@@ -179,14 +216,13 @@ def pack_lines(text: str, n: int, k: int):
     """
     if k not in _BLOCK_DIMS or len(text) != n * (k + 1) or not text.isascii():
         return None
-    rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(n, k + 1)
-    if (rows[:, k] != 10).any():
-        return None
-    digits = rows[:, :k] - 48  # wraps below "0", so one bound checks both ends
-    if (digits > 3).any():
+    start, top, weights = _line_form(k)
+    # wraps below each column's start, so one bound checks both ends
+    offsets = np.frombuffer(text.encode("ascii"), np.uint8).reshape(n, k + 1) - start
+    if (offsets > top).any():
         return None
     # digit j times 4^j, summed in one exact uint64 matrix product
-    return digits @ (np.uint64(1) << _digit_shifts()[:k])
+    return offsets @ weights
 
 
 def _split(t: int) -> tuple[int, int]:
@@ -341,7 +377,7 @@ def _defect(ts: TileSet) -> str:
     k = ts.dim
     if len(ts.tiles) != 1 << k:
         return f"{len(ts.tiles)} tiles, expected {1 << k}"
-    a, b = (tile_unpack(t, k) for t in next(incompatible_tiles(sorted(ts.tiles), k)))
+    a, b = (_unpack(t, k) for t in next(incompatible_tiles(sorted(ts.tiles), k)))
     return f"incompatible tiles {a} and {b}"
 
 
@@ -428,7 +464,7 @@ def twins(ts: TileSet) -> set[tuple[str, str]]:
     k, tiles = ts.dim, ts.tiles
     highs = [2 << 2 * i for i in range(k)]
     return {
-        (tile_unpack(t, k), tile_unpack(t | h, k))
+        (_unpack(t, k), _unpack(t | h, k))
         for t in tiles
         for h in highs
         if not t & h and t | h in tiles
@@ -437,7 +473,7 @@ def twins(ts: TileSet) -> set[tuple[str, str]]:
 
 def canonical_tiles(k: int) -> TileSet:
     """The tiling of the canonical orientation: all digits even."""
-    _require_cube_dim(k)
+    _require_table_dim(k)
     return _tiles_of((0,) * (1 << k), k)
 
 

@@ -23,12 +23,17 @@ satisfies the pair).  Valid flip sets are therefore exactly the unions of
 connected components of that constraint graph, which is what the default
 method computes.  method="brute" instead tries all 2^(2^(k-1)) subsets
 against the sink test, literally; both are capped at k <= 5.
-The pair rule has one home, ``_linked``, and its closure two forms, each
-growing the components as bitmasks of projection indices:
+The pair rule has one home, ``_linked``: one fused numpy pass over
+``_edge_index``'s pair cells, the lower end of edge p with the upper end
+of q and the lower end of q with the upper end of p, gathered a vertex
+per row, XORed, tested where the cell's vertices differ and ORed, on one
+table or a batch.  Its closure has two forms, each growing the
+components as bitmasks of projection indices:
 ``_edge_classes`` is a numpy fixpoint over a batch of tables, which the
 facet join runs on whole batches (see ``enumeration``), and
 ``_phase_masks`` closes one table, given as a byte per vertex, in Python
-ints, where numpy's fixed cost per operation would dominate.  Both give
+ints, where numpy's fixed cost per operation would dominate: the rule's
+rows reach it packed, one matrix product with the edge weights.  Both give
 each class's mask once, in order of its lowest edge; the batch closure
 writes 0 at its other edges.  The tests check both against a
 pure-Python union-find.  Both run on ``_edge_index``'s numpy arrays, so
@@ -189,22 +194,31 @@ class PhasePartition:
 
 
 class _EdgeIndex(NamedTuple):
-    """The i-edges of the k-cube by projection index p."""
+    """The i-edges of the k-cube by projection index p, and their pair cells.
+
+    Cell (h, q, p) is one vertex pair straddling i: half 0 pairs the lower
+    endpoint of edge p with the upper one of edge q, half 1 the lower
+    endpoint of q with the upper one of p.  _linked reads the cells with
+    their axes reversed, as (p, q, h).
+    """
 
     ends: tuple  # lower endpoint of edge p, as ints
-    both: np.ndarray  # the lower endpoints, then the upper ones, for numpy indexing
-    apart: np.ndarray  # ends[p] ^ ends[q]
+    low: np.ndarray  # (2, m, m): the cell's lower endpoint
+    up: np.ndarray  # (2, m, m): the cell's upper endpoint
+    apart: np.ndarray  # (m, m, 2): ends[p] ^ ends[q], at cell (p, q, h)
     weights: np.ndarray  # 1 << p
 
 
 @lru_cache(maxsize=None)
 def _edge_index(k: int, i: int) -> _EdgeIndex:
     ends = tuple(insert_bit(p, i - 1, 0) for p in range(1 << (k - 1)))
-    lower = np.array(ends)
+    m = len(ends)
+    p = np.broadcast_to(np.array(ends), (m, m))  # entry (q, p) is ends[p]
+    q = p.T
     # vertex words of phase tables fit a byte (PHASE_DIM_CAP, MAX_JOIN_DIM)
-    apart = (lower[:, None] ^ lower[None, :]).astype(np.uint8)
-    weights = 1 << np.arange(len(ends), dtype=np.int64)
-    index = _EdgeIndex(ends, np.concatenate([lower, lower | 1 << (i - 1)]), apart, weights)
+    apart = np.stack([p ^ q] * 2).astype(np.uint8).T
+    weights = 1 << np.arange(m, dtype=np.int64)
+    index = _EdgeIndex(ends, np.stack([p, q]), np.stack([q, p]) | 1 << (i - 1), apart, weights)
     for a in index[1:]:
         a.flags.writeable = False
     return index
@@ -232,31 +246,35 @@ def _reversal_rows(k: int, i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reversal(k: int, i: int, word: int) -> int:
+def _reversal(rows: tuple, word: int) -> int:
     """The XOR mask that reverses, in a table held as one int, the i-edges
-    whose projection indices are the set bits of word."""
+    whose projection indices are the set bits of word; rows is
+    _reversal_rows(k, i)."""
     mask = 0
-    for row in _reversal_rows(k, i):
+    for row in rows:
         mask ^= row[word & 0xFF]
         word >>= 8
     return mask
 
 
 def _linked(tables: np.ndarray, index: _EdgeIndex) -> np.ndarray:
-    """The pair rule: entry (r, p, q) links i-edges p and q of table r.
+    """The pair rule: entry (..., p, q) links i-edges p and q of a table.
 
-    Row r of tables satisfies the pairwise sink condition.  Edges p and q
-    give two vertex pairs straddling i, lower p with upper q and lower q
-    with upper p: joined and its transpose.  A pair is joined when its
-    words differ at every other coordinate where its vertices differ, so
-    no coordinate but i can witness it.  Forward reach alone gave the
-    same classes on all k <= 4 tables and 378,165 k = 5 cases, but that is
-    unproven, so both stay.  The diagonal is set.
+    tables is one table of 2^k words, or a batch of them, a row each, and
+    each satisfies the pairwise sink condition.  Edges p and q give two
+    vertex pairs straddling i, the two halves of index's cells (p, q).  A
+    pair is joined when its words differ at every other coordinate where
+    its vertices differ, so no coordinate but i can witness it.  Forward
+    reach alone (half 0) gave the same classes on all k <= 4 tables and
+    378,165 k = 5 cases, but that is unproven, so both stay.  The
+    diagonal is set, and the result is symmetric in p and q.
+
+    The gathers take the table's words a vertex per row, so a batch's
+    cells copy whole rows and its tables stay innermost in memory.
     """
-    m = len(index.ends)
-    words = tables[:, index.both]
-    joined = (words[:, :m, None] ^ words[:, None, m:]) & index.apart == index.apart
-    return joined | joined.transpose(0, 2, 1)
+    words = np.ascontiguousarray(tables.T)
+    ok = (words[index.low] ^ words[index.up]).T & index.apart == index.apart
+    return ok[..., 0] | ok[..., 1]
 
 
 def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
@@ -266,12 +284,14 @@ def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
     Entry (r, p) of the result is then the bitmask of the class of i-edge
     p in table r if p is that class's lowest edge, and 0 otherwise: a
     row's nonzero entries, in order, are _phase_masks of its table.
+    The link matrix is symmetric, and a round reads it by columns, along
+    which _linked's batch layout keeps the tables innermost.
     """
     index = _edge_index(k, i)
     linked = _linked(tables, index)
     masks = linked @ index.weights
     while True:
-        grown = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)
+        grown = np.bitwise_or.reduce(linked * masks[:, :, None], axis=1)
         if (grown == masks).all():
             return np.where(masks & index.weights - 1, 0, masks)
         masks = grown
@@ -280,9 +300,9 @@ def _edge_classes(tables: np.ndarray, k: int, i: int) -> np.ndarray:
 def _union(classes, pick: int) -> int:
     """The union of the class masks picked by the bits of pick."""
     word = 0
-    for c, cls in enumerate(classes):
-        if pick >> c & 1:
-            word |= cls
+    while pick:
+        word |= classes[(pick & -pick).bit_length() - 1]
+        pick &= pick - 1
     return word
 
 
@@ -304,7 +324,9 @@ def _phase_masks(table: bytes, k: int, i: int) -> tuple[int, ...]:
     to a frontier edge join the class and the frontier, until it is empty.
     """
     index = _edge_index(k, i)
-    rows = (_linked(np.frombuffer(table, np.uint8)[None], index)[0] @ index.weights).tolist()
+    # the rows packed by one matrix product: np.packbits with a
+    # little-endian view took 0.4 us more at k = 5 (numpy 2.4)
+    rows = (_linked(np.frombuffer(table, np.uint8), index) @ index.weights).tolist()
     classes = []
     left = (1 << len(rows)) - 1
     while left:
@@ -399,7 +421,7 @@ def phase_flip(o: Orientation, i: int, classes) -> Orientation:
         if mask not in known:
             raise PhaseSelectionError(f"not a phase class of dimension {i}: {sorted(cls)}")
         word |= mask
-    state = int.from_bytes(table, "little") ^ _reversal(o.dim, i, word)
+    state = int.from_bytes(table, "little") ^ _reversal(_reversal_rows(o.dim, i), word)
     return _verified(o.dim, state.to_bytes(len(table), "little"))
 
 

@@ -35,7 +35,7 @@ LOWEST = "return np.where(masks & index.weights - 1, 0, masks)\n"
 
 KERNEL_LOOP = f"""\
     while True:
-        grown = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)
+        grown = np.bitwise_or.reduce(linked * masks[:, :, None], axis=1)
         if (grown == masks).all():
             {LOWEST}\
         masks = grown
@@ -57,6 +57,7 @@ SMALL_TABLES = "tests/test_pairwise.py::test_recursion_decides_every_small_table
 SEEDED_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_definition_on_seeded_tables"
 BIG_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_pair_test_on_corrupted_products"
 SPLICE = "tests/test_rewrite.py::test_block_splice_is_the_loop"
+FUSED = "tests/test_transform.py::test_fused_pair_rule_is_the_broadcast_rule"
 
 MUTANTS = [
     (
@@ -70,7 +71,7 @@ MUTANTS = [
         "kernel with one growth round",
         "transform.py",
         KERNEL_LOOP,
-        "    masks = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)\n    " + LOWEST,
+        "    masks = np.bitwise_or.reduce(linked * masks[:, :, None], axis=1)\n    " + LOWEST,
         [WALKS],
     ),
     (
@@ -81,7 +82,7 @@ MUTANTS = [
         "transform.py",
         KERNEL_LOOP,
         "    for _ in range(5):\n"
-        "        masks = np.bitwise_or.reduce(linked * masks[:, None, :], axis=2)\n"
+        "        masks = np.bitwise_or.reduce(linked * masks[:, :, None], axis=1)\n"
         "    " + LOWEST,
         [WALKS + "[5]"],
     ),
@@ -120,8 +121,8 @@ MUTANTS = [
     (
         "_union keeps only the last class",
         "transform.py",
-        "            word |= cls\n",
-        "            word = cls\n",
+        "        word |= classes[(pick & -pick).bit_length() - 1]\n",
+        "        word = classes[(pick & -pick).bit_length() - 1]\n",
         ["tests/test_enumeration.py::test_phase_walk_mixes_exactly"],
     ),
     # the one-XOR reversal and the walk's lazy states
@@ -160,7 +161,9 @@ MUTANTS = [
         "enumeration.py",
         "            if i != last:\n",
         "            if last is None:\n",
-        ["tests/test_enumeration.py::test_walk_stays_on_tilings"],
+        # the first coordinate's classes and reversal rows: a walk that
+        # stays on tilings but flips one coordinate only
+        ["tests/test_enumeration.py::test_sample_outputs_are_pinned"],
     ),
     (
         "stream classes not reversed before product",
@@ -414,15 +417,15 @@ MUTANTS = [
     (
         "block reader without its newline-column check",
         "tiling.py",
-        "    if (rows[:, k] != 10).any():\n        return None\n",
-        "",
+        "[3] * k + [0]",
+        "[3] * k + [255]",
         [EDITS],
     ),
     (
         "block reader with a digit bound of 4",
         "tiling.py",
-        "    if (digits > 3).any():\n",
-        "    if (digits > 4).any():\n",
+        "[3] * k + [0]",
+        "[4] * k + [0]",
         [EDITS],
     ),
     (
@@ -827,9 +830,23 @@ MUTANTS = [
     (
         "tile_unpack without its dimension check",
         "tiling.py",
-        '    _require_cube_dim(k)\n    return "".join(_CHUNKS',
-        '    return "".join(_CHUNKS',
+        "    _require_cube_dim(k)\n    _require_tile(t, k)\n",
+        "    _require_tile(t, k)\n",
         ["tests/test_cube.py::test_a_dimension_parameter_is_an_int"],
+    ),
+    (
+        "tile_unpack without its tile check",
+        "tiling.py",
+        "    _require_tile(t, k)\n    return _unpack(t, k)\n",
+        "    return _unpack(t, k)\n",
+        ["tests/test_tiling.py::test_tile_unpack_checks_its_tile"],
+    ),
+    (
+        "canonical tables without the dimension cap",
+        "cube.py",
+        "    if k > MAX_FORMAT_DIM:\n        raise DimensionError",
+        "    if k > 2**80:\n        raise DimensionError",
+        ["tests/test_cube.py::test_dimension_cap_comes_before_any_table"],
     ),
     # one output route: a verb returns its text, and run() writes it
     (
@@ -871,6 +888,39 @@ MUTANTS = [
         "for e in sorted(cls))\n",
         ["tests/test_cli.py::test_phases_output"],
     ),
+    # the fused pair rule, held to the broadcast rule it replaced; the
+    # classes alone cannot see the first two (forward reach alone gave the
+    # same classes on every k <= 3 table at every coordinate, on all 744^2
+    # combed joins, which covers every k = 4 USO at every coordinate, and
+    # on 378,165 k = 5 walk cases; that is not a proof)
+    (
+        "pair cells with their ends swapped in half 1",
+        "transform.py",
+        "np.stack([p, q]), np.stack([q, p]) | 1 << (i - 1)",
+        "np.stack([p, p]), np.stack([q, q]) | 1 << (i - 1)",
+        [FUSED],
+    ),
+    (
+        "pair rule with half 0 alone",
+        "transform.py",
+        "    return ok[..., 0] | ok[..., 1]\n",
+        "    return ok[..., 0]\n",
+        [FUSED],
+    ),
+    (
+        "pair rule without the apart compare",
+        "transform.py",
+        " & index.apart == index.apart\n",
+        " & index.apart != 0\n",
+        [FUSED],
+    ),
+    (
+        "power-of-two draw returning z & n",
+        "enumeration.py",
+        "            return self.next_u64() & n - 1\n",
+        "            return self.next_u64() & n\n",
+        ["tests/test_enumeration.py::test_randbelow_is_the_rejection_rule"],
+    ),
 ]
 
 EQUIVALENT = [
@@ -886,23 +936,12 @@ EQUIVALENT = [
         "        nxt[:, 2] = np.where(lo & bit, lo, hi)\n",
     ),
     (
-        # apart is symmetric, so this transposes joined, and linked is
-        # joined or its transpose: the same undirected graph
-        "kernel with lower and upper endpoints swapped",
+        # half 0 becomes the old half 1 and half 1 the old half 0, and the
+        # rule ORs the two halves
+        "pair cells with their halves exchanged",
         "transform.py",
-        "(words[:, :m, None] ^ words[:, None, m:])",
-        "(words[:, m:, None] ^ words[:, None, :m])",
-    ),
-    (
-        # joined and its transpose are the two vertex pairs straddling i
-        # that one pair of i-edges has.  Forward reach alone gave the same
-        # classes on every k <= 3 table at every coordinate, on all 744^2
-        # combed joins (which covers every k = 4 USO at every coordinate)
-        # and on 378,165 k = 5 walk cases; that is not a proof.
-        "pair rule without the transpose",
-        "transform.py",
-        "    return joined | joined.transpose(0, 2, 1)\n",
-        "    return joined\n",
+        "np.stack([p, q]), np.stack([q, p]) | 1 << (i - 1)",
+        "np.stack([q, p]), np.stack([p, q]) | 1 << (i - 1)",
     ),
     (
         # one more round turns the start into linked @ index.weights

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usokit import (
+    MAX_FORMAT_DIM,
     DimensionError,
     Edge,
     Face,
@@ -641,3 +642,19 @@ def test_edge_at_takes_coordinates_from_1(i):
     # 1 << (i - 1) raised a raw "negative shift count" ValueError
     with pytest.raises(DimensionError, match=f"^coordinate {i} is less than 1$"):
         edge_at(0, i)
+
+
+@pytest.mark.parametrize("k", [MAX_FORMAT_DIM + 1, 40, 2**70])
+@pytest.mark.parametrize(
+    "call",
+    [canonical_orientation, canonical_tiles, lambda k: read_labels("", k)],
+    ids=["canonical_orientation", "canonical_tiles", "read_labels"],
+)
+def test_dimension_cap_comes_before_any_table(call, k):
+    # 2**70 raised a raw OverflowError, and 40 began a table of 2^40 words
+    with pytest.raises(DimensionError, match=f"^dimension {k} exceeds the cap {MAX_FORMAT_DIM}$"):
+        call(k)
+
+
+def test_dimension_cap_admits_the_cap():
+    assert read_labels("", MAX_FORMAT_DIM) == {}

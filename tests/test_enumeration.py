@@ -289,9 +289,9 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
 
 def _reversed(table: bytes, k, i, word) -> bytes:
     """table with the i-edges of word reversed, through the walk's one XOR."""
-    from usokit.transform import _reversal
+    from usokit.transform import _reversal, _reversal_rows
 
-    state = int.from_bytes(table, "little") ^ _reversal(k, i, word)
+    state = int.from_bytes(table, "little") ^ _reversal(_reversal_rows(k, i), word)
     return state.to_bytes(len(table), "little")
 
 
@@ -590,3 +590,31 @@ def test_join_stream_order_is_pinned(k, digest):
 def test_join_k4_stream_head_is_pinned(jobs):
     head = itertools.islice(enumerate_join(4, jobs), 20000)
     assert _stream_digest(head) == "b9d46c0b6373ba30"
+
+
+def _generic_randbelow(rng, n):
+    """SplitMix64.randbelow's rejection rule, with no shortcut."""
+    threshold = (1 << 64) - ((1 << 64) % n)
+    while True:
+        z = rng.next_u64()
+        if z < threshold:
+            return z % n
+
+
+@pytest.mark.parametrize("n", [1 << c for c in range(17)] + [3, 4, 5, 6, 7, 1000003])
+def test_randbelow_is_the_rejection_rule(n):
+    from usokit.enumeration import SplitMix64
+
+    fast, generic = SplitMix64(n), SplitMix64(n)
+    draws = [fast.randbelow(n) for _ in range(10_000)]
+    assert draws == [_generic_randbelow(generic, n) for _ in range(10_000)]
+    assert fast.state == generic.state
+
+
+@pytest.mark.parametrize("jobs", [0, -1, "1", None, True, 1.0])
+def test_jobs_is_checked_as_by_the_cli(jobs):
+    # each was accepted and ignored
+    with pytest.raises(ValueError, match="^jobs must be "):
+        count_usos(2, "join", jobs)
+    with pytest.raises(ValueError, match="^jobs must be "):
+        enumerate_join(2, jobs)

@@ -584,3 +584,10 @@ def test_a_rejected_tiling_stays_rejected(kernel_passes):
         with pytest.raises(NotATilingError, match="^twins are defined on complete tilings$"):
             twins(bad)
     assert kernel_passes == {"tiling": 0, "vertex": 1}
+
+
+@pytest.mark.parametrize("t", [-1, True, 2**70, 16, 1.0, "0"])
+def test_tile_unpack_checks_its_tile(t):
+    # -1 gave "33", True gave "10" and 2**70 gave "00"
+    with pytest.raises(ValueError, match=f"^tile {re.escape(repr(t))} out of range for dimension 2$"):
+        tile_unpack(t, 2)

@@ -220,14 +220,14 @@ def _reference_flip(out, k, i, word):
 
 
 def _reversal_is_the_reference(k, i, words):
-    from usokit.transform import _reversal
+    from usokit.transform import _reversal, _reversal_rows
 
     # both are XORs of the table, so they agree on every table when they
     # agree on the zero one
     for word in words:
         out = [0] * (1 << k)
         _reference_flip(out, k, i, word)
-        assert _reversal(k, i, word) == int.from_bytes(bytes(out), "little"), (k, i, word)
+        assert _reversal(_reversal_rows(k, i), word) == int.from_bytes(bytes(out), "little"), (k, i, word)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -586,3 +586,42 @@ def test_a_coordinate_is_an_int(name, i):
     # True acted on coordinate 1, and 1.0 or "1" raised a raw TypeError
     with pytest.raises(DimensionError, match=f"^coordinate must be an int, not {i!r}$"):
         COORDINATE_CALLS[name](BOW, i)
+
+
+def _broadcast_linked(tables, k, i):
+    """The pair rule as it was first written: the lower endpoints against
+    the upper ones by a broadcast XOR, OR its transpose."""
+    import numpy as np
+
+    lower = np.array([insert_bit(p, i - 1, 0) for p in range(1 << (k - 1))])
+    apart = (lower[:, None] ^ lower[None, :]).astype(np.uint8)
+    low, up = tables[:, lower], tables[:, lower | 1 << (i - 1)]
+    joined = (low[:, :, None] ^ up[:, None, :]) & apart == apart
+    return joined | joined.transpose(0, 2, 1)
+
+
+def _walk_tables(k, seeds, steps):
+    from usokit.enumeration import _moves
+
+    return sorted({t for seed in seeds for t in _moves(k, steps, seed)})
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_fused_pair_rule_is_the_broadcast_rule(k):
+    # every k=3 USO; k=4 and k=5 tables from the flip walk
+    import numpy as np
+
+    from usokit.enumeration import _catalogue
+    from usokit.transform import _edge_index, _linked
+
+    if k == 3:
+        tables = [bytes(out) for out in _catalogue(3)]
+    else:
+        tables = _walk_tables(k, range(40), 24)
+    batch = np.frombuffer(b"".join(tables), np.uint8).reshape(len(tables), 1 << k)
+    for i in range(1, k + 1):
+        expected = _broadcast_linked(batch, k, i)
+        index = _edge_index(k, i)
+        assert (_linked(batch, index) == expected).all(), i
+        for r in range(0, len(tables), 7):
+            assert (_linked(batch[r], index) == expected[r]).all(), (i, r)
