@@ -47,13 +47,14 @@ from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
-from .pairwise import FACE_SINK_MIN_DIM, MAX_WORD_BITS, face_sinks_ok, incompatible_pairs
+from .pairwise import FACE_SINK_MIN_DIM, face_sinks_ok, incompatible_pairs
 
 FACE_CHARS = "01*"
 
-# Largest dimension a table is built for or a text may state: 2 bits per
-# coordinate per tile fill the pairwise kernel's widest (64-bit) word.
-MAX_FORMAT_DIM = MAX_WORD_BITS // 2
+# Largest dimension of any value, by _require_cube_dim: a packed tile takes
+# 2 bits per digit, so 32 digits fill one uint64, the widest word of the
+# numpy routes and of the file formats.
+MAX_FORMAT_DIM = 32
 
 _BIT_WORD = re.compile("[01]*")
 
@@ -84,16 +85,12 @@ def _require_dim(k, what: str = "dimension") -> None:
 
 
 def _require_cube_dim(k) -> None:
-    """_require_dim, and no value is built with a negative dimension."""
+    """_require_dim, and k in 0..MAX_FORMAT_DIM by comparison alone: the one
+    dimension bound, checked where a dimension enters or is derived, before
+    any value of size 2^k is built."""
     _require_dim(k)
     if k < 0:
         raise DimensionError(f"dimension {k} is negative")
-
-
-def _require_table_dim(k) -> None:
-    """_require_cube_dim, and k at most MAX_FORMAT_DIM, by comparison alone:
-    before any value of size 2^k is built."""
-    _require_cube_dim(k)
     if k > MAX_FORMAT_DIM:
         raise DimensionError(f"dimension {k} exceeds the cap {MAX_FORMAT_DIM}")
 
@@ -297,7 +294,7 @@ def _check_edges(k: int, out, support=None, what: str = "inconsistent direction 
 
 def canonical_orientation(k: int) -> Orientation:
     """All edges point down; the unique sink is the all-zero vertex."""
-    _require_table_dim(k)
+    _require_cube_dim(k)
     return _verified(k, (0,) * (1 << k))
 
 

@@ -61,11 +61,11 @@ from ._lazy import np
 from .cube import _pairwise_ok, _require_dim, drop_bit
 from .errors import EnumerationLimitError
 from .tiling import TileSet, _built, _tiles_of, tile_of
-from .transform import _edge_classes, _phase_masks, _reversal, _reversal_rows, _union
+from .transform import PHASE_DIM_CAP, _edge_classes, _phase_masks, _reversal, _reversal_rows, _union
 
 MAX_BRUTE_DIM = 3
 MAX_JOIN_DIM = 4
-MAX_SAMPLE_DIM = 5
+MAX_SAMPLE_DIM = PHASE_DIM_CAP  # each step closes the phase classes of its state
 
 RNG_ALGORITHM = "splitmix64"
 

@@ -22,15 +22,16 @@ whose ValueError becomes the FormatError.  Numbers (header
 dimensions, rule widths and column counts, labels) are ASCII decimal
 digits only: no sign, underscore, or non-ASCII digit.  A header dimension
 above MAX_FORMAT_DIM is rejected by comparison alone, before anything of
-size 2^k is computed: a packed tile of that dimension fills the pairwise
-kernel's widest (64-bit) word.
+size 2^k is computed; it is the library's one dimension cap (a packed tile
+is one 64-bit word), so every value the library builds can be written
+and read back.
 
 Tiling text goes through the tiling module's two set functions, which
 alone choose between numpy blocks and single words by dimension:
 write_tiling writes the header and tiling.tile_lines, and read_tiling
 first hands the body of a "uso <k>" header (k = 0..32, exactly as written)
 to tiling.pack_lines, which packs exactly 2^k lines of k digits 0-3, each
-ending in a newline, where k is a block dimension.  Any other text, CRLF,
+ending in a newline, from KERNEL_MIN_DIM up.  Any other text, CRLF,
 blanks, blank lines, "uso 05", a text of a dimension read word by word or
 a defect of any kind, goes unchanged to the line reader, which accepts or
 rejects it with the messages above; only a repeated tile is reported by
@@ -50,7 +51,7 @@ from .cube import (
     MAX_FORMAT_DIM,
     Face,
     Orientation,
-    _require_table_dim,
+    _require_cube_dim,
     vertex_bits,
     vertex_from_bits,
 )
@@ -281,7 +282,7 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
     other text, and a plain one with a repeated tile, goes to the line
     reader, which accepts or rejects it with its own messages.
     """
-    _require_table_dim(dim)
+    _require_cube_dim(dim)
     if dim > 0 and re.fullmatch(f"(?:[0-3]{{{dim}}} [1-9][0-9]*\n)*", text):
         words = text.split()
         try:

@@ -54,9 +54,6 @@ from ._lazy import np
 # Below it the loop beats numpy's per-call overhead.
 KERNEL_MIN_DIM = 5
 
-# Widest word the numpy route holds; wider words take the loop.
-MAX_WORD_BITS = 64
-
 # Pair cells per numpy block.  On the 1,024 words of a k = 10 table, 64k
 # cells took 0.48 ms against 0.88 ms at 16k (best of 60, 2 cores), and 256k
 # was slower again; a table of 2^KERNEL_MIN_DIM words is one block at any
@@ -81,10 +78,11 @@ def incompatible_pairs(
 ) -> Iterator[tuple[int, int]]:
     """Index pairs (a, b), a < b, failing the pair condition, in order.
 
-    width bounds the bit length of every word.  Lazy: a caller that stops
-    after the first pair skips the rest of the work.
+    width bounds the bit length of every word, at most 64: the words are
+    vertices or packed tiles of at most cube.MAX_FORMAT_DIM digits.  Lazy:
+    a caller that stops after the first pair skips the rest of the work.
     """
-    if len(x) < 1 << KERNEL_MIN_DIM or width > MAX_WORD_BITS:
+    if len(x) < 1 << KERNEL_MIN_DIM:
         return _incompatible_pairs_py(x, y)
     return _incompatible_pairs_np(x, y, width)
 

@@ -41,17 +41,17 @@ from itertools import repeat
 from typing import Mapping
 
 from ._lazy import np
-from .cube import _require_coordinate, _require_dim
+from .cube import _require_coordinate, _require_cube_dim, _require_dim
 from .errors import (
     DimensionError,
     InvalidRuleError,
     LabellingError,
 )
-from .pairwise import MAX_WORD_BITS
 from .tiling import (
     TileSet,
     _built,
     _require_tiling,
+    _split,
     _unpack,
     bow,
     canonical_tiles,
@@ -59,7 +59,6 @@ from .tiling import (
     pack_lines,
     tile_pack,
     tile_unpack,
-    tile_vertex,
 )
 
 # digit lists per kind: (d, S0, S1, S2, S3)
@@ -209,7 +208,9 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     A tile's column is its label, or 1 for every tile when labelling is None;
     _tile_columns reads the labelling before a splice is chosen.  From
     SPLICE_MIN_TILES input tiles the numpy block splices, the loop below.
-    Both give the same set, so the count check is shared.
+    Both give the same set, so the count check is shared.  An output wider
+    than cube.MAX_FORMAT_DIM digits is refused before either, so every tile
+    of the block fits its uint64.
     """
     if checked:
         violations = validate_generalized(rule)
@@ -219,10 +220,11 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     k = k_set.dim
     _require_coordinate(h, k)
     new_dim = k + rule.d - 1
+    _require_cube_dim(new_dim)
     tiles, columns = k_set.tiles, None
     if labelling is not None:
         tiles, columns = _tile_columns(labelling, k_set, rule.i)
-    if len(tiles) >= SPLICE_MIN_TILES and max(k, new_dim) <= MAX_WORD_BITS // 2:
+    if len(tiles) >= SPLICE_MIN_TILES:
         out = _splice_block(rule, tiles, columns, h)
     else:
         out = _splice_loop(rule, tiles, columns, h)
@@ -386,6 +388,7 @@ def product_rule(parts) -> GeneralizedRule:
     if not parts:
         raise DimensionError("need at least one part")
     d = parts[0].dim
+    _require_cube_dim(d + 1)
     for p in parts:
         if p.dim != d:
             raise DimensionError("parts of unequal dimensions")
@@ -401,6 +404,4 @@ def product_rule(parts) -> GeneralizedRule:
 def product_labelling(frame: TileSet) -> dict[str, int]:
     """Label every frame tile with its vertex index plus one."""
     k = frame.dim
-    return {
-        _unpack(t, k): tile_vertex(t, k) + 1 for t in frame.tiles
-    }
+    return {_unpack(t, k): _split(t)[0] + 1 for t in frame.tiles}

@@ -20,7 +20,10 @@ lowest slot, so the compatibility test is a couple of word operations.
 Digit strings (coordinate 1 first) appear at every API boundary, and
 tile_pack and tile_unpack are their per-word codec: tile_pack checks a word's
 characters, its callers its length.  The 0-dimensional empty tile packs
-to 0 and prints as "" here, "-" in files.
+to 0 and prints as "" here, "-" in files.  A tile is one uint64 word, so
+a dimension is at most cube.MAX_FORMAT_DIM = 32; _require_tile is the one
+check of a packed tile that a caller names, and the library's own tiles
+skip it (_built, _unpack, _split).
 
 A packed tile is a vertex and its direction word interleaved bit by bit
 (a Morton code): the vertex in the odd bits, the direction word in the
@@ -34,14 +37,14 @@ to 5 digits and as a numpy array above.
 A whole set of words has two functions, and the route choice lives only
 in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
 pack_lines packs exactly n such lines back into a uint64 array, or
-returns None.  From KERNEL_MIN_DIM up to the 32 digits of a uint64
-(_BLOCK_DIMS) both work in one numpy block: one digit matrix, one
-np.lexsort and one tobytes() out, one frombuffer, one bound test on
-every column at once (digits, then the newline) and one matrix product
-in, with per-k constants cached.  Below, numpy's fixed cost per call
-loses to tile_pack and tile_unpack: tile_lines sorts the per-word codec's
-words, and pack_lines returns None, as it does for any text not in that
-exact form, so that the caller reads word by word with its own messages.
+returns None.  From KERNEL_MIN_DIM up both work in one numpy block, a
+uint64 per tile: one digit matrix, one np.lexsort and one tobytes() out,
+one frombuffer, one bound test on every column at once (digits, then the
+newline) and one matrix product in, with per-k constants cached.  Below,
+numpy's fixed cost per call loses to tile_pack and tile_unpack:
+tile_lines sorts the per-word codec's words, and pack_lines returns None,
+as it does for any text not in that exact form, so that the caller reads
+word by word with its own messages.
 TileSet.strings(), formats.write_tiling and formats.read_tiling use them,
 and so does rewrite._tile_columns for the label keys.  numpy is imported
 on the first numpy route taken (see _lazy), so tile sets below
@@ -72,16 +75,16 @@ from typing import Iterator, Sequence
 
 from ._lazy import np
 from .cube import (
+    MAX_FORMAT_DIM,
     Orientation,
     _keep_verdict,
     _require_cube_dim,
-    _require_table_dim,
     _require_uso,
     _unique_sinks,
     _verified,
 )
 from .errors import NotATilingError
-from .pairwise import KERNEL_MIN_DIM, MAX_WORD_BITS, incompatible_pairs
+from .pairwise import KERNEL_MIN_DIM, incompatible_pairs
 
 DIGITS = "0123"
 
@@ -118,6 +121,8 @@ def tile_pack(s: str) -> int:
     The pattern test comes first, as int() also takes "_", "+",
     whitespace and non-ASCII digits.
     """
+    if not isinstance(s, str):
+        raise ValueError(f"tile {s!r} is not a str")
     if not _TILE_WORD.fullmatch(s):
         bad = next(c for c in s if c not in DIGITS)
         raise ValueError(f"bad tile character {bad!r}")
@@ -126,9 +131,9 @@ def tile_pack(s: str) -> int:
 
 def _require_tile(t, k: int) -> None:
     """Raise ValueError unless t is an int, not a bool, in range(4^k): the
-    check of a packed tile where a caller names one."""
+    one check of a packed tile where a caller names one."""
     if isinstance(t, bool) or not isinstance(t, int) or t < 0 or t >> 2 * k:
-        raise ValueError(f"tile {t!r} out of range for dimension {k}")
+        raise ValueError(f"packed tile {t!r} out of range for dimension {k}")
 
 
 def tile_unpack(t: int, k: int) -> str:
@@ -156,16 +161,10 @@ def _spread(x: int) -> int:
     return s
 
 
-# Dimensions whose digit text goes through numpy in whole blocks: from the
-# kernel's threshold, below which numpy's fixed cost per call loses, up to
-# tiles that fit one uint64.
-_BLOCK_DIMS = range(KERNEL_MIN_DIM, MAX_WORD_BITS // 2 + 1)
-
-
 @lru_cache(maxsize=None)
 def _digit_shifts():
     """The 2-bit slot of each of the 32 digits of a uint64, read-only."""
-    shifts = np.arange(0, MAX_WORD_BITS, 2, dtype=np.uint64)
+    shifts = np.arange(0, 2 * MAX_FORMAT_DIM, 2, dtype=np.uint64)
     shifts.flags.writeable = False
     return shifts
 
@@ -198,7 +197,7 @@ def tile_lines(tiles, k: int) -> str:
     its primary key last, so the columns go in reversed: coordinate 1
     first is string order.
     """
-    if k not in _BLOCK_DIMS:
+    if k < KERNEL_MIN_DIM:  # numpy's fixed cost per call loses
         return "".join(sorted(_unpack(t, k) + "\n" for t in tiles))
     packed = np.fromiter(tiles, np.uint64, len(tiles))
     digits = (packed[:, None] >> _digit_shifts()[:k] & 3).astype(np.uint8)
@@ -214,7 +213,7 @@ def pack_lines(text: str, n: int, k: int):
     A uint64 array in line order, or None for any other text, and for
     every text of a dimension that the caller reads word by word.
     """
-    if k not in _BLOCK_DIMS or len(text) != n * (k + 1) or not text.isascii():
+    if k < KERNEL_MIN_DIM or len(text) != n * (k + 1) or not text.isascii():
         return None
     start, top, weights = _line_form(k)
     # wraps below each column's start, so one bound checks both ends
@@ -237,13 +236,15 @@ def _split(t: int) -> tuple[int, int]:
 def tile_vertex(t: int, k: int) -> int:
     """Cube vertex of a tile: bit i is the high bit of digit i."""
     _require_cube_dim(k)
-    return _split(t & (1 << 2 * k) - 1)[0]
+    _require_tile(t, k)
+    return _split(t)[0]
 
 
 def tile_out(t: int, k: int) -> int:
     """Direction word of a tile: bit i is the low bit of digit i."""
     _require_cube_dim(k)
-    return _split(t & (1 << 2 * k) - 1)[1]
+    _require_tile(t, k)
+    return _split(t)[1]
 
 
 def tile_of(v: int, out_word: int, k: int) -> int:
@@ -274,38 +275,14 @@ def incompatible_tiles(tiles, k: int) -> Iterator[tuple[int, int]]:
 
 def gk_adjacent(u: str, v: str) -> bool:
     """Whether two equal-length tiles differ by exactly 2 in some coordinate."""
+    tiles = [tile_pack(u), tile_pack(v)]
     if len(u) != len(v):
         raise ValueError("tiles of different lengths")
-    return next(incompatible_tiles([tile_pack(u), tile_pack(v)], len(u)), None) is None
+    return next(incompatible_tiles(tiles, len(u)), None) is None
 
 
 # ---------------------------------------------------------------------------
 # tile sets
-
-
-def _freeze_tiles(tiles, dim: int) -> frozenset:
-    packed = frozenset(tiles)
-    limit = 1 << (2 * dim)
-    for t in packed:
-        if not 0 <= t < limit:
-            raise ValueError(f"packed tile {t} out of range for dimension {dim}")
-    return packed
-
-
-def _pack_strings(strings, dim: int | None):
-    strings = list(strings)
-    if dim is None:
-        if not strings:
-            raise ValueError("cannot infer dimension from an empty set")
-        dim = len(strings[0])
-    _require_cube_dim(dim)
-    for s in strings:
-        if len(s) != dim:
-            raise ValueError(f"tile {s!r} does not have length {dim}")
-    packed = frozenset(tile_pack(s) for s in strings)
-    if len(packed) != len(strings):
-        raise ValueError("duplicate tiles")
-    return dim, packed
 
 
 @dataclass(frozen=True)
@@ -323,11 +300,28 @@ class TileSet:
 
     def __post_init__(self):
         _require_cube_dim(self.dim)
-        object.__setattr__(self, "tiles", _freeze_tiles(self.tiles, self.dim))
+        tiles = frozenset(self.tiles)
+        for t in tiles:
+            _require_tile(t, self.dim)
+        object.__setattr__(self, "tiles", tiles)
 
     @classmethod
     def from_strings(cls, strings, dim: int | None = None) -> "TileSet":
-        return cls(*_pack_strings(strings, dim))
+        """The set of tile words, all of length dim (default: the first's);
+        tile_pack checks each word, so the tiles are in range."""
+        strings = list(strings)
+        packed = frozenset(map(tile_pack, strings))
+        if dim is None:
+            if not strings:
+                raise ValueError("cannot infer dimension from an empty set")
+            dim = len(strings[0])
+        _require_cube_dim(dim)
+        for s in strings:
+            if len(s) != dim:
+                raise ValueError(f"tile {s!r} does not have length {dim}")
+        if len(packed) != len(strings):
+            raise ValueError("duplicate tiles")
+        return _built(dim, packed)
 
     def strings(self) -> list[str]:
         return tile_lines(self.tiles, self.dim).splitlines()
@@ -345,7 +339,7 @@ PartialTileSet = TileSet
 def _built(k: int, tiles: frozenset) -> TileSet:
     """The TileSet of a frozenset that the library built in range for k.
 
-    Skips __init__ and so _freeze_tiles: each caller's tiles are in range
+    Skips __init__ and so _require_tile: each caller's tiles are in range
     by construction.  _verdict stays None, its class default.
     """
     ts = object.__new__(TileSet)
@@ -473,7 +467,7 @@ def twins(ts: TileSet) -> set[tuple[str, str]]:
 
 def canonical_tiles(k: int) -> TileSet:
     """The tiling of the canonical orientation: all digits even."""
-    _require_table_dim(k)
+    _require_cube_dim(k)
     return _tiles_of((0,) * (1 << k), k)
 
 

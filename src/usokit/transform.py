@@ -63,6 +63,7 @@ from .cube import (
     Face,
     Orientation,
     _require_coordinate,
+    _require_cube_dim,
     _require_dim,
     _require_face,
     _require_uso,
@@ -104,6 +105,7 @@ def product(frame: Orientation, parts) -> Orientation:
     if len(dims) != 1:
         raise DimensionError("parts of unequal dimensions")
     d = dims.pop()
+    _require_cube_dim(k + d)
     for v in range(1 << k):
         _require_uso(parts[v])
     out = []

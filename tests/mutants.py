@@ -262,8 +262,8 @@ MUTANTS = [
     (
         "tile_vertex reads the direction word",
         "tiling.py",
-        "_split(t & (1 << 2 * k) - 1)[0]",
-        "_split(t & (1 << 2 * k) - 1)[1]",
+        "    return _split(t)[0]\n",
+        "    return _split(t)[1]\n",
         [CODEC],
     ),
     (
@@ -830,8 +830,8 @@ MUTANTS = [
     (
         "tile_unpack without its dimension check",
         "tiling.py",
-        "    _require_cube_dim(k)\n    _require_tile(t, k)\n",
-        "    _require_tile(t, k)\n",
+        "    _require_cube_dim(k)\n    _require_tile(t, k)\n    return _unpack(t, k)\n",
+        "    _require_tile(t, k)\n    return _unpack(t, k)\n",
         ["tests/test_cube.py::test_a_dimension_parameter_is_an_int"],
     ),
     (
@@ -841,12 +841,55 @@ MUTANTS = [
         "    return _unpack(t, k)\n",
         ["tests/test_tiling.py::test_tile_unpack_checks_its_tile"],
     ),
+    # one dimension cap for every value, given or derived
     (
-        "canonical tables without the dimension cap",
+        "the cap dropped from _require_cube_dim",
         "cube.py",
         "    if k > MAX_FORMAT_DIM:\n        raise DimensionError",
         "    if k > 2**80:\n        raise DimensionError",
         ["tests/test_cube.py::test_dimension_cap_comes_before_any_table"],
+    ),
+    (
+        "the cap refusing the cap itself",
+        "cube.py",
+        "    if k > MAX_FORMAT_DIM:\n",
+        "    if k >= MAX_FORMAT_DIM:\n",
+        ["tests/test_cube.py::test_dimension_cap_admits_the_cap"],
+    ),
+    (
+        "rewrite without the cap on its output dimension",
+        "rewrite.py",
+        "    _require_cube_dim(new_dim)\n",
+        "",
+        ["tests/test_rewrite.py::test_rewrite_above_the_cap_raises_before_a_splice"],
+    ),
+    (
+        "product_rule without the cap on its width",
+        "rewrite.py",
+        "    _require_cube_dim(d + 1)\n",
+        "",
+        ["tests/test_rewrite.py::test_product_rule_refuses_a_width_above_the_cap"],
+    ),
+    (
+        "product without the cap on k + d",
+        "transform.py",
+        "    _require_cube_dim(k + d)\n",
+        "",
+        ["tests/test_transform.py::test_product_refuses_a_dimension_above_the_cap"],
+    ),
+    (
+        "TileSet without its tile check",
+        "tiling.py",
+        "            _require_tile(t, self.dim)\n",
+        "",
+        ["tests/test_tiling.py::test_every_named_tile_takes_the_one_check"],
+    ),
+    (
+        "tile_pack without its str check",
+        "tiling.py",
+        "    if not isinstance(s, str):\n",
+        "    if False:\n",
+        ["tests/test_tiling.py::test_tile_words_are_str"],
     ),
     # one output route: a verb returns its text, and run() writes it
     (

@@ -13,6 +13,7 @@ from usokit import (
     NotAnUsoError,
     Orientation,
     PartialOrientation,
+    SimpleRule,
     TileSet,
     bow,
     canonical_orientation,
@@ -644,17 +645,39 @@ def test_edge_at_takes_coordinates_from_1(i):
         edge_at(0, i)
 
 
+# Every public constructor and codec entry that takes a dimension.  A tile
+# is one uint64, so none holds more than MAX_FORMAT_DIM digits, and each
+# refuses more before any value of size 2^k.
+CAP_CALLS = {
+    "Orientation": lambda k: Orientation(k, ()),
+    "PartialOrientation": lambda k: PartialOrientation(k, frozenset({0}), {0: 0}),
+    "TileSet": lambda k: TileSet(k, {1}),
+    "from_strings": lambda k: TileSet.from_strings([], k),
+    "SimpleRule": lambda k: SimpleRule(k, *[TileSet(k, ())] * 4),
+    "canonical_orientation": canonical_orientation,
+    "canonical_tiles": canonical_tiles,
+    "tile_of": lambda k: tile_of(1, 1, k),
+    "tile_vertex": lambda k: tile_vertex(7, k),
+    "tile_out": lambda k: tile_out(7, k),
+    "tile_unpack": lambda k: tile_unpack(5, k),
+    "read_labels": lambda k: read_labels("", k),
+}
+
+# the calls that build a table of 2^k words, too big to run at the cap
+TABLE_CALLS = {"Orientation", "canonical_orientation", "canonical_tiles"}
+
+
 @pytest.mark.parametrize("k", [MAX_FORMAT_DIM + 1, 40, 2**70])
-@pytest.mark.parametrize(
-    "call",
-    [canonical_orientation, canonical_tiles, lambda k: read_labels("", k)],
-    ids=["canonical_orientation", "canonical_tiles", "read_labels"],
-)
-def test_dimension_cap_comes_before_any_table(call, k):
-    # 2**70 raised a raw OverflowError, and 40 began a table of 2^40 words
+@pytest.mark.parametrize("name", sorted(CAP_CALLS))
+def test_dimension_cap_comes_before_any_table(name, k):
+    # 2**70 raised a raw OverflowError, 40 began a table of 2^40 words, and
+    # TileSet(33, ...) was written as a "uso 33" text that no reader takes
     with pytest.raises(DimensionError, match=f"^dimension {k} exceeds the cap {MAX_FORMAT_DIM}$"):
-        call(k)
+        CAP_CALLS[name](k)
 
 
 def test_dimension_cap_admits_the_cap():
+    for name in sorted(CAP_CALLS.keys() - TABLE_CALLS):
+        CAP_CALLS[name](MAX_FORMAT_DIM)
     assert read_labels("", MAX_FORMAT_DIM) == {}
+    assert tile_unpack(5, MAX_FORMAT_DIM) == "11" + "0" * (MAX_FORMAT_DIM - 2)

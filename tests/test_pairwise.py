@@ -31,7 +31,7 @@ from usokit import (
     uso_from_tiles,
     write_tiling,
 )
-from usokit import cli
+from usokit import cli, pairwise
 from usokit.cube import Face, _consistent, _pairwise_ok, unique_sink
 from usokit.pairwise import (
     FACE_SINK_MIN_DIM,
@@ -157,12 +157,17 @@ def test_kernel_gives_every_pair_of_corrupted_tables(k):
         assert list(_incompatible_pairs_np(verts, out, k, 50)) == want
 
 
-def test_words_wider_than_the_kernel_take_the_loop():
-    # no numpy dtype holds these; the loop still answers
-    wide = 1 << 80
-    x = [wide * a for a in range(1 << KERNEL_MIN_DIM)]
-    y = [0] * len(x)
-    assert first(incompatible_pairs(x, y, 81)) is None
+def test_the_widest_words_take_the_kernel(monkeypatch):
+    # tiles of MAX_FORMAT_DIM digits fill a uint64, bit 63 included, and a
+    # set's size alone sends them through numpy: the loop's pairs in order
+    k = MAX_FORMAT_DIM
+    top = 3 << 2 * k - 2
+    tiles = [top | t for t in range(1 << KERNEL_MIN_DIM)]
+    highs = [t >> 1 & low_bits_mask(k) for t in tiles]
+    want = list(_incompatible_pairs_py(highs, tiles))
+    assert want and max(tiles) >> 63
+    monkeypatch.setattr(pairwise, "_incompatible_pairs_py", None)
+    assert list(incompatible_tiles(tiles, k)) == [(tiles[a], tiles[b]) for a, b in want]
 
 
 # ---------------------------------------------------------------------------

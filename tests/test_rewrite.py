@@ -33,7 +33,8 @@ from usokit import (
     validate_generalized,
     validate_simple,
 )
-from usokit import rewrite
+from usokit import cube, rewrite
+from usokit.cube import MAX_FORMAT_DIM
 from usokit.tiling import pack_lines, tile_vertex
 
 # the d=2 rule whose application is the worked rewrite fixture
@@ -613,12 +614,44 @@ def test_block_splice_is_the_loop(k, sampled_tiling, catalogue1, catalogue2, mon
                     assert spliced == {got[0].tiles}
 
 
-def test_block_splice_leaves_wider_tiles_to_the_loop():
-    # tiles of 33 digits do not fit the block's uint64 words, also when a
-    # width-0 rule makes the output 32 digits wide: the loop splices them
-    # and the count check reports the fragment, not numpy an overflow
-    k, n = 33, rewrite.SPLICE_MIN_TILES
+def test_block_splice_takes_the_widest_tiles():
+    # 32-digit tiles fill the block's uint64 words, bit 63 included, also
+    # at h = 32, where the digits above h shift out by 64 bits: both splices
+    # keep the lower facet, and the count check reports the fragment
+    k, n = MAX_FORMAT_DIM, rewrite.SPLICE_MIN_TILES
     ts = TileSet(k, {t | (t & 1) << 2 * k - 1 for t in range(n)})
+    rule = named_rule("take-lower-facet")
+    lower = frozenset(t for t in ts.tiles if not t >> 2 * k - 1)
+    assert rewrite._splice_block(rule, ts.tiles, None, k) == lower
+    assert rewrite._splice_loop(rule, ts.tiles, None, k) == lower
     message = f"rewrite produced {n // 2} tiles, expected {1 << k - 1}; "
     with pytest.raises(InvalidRuleError, match=f"^{re.escape(message)}"):
-        apply_simple(named_rule("take-lower-facet"), ts, k)
+        apply_simple(rule, ts, k)
+
+
+@pytest.mark.parametrize("n", [2, rewrite.SPLICE_MIN_TILES])
+@pytest.mark.parametrize("labelled", [False, True], ids=["simple", "labelled"])
+def test_rewrite_above_the_cap_raises_before_a_splice(n, labelled, monkeypatch):
+    # a width-2 rule on 32-digit tiles would give 33 digits, more than a
+    # uint64 holds or a reader takes: refused before the labels are read
+    # and before either splice runs
+    ts = TileSet(MAX_FORMAT_DIM, range(n))
+    rule = SimpleRule(2, *[canonical_tiles(2)] * 4)
+    for name in ("_tile_columns", "_splice_loop", "_splice_block"):
+        monkeypatch.setattr(rewrite, name, None)
+    message = f"^dimension {MAX_FORMAT_DIM + 1} exceeds the cap {MAX_FORMAT_DIM}$"
+    with pytest.raises(DimensionError, match=message):
+        if labelled:
+            apply_generalized(rule, ts, dict.fromkeys(ts.strings(), 1), MAX_FORMAT_DIM)
+        else:
+            apply_simple(rule, ts, 1)
+
+
+def test_product_rule_refuses_a_width_above_the_cap(monkeypatch):
+    # its width is the parts' dimension plus one
+    parts = [canonical_tiles(2)] * 2
+    monkeypatch.setattr(cube, "MAX_FORMAT_DIM", 2)
+    with pytest.raises(DimensionError, match="^dimension 3 exceeds the cap 2$"):
+        product_rule(parts)
+    monkeypatch.setattr(cube, "MAX_FORMAT_DIM", 3)
+    assert product_rule(parts).d == 3

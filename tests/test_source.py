@@ -133,13 +133,14 @@ def test_only_run_writes_stdout():
 
 
 def _names(tree):
-    """Every name, attribute and imported name the module's code uses."""
+    """Every name, attribute, imported name and defined function or class
+    of the module's code."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
             yield node.name
 
 
@@ -153,6 +154,18 @@ def test_edge_index_stays_in_transform():
         and "_edge_index" in set(_names(ast.parse(p.read_text(), filename=str(p))))
     ]
     assert found == []
+
+
+def test_one_dimension_bound():
+    # a tile is one uint64, so cube._require_cube_dim caps every dimension
+    # at MAX_FORMAT_DIM, and no route keeps a fallback for wider words
+    gone = {"MAX_WORD_BITS", "_BLOCK_DIMS", "_require_table_dim"}
+    found = {
+        f"{p.name}: {name}"
+        for p in sorted(Path(usokit.__file__).parent.glob("*.py"))
+        for name in gone.intersection(_names(ast.parse(p.read_text(), filename=str(p))))
+    }
+    assert found == set()
 
 
 def test_cube_checks_edges_without_numpy():

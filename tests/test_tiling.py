@@ -156,9 +156,6 @@ def codec_cases(draw):
 @example((32, (1 << 64) - 1, (1 << 32) - 1, (1 << 32) - 1))
 @example((32, 1 << 63, 1 << 31, 0))
 @example((0, 0, 0, 0))
-# wider than the 64-bit ladder: library rules may have d > 32
-@example((33, 1 << 65, 1 << 32, 1))
-@example((40, (1 << 80) - 1 - (1 << 70), (1 << 40) - 1, 0x5A5A5A5A5A))
 def test_codec_matches_the_per_bit_loops(case):
     k, t, v, o = case
     assert tile_vertex(t, k) == _reference_vertex(t, k)
@@ -520,10 +517,9 @@ def test_strings_and_text_match_the_per_tile_codec(k, sampled_tiling):
         assert write_tiling(ts) == f"uso {k}\n" + "".join(f"{w or '-'}\n" for w in words)
 
 
-@pytest.mark.parametrize("k", [31, 32, 33])
+@pytest.mark.parametrize("k", [31, 32])
 def test_strings_of_the_widest_tiles(k):
-    # 32 digits fill a uint64, the block form's widest word; 33 take the
-    # per-tile route
+    # 32 digits fill a uint64, the block form's widest word and the cap
     rnd = random.Random(k)
     tiles = {0, (1 << 2 * k) - 1, 3 << 2 * (k - 1), 3} | {rnd.getrandbits(2 * k) for _ in range(50)}
     ts = TileSet(k, tiles)
@@ -589,5 +585,28 @@ def test_a_rejected_tiling_stays_rejected(kernel_passes):
 @pytest.mark.parametrize("t", [-1, True, 2**70, 16, 1.0, "0"])
 def test_tile_unpack_checks_its_tile(t):
     # -1 gave "33", True gave "10" and 2**70 gave "00"
-    with pytest.raises(ValueError, match=f"^tile {re.escape(repr(t))} out of range for dimension 2$"):
+    with pytest.raises(ValueError, match=f"^packed tile {re.escape(repr(t))} out of range for dimension 2$"):
         tile_unpack(t, 2)
+
+
+@pytest.mark.parametrize("k, t", [(2, -1), (2, True), (2, 2**70), (2, 16), (2, 1.0), (2, "0"), (1, 15)])
+@pytest.mark.parametrize(
+    "call",
+    [lambda t, k: TileSet(k, [0, t]), tile_vertex, tile_out],
+    ids=["TileSet", "tile_vertex", "tile_out"],
+)
+def test_every_named_tile_takes_the_one_check(call, k, t):
+    # TileSet took 1.0 (then strings() raised a raw TypeError) and True,
+    # and tile_vertex(15, 1) and tile_out(15, 1) masked the tile to 3
+    message = f"^packed tile {re.escape(repr(t))} out of range for dimension {k}$"
+    with pytest.raises(ValueError, match=message):
+        call(t, k)
+
+
+@pytest.mark.parametrize("word", [-1, True, 1.0, None, b"01"])
+def test_tile_words_are_str(word):
+    # each raised a raw TypeError
+    message = f"^tile {re.escape(repr(word))} is not a str$"
+    for call in (tile_pack, lambda w: TileSet.from_strings([w]), lambda w: gk_adjacent(w, "01")):
+        with pytest.raises(ValueError, match=message):
+            call(word)

@@ -41,6 +41,7 @@ from usokit import (
     uso_from_tiles,
     vertex_bits,
 )
+from usokit import cube
 from usokit.cube import drop_bit, insert_bit
 
 DOWN1 = Orientation(1, (0, 0))
@@ -69,6 +70,16 @@ def test_product_input_checks():
         product(UP1, {0: DOWN1})
     with pytest.raises(DimensionError):
         product(UP1, {0: DOWN1, 1: canonical_orientation(2)})
+
+
+def test_product_refuses_a_dimension_above_the_cap(monkeypatch):
+    # k + d is compared with the cap before the 2^(k+d) loop
+    parts = {v: BOW for v in range(4)}
+    monkeypatch.setattr(cube, "MAX_FORMAT_DIM", 3)
+    with pytest.raises(DimensionError, match="^dimension 4 exceeds the cap 3$"):
+        product(BOW, parts)
+    monkeypatch.setattr(cube, "MAX_FORMAT_DIM", 4)
+    assert product(BOW, parts).dim == 4
 
 
 def test_inherited_of_combed_product():
