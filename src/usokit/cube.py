@@ -113,6 +113,7 @@ def _require_vertex(v: int, k: int | None, what: str = "vertex") -> None:
 
 def neighbor(v: int, i: int, k: int) -> int:
     """The vertex across the i-edge at v."""
+    _require_cube_dim(k)
     _require_coordinate(i, k)
     _require_vertex(v, k)
     return v ^ (1 << (i - 1))
@@ -230,6 +231,9 @@ class Orientation:
         _require_cube_dim(self.dim)
         k, out = self.dim, tuple(self.out)
         object.__setattr__(self, "out", out)
+        if not _all_ints(out):
+            v, w = next((v, w) for v, w in enumerate(out) if type(w) is not int)
+            raise ValueError(f"direction word {w!r} at vertex {v} out of range")
         _check_words(k, out)
         _check_edges(k, out)
 
@@ -245,6 +249,12 @@ class Orientation:
             for v in range(1 << self.dim):
                 if not v & ibit:
                     yield Edge(v, i)
+
+
+def _all_ints(values) -> bool:
+    """Whether the type of every value is int, so none is a bool: the type
+    test of a caller's table where one enters, one pass in C."""
+    return {int}.issuperset(map(type, values))
 
 
 def _check_words(k: int, out: tuple) -> None:
@@ -420,10 +430,10 @@ class PartialOrientation:
         n = 1 << self.dim
         if set(self.out) != set(self.support):
             raise ValueError("direction words must cover exactly the support")
+        _check_support(self.support, n)
         for v in self.support:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range")
-            if not 0 <= self.out[v] < n:
+            w = self.out[v]
+            if type(w) is not int or not 0 <= w < n:
                 raise ValueError(f"direction word at vertex {v} out of range")
         _check_edges(self.dim, self.out, self.support)
 
@@ -438,8 +448,18 @@ class PartialOrientation:
 
     @classmethod
     def restrict(cls, o: Orientation, support) -> "PartialOrientation":
+        """o on the support, whose vertices are checked before o is read."""
         sup = frozenset(support)
+        _check_support(sup, len(o.out))
         return cls(o.dim, sup, {v: o.out[v] for v in sup})
+
+
+def _check_support(support, n: int) -> None:
+    """Raise ValueError unless every vertex of support is an int, not a
+    bool, in range(n)."""
+    for v in support:
+        if type(v) is not int or not 0 <= v < n:
+            raise ValueError(f"vertex {v!r} out of range")
 
 
 def combine(a: PartialOrientation, b: PartialOrientation) -> Orientation:

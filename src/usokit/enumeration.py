@@ -14,8 +14,10 @@ Three routes:
   with every upper facet, drives both routes with class masks: a pair's
   row holds each class at its lowest edge and 0 at its other edges.  The
   stream takes, per facet pair and class, the tiles of the class's edges
-  from per-facet tile tables, once without and once with the connecting
-  bit, and yields one tiling per choice of list for each class.
+  from per-facet tile tables (a facet's tiles in vertex order from
+  tiling._tile_row, and for the upper facet the same tiles with digit k's
+  high bit set), once without and once with the connecting bit, and
+  yields one tiling per choice of list for each class.
   The counter needs the sum of 2^phases per facet pair.  That sum over
   all upper facets is the same for every lower facet in one orbit of the
   counting group (coordinate permutations, mirror and flip_dimension,
@@ -60,7 +62,7 @@ from typing import Iterator
 from ._lazy import np
 from .cube import _pairwise_ok, _require_dim, drop_bit
 from .errors import EnumerationLimitError
-from .tiling import TileSet, _built, _tiles_of, tile_of
+from .tiling import TileSet, _built, _tile_row, _tiles_of
 from .transform import PHASE_DIM_CAP, _edge_classes, _phase_masks, _reversal, _reversal_rows, _union
 
 MAX_BRUTE_DIM = 3
@@ -238,20 +240,16 @@ def _facet_orbits(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _facet_tiles(k: int) -> tuple:
-    """Per _catalogue(k - 1) entry: its packed tiles as lower and as upper facet.
+    """Per _catalogue(k - 1) entry: its packed tiles as lower and as upper
+    facet, in vertex order.
 
-    Coordinate k carries digit 0 in the lower tiles and 2 in the upper
-    ones; the direction of the connecting edge, the low bit of that digit,
-    is ORed in per tiling.
+    The lower tiles are the facet's own, digit k 0; the upper ones set that
+    digit's high bit, making it 2.  The direction of the connecting edge,
+    the low bit of that digit, is ORed in per tiling.
     """
-    top = 1 << (k - 1)
-    return tuple(
-        (
-            tuple(tile_of(p, out[p], k) for p in range(top)),
-            tuple(tile_of(p | top, out[p], k) for p in range(top)),
-        )
-        for out in _catalogue(k - 1)
-    )
+    high = 2 << 2 * (k - 1)
+    rows = [tuple(_tile_row(out, k - 1)) for out in _catalogue(k - 1)]
+    return tuple((row, tuple(t | high for t in row)) for row in rows)
 
 
 @lru_cache(maxsize=None)

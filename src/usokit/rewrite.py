@@ -20,8 +20,9 @@ Width 0 rules delete the coordinate; their replacement sets live over the
 single empty tile.
 
 A labelling is read once, by _tile_columns, into a 0-based column per
-input tile: packed keys and one np.searchsorted from k = 5, a per-key
-loop, which raises every LabellingError, otherwise.  The splice has two
+input tile: from k = 5, when its packed keys are exactly the input's
+tiles, the keys themselves and the labels less one; otherwise a per-key
+loop, which raises every LabellingError.  The splice has two
 routes with one result, and neither reads a labelling.  From
 SPLICE_MIN_TILES = 128 input tiles it is one numpy block: the tiles in
 one uint64 array, each tile's replacement set chosen by its digit at h
@@ -58,7 +59,6 @@ from .tiling import (
     incompatible_tiles,
     pack_lines,
     tile_pack,
-    tile_unpack,
 )
 
 # digit lists per kind: (d, S0, S1, S2, S3)
@@ -139,7 +139,7 @@ def _union_violations(name_a, a: TileSet, name_b, b: TileSet):
     out = []
     common = a.tiles & b.tiles
     if common:
-        shown = ", ".join(sorted(tile_unpack(t, d) for t in common)) or "-"
+        shown = ", ".join(sorted(_unpack(t, d) for t in common)) or "-"
         out.append(f"{name_a} and {name_b} share tiles: {shown}")
     union = sorted(a.tiles | b.tiles)
     if len(a.tiles) + len(b.tiles) != 1 << d:
@@ -150,7 +150,7 @@ def _union_violations(name_a, a: TileSet, name_b, b: TileSet):
     for ta, tb in incompatible_tiles(union, d):
         out.append(
             f"{name_a} + {name_b} contains the incompatible pair "
-            f"{tile_unpack(ta, d)}, {tile_unpack(tb, d)}"
+            f"{_unpack(ta, d)}, {_unpack(tb, d)}"
         )
     return out
 
@@ -242,10 +242,13 @@ def _tile_columns(labelling, k_set: TileSet, i: int):
     """The input tiles and the 0-based column of each; the one reader of a
     labelling.
 
-    Where tiling.pack_lines takes the keys and every label is an int in
-    1..i, the keys are packed and met by the sorted tiles in one
-    np.searchsorted, and both come back as arrays.  Every other labelling,
-    and one that misses a tile, goes through the per-key loop, which gives
+    Where tiling.pack_lines takes the keys, they are as many as the tiles
+    and each is a tile, and every label is an int in 1..i, the packed keys
+    are the tiles, with no sort or search (distinct words of k digits pack
+    to distinct keys, so as many keys as tiles, each a tile, are the tiles
+    in some order), and the labels less one their columns, both as arrays
+    in the labelling's order.  Every other labelling (extra keys, a missing
+    tile, a bad key or label) goes through the per-key loop, which gives
     lists and raises LabellingError: on the first bad key or label in the
     labelling's order, else for the first unlabelled tile in k_set.tiles.
     """
@@ -255,14 +258,9 @@ def _tile_columns(labelling, k_set: TileSet, i: int):
         keys = pack_lines("\n".join(labelling) + "\n", len(labels), k)
     except TypeError:  # a key that is not a str
         keys = None
-    if keys is not None and set(map(type, labels)) == {int} and 1 <= min(labels) <= max(labels) <= i:
-        tiles = np.fromiter(k_set.tiles, np.uint64, len(k_set.tiles))
-        tiles.sort()
-        order = keys.argsort()
-        # the key at or after each tile's place, or the last key
-        at = order.take(np.searchsorted(keys, tiles, sorter=order), mode="clip")
-        if (keys[at] == tiles).all():
-            return tiles, np.array(labels, np.intp)[at] - 1
+    if keys is not None and len(keys) == len(k_set.tiles) and set(map(type, labels)) == {int}:
+        if 1 <= min(labels) <= max(labels) <= i and k_set.tiles.issuperset(keys.tolist()):
+            return keys, np.array(labels, np.intp) - 1
     columns = {}
     for s, j in labelling.items():
         if isinstance(j, bool) or not isinstance(j, int):
@@ -278,7 +276,7 @@ def _tile_columns(labelling, k_set: TileSet, i: int):
     try:
         return k_set.tiles, [columns[t] for t in k_set.tiles]
     except KeyError as missing:
-        raise LabellingError(f"missing label for tile {tile_unpack(missing.args[0], k)}") from None
+        raise LabellingError(f"missing label for tile {_unpack(missing.args[0], k)}") from None
 
 
 def _splice_loop(rule, tiles, columns, h) -> frozenset:

@@ -22,17 +22,20 @@ tile_pack and tile_unpack are their per-word codec: tile_pack checks a word's
 characters, its callers its length.  The 0-dimensional empty tile packs
 to 0 and prints as "" here, "-" in files.  A tile is one uint64 word, so
 a dimension is at most cube.MAX_FORMAT_DIM = 32; _require_tile is the one
-check of a packed tile that a caller names, and the library's own tiles
-skip it (_built, _unpack, _split).
+check of a packed tile that a caller names.  tile_of, tile_unpack,
+tile_vertex and tile_out check every value and are for callers only: the
+library's own tiles are in range by construction, and it builds, unpacks
+and splits them unchecked (_built, _tile_row, _unpack, _split).
 
 A packed tile is a vertex and its direction word interleaved bit by bit
 (a Morton code): the vertex in the odd bits, the direction word in the
 even ones.  One 1,024-entry table in each direction converts between the
-two spellings, 10 tile bits at a time: tile_of spreads each word through
-_SPREAD, and tile_vertex and tile_out split a tile through _SPLIT, its
-inverse.  Whole tables go through them at once: _tiles_of in one
-comprehension over _SPREAD, vertex_outmaps through _SPLIT, as a list up
-to 5 digits and as a numpy array above.
+two spellings, 10 tile bits at a time: _spread spreads a word through
+_SPREAD, and _split splits a tile through _SPLIT, its inverse.  Whole
+tables go through them at once: _tile_row gives a direction table's tiles
+in vertex order, one _SPREAD entry per word up to 10 digits, for
+_tiles_of and the join's facet tiles; vertex_outmaps goes through _SPLIT,
+as a list up to 5 digits and as a numpy array above.
 
 A whole set of words has two functions, and the route choice lives only
 in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
@@ -77,9 +80,11 @@ from ._lazy import np
 from .cube import (
     MAX_FORMAT_DIM,
     Orientation,
+    _all_ints,
     _keep_verdict,
     _require_cube_dim,
     _require_uso,
+    _require_vertex,
     _unique_sinks,
     _verified,
 )
@@ -248,10 +253,18 @@ def tile_out(t: int, k: int) -> int:
 
 
 def tile_of(v: int, out_word: int, k: int) -> int:
-    """Packed tile of a vertex and its direction word (digit = 2v_i + o_i)."""
+    """Packed tile of a vertex and its direction word (digit = 2v_i + o_i).
+
+    DimensionError for a vertex not in range(2^k), as in neighbor, and
+    ValueError for such a word.
+    """
     _require_cube_dim(k)
-    m = (1 << k) - 1
-    return _spread(v & m) << 1 | _spread(out_word & m)
+    _require_vertex(v, k)
+    if isinstance(out_word, bool) or not isinstance(out_word, int) or out_word < 0 or out_word >> k:
+        raise ValueError(f"direction word {out_word!r} out of range for dimension {k}")
+    if k <= 10:  # each word is one _SPREAD entry
+        return _SPREAD_UP[v] | _SPREAD[out_word]
+    return _spread(v) << 1 | _spread(out_word)
 
 
 @lru_cache(maxsize=None)
@@ -301,8 +314,10 @@ class TileSet:
     def __post_init__(self):
         _require_cube_dim(self.dim)
         tiles = frozenset(self.tiles)
-        for t in tiles:
-            _require_tile(t, self.dim)
+        # one type test and one min/max; the loop only names the bad tile
+        if not _all_ints(tiles) or tiles and (min(tiles) < 0 or max(tiles) >> 2 * self.dim):
+            for t in tiles:
+                _require_tile(t, self.dim)
         object.__setattr__(self, "tiles", tiles)
 
     @classmethod
@@ -431,14 +446,20 @@ def uso_from_tiles(ts: TileSet) -> Orientation:
     return _verified(ts.dim, ts._verdict)
 
 
-def _tiles_of(out, k: int) -> TileSet:
-    """The tile set of the 2^k direction words of a k-cube, unchecked.
+def _tile_row(out, k: int):
+    """The tiles of the 2^k direction words of a k-cube, in vertex order,
+    as an iterator; unchecked.
 
     Words below 2^k spread to tiles below 4^k, so no range check is needed.
     """
     if k <= 10:  # every word is one _SPREAD entry; map stops with out
-        return _built(k, frozenset(map(or_, _SPREAD_UP, map(_SPREAD.__getitem__, out))))
-    return _built(k, frozenset([_spread(v) << 1 | _spread(w) for v, w in enumerate(out)]))
+        return map(or_, _SPREAD_UP, map(_SPREAD.__getitem__, out))
+    return (_spread(v) << 1 | _spread(w) for v, w in enumerate(out))
+
+
+def _tiles_of(out, k: int) -> TileSet:
+    """The tile set of the 2^k direction words of a k-cube, unchecked."""
+    return _built(k, frozenset(_tile_row(out, k)))
 
 
 def tiles_from_uso(o: Orientation) -> TileSet:

@@ -501,15 +501,13 @@ def hypervertex_replace(o: Orientation, f: Face, sub: Orientation) -> Orientatio
         )
     _require_uso(o)
     _require_uso(sub)
-    free = f.free_positions()
+    # deposit[p]: bit a of p moved to free coordinate a, by doubling
+    deposit = [0]
+    for pos in f.free_positions():
+        deposit += [x | 1 << pos for x in deposit]
+    free, fixed = f.free_mask, f.fixed_values
     out = list(o.out)
-    for v in f.vertices():
-        word = out[v]
-        p = 0
-        for a, pos in enumerate(free):
-            p |= (v >> pos & 1) << a
-        for a, pos in enumerate(free):
-            bit = sub.out[p] >> a & 1
-            word = word & ~(1 << pos) | bit << pos
-        out[v] = word
+    for p, w in enumerate(sub.out):
+        v = fixed | deposit[p]
+        out[v] = out[v] & ~free | deposit[w]
     return _verified(o.dim, out)

@@ -58,6 +58,7 @@ SEEDED_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_definition_o
 BIG_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_pair_test_on_corrupted_products"
 SPLICE = "tests/test_rewrite.py::test_block_splice_is_the_loop"
 FUSED = "tests/test_transform.py::test_fused_pair_rule_is_the_broadcast_rule"
+DOORS = "tests/test_cube.py::test_value_doors_refuse_what_is_not_in_range"
 
 MUTANTS = [
     (
@@ -171,6 +172,15 @@ MUTANTS = [
         "            for cls in filter(None, reversed(masks)):\n",
         "            for cls in filter(None, masks):\n",
         [REFERENCE],
+    ),
+    (
+        # digit k of the upper facet then reads 1, its low bit, not 2
+        "facet tiles setting the connecting digit's low bit",
+        "enumeration.py",
+        "    high = 2 << 2 * (k - 1)\n",
+        "    high = 1 << 2 * (k - 1)\n",
+        # the reference loop reads the same tables, so the pinned digests judge
+        ["tests/test_enumeration.py::test_join_stream_order_is_pinned"],
     ),
     (
         "upper tiles without the connecting bit",
@@ -482,30 +492,47 @@ MUTANTS = [
     (
         "packed labels without the label-range test",
         "rewrite.py",
-        " and 1 <= min(labels) <= max(labels) <= i:\n",
-        ":\n",
+        "        if 1 <= min(labels) <= max(labels) <= i and",
+        "        if",
         [LABELS],
     ),
     (
         "packed labels taking a bool as a column",
         "rewrite.py",
-        " and set(map(type, labels)) == {int}",
+        " and set(map(type, labels)) == {int}:\n",
+        ":\n",
+        [LABELS],
+    ),
+    (
+        # a labelling that misses a tile then splices too few tiles, and
+        # the count check names the output, not the missing label
+        "packed route without its key-count test",
+        "rewrite.py",
+        " and len(keys) == len(k_set.tiles)",
         "",
         [LABELS],
     ),
     (
-        # the nearest key's label then stands in for a missing one
-        "packed route without its all-tiles-matched test",
+        # a stray key in place of a tile is then spliced as a tile
+        "packed route without its key-membership test",
         "rewrite.py",
-        "        if (keys[at] == tiles).all():\n",
-        "        if True:\n",
+        " and k_set.tiles.issuperset(keys.tolist())",
+        "",
+        [LABELS],
+    ),
+    (
+        # the labels then pair with the tiles in set order, not key order
+        "packed route matching the labels to the tiles, not to their keys",
+        "rewrite.py",
+        "            return keys, np.array(labels, np.intp) - 1\n",
+        "            return np.fromiter(k_set.tiles, np.uint64, len(keys)), np.array(labels, np.intp) - 1\n",
         [LABELS],
     ),
     (
         "packed columns off by one",
         "rewrite.py",
-        "            return tiles, np.array(labels, np.intp)[at] - 1\n",
-        "            return tiles, np.array(labels, np.intp)[at]\n",
+        "            return keys, np.array(labels, np.intp) - 1\n",
+        "            return keys, np.array(labels, np.intp)\n",
         [LABELS],
     ),
     (
@@ -691,8 +718,8 @@ MUTANTS = [
     (
         "hypervertex_replace with the sub mirrored in its first coordinate",
         "transform.py",
-        "            bit = sub.out[p] >> a & 1\n",
-        "            bit = sub.out[p ^ 1] >> a & 1\n",
+        "        v = fixed | deposit[p]\n",
+        "        v = fixed | deposit[p ^ 1]\n",
         ["tests/test_transform.py::test_hypervertex_replace_keeps_the_free_coordinates_in_order"],
     ),
     (
@@ -880,9 +907,91 @@ MUTANTS = [
     (
         "TileSet without its tile check",
         "tiling.py",
-        "            _require_tile(t, self.dim)\n",
-        "",
+        "                _require_tile(t, self.dim)\n",
+        "                pass\n",
         ["tests/test_tiling.py::test_every_named_tile_takes_the_one_check"],
+    ),
+    # the value doors: each check that a vertex, word or tile from a caller
+    # is an int, not a bool, in range
+    (
+        # min("1") then raises a raw TypeError, and True passes as 1
+        "TileSet's one pass without its type test",
+        "tiling.py",
+        "        if not _all_ints(tiles) or tiles and",
+        "        if tiles and",
+        [DOORS],
+    ),
+    (
+        "TileSet's one pass without its low bound",
+        "tiling.py",
+        "(min(tiles) < 0 or max(tiles) >> 2 * self.dim)",
+        "(max(tiles) >> 2 * self.dim)",
+        [DOORS],
+    ),
+    (
+        "TileSet's one pass without its high bound",
+        "tiling.py",
+        "(min(tiles) < 0 or max(tiles) >> 2 * self.dim)",
+        "(min(tiles) < 0)",
+        [DOORS],
+    ),
+    (
+        "a table's type test taking a bool",
+        "cube.py",
+        "    return {int}.issuperset(map(type, values))\n",
+        "    return {int, bool}.issuperset(map(type, values))\n",
+        [DOORS],
+    ),
+    (
+        "tile_of without its vertex check",
+        "tiling.py",
+        "    _require_vertex(v, k)\n",
+        "",
+        [DOORS],
+    ),
+    (
+        "tile_of without its word check",
+        "tiling.py",
+        "    if isinstance(out_word, bool) or not isinstance(out_word, int) or out_word < 0 or out_word >> k:\n",
+        "    if False:\n",
+        [DOORS],
+    ),
+    (
+        "Orientation without its type pass",
+        "cube.py",
+        "        if not _all_ints(out):\n",
+        "        if False:\n",
+        [DOORS],
+    ),
+    (
+        "PartialOrientation taking any word type",
+        "cube.py",
+        "            if type(w) is not int or not 0 <= w < n:\n",
+        "            if not 0 <= w < n:\n",
+        [DOORS],
+    ),
+    (
+        "PartialOrientation taking any vertex type",
+        "cube.py",
+        "        if type(v) is not int or not 0 <= v < n:\n",
+        "        if not 0 <= v < n:\n",
+        [DOORS],
+    ),
+    (
+        # o.out[v] then raises a raw IndexError past the end, and reads
+        # from the end at -1
+        "restrict reading o before checking its support",
+        "cube.py",
+        "        _check_support(sup, len(o.out))\n",
+        "",
+        [DOORS],
+    ),
+    (
+        "neighbor without its dimension check",
+        "cube.py",
+        '    """The vertex across the i-edge at v."""\n    _require_cube_dim(k)\n',
+        '    """The vertex across the i-edge at v."""\n',
+        [DOORS],
     ),
     (
         "tile_pack without its str check",

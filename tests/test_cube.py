@@ -681,3 +681,41 @@ def test_dimension_cap_admits_the_cap():
         CAP_CALLS[name](MAX_FORMAT_DIM)
     assert read_labels("", MAX_FORMAT_DIM) == {}
     assert tile_unpack(5, MAX_FORMAT_DIM) == "11" + "0" * (MAX_FORMAT_DIM - 2)
+
+
+# Every public door that takes a vertex, a direction word, a tile or a
+# coordinate, with the value under test in one slot, and the error it
+# raises: DimensionError where a vertex or coordinate is named, ValueError
+# for a tile and for a table's vertex or word.
+VALUE_DOORS = {
+    "TileSet": (lambda x: TileSet(2, [0, x]), ValueError),
+    "tile_of-vertex": (lambda x: tile_of(x, 0, 2), DimensionError),
+    "tile_of-word": (lambda x: tile_of(0, x, 2), ValueError),
+    "tile_unpack": (lambda x: tile_unpack(x, 2), ValueError),
+    "tile_vertex": (lambda x: tile_vertex(x, 2), ValueError),
+    "tile_out": (lambda x: tile_out(x, 2), ValueError),
+    "Orientation": (lambda x: Orientation(1, (0, x)), ValueError),
+    "PartialOrientation-support": (
+        lambda x: PartialOrientation(2, frozenset({x}), {x: 0}), ValueError),
+    "PartialOrientation-word": (
+        lambda x: PartialOrientation(2, frozenset({1}), {1: x}), ValueError),
+    "restrict": (lambda x: PartialOrientation.restrict(BOW, {x}), ValueError),
+    "neighbor-vertex": (lambda x: neighbor(x, 1, 2), DimensionError),
+    "neighbor-coordinate": (lambda x: neighbor(0, x, 2), DimensionError),
+    "neighbor-dimension": (lambda x: neighbor(0, 1, x), DimensionError),
+    "direction-vertex": (lambda x: BOW.direction(x, 1), DimensionError),
+    "direction-coordinate": (lambda x: BOW.direction(0, x), DimensionError),
+}
+
+
+@pytest.mark.parametrize(
+    "x", [True, 1.0, -1, "1", None, 2**70], ids=["bool", "float", "-1", "str", "None", "2**70"]
+)
+@pytest.mark.parametrize("name", sorted(VALUE_DOORS))
+def test_value_doors_refuse_what_is_not_in_range(name, x):
+    # a bool was read as 0 or 1, tile_of masked a vertex or word to k bits,
+    # restrict indexed from the end or past it, and a float, str or None
+    # raised a raw TypeError where no check came first
+    call, error = VALUE_DOORS[name]
+    with pytest.raises(error):
+        call(x)

@@ -323,6 +323,7 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
         "extra keys": {**labels, **strays},
         "bool label": {**labels, words[0]: True},
         "missing tile": missing,
+        "stray in place of a tile": {**missing, next(iter(strays)): 1},
         "bad key": {**labels, bad_key: 1},
         "short key": {**labels, "0" * (k - 1): 1},
         "label out of range": {**labels, words[1]: 3},
@@ -351,7 +352,8 @@ def test_labellings_give_the_per_key_loop_results(k, sampled_tiling, monkeypatch
     key_error = f"label key {bad_key!r} is not a tile of dimension {k}"
     range_error = f"label 3 for tile {words[1]} out of range 1..2"
     assert isinstance(got["good"], TileSet) and got["extra keys"] == got["good"]
-    assert got["missing tile"] == ("LabellingError", f"missing label for tile {words[3]}")
+    assert got["missing tile"] == got["stray in place of a tile"] == (
+        "LabellingError", f"missing label for tile {words[3]}")
     assert got["bad key"] == got["bad key before a bad label"] == ("LabellingError", key_error)
     assert got["label out of range"] == got["bad label before a bad key"] == (
         "LabellingError", range_error)

@@ -85,6 +85,15 @@ def test_the_verdict_builds_every_vertex_table():
     assert users == {"tiling._tiling_ok"}
 
 
+def test_the_library_holds_tiles_without_the_checked_doors():
+    # tiles the library holds are in range by construction, so it unpacks
+    # them with tiling._unpack and builds them from the spread table; the
+    # checked codec entries are for callers only
+    doors = ("tile_of", "tile_unpack", "tile_vertex", "tile_out")
+    found = {u for d in doors for u in _users(d, False) | _users(d, True)}
+    assert found == set()
+
+
 class _LabelReaders(ast.NodeVisitor):
     """The functions of one module that call pack_lines, or read a
     labelling: use the name for more than a parameter, an argument passed
