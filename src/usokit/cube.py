@@ -78,9 +78,9 @@ def vertex_from_bits(bits: str) -> int:
 
 
 def _require_dim(k, what: str = "dimension") -> None:
-    """Raise DimensionError unless k is an int and not a bool: the one type
-    check of a dimension or a coordinate, where one enters the package."""
-    if isinstance(k, bool) or not isinstance(k, int):
+    """Raise DimensionError unless k's type is int: the one type check of a
+    dimension or a coordinate, where one enters the package."""
+    if type(k) is not int:
         raise DimensionError(f"{what} must be an int, not {k!r}")
 
 
@@ -252,9 +252,15 @@ class Orientation:
 
 
 def _all_ints(values) -> bool:
-    """Whether the type of every value is int, so none is a bool: the type
-    test of a caller's table where one enters, one pass in C."""
+    """Whether the type of every value is int, as _is_word tests one: the
+    type test of a caller's table where one enters, one pass in C."""
     return {int}.issuperset(map(type, values))
+
+
+def _is_word(w, n: int) -> bool:
+    """Whether w's type is int (so not a bool or another subclass) and w is
+    in range(n): the one test of a vertex, word or tile a caller names."""
+    return type(w) is int and 0 <= w < n
 
 
 def _check_words(k: int, out: tuple) -> None:
@@ -430,10 +436,10 @@ class PartialOrientation:
         n = 1 << self.dim
         if set(self.out) != set(self.support):
             raise ValueError("direction words must cover exactly the support")
-        _check_support(self.support, n)
         for v in self.support:
-            w = self.out[v]
-            if type(w) is not int or not 0 <= w < n:
+            if not _is_word(v, n):
+                raise ValueError(f"vertex {v!r} out of range")
+            if not _is_word(self.out[v], n):
                 raise ValueError(f"direction word at vertex {v} out of range")
         _check_edges(self.dim, self.out, self.support)
 
@@ -448,18 +454,11 @@ class PartialOrientation:
 
     @classmethod
     def restrict(cls, o: Orientation, support) -> "PartialOrientation":
-        """o on the support, whose vertices are checked before o is read."""
+        """o on the support.  o is read only at vertices in range; any other
+        vertex gets the word None, and the constructor names the vertex."""
         sup = frozenset(support)
-        _check_support(sup, len(o.out))
-        return cls(o.dim, sup, {v: o.out[v] for v in sup})
-
-
-def _check_support(support, n: int) -> None:
-    """Raise ValueError unless every vertex of support is an int, not a
-    bool, in range(n)."""
-    for v in support:
-        if type(v) is not int or not 0 <= v < n:
-            raise ValueError(f"vertex {v!r} out of range")
+        n = len(o.out)
+        return cls(o.dim, sup, {v: o.out[v] if _is_word(v, n) else None for v in sup})
 
 
 def combine(a: PartialOrientation, b: PartialOrientation) -> Orientation:

@@ -109,7 +109,7 @@ class SplitMix64:
 def _check_jobs(jobs, name: str = "jobs") -> None:
     """Raise ValueError unless jobs is an int, not a bool, of at least 1:
     the rule of the CLI's --jobs, which calls it with that name."""
-    if isinstance(jobs, bool) or not isinstance(jobs, int):
+    if type(jobs) is not int:
         raise ValueError(f"{name} must be an int, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"{name} must be at least 1, got {jobs}")
@@ -388,7 +388,7 @@ def _walk(k: int, steps: int, seed: int) -> Iterator[bytes]:
     """
     _check_dim(k, 0, MAX_SAMPLE_DIM, f"sampling is capped at dimension {MAX_SAMPLE_DIM}")
     for name, value in (("steps", steps), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")

@@ -263,7 +263,7 @@ def _tile_columns(labelling, k_set: TileSet, i: int):
             return keys, np.array(labels, np.intp) - 1
     columns = {}
     for s, j in labelling.items():
-        if isinstance(j, bool) or not isinstance(j, int):
+        if type(j) is not int:
             raise LabellingError(f"label {j!r} for tile {s} is not an int")
         if not 1 <= j <= i:
             raise LabellingError(f"label {j} for tile {s} out of range 1..{i}")

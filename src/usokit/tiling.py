@@ -81,6 +81,7 @@ from .cube import (
     MAX_FORMAT_DIM,
     Orientation,
     _all_ints,
+    _is_word,
     _keep_verdict,
     _require_cube_dim,
     _require_uso,
@@ -135,9 +136,9 @@ def tile_pack(s: str) -> int:
 
 
 def _require_tile(t, k: int) -> None:
-    """Raise ValueError unless t is an int, not a bool, in range(4^k): the
-    one check of a packed tile where a caller names one."""
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0 or t >> 2 * k:
+    """Raise ValueError unless t is a word of range(4^k) by cube._is_word:
+    the one check of a packed tile where a caller names one."""
+    if not _is_word(t, 1 << 2 * k):
         raise ValueError(f"packed tile {t!r} out of range for dimension {k}")
 
 
@@ -260,10 +261,8 @@ def tile_of(v: int, out_word: int, k: int) -> int:
     """
     _require_cube_dim(k)
     _require_vertex(v, k)
-    if isinstance(out_word, bool) or not isinstance(out_word, int) or out_word < 0 or out_word >> k:
+    if not _is_word(out_word, 1 << k):
         raise ValueError(f"direction word {out_word!r} out of range for dimension {k}")
-    if k <= 10:  # each word is one _SPREAD entry
-        return _SPREAD_UP[v] | _SPREAD[out_word]
     return _spread(v) << 1 | _spread(out_word)
 
 

@@ -477,7 +477,7 @@ MUTANTS = [
     (
         "per-key labels taking a bool as a column",
         "rewrite.py",
-        "        if isinstance(j, bool) or not isinstance(j, int):\n",
+        "        if type(j) is not int:\n",
         "        if not isinstance(j, int):\n",
         [LABELS],
     ),
@@ -943,6 +943,22 @@ MUTANTS = [
         [DOORS],
     ),
     (
+        # the doors' one value test then takes True as 1 and an IntEnum
+        # member as its value, as _all_ints does not
+        "_is_word taking an int subclass",
+        "cube.py",
+        "    return type(w) is int and 0 <= w < n\n",
+        "    return isinstance(w, int) and 0 <= w < n\n",
+        [DOORS],
+    ),
+    (
+        "_require_dim taking an int subclass",
+        "cube.py",
+        "    if type(k) is not int:\n",
+        "    if not isinstance(k, int):\n",
+        [DOORS],
+    ),
+    (
         "tile_of without its vertex check",
         "tiling.py",
         "    _require_vertex(v, k)\n",
@@ -952,7 +968,7 @@ MUTANTS = [
     (
         "tile_of without its word check",
         "tiling.py",
-        "    if isinstance(out_word, bool) or not isinstance(out_word, int) or out_word < 0 or out_word >> k:\n",
+        "    if not _is_word(out_word, 1 << k):\n",
         "    if False:\n",
         [DOORS],
     ),
@@ -966,15 +982,15 @@ MUTANTS = [
     (
         "PartialOrientation taking any word type",
         "cube.py",
-        "            if type(w) is not int or not 0 <= w < n:\n",
-        "            if not 0 <= w < n:\n",
+        "            if not _is_word(self.out[v], n):\n",
+        "            if not 0 <= self.out[v] < n:\n",
         [DOORS],
     ),
     (
         "PartialOrientation taking any vertex type",
         "cube.py",
-        "        if type(v) is not int or not 0 <= v < n:\n",
-        "        if not 0 <= v < n:\n",
+        "            if not _is_word(v, n):\n",
+        "            if not 0 <= v < n:\n",
         [DOORS],
     ),
     (
@@ -982,8 +998,8 @@ MUTANTS = [
         # from the end at -1
         "restrict reading o before checking its support",
         "cube.py",
-        "        _check_support(sup, len(o.out))\n",
-        "",
+        "o.out[v] if _is_word(v, n) else None",
+        "o.out[v]",
         [DOORS],
     ),
     (

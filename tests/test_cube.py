@@ -1,3 +1,4 @@
+import enum
 import itertools
 import re
 
@@ -686,7 +687,10 @@ def test_dimension_cap_admits_the_cap():
 # Every public door that takes a vertex, a direction word, a tile or a
 # coordinate, with the value under test in one slot, and the error it
 # raises: DimensionError where a vertex or coordinate is named, ValueError
-# for a tile and for a table's vertex or word.
+# for a tile and for a table's vertex or word.  Every door takes a value
+# whose type is exactly int, so an int subclass such as an IntEnum member
+# is refused like a bool.
+_Enum = enum.IntEnum("_Enum", {"ONE": 1})
 VALUE_DOORS = {
     "TileSet": (lambda x: TileSet(2, [0, x]), ValueError),
     "tile_of-vertex": (lambda x: tile_of(x, 0, 2), DimensionError),
@@ -709,7 +713,9 @@ VALUE_DOORS = {
 
 
 @pytest.mark.parametrize(
-    "x", [True, 1.0, -1, "1", None, 2**70], ids=["bool", "float", "-1", "str", "None", "2**70"]
+    "x",
+    [True, 1.0, -1, "1", None, 2**70, _Enum.ONE],
+    ids=["bool", "float", "-1", "str", "None", "2**70", "IntEnum"],
 )
 @pytest.mark.parametrize("name", sorted(VALUE_DOORS))
 def test_value_doors_refuse_what_is_not_in_range(name, x):
