@@ -25,9 +25,9 @@ import sys
 from .cube import (
     Face,
     Orientation,
+    _bits,
     flippable_edges,
     is_uso,
-    vertex_bits,
     vertex_from_bits,
 )
 from .enumeration import (
@@ -77,7 +77,7 @@ from .tiling import (
     twins,
     uso_from_tiles,
 )
-from .pairwise import FACE_SINK_MIN_DIM
+from .pairwise import recursion_decides
 from .transform import (
     facet,
     flip_dimension,
@@ -174,9 +174,9 @@ def _cmd_validate(args):
     # encoding it did not use
     if not ts.is_pairwise_adjacent():
         raise InternalError("the pairwise test rejects a complete tiling")
-    # and the vertex test it did not use: the face-sink recursion below
-    # FACE_SINK_MIN_DIM, the pair test from it
-    if not is_uso(o, "pairwise" if o.dim >= FACE_SINK_MIN_DIM else "face-scan"):
+    # and the vertex test it did not use: the pair test where the
+    # recursion decides, the recursion where the pair test does
+    if not is_uso(o, "pairwise" if recursion_decides(o.dim) else "face-scan"):
         raise InternalError("the face scan disagrees with the pairwise test")
     flips = len(flippable_edges(o))
     pairs = len(twins(ts))
@@ -242,7 +242,7 @@ def _cmd_product(args):
     missing = [v for v in range(1 << frame.dim) if v not in parts]
     if missing:
         raise ValueError(
-            f"missing --part for vertex {vertex_bits(missing[0], frame.dim)}"
+            f"missing --part for vertex {_bits(missing[0], frame.dim)}"
         )
     return [write_tiling(tiles_from_uso(product(frame, parts)))]
 
@@ -261,7 +261,7 @@ def _transform_verb(transform, *options):
 def _cmd_phases(args):
     o = _read_uso(args.file)
     return [
-        " ".join(f"{vertex_bits(e.vertex, o.dim)}/{e.dim}" for e in sorted(cls)) + "\n"
+        " ".join(f"{_bits(e.vertex, o.dim)}/{e.dim}" for e in sorted(cls)) + "\n"
         for cls in phases(o, args.h, args.method).classes
     ]
 

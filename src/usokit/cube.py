@@ -26,10 +26,12 @@ recursion to that search.
 
 An orientation is verified once.  Operations that need unique sinks go
 through ``_require_uso``, which runs ``_unique_sinks`` on first use and
-keeps the verdict on the immutable value: the pair test below
-FACE_SINK_MIN_DIM = 9 and the recursion from it, whichever is faster
-(best of 30, 2 cores: 0.035 against 0.063 ms at k = 8, 0.20 against
-0.087 ms at k = 9; see ``pairwise``); results that are unique sink
+keeps the verdict on the immutable value: whichever test is faster at k,
+as ``pairwise.recursion_decides`` names it, the recursion on byte lanes
+up to k = 6 (1.72 against 10.1 us at k = 4), the pair test at k = 7 and 8
+(38 against 61 us at k = 8) and the recursion on numpy from
+FACE_SINK_MIN_DIM = 9 (0.087 against 0.20 ms at k = 9; see ``pairwise``
+for every figure); results that are unique sink
 orientations by construction carry the verdict from birth.  The public
 ``is_uso`` always runs its test.  ``_consistent`` builds an orientation with
 only the word-range test from a table whose edges agree by construction;
@@ -47,7 +49,7 @@ from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
-from .pairwise import FACE_SINK_MIN_DIM, face_sinks_ok, incompatible_pairs
+from .pairwise import face_sinks_ok, incompatible_pairs, recursion_decides
 
 FACE_CHARS = "01*"
 
@@ -65,6 +67,14 @@ _BIT_WORD = re.compile("[01]*")
 
 def vertex_bits(v: int, k: int) -> str:
     """Text form of a vertex, coordinate 1 first.  Empty for k = 0."""
+    _require_cube_dim(k)
+    _require_vertex(v, k)
+    return _bits(v, k)
+
+
+def _bits(v: int, k: int) -> str:
+    """vertex_bits without the checks, for the library's own vertices and
+    words."""
     return "".join("1" if v >> i & 1 else "0" for i in range(k))
 
 
@@ -103,10 +113,11 @@ def _require_coordinate(i: int, k: int) -> None:
 
 def _require_vertex(v: int, k: int | None, what: str = "vertex") -> None:
     """Raise DimensionError unless v is an int, not a bool, in range(2^k):
-    the one check of a vertex where one is named.  With k None only the
-    sign is checked, as edge_at knows no dimension."""
+    the one check of a vertex where one is named.  With k None, as edge_at
+    and check_edge know no dimension, the range is that of the largest
+    cube, range(2^MAX_FORMAT_DIM)."""
     _require_dim(v, what)
-    if v < 0 or k is not None and v >> k:
+    if v < 0 or v >> (MAX_FORMAT_DIM if k is None else k):
         where = "" if k is None else f" for dimension {k}"
         raise DimensionError(f"{what} {v} out of range{where}")
 
@@ -131,6 +142,8 @@ def edge_at(v: int, i: int) -> Edge:
     _require_dim(i, "coordinate")
     if i < 1:
         raise DimensionError(f"coordinate {i} is less than 1")
+    # no cube has a coordinate above MAX_FORMAT_DIM
+    _require_coordinate(i, MAX_FORMAT_DIM)
     _require_vertex(v, None)
     return Edge(v & ~(1 << (i - 1)), i)
 
@@ -142,7 +155,7 @@ def check_edge(e: Edge, k: int) -> None:
         raise DimensionError(f"edge vertex {e.vertex} out of range")
     if e.vertex >> (e.dim - 1) & 1:
         raise DimensionError(
-            f"malformed edge: vertex {vertex_bits(e.vertex, k)} not in the "
+            f"malformed edge: vertex {_bits(e.vertex, k)} not in the "
             f"lower {e.dim}-facet"
         )
 
@@ -168,6 +181,8 @@ class Face:
     pattern: str
 
     def __post_init__(self):
+        if not isinstance(self.pattern, str):
+            raise ValueError(f"face pattern {self.pattern!r} is not a str")
         for c in self.pattern:
             if c not in FACE_CHARS:
                 raise ValueError(f"bad face character {c!r}")
@@ -229,6 +244,7 @@ class Orientation:
 
     def __post_init__(self):
         _require_cube_dim(self.dim)
+        _require_iterable(self.out, "direction table")
         k, out = self.dim, tuple(self.out)
         object.__setattr__(self, "out", out)
         if not _all_ints(out):
@@ -249,6 +265,15 @@ class Orientation:
             for v in range(1 << self.dim):
                 if not v & ibit:
                     yield Edge(v, i)
+
+
+def _require_iterable(values, what: str) -> None:
+    """Raise ValueError naming what unless values is iterable: the first
+    check of a caller's whole table, before any of its words is read."""
+    try:
+        iter(values)
+    except TypeError:
+        raise ValueError(f"{what} {values!r} is not iterable") from None
 
 
 def _all_ints(values) -> bool:
@@ -305,7 +330,7 @@ def _check_edges(k: int, out, support=None, what: str = "inconsistent direction 
         for v in vertices:
             w = v | ibit
             if w != v and (support is None or w in support) and (out[v] ^ out[w]) & ibit:
-                raise ValueError(f"{what} the {i + 1}-edge at {vertex_bits(v, k)}")
+                raise ValueError(f"{what} the {i + 1}-edge at {_bits(v, k)}")
 
 
 def canonical_orientation(k: int) -> Orientation:
@@ -334,9 +359,9 @@ def _pairwise_ok(out, k: int) -> bool:
 
 
 def _unique_sinks(out, k: int) -> bool:
-    """The verdict that _require_uso and the tiling verdict keep: the pair
-    test below FACE_SINK_MIN_DIM, the face-sink recursion from it."""
-    if k >= FACE_SINK_MIN_DIM:
+    """The verdict that _require_uso and the tiling verdict keep: the
+    face-sink recursion where recursion_decides, the pair test elsewhere."""
+    if recursion_decides(k):
         return face_sinks_ok(out, k)
     return _pairwise_ok(out, k)
 

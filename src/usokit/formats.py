@@ -51,8 +51,8 @@ from .cube import (
     MAX_FORMAT_DIM,
     Face,
     Orientation,
+    _bits,
     _require_cube_dim,
-    vertex_bits,
     vertex_from_bits,
 )
 from .errors import FormatError
@@ -201,7 +201,7 @@ def write_orientation(o: Orientation) -> str:
     k = o.dim
     lines = [f"o {k}"]
     for v in Face.full(k).vertices():
-        lines.append(f"{_word(vertex_bits(v, k))} {_word(vertex_bits(o.out[v], k))}")
+        lines.append(f"{_word(_bits(v, k))} {_word(_bits(o.out[v], k))}")
     return "\n".join(lines) + "\n"
 
 
@@ -214,7 +214,7 @@ def read_orientation(text: str) -> Orientation:
             raise FormatError(f"expected '<vertex> <directions>', got {ln!r}")
         if _parse_bits(parts[0], k) != v:
             raise FormatError(
-                f"vertex lines out of order: expected {_word(vertex_bits(v, k))}, "
+                f"vertex lines out of order: expected {_word(_bits(v, k))}, "
                 f"got {parts[0]!r}"
             )
         out[v] = _parse_bits(parts[1], k)
@@ -272,6 +272,14 @@ def read_rule(text: str) -> GeneralizedRule:
 
 
 def write_labels(labels: dict[str, int]) -> str:
+    """The "<tile> <label>" lines of a labelling, in tile word order.
+
+    Every key must be a tile word: tile_pack's ValueError names the first
+    key that is not, such as None or True, which would print as lines
+    that no reader takes back.
+    """
+    for s in labels:
+        tile_pack(s)
     return "\n".join(f"{_word(s)} {labels[s]}" for s in sorted(labels)) + "\n"
 
 

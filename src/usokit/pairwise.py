@@ -23,29 +23,48 @@ yield the same pairs in the same order.
 ``face_sinks_ok`` tests the property itself, a unique sink in every face,
 which the pair condition is equivalent to (Szabo and Welzl, "Unique sink
 orientations of cubes", FOCS 2001), so either one is an exact verdict.
-It takes one coordinate c per pass and keeps the direction word of the
-sink of every face whose free coordinates were all passed already.  A
-face free at c has exactly one sink iff exactly one of its two c-facets'
-sinks has its c-edge entering, that is iff the c-bits of the two sinks'
-words agree: both 0 and the lower sink is the face's, both 1 and the
-upper one is.  The 1-faces are the edges, so a table whose edge ends
-disagree fails there.  That is 3^k words against 2^(2k-1) pair cells:
-best of 30 on a product table (2 cores, Python 3.11.7, numpy 2.4.6), the
-recursion against the pair test took 0.063 against 0.035 ms at k = 8,
-0.087 against 0.20 ms at k = 9 and 0.14 against 0.49 ms at k = 10, so
-the verdict of cube._require_uso and tiling._tiling_ok is the recursion
-from FACE_SINK_MIN_DIM = 9 up, at every k, and the pair test below it.
-The recursion's numpy route writes at most _FACE_CELLS words per block,
-so it needs no dimension cap (a cap would only trade its memory for the
-pair test's 4^k/3^k time).  Below KERNEL_MIN_DIM it runs on lists (27
-against 28 us at k = 5, 78 against 36 us at k = 6).
+It takes one coordinate c per pass, the highest not passed yet, and keeps
+the direction word of the sink of every face whose free coordinates were
+all passed already.  A face free at c has exactly one sink iff exactly
+one of its two c-facets' sinks has its c-edge entering, that is iff the
+c-bits of the two sinks' words agree: both 0 and the lower sink is the
+face's, both 1 and the upper one is.  The 1-faces are the edges, so a
+table whose edge ends disagree fails there.  That is 3^k words against
+2^(2k-1) pair cells.
+
+Up to LANE_MAX_DIM = 6 the recursion runs on one Python int, a byte lane
+per word (the words are below 2^6).  A pass on c = bit b splits the
+region of lanes in blocks of 2^(b+1): the lower half of a block against
+its upper half, found by one shift, is the facet pair of a face.  Both
+halves become faces of the next pass where they are, and the face's sink,
+picked by the lane mask (lo >> b & ones) * 0xFF, is appended above the
+region, in the lower halves' lanes; the upper halves' lanes there stay 0,
+and a zero lane passes every test, so nothing is compacted.  Above
+LANE_MAX_DIM it runs on numpy, at most _FACE_CELLS words per block, so it
+needs no dimension cap (a cap would only trade its memory for the pair
+test's 4^k/3^k time).
+
+The verdict of cube._require_uso and tiling._tiling_ok is the faster of
+the two at each k, which recursion_decides names.  Best of 7 x 20,000
+calls (7 x 3,000 at k = 7 and 8) on a seeded product USO's table, 2
+shared cores, Python 3.11.7, numpy 2.4.6, the recursion on byte lanes
+against the pair test took 1.19 against 3.16 us at k = 3, 1.72 against
+10.1 at k = 4, 2.86 against 12.6 at k = 5 and 6.54 against 15.0 at
+k = 6, but 61 against 38 us at k = 8.  At k = 7 the two tie within the
+spread of runs: 18 against 21 us on a tuple, 19 against 19 on a tiling's
+int64 table, which the lanes must first convert (and 24.4 against 20.3
+in an earlier measurement), so the pair test keeps k = 7 with k = 8.
+On numpy (best of 30) the recursion took 0.087 against 0.20 ms at
+k = 9 and 0.14 against 0.49 ms at k = 10.  So the pair test decides at
+k = 7 and 8 alone, and the recursion at every other k.
 
 numpy is imported on the first numpy route taken (see _lazy), so sets
-below KERNEL_MIN_DIM never import it.
+below KERNEL_MIN_DIM and tables up to LANE_MAX_DIM never import it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ._lazy import np
@@ -60,8 +79,13 @@ KERNEL_MIN_DIM = 5
 # of these sizes.
 _BLOCK_CELLS = 1 << 16
 
-# Smallest dimension whose verdict is the face-sink recursion (measured
-# above); below it the pair test is faster.
+# Largest dimension whose recursion runs on byte lanes, and the top of the
+# low band of dimensions it decides (measured above): from k = 7 the pair
+# test is faster, and the recursion runs on numpy.
+LANE_MAX_DIM = 6
+
+# Smallest dimension of the high band the recursion decides (measured
+# above); from LANE_MAX_DIM + 1 to below it the pair test is faster.
 FACE_SINK_MIN_DIM = 9
 
 # Words one pass of the recursion's numpy route reads per block of faces.
@@ -71,6 +95,12 @@ _FACE_CELLS = 1 << 20
 
 # by name, so that importing this module does not import numpy
 _DTYPES = ((8, "uint8"), (16, "uint16"), (32, "uint32"), (64, "uint64"))
+
+
+def recursion_decides(k: int) -> bool:
+    """Whether the unique-sink verdict at dimension k is the face-sink
+    recursion (else the pair test), in the bands measured above."""
+    return not LANE_MAX_DIM < k < FACE_SINK_MIN_DIM
 
 
 def incompatible_pairs(
@@ -135,26 +165,47 @@ def _incompatible_pairs_np(
 def face_sinks_ok(out: Sequence[int], k: int) -> bool:
     """Whether the direction words out[v] of the k-cube's 2^k vertices give
     every face exactly one sink, by the face-sink recursion."""
-    if k < KERNEL_MIN_DIM:
-        return _face_sinks_ok_py(out, k)
-    return _face_sinks_ok_np(out, k)
+    if k > LANE_MAX_DIM:
+        return _face_sinks_ok_np(out, k)
+    if not isinstance(out, (bytes, list, tuple)):  # a numpy table: 8 bytes a word
+        out = out.tolist()
+    return _face_sinks_ok_int(out, k)
 
 
-def _face_sinks_ok_py(out, k: int) -> bool:
-    """The recursion on a list, top coordinate first.  The list halves are
-    the faces with the top unpassed bit 0 and 1; each pass puts the sinks
-    of the two facets and of their face side by side."""
-    w = list(out)
+@lru_cache(maxsize=None)
+def _lane_passes(k: int):
+    """The passes of the recursion on 2^k byte lanes, but the last; and the
+    last pass's test mask.
+
+    A pass on bit b reads a region of r lanes: its shift in bits from a
+    block's lower half to its upper half, the mask of the lower halves'
+    lanes, bit b and bit 0 of each such lane, and the region's top bit,
+    where the sinks go.  The last pass, on bit 0, only tests.
+    """
+    passes, r = [], 1 << k
     for b in reversed(range(k)):
-        bit = 1 << b
-        half = len(w) >> 1
-        nxt = []
-        for lo, hi in zip(w[:half], w[half:]):
-            if (lo ^ hi) & bit:
-                return False
-            nxt += (lo, hi, hi if lo & bit else lo)
-        w = nxt
-    return True
+        half = 1 << b
+        low = int.from_bytes((b"\xff" * half + bytes(half)) * (r >> b + 1), "little")
+        ones = low & int.from_bytes(b"\x01" * r, "little")
+        passes.append((b, 8 * half, low, ones << b, ones, 8 * r))
+        r *= 2
+    return tuple(passes[:-1]), passes[-1][3] if k else 0
+
+
+def _face_sinks_ok_int(out, k: int) -> bool:
+    """The recursion on one int, word v in byte lane v; every word below
+    256, so k <= 8.  Each pass tests the facet sinks' bits b against each
+    other and appends the faces' sinks: the lower one where its bit b is
+    0, else the upper."""
+    s = int.from_bytes(out, "little")
+    passes, last = _lane_passes(k)
+    for b, shift, low, bit, ones, top in passes:
+        lo = s & low
+        diff = lo ^ s >> shift & low
+        if diff & bit:
+            return False
+        s |= (lo ^ diff & (lo >> b & ones) * 0xFF) << top
+    return not (s ^ s >> 8) & last
 
 
 def _face_sinks_ok_np(out, k: int, cells: int = _FACE_CELLS) -> bool:

@@ -35,7 +35,8 @@ _SPREAD, and _split splits a tile through _SPLIT, its inverse.  Whole
 tables go through them at once: _tile_row gives a direction table's tiles
 in vertex order, one _SPREAD entry per word up to 10 digits, for
 _tiles_of and the join's facet tiles; vertex_outmaps goes through _SPLIT,
-as a list up to 5 digits and as a numpy array above.
+up to 5 digits by two sums of lookups (_VBIT for the onto test, _LANE for
+the table in byte lanes) and as a numpy array above.
 
 A whole set of words has two functions, and the route choice lives only
 in them: tile_lines writes a tile set as its sorted "\n"-ended words, and
@@ -54,10 +55,12 @@ on the first numpy route taken (see _lazy), so tile sets below
 KERNEL_MIN_DIM never import it.
 
 A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
-the sink test of orientations (cube._unique_sinks: the pair test, or from
-k = 9 the face-sink recursion) on the vertex table of vertex_outmaps, in
-k-bit words, which is the tile pair test in other words, as tiles that
-share a vertex are incompatible.  The immutable tile set keeps the
+the sink test of orientations (cube._unique_sinks: the face-sink
+recursion, or at k = 7 and 8 the pair test) on the vertex table of
+vertex_outmaps, in k-bit words, which is the tile pair test in other
+words, as tiles that share a vertex are incompatible.  Up to k = 5 the
+table is the byte lanes that the recursion reads, so a verdict there
+builds no dict and runs no pair loop.  The immutable tile set keeps the
 verdict: False, or the table that passed, which ``uso_from_tiles`` hands
 to ``cube._verified`` (no edge scan, as the sink test implies it).  Operations that need a
 complete tiling go through ``_require_tiling``, which runs the verdict on
@@ -84,6 +87,7 @@ from .cube import (
     _is_word,
     _keep_verdict,
     _require_cube_dim,
+    _require_iterable,
     _require_uso,
     _require_vertex,
     _unique_sinks,
@@ -119,6 +123,11 @@ _SPREAD_UP = [t << 1 for t in _SPREAD]  # the vertex half of a tile
 # _SPREAD's inverse on 5 digits: entry t is the (vertex, direction word) of
 # tile t, as the 1,024 pairs sorted by their tiles fill 0..1023
 _SPLIT = sorted(iproduct(range(32), repeat=2), key=lambda p: _SPREAD_UP[p[0]] | _SPREAD[p[1]])
+
+# vertex_outmaps' tables up to 5 digits, from _SPLIT: entry t is the bit
+# of tile t's vertex, and its direction word in that vertex's byte lane
+_VBIT = [1 << v for v, _ in _SPLIT]
+_LANE = [w << 8 * v for v, w in _SPLIT]
 
 
 def tile_pack(s: str) -> int:
@@ -312,6 +321,7 @@ class TileSet:
 
     def __post_init__(self):
         _require_cube_dim(self.dim)
+        _require_iterable(self.tiles, "tile set")
         tiles = frozenset(self.tiles)
         # one type test and one min/max; the loop only names the bad tile
         if not _all_ints(tiles) or tiles and (min(tiles) < 0 or max(tiles) >> 2 * self.dim):
@@ -373,8 +383,8 @@ def _tiling_ok(ts: TileSet) -> bool:
     """
     out = vertex_outmaps(ts)
     ok = out is not None and _unique_sinks(out, ts.dim)
-    if ok and not isinstance(out, list):  # the numpy route's table
-        out = out.tolist()
+    if ok:  # the table of either route, as a list
+        out = list(out) if isinstance(out, bytes) else out.tolist()
     _keep_verdict(ts, out if ok else False)
     return ok
 
@@ -415,7 +425,7 @@ def _require_tiling(ts: TileSet, message: str) -> None:
 
 
 def vertex_outmaps(ts: TileSet):
-    """Direction words per vertex, a list up to k = 5 and an int64 array
+    """Direction words per vertex, bytes up to k = 5 and an int64 array
     above, or None if the vertex map is not onto.
 
     Skips the completeness precondition of uso_from_tiles; the tiling
@@ -426,8 +436,11 @@ def vertex_outmaps(ts: TileSet):
     if len(tiles) != n:
         return None
     if k <= 5:  # every tile is one _SPLIT entry
-        out = dict(map(_SPLIT.__getitem__, tiles))
-        return [out[v] for v in range(n)] if len(out) == n else None
+        # n powers of two below 2^n sum to 2^n - 1 iff they are distinct;
+        # then every vertex has one tile, so the lanes do not overlap
+        if sum(map(_VBIT.__getitem__, tiles)) != (1 << n) - 1:
+            return None
+        return sum(map(_LANE.__getitem__, tiles)).to_bytes(n, "little")
     packed = np.fromiter(tiles, np.uint64, n)
     pairs = _split_words()[packed & 1023]
     for shift in range(5, k, 5):  # the later 5-digit chunks

@@ -59,6 +59,8 @@ BIG_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_pair_test_on_co
 SPLICE = "tests/test_rewrite.py::test_block_splice_is_the_loop"
 FUSED = "tests/test_transform.py::test_fused_pair_rule_is_the_broadcast_rule"
 DOORS = "tests/test_cube.py::test_value_doors_refuse_what_is_not_in_range"
+BAND = "tests/test_pairwise.py::test_the_verdict_takes_its_band_at_the_lane_bound"
+CROSS_CHECK = "tests/test_cli.py::test_validate_cross_checks_with_the_other_vertex_test"
 
 MUTANTS = [
     (
@@ -305,9 +307,17 @@ MUTANTS = [
         # the kernels read the numpy table; the verdict keeps it as a list
         "verdict keeping the numpy route's table",
         "tiling.py",
-        "        out = out.tolist()\n",
-        "        pass\n",
+        "list(out) if isinstance(out, bytes) else out.tolist()",
+        "list(out) if isinstance(out, bytes) else out",
         [VERDICT],
+    ),
+    (
+        # n tiles on fewer vertices: lanes overlap, or the sum misses one
+        "vertex_outmaps without its onto sum",
+        "tiling.py",
+        "        if sum(map(_VBIT.__getitem__, tiles)) != (1 << n) - 1:\n",
+        "        if False:\n",
+        ["tests/test_tiling.py::test_vertex_outmaps_matches_the_dict_path"],
     ),
     (
         "split table with vertex and word swapped",
@@ -753,10 +763,24 @@ MUTANTS = [
         [BIG_TABLES],
     ),
     (
-        "recursion always keeping the upper facet's sink (list route)",
+        "recursion always keeping the upper facet's sink (lane route)",
         "pairwise.py",
-        "            nxt += (lo, hi, hi if lo & bit else lo)\n",
-        "            nxt += (lo, hi, hi)\n",
+        "        s |= (lo ^ diff & (lo >> b & ones) * 0xFF) << top\n",
+        "        s |= (lo ^ diff) << top\n",
+        [SMALL_TABLES],
+    ),
+    (
+        "recursion always keeping the lower facet's sink (lane route)",
+        "pairwise.py",
+        "        s |= (lo ^ diff & (lo >> b & ones) * 0xFF) << top\n",
+        "        s |= lo << top\n",
+        [SMALL_TABLES],
+    ),
+    (
+        "recursion without its bit test but on the last pass (lane route)",
+        "pairwise.py",
+        "        if diff & bit:\n            return False\n",
+        "",
         [SMALL_TABLES],
     ),
     (
@@ -768,11 +792,27 @@ MUTANTS = [
         [BIG_TABLES],
     ),
     (
-        "recursion without the edge test of its first pass (list route)",
+        # the first pass reads the 2^k lanes of the table, up to bit 8 << k
+        "recursion without the edge test of its first pass (lane route)",
         "pairwise.py",
-        "            if (lo ^ hi) & bit:\n",
-        "            if b < k - 1 and (lo ^ hi) & bit:\n",
+        "        if diff & bit:\n",
+        "        if top > 8 << k and diff & bit:\n",
         [SEEDED_TABLES],
+    ),
+    (
+        # 6 becomes a dimension of the pair test's band, 9 another
+        "pair-test band moved down to k = 6",
+        "pairwise.py",
+        "LANE_MAX_DIM = 6\n",
+        "LANE_MAX_DIM = 5\n",
+        [BAND, CROSS_CHECK],
+    ),
+    (
+        "pair-test band moved up to k = 9",
+        "pairwise.py",
+        "FACE_SINK_MIN_DIM = 9\n",
+        "FACE_SINK_MIN_DIM = 10\n",
+        [CROSS_CHECK],
     ),
     (
         "recursion blocks dropping their second half of columns",
@@ -992,6 +1032,50 @@ MUTANTS = [
         "            if not _is_word(v, n):\n",
         "            if not 0 <= v < n:\n",
         [DOORS],
+    ),
+    (
+        # -1 and 2**70 then print as bits, True as vertex 1
+        "vertex_bits without its vertex check",
+        "cube.py",
+        "    _require_cube_dim(k)\n    _require_vertex(v, k)\n    return _bits(v, k)\n",
+        "    _require_cube_dim(k)\n    return _bits(v, k)\n",
+        [DOORS],
+    ),
+    (
+        # 2**70 then raises a raw OverflowError from the shift
+        "edge_at without its coordinate cap",
+        "cube.py",
+        "    _require_coordinate(i, MAX_FORMAT_DIM)\n",
+        "",
+        [DOORS],
+    ),
+    (
+        "a vertex with no dimension taking any size",
+        "cube.py",
+        "    if v < 0 or v >> (MAX_FORMAT_DIM if k is None else k):\n",
+        "    if v < 0 or k is not None and v >> k:\n",
+        [DOORS],
+    ),
+    (
+        "whole tables taken without the iterable check",
+        "cube.py",
+        "    try:\n        iter(values)\n",
+        "    try:\n        pass\n",
+        ["tests/test_cube.py::test_whole_tables_that_are_not_iterable_are_value_errors"],
+    ),
+    (
+        "Face taking a pattern that is not a str",
+        "cube.py",
+        "        if not isinstance(self.pattern, str):\n",
+        "        if False:\n",
+        ["tests/test_cube.py::test_whole_tables_that_are_not_iterable_are_value_errors"],
+    ),
+    (
+        "write_labels writing any key",
+        "formats.py",
+        "    for s in labels:\n        tile_pack(s)\n",
+        "",
+        ["tests/test_formats.py::test_label_keys_are_tile_words"],
     ),
     (
         # o.out[v] then raises a raw IndexError past the end, and reads

@@ -537,22 +537,26 @@ def test_input_tiling_verified_once(argv, bow_file, kernel_passes, capsys):
         ("face-scan", "error: internal: the face scan disagrees with the pairwise test\n"),
     ],
 )
-def test_validate_cross_checks_exit_3(method, line, bow_file, monkeypatch, capsys):
+def test_validate_cross_checks_exit_3(
+    method, line, sampled_tiling, tmp_path, monkeypatch, capsys
+):
     # each cross-check made to disagree: the pairwise one is the tile pair
-    # test, the encoding the verdict did not use
+    # test, the encoding the verdict did not use; the face scan is the
+    # vertex cross-check at k = 7, where the verdict is the pair test
     import usokit.cli
 
+    f = write(tmp_path, "k7.uso", write_tiling(sampled_tiling(7)))
     if method == "pairwise":
         monkeypatch.setattr(TileSet, "is_pairwise_adjacent", lambda ts: False)
     else:
         real = usokit.cli.is_uso
         monkeypatch.setattr(usokit.cli, "is_uso", lambda o, m: m != method and real(o, m))
-    assert run(["validate", bow_file]) == 3
+    assert run(["validate", f]) == 3
     assert capsys.readouterr() == ("", line)
 
 
-@pytest.mark.parametrize("k, other", [(3, "face-scan"), (8, "face-scan"), (9, "pairwise"),
-                                      (10, "pairwise")])
+@pytest.mark.parametrize("k, other", [(3, "pairwise"), (6, "pairwise"), (7, "face-scan"),
+                                      (8, "face-scan"), (9, "pairwise"), (10, "pairwise")])
 def test_validate_cross_checks_with_the_other_vertex_test(
     k, other, sampled_tiling, tmp_path, monkeypatch, capsys
 ):

@@ -226,7 +226,8 @@ def _big_corpus(root: Path, small: dict) -> list[list[str]]:
         texts[f"{name}.range.lab"] = write_labels({**labels, strings[-1]: 3})
         stray = next(w for w in ("0" * k, "1" * k, "3" * k) if w not in labels)
         texts[f"{name}.extra.lab"] = write_labels({**labels, stray: 2})
-        texts[f"{name}.digit4.lab"] = write_labels({**labels, "4" * k: 1})
+        # "4" sorts after every tile word; write_labels takes tile words only
+        texts[f"{name}.digit4.lab"] = write_labels(labels) + "4" * k + " 1\n"
         texts[f"{name}.long.lab"] = write_labels({**missing, "0" * (k + 1): 1})
     for name, body in texts.items():
         (root / name).write_text(body)

@@ -709,6 +709,10 @@ VALUE_DOORS = {
     "neighbor-dimension": (lambda x: neighbor(0, 1, x), DimensionError),
     "direction-vertex": (lambda x: BOW.direction(x, 1), DimensionError),
     "direction-coordinate": (lambda x: BOW.direction(0, x), DimensionError),
+    "vertex_bits-vertex": (lambda x: vertex_bits(x, 2), DimensionError),
+    "vertex_bits-dimension": (lambda x: vertex_bits(0, x), DimensionError),
+    "edge_at-vertex": (lambda x: edge_at(x, 1), DimensionError),
+    "edge_at-coordinate": (lambda x: edge_at(0, x), DimensionError),
 }
 
 
@@ -720,8 +724,28 @@ VALUE_DOORS = {
 @pytest.mark.parametrize("name", sorted(VALUE_DOORS))
 def test_value_doors_refuse_what_is_not_in_range(name, x):
     # a bool was read as 0 or 1, tile_of masked a vertex or word to k bits,
-    # restrict indexed from the end or past it, and a float, str or None
-    # raised a raw TypeError where no check came first
+    # restrict indexed from the end or past it, vertex_bits printed -1 and
+    # 2**70 as bits, edge_at took any vertex and shifted by any coordinate,
+    # and a float, str or None raised a raw TypeError where no check came
+    # first
     call, error = VALUE_DOORS[name]
     with pytest.raises(error):
         call(x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Orientation(1, None), "direction table None is not iterable"),
+        (lambda: Orientation(1, 5), "direction table 5 is not iterable"),
+        (lambda: TileSet(2, None), "tile set None is not iterable"),
+        (lambda: Face(None), "face pattern None is not a str"),
+        (lambda: Face(True), "face pattern True is not a str"),
+        (lambda: Face(-1), "face pattern -1 is not a str"),
+        (lambda: Face(("0", "*")), "face pattern ('0', '*') is not a str"),
+    ],
+)
+def test_whole_tables_that_are_not_iterable_are_value_errors(call, message):
+    # each raised a raw TypeError before any check of its constructor ran
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -148,6 +148,22 @@ def test_labels_round_trip():
     assert read_labels(write_labels({"": 1}), 0) == {"": 1}
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (None, "tile None is not a str"),
+        (True, "tile True is not a str"),
+        (1.0, "tile 1.0 is not a str"),
+        ("04", "bad tile character '4'"),
+    ],
+)
+def test_label_keys_are_tile_words(key, message):
+    # None was written as "- 1", the empty tile's line, and True or 1.0 as
+    # "True 1" or "1.0 1", which no reader takes back
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_labels({"01": 2, key: 1})
+
+
 def test_labels_reader_rejections():
     for text in (
         "01\n",

@@ -32,12 +32,12 @@ from usokit import (
     write_tiling,
 )
 from usokit import cli, pairwise
-from usokit.cube import Face, _consistent, _pairwise_ok, unique_sink
+from usokit.cube import Face, _consistent, _pairwise_ok, _unique_sinks, unique_sink
 from usokit.pairwise import (
     FACE_SINK_MIN_DIM,
     KERNEL_MIN_DIM,
+    _face_sinks_ok_int,
     _face_sinks_ok_np,
-    _face_sinks_ok_py,
     _incompatible_pairs_np,
     _incompatible_pairs_py,
     face_sinks_ok,
@@ -184,7 +184,7 @@ def literal_ok(out, k):
 def sink_tests(out, k):
     """Each route of the recursion, the pair test and the literal search."""
     return [
-        _face_sinks_ok_py(out, k),
+        _face_sinks_ok_int(out, k),
         _face_sinks_ok_np(out, k),
         _face_sinks_ok_np(out, k, 1),
         _pairwise_ok(out, k),
@@ -204,7 +204,7 @@ def test_recursion_decides_every_small_table_as_the_definition():
         assert hits == usos
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_recursion_matches_the_definition_on_seeded_tables(k):
     rng = random.Random(k)
     n = 1 << k
@@ -238,22 +238,40 @@ def test_recursion_accepts_every_k3_uso(catalogue3):
         assert sink_tests(uso_from_tiles(ts).out, 3) == [True] * 5
 
 
-@pytest.mark.parametrize("k", [FACE_SINK_MIN_DIM, 10, 12])
-def test_recursion_matches_the_pair_test_on_corrupted_products(k):
+def corrupted_products(k):
+    """A product USO of dimension k, and four corruptions of its table."""
     o = seeded_uso(k, k)
     tables = [o.out, corrupted(o, k).out, words_swapped(o, k)]
     # one end of an edge reversed at the top coordinate, the first pass's,
     # and at a random one
-    tables += [endpoint_flipped(o, k, k), endpoint_flipped(o, k + 1)]
+    return tables + [endpoint_flipped(o, k, k), endpoint_flipped(o, k + 1)]
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_the_verdict_takes_its_band_at_the_lane_bound(k, monkeypatch):
+    # the recursion on byte lanes decides up to k = 6, the pair test at 7
+    # and 8; each verdict is the pair test's, and the lane form holds it on
+    # the words of k = 7 and 8, too
+    import usokit.cube
+
+    tables = corrupted_products(k)
+    want = [_pairwise_ok(out, k) for out in tables]
+    assert want == [True] + [False] * 4
+    assert [_face_sinks_ok_int(out, k) for out in tables] == want
+    other = "_pairwise_ok" if k == 6 else "face_sinks_ok"
+    monkeypatch.setattr(usokit.cube, other, None)
+    assert [_unique_sinks(out, k) for out in tables] == want
+
+
+@pytest.mark.parametrize("k", [FACE_SINK_MIN_DIM, 10, 12])
+def test_recursion_matches_the_pair_test_on_corrupted_products(k):
     verdicts = []
-    for out in tables:
+    for out in corrupted_products(k):
         ok = face_sinks_ok(out, k)
         assert _pairwise_ok(out, k) == ok
         # columns split into blocks; sink_tests splits down to one column
         for cells in (3 ** (k - 4), 3 ** (k - 2)):
             assert _face_sinks_ok_np(out, k, cells) == ok
-        if k == FACE_SINK_MIN_DIM:
-            assert _face_sinks_ok_py(out, k) == ok
         verdicts.append(ok)
     assert verdicts == [True] + [False] * 4
 
