@@ -39,9 +39,16 @@ Three routes:
   and compute them again only when another coordinate comes up: a move
   at i reverses only i-edges, and the pair rule reads no direction at i.
   Randomness comes from SplitMix64 (RNG_ALGORITHM below), a 64-bit
-  splittable generator, so samples reproduce across platforms.
-  markov_walk's states hold their step's bytes and build the tiling only
-  when it is read (ChainState.current).
+  splittable generator, so samples reproduce across platforms.  Its
+  output n is a fixed mix of seed + n * gamma mod 2^64, so the walk takes
+  its words _BLOCK at a time from one numpy expression on uint64 arrays
+  (_splitmix_block), and reads them by SplitMix64.randbelow's rule: the
+  coordinate is a word mod k, drawn again at or above the largest
+  multiple of k up to 2^64, and the subset of classes is a word's low
+  bits.  So the walk draws exactly the words, and makes exactly the
+  moves, of one randbelow call per draw.  markov_walk's states are named
+  tuples that hold their step's bytes and build the tiling only when it
+  is read (ChainState.current).
 
 The join and the walk run the phase kernel, so they import numpy on
 first use (see _lazy); the brute route never does.
@@ -54,9 +61,10 @@ is what the caps encode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, product
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, lru_cache, partial
+from itertools import chain, count, product
 from typing import Iterator
 
 from ._lazy import np
@@ -72,31 +80,44 @@ MAX_SAMPLE_DIM = PHASE_DIM_CAP  # each step closes the phase classes of its stat
 RNG_ALGORITHM = "splitmix64"
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4B7C15  # the Weyl step: output n of seed s mixes s + n * _GAMMA
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _require_int(value, name: str) -> None:
+    """Raise ValueError unless value's type is exactly int (not a bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class SplitMix64:
-    """Reproducible 64-bit generator (golden-gamma Weyl sequence mix)."""
+    """Reproducible 64-bit generator (golden-gamma Weyl sequence mix).
+
+    The seed is any int, taken mod 2^64.
+    """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        _require_int(seed, "seed")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = self.state + 0x9E3779B97F4B7C15 & _MASK64
+        self.state = self.state + _GAMMA & _MASK64
         z = self.state
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        z = (z ^ z >> 30) * _MIX1 & _MASK64
+        z = (z ^ z >> 27) * _MIX2 & _MASK64
         return z ^ z >> 31
 
     def randbelow(self, n: int) -> int:
-        """Uniform int in range(n), unbiased by rejection.
+        """Uniform int in range(n), 1 <= n <= 2^64, unbiased by rejection.
 
-        For a power of two the threshold is 2^64 itself, so the first draw
-        is taken, and its low bits are z % n.
+        A draw at or above the threshold, the largest multiple of n up to
+        2^64, is drawn again.  For a power of two the threshold is 2^64
+        itself, so the first draw is taken, and its low bits are z % n.
         """
-        if n <= 0:
-            raise ValueError("empty range")
+        if type(n) is not int or not 0 < n <= 1 << 64:
+            raise ValueError(f"n must be an int in 1..2**64, got {n!r}")
         if not n & n - 1:
             return self.next_u64() & n - 1
         threshold = (1 << 64) - ((1 << 64) % n)
@@ -109,8 +130,7 @@ class SplitMix64:
 def _check_jobs(jobs, name: str = "jobs") -> None:
     """Raise ValueError unless jobs is an int, not a bool, of at least 1:
     the rule of the CLI's --jobs, which calls it with that name."""
-    if type(jobs) is not int:
-        raise ValueError(f"{name} must be an int, got {jobs!r}")
+    _require_int(jobs, name)
     if jobs < 1:
         raise ValueError(f"{name} must be at least 1, got {jobs}")
 
@@ -360,20 +380,36 @@ def count_usos(k: int, method: str = "brute", jobs: int = 1) -> EnumerationRepor
 # Markov sampling
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(namedtuple("ChainState", "table dim step seed")):
     """The flip walk seeded with seed, after step moves.
 
     Holds that step's direction table, a byte per vertex of the dim-cube.
     .current, the tiling, is built from the table on its first read and
     kept, so a walk whose states are not read builds no tiling.  Two
-    states are equal when their tilings, steps and seeds are.
+    states are equal when their tilings, steps and seeds are; a state
+    equals no other value, is not ordered and refuses assignment, as a
+    frozen dataclass does.  A named tuple is built in half a frozen
+    dataclass's time, which counts once per step of markov_walk.
     """
 
-    table: bytes
-    dim: int
-    step: int
-    seed: int
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        raise TypeError("chain states are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def current(self) -> TileSet:
@@ -387,12 +423,47 @@ def _walk(k: int, steps: int, seed: int) -> Iterator[bytes]:
     arguments are checked on the call, before any move.
     """
     _check_dim(k, 0, MAX_SAMPLE_DIM, f"sampling is capped at dimension {MAX_SAMPLE_DIM}")
-    for name, value in (("steps", steps), ("seed", seed)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    _require_int(steps, "steps")
+    _require_int(seed, "seed")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     return _moves(k, steps, seed)
+
+
+# Words per block of _splitmix_block: about 6 us of numpy calls per block
+# against 0.5 us per SplitMix64.randbelow call, and a 64-step walk, which
+# draws twice per step, takes one block.
+_BLOCK = 128
+
+
+@lru_cache(maxsize=None)
+def _strides() -> np.ndarray:
+    """n * _GAMMA mod 2^64 for n = 1.._BLOCK, wrapped by numpy's uint64."""
+    strides = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GAMMA
+    strides.flags.writeable = False
+    return strides
+
+
+def _splitmix_block(seed: int, start: int) -> list[int]:
+    """Outputs start + 1 .. start + _BLOCK of SplitMix64(seed), as ints.
+
+    SplitMix64 is counter-based: output n mixes seed + n * _GAMMA mod 2^64,
+    so a block is next_u64's mix on uint64 arrays, which wrap as the
+    generator masks.  Every operand is an array, so no scalar overflow
+    warning can fire.
+    """
+    z = _strides() + (seed + start * _GAMMA & _MASK64)
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z.tolist()
+
+
+def _words(seed: int) -> Iterator[int]:
+    """SplitMix64(seed)'s outputs, from one _splitmix_block at a time."""
+    return chain.from_iterable(map(partial(_splitmix_block, seed), count(0, _BLOCK)))
 
 
 def _moves(k: int, steps: int, seed: int) -> Iterator[bytes]:
@@ -402,16 +473,24 @@ def _moves(k: int, steps: int, seed: int) -> Iterator[bytes]:
     state = 0
     table = bytes(size)
     yield table
-    draw = SplitMix64(seed).randbelow
+    # SplitMix64(seed)'s words, a block at a time, read as randbelow reads
+    # them: the coordinate is a word below the threshold mod k, drawn
+    # again above it, and the pick is a word's low bits
+    words = _words(seed)
+    threshold = (1 << 64) - (1 << 64) % k if k else 0
     # a move reverses only i-edges, and the pair rule does not read their
     # direction, so the classes of i hold until another coordinate is drawn
-    last, classes, rows = None, (), ()
+    last, classes, rows, picks = None, (), (), 0
     for _ in range(steps):
         if k:
-            i = 1 + draw(k)
+            z = next(words)
+            while z >= threshold:
+                z = next(words)
+            i = 1 + z % k
             if i != last:
                 last, classes, rows = i, _phase_masks(table, k, i), _reversal_rows(k, i)
-            state ^= _reversal(rows, _union(classes, draw(1 << len(classes))))
+                picks = (1 << len(classes)) - 1
+            state ^= _reversal(rows, _union(classes, next(words) & picks))
             table = state.to_bytes(size, "little")
         yield table
 

@@ -61,6 +61,9 @@ FUSED = "tests/test_transform.py::test_fused_pair_rule_is_the_broadcast_rule"
 DOORS = "tests/test_cube.py::test_value_doors_refuse_what_is_not_in_range"
 BAND = "tests/test_pairwise.py::test_the_verdict_takes_its_band_at_the_lane_bound"
 CROSS_CHECK = "tests/test_cli.py::test_validate_cross_checks_with_the_other_vertex_test"
+BLOCK_WORDS = "tests/test_enumeration.py::test_block_words_are_next_u64"
+REFERENCE_WALK = "tests/test_enumeration.py::test_walk_is_the_reference_walk"
+FROZEN_STATES = "tests/test_enumeration.py::test_chain_states_are_frozen_values"
 
 MUTANTS = [
     (
@@ -1172,6 +1175,86 @@ MUTANTS = [
         "            return self.next_u64() & n - 1\n",
         "            return self.next_u64() & n\n",
         ["tests/test_enumeration.py::test_randbelow_is_the_rejection_rule"],
+    ),
+    (
+        "randbelow taking a bool or a float",
+        "enumeration.py",
+        "        if type(n) is not int or not 0 < n <= 1 << 64:\n",
+        "        if not 0 < n <= 1 << 64:\n",
+        [DOORS],
+    ),
+    (
+        # 2**70 is a power of two, so the mutant returns a draw, not a hang
+        "randbelow without the 2^64 bound",
+        "enumeration.py",
+        "        if type(n) is not int or not 0 < n <= 1 << 64:\n",
+        "        if type(n) is not int or not 0 < n:\n",
+        [DOORS],
+    ),
+    (
+        "SplitMix64 seeded by any value",
+        "enumeration.py",
+        '        _require_int(seed, "seed")\n        self.state',
+        "        self.state",
+        ["tests/test_enumeration.py::test_splitmix_seed_is_an_int"],
+    ),
+    # the walk's words, a numpy block at a time, and its chain states
+    (
+        "block counter starting at 0",
+        "enumeration.py",
+        "np.arange(1, _BLOCK + 1, dtype=np.uint64)",
+        "np.arange(_BLOCK, dtype=np.uint64)",
+        [BLOCK_WORDS],
+    ),
+    (
+        # the first block is right; every later one starts a block late
+        "block base advanced by twice the block",
+        "enumeration.py",
+        "count(0, _BLOCK)",
+        "count(0, 2 * _BLOCK)",
+        [BLOCK_WORDS],
+    ),
+    (
+        "block base advanced by a block of strides, not of counters",
+        "enumeration.py",
+        "(seed + start * _GAMMA & _MASK64)",
+        "(seed + start & _MASK64)",
+        [BLOCK_WORDS],
+    ),
+    (
+        "walk taking the words above the coordinate's threshold",
+        "enumeration.py",
+        "            while z >= threshold:\n                z = next(words)\n",
+        "",
+        [REFERENCE_WALK],
+    ),
+    (
+        "walk's threshold a word too low",
+        "enumeration.py",
+        "    threshold = (1 << 64) - (1 << 64) % k if k else 0\n",
+        "    threshold = _MASK64 - (1 << 64) % k if k else 0\n",
+        [REFERENCE_WALK],
+    ),
+    (
+        "walk picking classes from a word's high bits",
+        "enumeration.py",
+        "next(words) & picks",
+        "next(words) >> 64 - len(classes)",
+        [REFERENCE_WALK],
+    ),
+    (
+        "chain states equal to their plain tuples",
+        "enumeration.py",
+        "        return other.__class__ is self.__class__ and tuple.__eq__(self, other)\n",
+        "        return tuple.__eq__(self, other)\n",
+        [FROZEN_STATES],
+    ),
+    (
+        "chain states taking new attributes",
+        "enumeration.py",
+        '        raise FrozenInstanceError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        [FROZEN_STATES],
     ),
 ]
 

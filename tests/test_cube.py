@@ -15,6 +15,7 @@ from usokit import (
     Orientation,
     PartialOrientation,
     SimpleRule,
+    SplitMix64,
     TileSet,
     bow,
     canonical_orientation,
@@ -713,6 +714,7 @@ VALUE_DOORS = {
     "vertex_bits-dimension": (lambda x: vertex_bits(0, x), DimensionError),
     "edge_at-vertex": (lambda x: edge_at(x, 1), DimensionError),
     "edge_at-coordinate": (lambda x: edge_at(0, x), DimensionError),
+    "randbelow": (lambda x: SplitMix64(1).randbelow(x), ValueError),
 }
 
 
@@ -726,8 +728,8 @@ def test_value_doors_refuse_what_is_not_in_range(name, x):
     # a bool was read as 0 or 1, tile_of masked a vertex or word to k bits,
     # restrict indexed from the end or past it, vertex_bits printed -1 and
     # 2**70 as bits, edge_at took any vertex and shifted by any coordinate,
-    # and a float, str or None raised a raw TypeError where no check came
-    # first
+    # randbelow drew below True and below 2**70 only under 2**64, and a
+    # float, str or None raised a raw TypeError where no check came first
     call, error = VALUE_DOORS[name]
     with pytest.raises(error):
         call(x)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -285,6 +286,34 @@ def test_phase_walk_mixes_exactly(k, second, first_step):
         law = law @ matrix
         distances.append(abs(law - 1 / n).sum() / 2)
     assert distances[-2] >= 1e-3 > distances[-1]
+
+
+# N_c, the k = 3 facet pairs whose join has c 4-phases, for c = 1..8: each
+# gives 2^c USOs with c 4-phases, so 2^c N_c / 5,541,744 is the law of the
+# 4-phase count of a uniform 4-dimensional USO
+FACET_PAIRS_BY_PHASES = (191_736, 139_104, 103_552, 65_856, 34_496, 13_824, 4_224, 744)
+
+
+def test_sampler_meets_the_exact_phase_law_at_k4():
+    # 4,000 seeded chains of 32 steps read a total-variation distance of
+    # 0.024 from the exact law (0.030 at 16 steps, 0.068 at 8, 0.119 at
+    # 4); 4,000 exact draws read 0.016 on average and above 0.033 once in
+    # 1,000, so 0.04 passes an exact sampler and fails an 8-step one
+    from collections import Counter
+
+    from usokit import phases, uso_from_tiles
+
+    assert sum(n << c for c, n in enumerate(FACET_PAIRS_BY_PHASES, 1)) == 5_541_744
+    assert sum(FACET_PAIRS_BY_PHASES) == 744**2
+    chains = 4000
+    counts = Counter(
+        len(phases(uso_from_tiles(sample_markov(4, 32, seed)), 4).classes)
+        for seed in range(chains)
+    )
+    assert set(counts) <= set(range(1, 9))
+    law = {c: n * 2**c / 5_541_744 for c, n in enumerate(FACET_PAIRS_BY_PHASES, 1)}
+    distance = sum(abs(counts[c] / chains - p) for c, p in law.items()) / 2
+    assert distance < 0.04
 
 
 def _reversed(table: bytes, k, i, word) -> bytes:
@@ -609,6 +638,136 @@ def test_randbelow_is_the_rejection_rule(n):
     draws = [fast.randbelow(n) for _ in range(10_000)]
     assert draws == [_generic_randbelow(generic, n) for _ in range(10_000)]
     assert fast.state == generic.state
+
+
+@pytest.mark.parametrize("n", [2**64 + 1, 2**66, 3 * 2**64])
+def test_randbelow_refuses_ranges_past_the_word(n):
+    # 2**64 + 1 gave a threshold of 0 and never returned; 2**66 drew only
+    # below 2**64
+    with pytest.raises(ValueError, match=r"^n must be an int in 1\.\.2\*\*64, got "):
+        SplitMix64(1).randbelow(n)
+    rng, words = SplitMix64(1), SplitMix64(1)
+    assert rng.randbelow(2**64) == words.next_u64()
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "1", None, 1.0])
+def test_splitmix_seed_is_an_int(seed):
+    # True seeded as 1; the others raised a raw TypeError
+    with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+        SplitMix64(seed)
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4B7C15
+
+
+def _unshift(y, s):
+    """x with x ^ x >> s == y: each round fixes s more high bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ x >> s
+    return x
+
+
+def _seed_with(word, n):
+    """The seed whose SplitMix64 output n (from 1) is word: next_u64's mix,
+    inverted, gives the state, and state n is seed + n * gamma."""
+    z = _unshift(word, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return _unshift(z, 30) - n * _GAMMA & _MASK
+
+
+# the all-ones word is the one word that randbelow(3) and randbelow(5) draw
+# again: at output 1, the first coordinate; at outputs 127 and 129, about a
+# block boundary; at output 255, with the pick in the third block
+REJECTED = [_seed_with(_MASK, n) for n in (1, 127, 129, 255)]
+
+
+def test_seeds_with_a_rejected_word():
+    for seed, n in zip(REJECTED, (1, 127, 129, 255)):
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(n)][-1] == _MASK
+    rng = SplitMix64(REJECTED[0])
+    assert rng.randbelow(3) == SplitMix64(REJECTED[0] + _GAMMA).next_u64() % 3
+    assert rng.state == REJECTED[0] + 2 * _GAMMA & _MASK
+
+
+WORD_SEEDS = [0, 1, 2**63, -1, 2**64 + 5, 1234567]
+
+
+@pytest.mark.parametrize("seed", WORD_SEEDS)
+def test_block_words_are_next_u64(seed):
+    import warnings
+
+    from usokit.enumeration import _BLOCK, _splitmix_block, _words
+
+    rng = SplitMix64(seed)
+    n = 3 * _BLOCK + 7
+    # every block boundary up to the fourth block, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = list(itertools.islice(_words(seed), n))
+    assert got == [rng.next_u64() for _ in range(n)]
+    # a block from any counter is the first block of the seed moved there
+    for start in (5, _BLOCK - 1, 2**64 - 3, 10**30):
+        again = SplitMix64(seed + start * _GAMMA)
+        assert _splitmix_block(seed, start) == [again.next_u64() for _ in range(_BLOCK)]
+
+
+def _reference_walk(k, steps, seed):
+    """The flip walk drawn through SplitMix64.randbelow, a call per draw:
+    the coordinate by randbelow(k), the classes' subset by
+    randbelow(2^classes), and every table's classes closed afresh."""
+    from usokit.transform import _phase_masks, _reversal, _reversal_rows, _union
+
+    masks = _phase_masks.__wrapped__
+    size = 1 << k
+    state = 0
+    table = bytes(size)
+    yield table
+    draw = SplitMix64(seed).randbelow
+    for _ in range(steps):
+        if k:
+            i = 1 + draw(k)
+            classes = masks(table, k, i)
+            state ^= _reversal(_reversal_rows(k, i), _union(classes, draw(1 << len(classes))))
+            table = state.to_bytes(size, "little")
+        yield table
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_walk_is_the_reference_walk(k):
+    from usokit.enumeration import _BLOCK, _walk
+
+    # two draws a step, so these walks read four blocks
+    steps = 2 * _BLOCK - 3
+    for seed in [7 + k, -1, *REJECTED]:
+        assert list(_walk(k, steps, seed)) == list(_reference_walk(k, steps, seed))
+
+
+def test_chain_states_are_frozen_values():
+    from dataclasses import FrozenInstanceError
+
+    first, second = itertools.islice(markov_walk(3, 5, 2), 2)
+    for name in ("table", "step", "current", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(first, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(first, name)
+    assert first.current is first.current
+    with pytest.raises(FrozenInstanceError):
+        del first.current
+    # equal only to an equal state, with the hash of its fields
+    fields = (first.table, first.dim, first.step, first.seed)
+    assert first == ChainState(*fields) and not first != ChainState(*fields)
+    assert first != fields and fields != first and not first == fields
+    assert first != second and first != list(fields)
+    assert hash(first) == hash(fields) == hash(ChainState(*fields))
+    for order in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(TypeError, match="^chain states are not ordered$"):
+            getattr(first, order)(second)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, "1", None, True, 1.0])
