@@ -77,7 +77,6 @@ from .tiling import (
     twins,
     uso_from_tiles,
 )
-from .pairwise import recursion_decides
 from .transform import (
     facet,
     flip_dimension,
@@ -174,9 +173,9 @@ def _cmd_validate(args):
     # encoding it did not use
     if not ts.is_pairwise_adjacent():
         raise InternalError("the pairwise test rejects a complete tiling")
-    # and the vertex test it did not use: the pair test where the
-    # recursion decides, the recursion where the pair test does
-    if not is_uso(o, "pairwise" if recursion_decides(o.dim) else "face-scan"):
+    # and the vertex test it did not use: the verdict is the face-sink
+    # recursion, so the pair test
+    if not is_uso(o, "pairwise"):
         raise InternalError("the face scan disagrees with the pairwise test")
     flips = len(flippable_edges(o))
     pairs = len(twins(ts))

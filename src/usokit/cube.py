@@ -25,16 +25,13 @@ sinks of its facets (both in ``pairwise``); the two must always agree.
 recursion to that search.
 
 An orientation is verified once.  Operations that need unique sinks go
-through ``_require_uso``, which runs ``_unique_sinks`` on first use and
-keeps the verdict on the immutable value: whichever test is faster at k,
-as ``pairwise.recursion_decides`` names it, the recursion on byte lanes
-up to k = 6 (1.72 against 10.1 us at k = 4), the pair test at k = 7 and 8
-(38 against 61 us at k = 8) and the recursion on numpy from
-FACE_SINK_MIN_DIM = 9 (0.087 against 0.20 ms at k = 9; see ``pairwise``
-for every figure); results that are unique sink
-orientations by construction carry the verdict from birth.  The public
-``is_uso`` always runs its test.  ``_consistent`` builds an orientation with
-only the word-range test from a table whose edges agree by construction;
+through ``_require_uso``, which runs the face-sink recursion
+(``pairwise.face_sinks_ok``, on byte lanes up to k = 8 and on numpy
+above) on first use and keeps the verdict on the immutable value;
+results that are unique sink orientations by construction carry the
+verdict from birth.  The public ``is_uso`` always runs its test.
+``_consistent`` builds an orientation with only the word-range test from
+a table whose edges agree by construction;
 ``_verified`` adds the verdict, for a transform's output (an USO by
 theorem, which the test suite guards), the all-down table and a verified
 tiling's vertex table, which the tile set keeps as its own verdict.
@@ -49,7 +46,7 @@ from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
-from .pairwise import face_sinks_ok, incompatible_pairs, recursion_decides
+from .pairwise import face_sinks_ok, incompatible_pairs
 
 FACE_CHARS = "01*"
 
@@ -81,6 +78,7 @@ def _bits(v: int, k: int) -> str:
 def vertex_from_bits(bits: str) -> int:
     """The vertex of a bit word; the pattern test comes first, as int()
     also takes "_", "+", whitespace and non-ASCII digits."""
+    _require_str(bits, "bit string")
     if not _BIT_WORD.fullmatch(bits):
         bad = next(c for c in bits if c not in "01")
         raise ValueError(f"bad vertex character {bad!r}")
@@ -181,8 +179,7 @@ class Face:
     pattern: str
 
     def __post_init__(self):
-        if not isinstance(self.pattern, str):
-            raise ValueError(f"face pattern {self.pattern!r} is not a str")
+        _require_str(self.pattern, "face pattern")
         for c in self.pattern:
             if c not in FACE_CHARS:
                 raise ValueError(f"bad face character {c!r}")
@@ -276,6 +273,13 @@ def _require_iterable(values, what: str) -> None:
         raise ValueError(f"{what} {values!r} is not iterable") from None
 
 
+def _require_str(value, what: str) -> None:
+    """Raise ValueError naming what unless value is a str: the first check
+    of a caller's word or text, before any of its characters is read."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {value!r} is not a str")
+
+
 def _all_ints(values) -> bool:
     """Whether the type of every value is int, as _is_word tests one: the
     type test of a caller's table where one enters, one pass in C."""
@@ -358,14 +362,6 @@ def _pairwise_ok(out, k: int) -> bool:
     return next(incompatible_pairs(_vertex_words(k), out, k), None) is None
 
 
-def _unique_sinks(out, k: int) -> bool:
-    """The verdict that _require_uso and the tiling verdict keep: the
-    face-sink recursion where recursion_decides, the pair test elsewhere."""
-    if recursion_decides(k):
-        return face_sinks_ok(out, k)
-    return _pairwise_ok(out, k)
-
-
 def _face_sinks(out, fixed: int, free: int) -> list[int]:
     """Sinks of the face with these fixed values and free mask, up to two."""
     sinks = []
@@ -407,11 +403,11 @@ def _keep_verdict(value, verdict):
 def _require_uso(o: Orientation) -> None:
     """Raise NotAnUsoError unless o has unique sinks.
 
-    The first call on a value runs _unique_sinks; later calls read the
-    verdict it kept.
+    The first call on a value runs the face-sink recursion; later calls
+    read the verdict it kept.
     """
     if o._verdict is None:
-        _keep_verdict(o, _unique_sinks(o.out, o.dim))
+        _keep_verdict(o, face_sinks_ok(o.out, o.dim))
     if not o._verdict:
         raise NotAnUsoError("input is not a unique sink orientation")
 

@@ -12,7 +12,8 @@ written as "-" wherever a tile or a bit string would be empty.
     labels       lines "<tile> <label>"
 
 Readers are strict: wrong cardinality, duplicates, stray characters, and
-out-of-order orientation lines all raise FormatError.  Lines end at "\n"
+out-of-order orientation lines all raise FormatError; an input that is
+not a str raises ValueError, before any of it is read.  Lines end at "\n"
 (after a CRLF's "\r"), and words are separated and padded by ASCII space
 and tab only; any other whitespace in a header, vertex or label line makes
 it malformed, and in a tile word makes it a bad tile.  Each word is checked
@@ -53,6 +54,7 @@ from .cube import (
     Orientation,
     _bits,
     _require_cube_dim,
+    _require_str,
     vertex_from_bits,
 )
 from .errors import FormatError
@@ -181,6 +183,7 @@ def write_tiling(ts: TileSet) -> str:
 
 
 def read_tiling(text: str) -> TileSet:
+    _require_str(text, "text")
     head, _, body = text.partition("\n")
     k = _TILING_HEADS.get(head)
     packed = None if k is None else pack_lines(body, 1 << k, k)
@@ -206,6 +209,7 @@ def write_orientation(o: Orientation) -> str:
 
 
 def read_orientation(text: str) -> Orientation:
+    _require_str(text, "text")
     k, body = _counted_body(text, "o", "vertex")
     out = [0] * (1 << k)
     for ln, v in zip(body, Face.full(k).vertices()):
@@ -238,6 +242,7 @@ def write_rule(rule: GeneralizedRule) -> str:
 
 
 def read_rule(text: str) -> GeneralizedRule:
+    _require_str(text, "text")
     lines = _lines(text)
     if not lines:
         raise FormatError("empty input")
@@ -290,6 +295,7 @@ def read_labels(text: str, dim: int) -> dict[str, int]:
     other text, and a plain one with a repeated tile, goes to the line
     reader, which accepts or rejects it with its own messages.
     """
+    _require_str(text, "text")
     _require_cube_dim(dim)
     if dim > 0 and re.fullmatch(f"(?:[0-3]{{{dim}}} [1-9][0-9]*\n)*", text):
         words = text.split()

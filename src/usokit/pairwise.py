@@ -32,8 +32,13 @@ face's, both 1 and the upper one is.  The 1-faces are the edges, so a
 table whose edge ends disagree fails there.  That is 3^k words against
 2^(2k-1) pair cells.
 
-Up to LANE_MAX_DIM = 6 the recursion runs on one Python int, a byte lane
-per word (the words are below 2^6).  A pass on c = bit b splits the
+It is the one unique-sink verdict, the one that cube._require_uso and
+tiling._tiling_ok keep, at every k; the pair test serves is_uso's
+"pairwise" method, the brute catalogue's filter and the naming of a
+failed tiling's first pair.
+
+Up to LANE_MAX_DIM = 8 the recursion runs on one Python int, a byte lane
+per word (the words are below 2^8).  A pass on c = bit b splits the
 region of lanes in blocks of 2^(b+1): the lower half of a block against
 its upper half, found by one shift, is the facet pair of a face.  Both
 halves become faces of the next pass where they are, and the face's sink,
@@ -44,19 +49,15 @@ LANE_MAX_DIM it runs on numpy, at most _FACE_CELLS words per block, so it
 needs no dimension cap (a cap would only trade its memory for the pair
 test's 4^k/3^k time).
 
-The verdict of cube._require_uso and tiling._tiling_ok is the faster of
-the two at each k, which recursion_decides names.  Best of 7 x 20,000
-calls (7 x 3,000 at k = 7 and 8) on a seeded product USO's table, 2
-shared cores, Python 3.11.7, numpy 2.4.6, the recursion on byte lanes
-against the pair test took 1.19 against 3.16 us at k = 3, 1.72 against
-10.1 at k = 4, 2.86 against 12.6 at k = 5 and 6.54 against 15.0 at
-k = 6, but 61 against 38 us at k = 8.  At k = 7 the two tie within the
-spread of runs: 18 against 21 us on a tuple, 19 against 19 on a tiling's
-int64 table, which the lanes must first convert (and 24.4 against 20.3
-in an earlier measurement), so the pair test keeps k = 7 with k = 8.
-On numpy (best of 30) the recursion took 0.087 against 0.20 ms at
-k = 9 and 0.14 against 0.49 ms at k = 10.  So the pair test decides at
-k = 7 and 8 alone, and the recursion at every other k.
+Best of 7 x 2,000 calls on a product tiling's vertex table (vertex_outmaps'
+int64 array, converted to lanes), 2 shared cores, Python 3.11.7, numpy
+2.4.6, the recursion took 17.9 us on lanes against 43.8 on numpy at
+k = 7.  At k = 8 it took 63.4 against 59.5 on a valid table, a tie, and
+34.1 against 49.8 with one edge reversed, so the lanes keep every
+dimension whose words fit a byte.  The pair test took 18.4 and 32.9 us
+on those valid tables, so at k = 8 one verdict costs about twice the
+pair test; from k = 9 the recursion is the faster one (80 against 128 us
+at k = 9, 129 against 399 at k = 10, best of 7 x 300).
 
 numpy is imported on the first numpy route taken (see _lazy), so sets
 below KERNEL_MIN_DIM and tables up to LANE_MAX_DIM never import it.
@@ -79,14 +80,9 @@ KERNEL_MIN_DIM = 5
 # of these sizes.
 _BLOCK_CELLS = 1 << 16
 
-# Largest dimension whose recursion runs on byte lanes, and the top of the
-# low band of dimensions it decides (measured above): from k = 7 the pair
-# test is faster, and the recursion runs on numpy.
-LANE_MAX_DIM = 6
-
-# Smallest dimension of the high band the recursion decides (measured
-# above); from LANE_MAX_DIM + 1 to below it the pair test is faster.
-FACE_SINK_MIN_DIM = 9
+# Largest dimension whose recursion runs on byte lanes (measured above);
+# a lane holds one byte, so at most 8.
+LANE_MAX_DIM = 8
 
 # Words one pass of the recursion's numpy route reads per block of faces.
 # A pass reads at most 3^(k-1), so up to k = 13 (3^12 < 2^20) a table is
@@ -95,12 +91,6 @@ _FACE_CELLS = 1 << 20
 
 # by name, so that importing this module does not import numpy
 _DTYPES = ((8, "uint8"), (16, "uint16"), (32, "uint32"), (64, "uint64"))
-
-
-def recursion_decides(k: int) -> bool:
-    """Whether the unique-sink verdict at dimension k is the face-sink
-    recursion (else the pair test), in the bands measured above."""
-    return not LANE_MAX_DIM < k < FACE_SINK_MIN_DIM
 
 
 def incompatible_pairs(
@@ -167,8 +157,8 @@ def face_sinks_ok(out: Sequence[int], k: int) -> bool:
     every face exactly one sink, by the face-sink recursion."""
     if k > LANE_MAX_DIM:
         return _face_sinks_ok_np(out, k)
-    if not isinstance(out, (bytes, list, tuple)):  # a numpy table: 8 bytes a word
-        out = out.tolist()
+    if not isinstance(out, (bytes, list, tuple)):  # a numpy table, to one byte a word
+        out = out.astype("uint8")
     return _face_sinks_ok_int(out, k)
 
 

@@ -55,19 +55,22 @@ on the first numpy route taken (see _lazy), so tile sets below
 KERNEL_MIN_DIM never import it.
 
 A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
-the sink test of orientations (cube._unique_sinks: the face-sink
-recursion, or at k = 7 and 8 the pair test) on the vertex table of
-vertex_outmaps, in k-bit words, which is the tile pair test in other
-words, as tiles that share a vertex are incompatible.  Up to k = 5 the
-table is the byte lanes that the recursion reads, so a verdict there
-builds no dict and runs no pair loop.  The immutable tile set keeps the
-verdict: False, or the table that passed, which ``uso_from_tiles`` hands
-to ``cube._verified`` (no edge scan, as the sink test implies it).  Operations that need a
-complete tiling go through ``_require_tiling``, which runs the verdict on
-first use; ``tiles_from_uso`` output keeps its orientation's table from
-birth.  The public ``is_tiling`` and ``tiling_defect`` always run the
-verdict (and keep it); ``_defect`` names a failed set's defect, the tile
-count or the first incompatible pair in tile order by the tile pair scan.
+the sink test of orientations (pairwise.face_sinks_ok, the face-sink
+recursion) on the vertex table of vertex_outmaps, in k-bit words, which
+is the tile pair test in other words, as tiles that share a vertex are
+incompatible.  Up to k = 5 the table is the byte lanes that the
+recursion reads, so a verdict there builds no dict and runs no pair
+loop; from k = 6 it is an int64 array, which the recursion turns into
+byte lanes in one cast up to k = 8 and reads as it is above, and which
+becomes a list only once it has passed.  The immutable tile set keeps
+the verdict: False, or the table that passed, which ``uso_from_tiles``
+hands to ``cube._verified`` (no edge scan, as the sink test implies it).
+Operations that need a complete tiling go through ``_require_tiling``,
+which runs the verdict on first use; ``tiles_from_uso`` output keeps its
+orientation's table from birth.  The public ``is_tiling`` and
+``tiling_defect`` always run the verdict (and keep it); ``_defect`` names
+a failed set's defect, the tile count or the first incompatible pair in
+tile order by the tile pair scan.
 """
 
 from __future__ import annotations
@@ -88,13 +91,13 @@ from .cube import (
     _keep_verdict,
     _require_cube_dim,
     _require_iterable,
+    _require_str,
     _require_uso,
     _require_vertex,
-    _unique_sinks,
     _verified,
 )
 from .errors import NotATilingError
-from .pairwise import KERNEL_MIN_DIM, incompatible_pairs
+from .pairwise import KERNEL_MIN_DIM, face_sinks_ok, incompatible_pairs
 
 DIGITS = "0123"
 
@@ -136,8 +139,7 @@ def tile_pack(s: str) -> int:
     The pattern test comes first, as int() also takes "_", "+",
     whitespace and non-ASCII digits.
     """
-    if not isinstance(s, str):
-        raise ValueError(f"tile {s!r} is not a str")
+    _require_str(s, "tile")
     if not _TILE_WORD.fullmatch(s):
         bad = next(c for c in s if c not in DIGITS)
         raise ValueError(f"bad tile character {bad!r}")
@@ -375,14 +377,14 @@ def _built(k: int, tiles: frozenset) -> TileSet:
 def _tiling_ok(ts: TileSet) -> bool:
     """Whether ts is a complete tiling: the one verdict, kept on ts.
 
-    The sink test of orientations on the vertex table (cube._unique_sinks):
+    The sink test of orientations on the vertex table (face_sinks_ok):
     tiles that share a vertex are incompatible, so 2^k tiles whose vertex
     map is onto and whose table passes the test are exactly a complete
     tiling.  A table that passed is the kept verdict, as a list, and
     uso_from_tiles reads it.
     """
     out = vertex_outmaps(ts)
-    ok = out is not None and _unique_sinks(out, ts.dim)
+    ok = out is not None and face_sinks_ok(out, ts.dim)
     if ok:  # the table of either route, as a list
         out = list(out) if isinstance(out, bytes) else out.tolist()
     _keep_verdict(ts, out if ok else False)

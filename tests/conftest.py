@@ -50,7 +50,7 @@ def sampled_tiling():
 @pytest.fixture
 def kernel_passes(monkeypatch):
     """Calls of the vertex tests made by the tiling and the cube module: the
-    pairwise kernel, and in cube the face-sink recursion, a vertex pass."""
+    pairwise kernel, and the face-sink recursion, a vertex pass."""
     import usokit.cube
     import usokit.tiling
 
@@ -59,6 +59,7 @@ def kernel_passes(monkeypatch):
         (usokit.tiling, "incompatible_pairs", "tiling"),
         (usokit.cube, "incompatible_pairs", "vertex"),
         (usokit.cube, "face_sinks_ok", "vertex"),
+        (usokit.tiling, "face_sinks_ok", "vertex"),
     ):
         def counting(*args, test=getattr(module, name), kind=kind):
             calls[kind] += 1

@@ -59,7 +59,7 @@ BIG_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_pair_test_on_co
 SPLICE = "tests/test_rewrite.py::test_block_splice_is_the_loop"
 FUSED = "tests/test_transform.py::test_fused_pair_rule_is_the_broadcast_rule"
 DOORS = "tests/test_cube.py::test_value_doors_refuse_what_is_not_in_range"
-BAND = "tests/test_pairwise.py::test_the_verdict_takes_its_band_at_the_lane_bound"
+EVERY_K = "tests/test_pairwise.py::test_the_verdict_is_the_recursion_at_every_k"
 CROSS_CHECK = "tests/test_cli.py::test_validate_cross_checks_with_the_other_vertex_test"
 BLOCK_WORDS = "tests/test_enumeration.py::test_block_words_are_next_u64"
 REFERENCE_WALK = "tests/test_enumeration.py::test_walk_is_the_reference_walk"
@@ -626,15 +626,15 @@ MUTANTS = [
     (
         "tiling verdict without its sink test",
         "tiling.py",
-        "    ok = out is not None and _unique_sinks(out, ts.dim)\n",
+        "    ok = out is not None and face_sinks_ok(out, ts.dim)\n",
         "    ok = out is not None\n",
         [VERDICT],
     ),
     (
         "tiling verdict taking a vertex map that is not onto",
         "tiling.py",
-        "    ok = out is not None and _unique_sinks(out, ts.dim)\n",
-        "    ok = out is None or _unique_sinks(out, ts.dim)\n",
+        "    ok = out is not None and face_sinks_ok(out, ts.dim)\n",
+        "    ok = out is None or face_sinks_ok(out, ts.dim)\n",
         [VERDICT],
     ),
     (
@@ -803,18 +803,33 @@ MUTANTS = [
         [SEEDED_TABLES],
     ),
     (
-        # 6 becomes a dimension of the pair test's band, 9 another
-        "pair-test band moved down to k = 6",
+        # int.from_bytes refuses a table holding a word of 9 bits
+        "lanes run one dimension past a byte",
         "pairwise.py",
-        "LANE_MAX_DIM = 6\n",
-        "LANE_MAX_DIM = 5\n",
-        [BAND, CROSS_CHECK],
+        "LANE_MAX_DIM = 8\n",
+        "LANE_MAX_DIM = 9\n",
+        [f"{EVERY_K}[9]"],
     ),
     (
-        "pair-test band moved up to k = 9",
+        # int.from_bytes reads an int64 array's buffer, 8 bytes a word
+        "lanes reading a tiling's numpy table as it is",
         "pairwise.py",
-        "FACE_SINK_MIN_DIM = 9\n",
-        "FACE_SINK_MIN_DIM = 10\n",
+        "    if not isinstance(out, (bytes, list, tuple)):",
+        "    if False:",
+        [f"{EVERY_K}[6]"],
+    ),
+    (
+        "_require_uso deciding by the pair test",
+        "cube.py",
+        "        _keep_verdict(o, face_sinks_ok(o.out, o.dim))\n",
+        "        _keep_verdict(o, _pairwise_ok(o.out, o.dim))\n",
+        [EVERY_K],
+    ),
+    (
+        "validate cross-checking with the face scan",
+        "cli.py",
+        '    if not is_uso(o, "pairwise"):\n',
+        '    if not is_uso(o, "face-scan"):\n',
         [CROSS_CHECK],
     ),
     (
@@ -1259,6 +1274,14 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
+    (
+        # k = 8 then takes the numpy recursion, which decides the same
+        # property; the choice between the two routes there is speed alone
+        "k = 8 verdicts on numpy, not on lanes",
+        "pairwise.py",
+        "LANE_MAX_DIM = 8\n",
+        "LANE_MAX_DIM = 7\n",
+    ),
     (
         # inverted, each pass keeps the facet sink whose edge leaves,
         # which is the face's source when the bits agree: the recursion

@@ -541,27 +541,27 @@ def test_validate_cross_checks_exit_3(
     method, line, sampled_tiling, tmp_path, monkeypatch, capsys
 ):
     # each cross-check made to disagree: the pairwise one is the tile pair
-    # test, the encoding the verdict did not use; the face scan is the
-    # vertex cross-check at k = 7, where the verdict is the pair test
-    import usokit.cli
+    # test, the encoding the verdict did not use; the face scan names the
+    # vertex cross-check, the pair test on the vertex table, which the
+    # verdict (the face-sink recursion) does not run
+    import usokit.cube
 
     f = write(tmp_path, "k7.uso", write_tiling(sampled_tiling(7)))
     if method == "pairwise":
         monkeypatch.setattr(TileSet, "is_pairwise_adjacent", lambda ts: False)
     else:
-        real = usokit.cli.is_uso
-        monkeypatch.setattr(usokit.cli, "is_uso", lambda o, m: m != method and real(o, m))
+        monkeypatch.setattr(usokit.cube, "_pairwise_ok", lambda out, k: False)
     assert run(["validate", f]) == 3
     assert capsys.readouterr() == ("", line)
 
 
-@pytest.mark.parametrize("k, other", [(3, "pairwise"), (6, "pairwise"), (7, "face-scan"),
-                                      (8, "face-scan"), (9, "pairwise"), (10, "pairwise")])
+# each id names the method the cross-check asks for
+@pytest.mark.parametrize("k", [3, 6, 7, 8, 9, 10], ids="{}-pairwise".format)
 def test_validate_cross_checks_with_the_other_vertex_test(
-    k, other, sampled_tiling, tmp_path, monkeypatch, capsys
+    k, sampled_tiling, tmp_path, monkeypatch, capsys
 ):
-    # at every k: the face-sink recursion where the verdict was the pair
-    # test, the pair test where it was the recursion
+    # at every k the verdict is the face-sink recursion, so the cross-check
+    # is the pair test
     import usokit.cli
 
     f = write(tmp_path, "k.uso", write_tiling(sampled_tiling(k)))
@@ -571,21 +571,21 @@ def test_validate_cross_checks_with_the_other_vertex_test(
     assert run(["validate", f]) == 3
     line = "error: internal: the face scan disagrees with the pairwise test\n"
     assert capsys.readouterr().err == line
-    assert asked == [other]
+    assert asked == ["pairwise"]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_validate_cross_checks_the_other_encoding(
     seed, sampled_tiling, tmp_path, monkeypatch, capsys
 ):
-    # at every k the verdict runs _unique_sinks on the vertex table; with
+    # at every k the verdict runs face_sinks_ok on the vertex table; with
     # that binding passing anything, a tiling with one direction digit
     # changed must still fail the tile pair test
     import random
 
     import usokit.tiling
 
-    monkeypatch.setattr(usokit.tiling, "_unique_sinks", lambda out, k: True)
+    monkeypatch.setattr(usokit.tiling, "face_sinks_ok", lambda out, k: True)
     rnd = random.Random(seed)
     for k in (3, 7):
         ts = sampled_tiling(k)

@@ -29,6 +29,8 @@ from usokit import (
     neighbor,
     read_labels,
     read_orientation,
+    read_rule,
+    read_tiling,
     tile_of,
     tile_unpack,
     unique_sink,
@@ -751,3 +753,16 @@ def test_whole_tables_that_are_not_iterable_are_value_errors(call, message):
     # each raised a raw TypeError before any check of its constructor ran
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("x", [None, 1, True, b"01"])
+def test_words_and_texts_that_are_not_str_are_value_errors(x):
+    # a bit string and every reader's text, as Face and tile_pack take
+    # theirs; each raised a raw TypeError, read_tiling(None) an
+    # AttributeError
+    with pytest.raises(ValueError, match=f"^bit string {re.escape(repr(x))} is not a str$"):
+        vertex_from_bits(x)
+    message = f"^text {re.escape(repr(x))} is not a str$"
+    for read in (read_tiling, read_orientation, read_rule, lambda t: read_labels(t, 2)):
+        with pytest.raises(ValueError, match=message):
+            read(x)

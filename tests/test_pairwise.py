@@ -17,6 +17,7 @@ from usokit import (
     MAX_FORMAT_DIM,
     FormatError,
     InternalError,
+    NotAnUsoError,
     TileSet,
     flip_edges,
     flippable_edges,
@@ -32,10 +33,10 @@ from usokit import (
     write_tiling,
 )
 from usokit import cli, pairwise
-from usokit.cube import Face, _consistent, _pairwise_ok, _unique_sinks, unique_sink
+from usokit.cube import Face, _consistent, _pairwise_ok, _require_uso, unique_sink
 from usokit.pairwise import (
-    FACE_SINK_MIN_DIM,
     KERNEL_MIN_DIM,
+    LANE_MAX_DIM,
     _face_sinks_ok_int,
     _face_sinks_ok_np,
     _incompatible_pairs_np,
@@ -43,7 +44,7 @@ from usokit.pairwise import (
     face_sinks_ok,
     incompatible_pairs,
 )
-from usokit.tiling import incompatible_tiles, low_bits_mask
+from usokit.tiling import _tiles_of, _tiling_ok, incompatible_tiles, low_bits_mask
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,31 +240,47 @@ def test_recursion_accepts_every_k3_uso(catalogue3):
 
 
 def corrupted_products(k):
-    """A product USO of dimension k, and four corruptions of its table."""
+    """A seeded USO of dimension k, and the corruptions of its table that k
+    has room for: four from k = 2, two at k = 1, none at k = 0."""
     o = seeded_uso(k, k)
-    tables = [o.out, corrupted(o, k).out, words_swapped(o, k)]
-    # one end of an edge reversed at the top coordinate, the first pass's,
-    # and at a random one
-    return tables + [endpoint_flipped(o, k, k), endpoint_flipped(o, k + 1)]
+    tables = [o.out]
+    if k >= 2:
+        tables += [corrupted(o, k).out, words_swapped(o, k)]
+    if k >= 1:
+        # one end of an edge reversed at the top coordinate, the first
+        # pass's, and at a random one
+        tables += [endpoint_flipped(o, k, k), endpoint_flipped(o, k + 1)]
+    return tables
 
 
-@pytest.mark.parametrize("k", [6, 7, 8])
-def test_the_verdict_takes_its_band_at_the_lane_bound(k, monkeypatch):
-    # the recursion on byte lanes decides up to k = 6, the pair test at 7
-    # and 8; each verdict is the pair test's, and the lane form holds it on
-    # the words of k = 7 and 8, too
+@pytest.mark.parametrize("k", [*range(11), 12])
+def test_the_verdict_is_the_recursion_at_every_k(k, monkeypatch):
+    # _require_uso and _tiling_ok give the pair test's verdict without
+    # running it: the face-sink recursion decides at every k, on byte lanes
+    # up to LANE_MAX_DIM (a tiling's numpy table converted to them) and on
+    # numpy above
     import usokit.cube
 
     tables = corrupted_products(k)
     want = [_pairwise_ok(out, k) for out in tables]
-    assert want == [True] + [False] * 4
-    assert [_face_sinks_ok_int(out, k) for out in tables] == want
-    other = "_pairwise_ok" if k == 6 else "face_sinks_ok"
-    monkeypatch.setattr(usokit.cube, other, None)
-    assert [_unique_sinks(out, k) for out in tables] == want
+    assert want == [True] + [False] * (len(tables) - 1)
+
+    def pair_test(out, k):
+        raise RuntimeError("a verdict ran the pair test")
+
+    monkeypatch.setattr(usokit.cube, "_pairwise_ok", pair_test)
+    got = []
+    for out in tables:
+        try:
+            _require_uso(_consistent(k, out))
+            got.append(True)
+        except NotAnUsoError:
+            got.append(False)
+    assert got == want
+    assert [_tiling_ok(_tiles_of(out, k)) for out in tables] == want
 
 
-@pytest.mark.parametrize("k", [FACE_SINK_MIN_DIM, 10, 12])
+@pytest.mark.parametrize("k", [LANE_MAX_DIM + 1, 10, 12])
 def test_recursion_matches_the_pair_test_on_corrupted_products(k):
     verdicts = []
     for out in corrupted_products(k):
