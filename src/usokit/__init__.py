@@ -9,8 +9,9 @@ operate on.
 
 The modules split as follows:
 
-- cube: vertices, edges, faces, orientations, the two verifiers
-- pairwise: the pairwise kernel both verifiers run on
+- cube: vertices, edges, faces, orientations, the unique sink checks
+- pairwise: the vertex pair test and the face-sink recursion, which is
+  the one unique-sink verdict of orientations and tilings
 - tiling: tile packing, adjacency, tile sets, the orientation bijection
 - rewrite: rewriting rules (one type; a simple rule has one column),
   validity, application
@@ -19,9 +20,12 @@ The modules split as follows:
 - formats: the line-based text forms used by the command line driver
 - errors: the exception hierarchy and the categories the CLI prints
 
-Importing the package does not import numpy.  The numpy routes (the
-pairwise kernel and the block text codec from dimension 5 up, the phase
-kernel, the facet join) import it on first use, through ``_lazy``.
+Importing the package does not import numpy.  The numpy routes import
+it on first use, through ``_lazy``: the pair test, the block text codec
+and label packing from dimension 5 up, vertex tables from dimension 6 up,
+the face-sink recursion above dimension 8, the rewrite splice from 128
+input tiles, the phase kernel, the facet join and the flip walk's random
+words.
 """
 
 from types import ModuleType as _ModuleType

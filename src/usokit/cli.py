@@ -71,9 +71,8 @@ from .rewrite import (
 )
 from .tiling import (
     TileSet,
-    _defect,
-    is_tiling,
     tiles_from_uso,
+    tiling_defect,
     twins,
     uso_from_tiles,
 )
@@ -102,8 +101,9 @@ def _tiling(text: str, where: str = "") -> TileSet:
     """The tiling of a tile text, verified once; the error names the
     defect of the rejected set."""
     ts = read_tiling(text)
-    if not is_tiling(ts):
-        raise NotATilingError(where + _defect(ts))
+    defect = tiling_defect(ts)
+    if defect is not None:
+        raise NotATilingError(where + defect)
     return ts
 
 

@@ -11,6 +11,13 @@ Conventions used throughout the package:
   Edges are checked where a table enters: the constructors reject a
   caller's table whose endpoints disagree.
 * An edge is named by its endpoint in the lower i-facet plus ``i``.
+  ``_lower_ends(k, i)`` lists those endpoints, ascending; it is the one
+  list of a coordinate's edges, kept per (k, i).
+* A face is a pattern over {0, 1, *}, coordinate 1 first; ``Face`` reads
+  its free mask and fixed values off the pattern once.  ``_subset_ors``
+  gives every OR of a subset of some words, by doubling: a face's
+  vertices, and the tables that spread, deposit or reverse bits, are
+  each one call of it.
 
 A vertex is a sink of a face when no edge of the face leaves it, which is
 the single word test ``(out[v] ^ v) & free == 0``: an i-edge leaves ``v``
@@ -42,7 +49,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
@@ -168,21 +174,49 @@ def insert_bit(x: int, pos: int, bit: int) -> int:
     return (x >> pos) << (pos + 1) | bit << pos | (x & ((1 << pos) - 1))
 
 
+def _subset_ors(values) -> list[int]:
+    """Every OR of a subset of values, by doubling: entry j is the OR of
+    values[b] over the set bits b of j."""
+    ors = [0]
+    for x in values:
+        ors += [o | x for o in ors]
+    return ors
+
+
+@lru_cache(maxsize=None)
+def _lower_ends(k: int, i: int) -> tuple[int, ...]:
+    """The lower endpoints of the i-edges of the k-cube, ascending: entry p
+    is the edge of projection index p.  Kept per (k, i), 2^(k-1) ints, as
+    _vertex_words keeps 2^k per k."""
+    return tuple(insert_bit(p, i - 1, 0) for p in range(1 << (k - 1)))
+
+
 # ---------------------------------------------------------------------------
 # faces
 
 
 @dataclass(frozen=True)
 class Face:
-    """A face of the k-cube as a pattern over {0, 1, *}, coordinate 1 first."""
+    """A face of the k-cube as a pattern over {0, 1, *}, coordinate 1 first.
+
+    free_mask (the free coordinates' bits) and fixed_values (the 1s) are
+    read off the pattern once, where it is checked.
+    """
 
     pattern: str
+    free_mask: int = field(init=False, repr=False, compare=False)
+    fixed_values: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_str(self.pattern, "face pattern")
-        for c in self.pattern:
+        free = fixed = 0
+        for i, c in enumerate(self.pattern):
             if c not in FACE_CHARS:
                 raise ValueError(f"bad face character {c!r}")
+            free |= (c == "*") << i
+            fixed |= (c == "1") << i
+        object.__setattr__(self, "free_mask", free)
+        object.__setattr__(self, "fixed_values", fixed)
 
     @property
     def cube_dim(self) -> int:
@@ -192,23 +226,16 @@ class Face:
     def dim(self) -> int:
         return self.pattern.count("*")
 
-    @property
-    def free_mask(self) -> int:
-        return vertex_from_bits(self.pattern.replace("1", "0").replace("*", "1"))
-
-    @property
-    def fixed_values(self) -> int:
-        return vertex_from_bits(self.pattern.replace("*", "0"))
-
     def free_positions(self) -> list[int]:
         """0-based bit positions of the free coordinates, ascending."""
         return [i for i, c in enumerate(self.pattern) if c == "*"]
 
     def vertices(self) -> Iterator[int]:
-        """Vertices of the face in lexicographic bit-string order."""
-        choices = [("0", "1") if c == "*" else (c,) for c in self.pattern]
-        for bits in iproduct(*choices):
-            yield vertex_from_bits("".join(bits))
+        """Vertices of the face in lexicographic bit-string order: coordinate
+        1, printed first, varies slowest, so the last free one is bit 0 of
+        the subset index.  All 2^dim of them are built on the call."""
+        free = [1 << i for i in reversed(self.free_positions())]
+        return map(self.fixed_values.__or__, _subset_ors(free))
 
     def __contains__(self, v: int) -> bool:
         return v & ~self.free_mask == self.fixed_values
@@ -219,6 +246,8 @@ class Face:
 
 
 def _require_face(f: Face, k: int) -> None:
+    if not isinstance(f, Face):
+        raise ValueError(f"face {f!r} is not a Face")
     if f.cube_dim != k:
         raise DimensionError(f"face pattern length {f.cube_dim} does not match dimension {k}")
 
@@ -258,10 +287,15 @@ class Orientation:
 
     def edges(self) -> Iterator[Edge]:
         for i in range(1, self.dim + 1):
-            ibit = 1 << (i - 1)
-            for v in range(1 << self.dim):
-                if not v & ibit:
-                    yield Edge(v, i)
+            for v in _lower_ends(self.dim, i):
+                yield Edge(v, i)
+
+
+def _require_orientation(o) -> None:
+    """Raise ValueError unless o is an Orientation: the first check of an
+    orientation parameter, before any of its fields is read."""
+    if not isinstance(o, Orientation):
+        raise ValueError(f"orientation {o!r} is not an Orientation")
 
 
 def _require_iterable(values, what: str) -> None:
@@ -328,13 +362,15 @@ def _check_edges(k: int, out, support=None, what: str = "inconsistent direction 
     """Raise ValueError naming the edge of lowest coordinate, then lowest
     vertex, whose endpoints in support (default: all 2^k) disagree on it.
     """
-    vertices = range(1 << k) if support is None else sorted(support)
-    for i in range(k):
-        ibit = 1 << i
-        for v in vertices:
-            w = v | ibit
-            if w != v and (support is None or w in support) and (out[v] ^ out[w]) & ibit:
-                raise ValueError(f"{what} the {i + 1}-edge at {_bits(v, k)}")
+    for i in range(1, k + 1):
+        ibit = 1 << (i - 1)
+        if support is None:
+            ends = _lower_ends(k, i)
+        else:
+            ends = sorted(v for v in support if not v & ibit and v | ibit in support)
+        for v in ends:
+            if (out[v] ^ out[v | ibit]) & ibit:
+                raise ValueError(f"{what} the {i}-edge at {_bits(v, k)}")
 
 
 def canonical_orientation(k: int) -> Orientation:
@@ -345,6 +381,7 @@ def canonical_orientation(k: int) -> Orientation:
 
 def unique_sink(o: Orientation, f: Face):
     """The sink of face f, or "none" / "multiple"."""
+    _require_orientation(o)
     _require_face(f, o.dim)
     sinks = _face_sinks(o.out, f.fixed_values, f.free_mask)
     if len(sinks) == 1:
@@ -386,6 +423,7 @@ def is_uso(o: Orientation, method: str = "pairwise") -> bool:
     every orientation.  Either test runs on every call; the pairwise
     verdict is also kept.
     """
+    _require_orientation(o)
     if method == "pairwise":
         _keep_verdict(o, _pairwise_ok(o.out, o.dim))
         return o._verdict
@@ -406,6 +444,7 @@ def _require_uso(o: Orientation) -> None:
     The first call on a value runs the face-sink recursion; later calls
     read the verdict it kept.
     """
+    _require_orientation(o)
     if o._verdict is None:
         _keep_verdict(o, face_sinks_ok(o.out, o.dim))
     if not o._verdict:
@@ -415,17 +454,18 @@ def _require_uso(o: Orientation) -> None:
 def flippable_edges(o: Orientation) -> set[Edge]:
     """Edges whose endpoints have identical direction words."""
     _require_uso(o)
-    found = set()
-    for i in range(1, o.dim + 1):
-        ibit = 1 << (i - 1)
-        for v in range(1 << o.dim):
-            if not v & ibit and o.out[v] == o.out[v | ibit]:
-                found.add(Edge(v, i))
-    return found
+    k, out = o.dim, o.out
+    return {
+        Edge(v, i)
+        for i in range(1, k + 1)
+        for v in _lower_ends(k, i)
+        if out[v] == out[v | 1 << (i - 1)]
+    }
 
 
 def flip_edges(o: Orientation, edges) -> Orientation:
     """Reverse the given edges at both ends.  No unique-sink guarantee."""
+    _require_orientation(o)
     out = list(o.out)
     for e in set(edges):
         check_edge(e, o.dim)
@@ -477,6 +517,7 @@ class PartialOrientation:
     def restrict(cls, o: Orientation, support) -> "PartialOrientation":
         """o on the support.  o is read only at vertices in range; any other
         vertex gets the word None, and the constructor names the vertex."""
+        _require_orientation(o)
         sup = frozenset(support)
         n = len(o.out)
         return cls(o.dim, sup, {v: o.out[v] if _is_word(v, n) else None for v in sup})

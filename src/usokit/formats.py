@@ -54,12 +54,13 @@ from .cube import (
     Orientation,
     _bits,
     _require_cube_dim,
+    _require_orientation,
     _require_str,
     vertex_from_bits,
 )
 from .errors import FormatError
 from .rewrite import GeneralizedRule
-from .tiling import TileSet, _built, pack_lines, tile_lines, tile_pack
+from .tiling import TileSet, _built, _require_tile_set, pack_lines, tile_lines, tile_pack
 
 EMPTY_WORD = "-"
 
@@ -177,6 +178,7 @@ _TILING_HEADS = {f"uso {k}": k for k in range(MAX_FORMAT_DIM + 1)}
 
 
 def write_tiling(ts: TileSet) -> str:
+    _require_tile_set(ts)
     k = ts.dim
     lines = tile_lines(ts.tiles, k) if k else f"{EMPTY_WORD}\n" * len(ts.tiles)
     return f"uso {k}\n" + lines
@@ -201,6 +203,7 @@ def read_tiling(text: str) -> TileSet:
 
 
 def write_orientation(o: Orientation) -> str:
+    _require_orientation(o)
     k = o.dim
     lines = [f"o {k}"]
     for v in Face.full(k).vertices():

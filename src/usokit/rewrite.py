@@ -51,6 +51,7 @@ from .errors import (
 from .tiling import (
     TileSet,
     _built,
+    _require_tile_set,
     _require_tiling,
     _split,
     _unpack,
@@ -212,6 +213,7 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     than cube.MAX_FORMAT_DIM digits is refused before either, so every tile
     of the block fits its uint64.
     """
+    _require_tile_set(k_set)
     if checked:
         violations = validate_generalized(rule)
         if violations:
@@ -401,5 +403,6 @@ def product_rule(parts) -> GeneralizedRule:
 
 def product_labelling(frame: TileSet) -> dict[str, int]:
     """Label every frame tile with its vertex index plus one."""
+    _require_tile_set(frame)
     k = frame.dim
     return {_unpack(t, k): _split(t)[0] + 1 for t in frame.tiles}

@@ -94,6 +94,7 @@ from .cube import (
     _require_str,
     _require_uso,
     _require_vertex,
+    _subset_ors,
     _verified,
 )
 from .errors import NotATilingError
@@ -112,15 +113,8 @@ _TILE_WORD = re.compile("[0-3]*")
 _CHUNKS = tuple("".join(p)[::-1] for p in iproduct(DIGITS, repeat=5))
 
 
-def _spread_table() -> list[int]:
-    """Entry x is x with bit i moved to bit 2i, for x < 1024, by doubling."""
-    table = [0]
-    for i in range(10):
-        table += [t | 1 << 2 * i for t in table]
-    return table
-
-
-_SPREAD = _spread_table()
+# entry x is x with bit i moved to bit 2i, for x < 1024
+_SPREAD = _subset_ors([1 << 2 * i for i in range(10)])
 _SPREAD_UP = [t << 1 for t in _SPREAD]  # the vertex half of a tile
 
 # _SPREAD's inverse on 5 digits: entry t is the (vertex, direction word) of
@@ -374,6 +368,13 @@ def _built(k: int, tiles: frozenset) -> TileSet:
     return ts
 
 
+def _require_tile_set(ts) -> None:
+    """Raise ValueError unless ts is a TileSet: the first check of a tile
+    set parameter, before any of its fields is read."""
+    if not isinstance(ts, TileSet):
+        raise ValueError(f"tile set {ts!r} is not a TileSet")
+
+
 def _tiling_ok(ts: TileSet) -> bool:
     """Whether ts is a complete tiling: the one verdict, kept on ts.
 
@@ -406,11 +407,13 @@ def tiling_defect(ts: TileSet) -> str | None:
 
     Runs the verdict on every call and keeps it on ts.
     """
+    _require_tile_set(ts)
     return None if _tiling_ok(ts) else _defect(ts)
 
 
 def is_tiling(ts: TileSet) -> bool:
     """Whether the set is complete: 2^k tiles, pairwise compatible."""
+    _require_tile_set(ts)
     return _tiling_ok(ts)
 
 
@@ -420,6 +423,7 @@ def _require_tiling(ts: TileSet, message: str) -> None:
     The first call on a value runs the verdict; later calls read the
     verdict it kept.
     """
+    _require_tile_set(ts)
     if ts._verdict is None:
         _tiling_ok(ts)
     if not ts._verdict:
@@ -456,6 +460,7 @@ def vertex_outmaps(ts: TileSet):
 def uso_from_tiles(ts: TileSet) -> Orientation:
     """The orientation of a complete tiling (raises if incomplete): the
     vertex table its verdict kept."""
+    _require_tile_set(ts)  # before the message reads ts
     _require_tiling(ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling")
     return _verified(ts.dim, ts._verdict)
 

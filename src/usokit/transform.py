@@ -62,15 +62,17 @@ from .cube import (
     Edge,
     Face,
     Orientation,
+    _lower_ends,
     _require_coordinate,
     _require_cube_dim,
     _require_dim,
     _require_face,
+    _require_orientation,
     _require_uso,
+    _subset_ors,
     _verified,
     _vertex_words,
     drop_bit,
-    insert_bit,
 )
 from .errors import (
     DimensionError,
@@ -196,15 +198,15 @@ class PhasePartition:
 
 
 class _EdgeIndex(NamedTuple):
-    """The i-edges of the k-cube by projection index p, and their pair cells.
+    """The pair cells of the i-edges of the k-cube, by projection index p.
 
+    Edge p's lower endpoint is ends[p], ends = cube._lower_ends(k, i).
     Cell (h, q, p) is one vertex pair straddling i: half 0 pairs the lower
     endpoint of edge p with the upper one of edge q, half 1 the lower
     endpoint of q with the upper one of p.  _linked reads the cells with
     their axes reversed, as (p, q, h).
     """
 
-    ends: tuple  # lower endpoint of edge p, as ints
     low: np.ndarray  # (2, m, m): the cell's lower endpoint
     up: np.ndarray  # (2, m, m): the cell's upper endpoint
     apart: np.ndarray  # (m, m, 2): ends[p] ^ ends[q], at cell (p, q, h)
@@ -213,15 +215,15 @@ class _EdgeIndex(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _edge_index(k: int, i: int) -> _EdgeIndex:
-    ends = tuple(insert_bit(p, i - 1, 0) for p in range(1 << (k - 1)))
+    ends = _lower_ends(k, i)
     m = len(ends)
     p = np.broadcast_to(np.array(ends), (m, m))  # entry (q, p) is ends[p]
     q = p.T
     # vertex words of phase tables fit a byte (PHASE_DIM_CAP, MAX_JOIN_DIM)
     apart = np.stack([p ^ q] * 2).astype(np.uint8).T
     weights = 1 << np.arange(m, dtype=np.int64)
-    index = _EdgeIndex(ends, np.stack([p, q]), np.stack([q, p]) | 1 << (i - 1), apart, weights)
-    for a in index[1:]:
+    index = _EdgeIndex(np.stack([p, q]), np.stack([q, p]) | 1 << (i - 1), apart, weights)
+    for a in index:
         a.flags.writeable = False
     return index
 
@@ -229,7 +231,7 @@ def _edge_index(k: int, i: int) -> _EdgeIndex:
 @lru_cache(maxsize=None)
 def _edge_bits(k: int, i: int) -> MappingProxyType:
     """Edge(lower endpoint, i) -> 1 << projection index, read-only."""
-    return MappingProxyType({Edge(v, i): 1 << p for p, v in enumerate(_edge_index(k, i).ends)})
+    return MappingProxyType({Edge(v, i): 1 << p for p, v in enumerate(_lower_ends(k, i))})
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +240,8 @@ def _reversal_rows(k: int, i: int) -> tuple[tuple[int, ...], ...]:
     reverses those edges in a table held as one int, a byte lane per vertex
     (int.from_bytes(table, "little"), vertex v's word in bits 8v..8v+7)."""
     ibit = 1 << (i - 1)
-    lanes = [ibit << 8 * v | ibit << 8 * (v | ibit) for v in _edge_index(k, i).ends]
-    rows = []
-    for start in range(0, len(lanes), 8):
-        row = [0]
-        for lane in lanes[start:start + 8]:
-            row += [mask | lane for mask in row]
-        rows.append(tuple(row))
-    return tuple(rows)
+    lanes = [ibit << 8 * v | ibit << 8 * (v | ibit) for v in _lower_ends(k, i)]
+    return tuple(tuple(_subset_ors(lanes[start:start + 8])) for start in range(0, len(lanes), 8))
 
 
 def _reversal(rows: tuple, word: int) -> int:
@@ -351,7 +347,7 @@ def _brute_phase_masks(out: tuple, k: int, i: int) -> tuple[int, ...]:
     classes, which must hold.  Classes come in order of their lowest edge.
     """
     ibit = 1 << (i - 1)
-    lower = _edge_index(k, i).ends
+    lower = _lower_ends(k, i)
     m = len(lower)
     vertices = _vertex_words(k)
     current = list(out)
@@ -470,6 +466,7 @@ def hypervertex_check(o: Orientation, f: Face):
     coordinate must share one direction.  Returns a HypervertexWitness on
     success and a list of violation strings otherwise.
     """
+    _require_orientation(o)
     _require_face(f, o.dim)
     some = 0  # direction bits set at some vertex of the face
     every = (1 << o.dim) - 1  # direction bits set at every vertex of it
@@ -495,16 +492,15 @@ def hypervertex_replace(o: Orientation, f: Face, sub: Orientation) -> Orientatio
     witness = hypervertex_check(o, f)
     if not isinstance(witness, HypervertexWitness):
         raise HypervertexError("; ".join(witness))
+    _require_orientation(sub)
     if sub.dim != f.dim:
         raise DimensionError(
             f"replacement of dimension {sub.dim} for a face of dimension {f.dim}"
         )
     _require_uso(o)
     _require_uso(sub)
-    # deposit[p]: bit a of p moved to free coordinate a, by doubling
-    deposit = [0]
-    for pos in f.free_positions():
-        deposit += [x | 1 << pos for x in deposit]
+    # deposit[p]: bit a of p moved to free coordinate a
+    deposit = _subset_ors([1 << pos for pos in f.free_positions()])
     free, fixed = f.free_mask, f.fixed_values
     out = list(o.out)
     for p, w in enumerate(sub.out):

@@ -64,6 +64,10 @@ CROSS_CHECK = "tests/test_cli.py::test_validate_cross_checks_with_the_other_vert
 BLOCK_WORDS = "tests/test_enumeration.py::test_block_words_are_next_u64"
 REFERENCE_WALK = "tests/test_enumeration.py::test_walk_is_the_reference_walk"
 FROZEN_STATES = "tests/test_enumeration.py::test_chain_states_are_frozen_values"
+LOWER_ENDS = "tests/test_cube.py::test_lower_ends_are_the_vertices_below_each_coordinate"
+OBJECT_DOORS = "tests/test_cube.py::test_objects_of_the_wrong_type_are_value_errors"
+SPREAD_TABLE = "tests/test_tiling.py::test_spread_table_is_the_per_bit_spread"
+FACE_REFERENCE = "tests/test_cube.py::test_face_vertices_and_masks_are_the_string_references"
 
 MUTANTS = [
     (
@@ -196,10 +200,24 @@ MUTANTS = [
     ),
     (
         "i-edges on the wrong coordinate",
-        "transform.py",
+        "cube.py",
         "insert_bit(p, i - 1, 0)",
         "insert_bit(p, i % k, 0)",
         ["tests/test_cli.py::test_phases_output"],
+    ),
+    (
+        "_lower_ends inserting a 1 bit",
+        "cube.py",
+        "insert_bit(p, i - 1, 0)",
+        "insert_bit(p, i - 1, 1)",
+        [LOWER_ENDS],
+    ),
+    (
+        "_subset_ors doubling in reversed order",
+        "cube.py",
+        "        ors += [o | x for o in ors]\n",
+        "        ors = [o | x for o in ors] + ors\n",
+        [SPREAD_TABLE],
     ),
     (
         "phases() drops the top edge of each class",
@@ -226,17 +244,20 @@ MUTANTS = [
     (
         "vertex order reversed (Face.vertices, the orientation text's order)",
         "cube.py",
-        'choices = [("0", "1") if c == "*"',
-        'choices = [("1", "0") if c == "*"',
-        ["tests/test_formats.py::test_orientation_text_lists_vertices_in_bit_order"],
+        "free = [1 << i for i in reversed(self.free_positions())]",
+        "free = [1 << i for i in self.free_positions()]",
+        [
+            "tests/test_formats.py::test_orientation_text_lists_vertices_in_bit_order",
+            FACE_REFERENCE,
+        ],
     ),
     (
         # unique_sink, the recursion's oracle, decodes its face through Face
         "Face.fixed_values reads '*' as 1",
         "cube.py",
-        'self.pattern.replace("*", "0")',
-        'self.pattern.replace("*", "1")',
-        [SMALL_TABLES],
+        'fixed |= (c == "1") << i',
+        'fixed |= (c != "0") << i',
+        [SMALL_TABLES, FACE_REFERENCE],
     ),
     (
         "hypervertex_check with AND in place of OR",
@@ -244,6 +265,22 @@ MUTANTS = [
         "        some |= o.out[v]\n",
         "        some &= o.out[v]\n",
         ["tests/test_transform.py::test_hypervertex_witnesses"],
+    ),
+    # object parameters meet their type test first
+    (
+        "_require_uso reading the verdict of any object",
+        "cube.py",
+        "    _require_orientation(o)\n    if o._verdict is None:\n",
+        "    if o._verdict is None:\n",
+        [OBJECT_DOORS],
+    ),
+    (
+        # a verified Orientation has a _verdict too
+        "_require_tiling reading the verdict of any object",
+        "tiling.py",
+        "    _require_tile_set(ts)\n    if ts._verdict is None:\n",
+        "    if ts._verdict is None:\n",
+        [OBJECT_DOORS],
     ),
     (
         "_require_coordinate rejecting coordinate k",
@@ -256,8 +293,8 @@ MUTANTS = [
     (
         "_SPREAD moves bit i to bit i",
         "tiling.py",
-        "        table += [t | 1 << 2 * i for t in table]\n",
-        "        table += [t | 1 << i for t in table]\n",
+        "_SPREAD = _subset_ors([1 << 2 * i for i in range(10)])",
+        "_SPREAD = _subset_ors([1 << i for i in range(10)])",
         [CODEC],
     ),
     (
@@ -592,8 +629,8 @@ MUTANTS = [
     (
         "_check_edges missing the last coordinate",
         "cube.py",
-        "    for i in range(k):\n        ibit = 1 << i\n        for v in vertices:\n",
-        "    for i in range(k - 1):\n        ibit = 1 << i\n        for v in vertices:\n",
+        "    for i in range(1, k + 1):\n        ibit = 1 << (i - 1)\n        if support is None:\n",
+        "    for i in range(1, k):\n        ibit = 1 << (i - 1)\n        if support is None:\n",
         [
             "tests/test_cube.py::test_edge_check_names_the_lowest_disagreement",
             "tests/test_cube.py::test_edge_check_matches_the_double_loop",
@@ -616,11 +653,11 @@ MUTANTS = [
     ),
     (
         # the same stderr, from a second verdict
-        "the CLI names a rejected input through tiling_defect",
+        "the CLI tests a rejected input before it names the defect",
         "cli.py",
-        "        raise NotATilingError(where + _defect(ts))\n",
-        "        from .tiling import tiling_defect\n\n"
-        "        raise NotATilingError(where + tiling_defect(ts))\n",
+        "    defect = tiling_defect(ts)\n",
+        "    from .tiling import is_tiling\n\n"
+        "    defect = None if is_tiling(ts) else tiling_defect(ts)\n",
         ["tests/test_cli.py::test_verbs_reject_an_input_from_one_table"],
     ),
     (
@@ -1084,8 +1121,8 @@ MUTANTS = [
     (
         "Face taking a pattern that is not a str",
         "cube.py",
-        "        if not isinstance(self.pattern, str):\n",
-        "        if False:\n",
+        '        _require_str(self.pattern, "face pattern")\n',
+        "",
         ["tests/test_cube.py::test_whole_tables_that_are_not_iterable_are_value_errors"],
     ),
     (
@@ -1114,8 +1151,8 @@ MUTANTS = [
     (
         "tile_pack without its str check",
         "tiling.py",
-        "    if not isinstance(s, str):\n",
-        "    if False:\n",
+        '    _require_str(s, "tile")\n',
+        "",
         ["tests/test_tiling.py::test_tile_words_are_str"],
     ),
     # one output route: a verb returns its text, and run() writes it

@@ -17,6 +17,7 @@ from usokit import (
     SimpleRule,
     SplitMix64,
     TileSet,
+    apply_simple,
     bow,
     canonical_orientation,
     canonical_tiles,
@@ -24,22 +25,40 @@ from usokit import (
     edge_at,
     flip_edges,
     flippable_edges,
+    hypervertex_check,
+    hypervertex_replace,
     inherited,
+    is_tiling,
     is_uso,
+    named_rule,
     neighbor,
+    phases,
+    product_labelling,
     read_labels,
     read_orientation,
     read_rule,
     read_tiling,
     tile_of,
     tile_unpack,
+    tiles_from_uso,
+    tiling_defect,
+    twins,
     unique_sink,
+    universality_rule,
     uso_from_tiles,
     vertex_bits,
     vertex_from_bits,
     write_orientation,
+    write_tiling,
 )
-from usokit.cube import _consistent, _verified, check_edge, drop_bit, insert_bit
+from usokit.cube import (
+    _consistent,
+    _lower_ends,
+    _verified,
+    check_edge,
+    drop_bit,
+    insert_bit,
+)
 from usokit.tiling import tile_out, tile_vertex
 
 
@@ -151,6 +170,26 @@ def test_face_basics():
     assert bits("010") not in f
     assert Face.full(2).pattern == "**"
     assert Face("").dim == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01*", max_size=10))
+def test_face_vertices_and_masks_are_the_string_references(pattern):
+    # the string product over the pattern, coordinate 1 first and so
+    # varying slowest, is the order the orientation text lists vertices in
+    f = Face(pattern)
+    choices = [("0", "1") if c == "*" else (c,) for c in pattern]
+    expected = [vertex_from_bits("".join(word)) for word in itertools.product(*choices)]
+    assert list(f.vertices()) == expected
+    assert f.free_mask == vertex_from_bits(pattern.replace("1", "0").replace("*", "1"))
+    assert f.fixed_values == vertex_from_bits(pattern.replace("*", "0"))
+
+
+def test_lower_ends_are_the_vertices_below_each_coordinate():
+    for k in range(1, 11):
+        for i in range(1, k + 1):
+            below = tuple(v for v in range(1 << k) if not v >> (i - 1) & 1)
+            assert _lower_ends(k, i) == below
 
 
 def test_face_rejects_bad_pattern():
@@ -751,6 +790,48 @@ def test_value_doors_refuse_what_is_not_in_range(name, x):
 )
 def test_whole_tables_that_are_not_iterable_are_value_errors(call, message):
     # each raised a raw TypeError before any check of its constructor ran
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+BOW_TILES = bow()
+VERIFIED = canonical_orientation(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: twins(None), "tile set None is not a TileSet"),
+        # a verified Orientation has a kept verdict too
+        (lambda: twins(VERIFIED), f"tile set {VERIFIED!r} is not a TileSet"),
+        (lambda: flippable_edges(None), "orientation None is not an Orientation"),
+        (lambda: phases(None, 1), "orientation None is not an Orientation"),
+        (lambda: universality_rule(None), "tile set None is not a TileSet"),
+        (lambda: uso_from_tiles(5), "tile set 5 is not a TileSet"),
+        (lambda: tiles_from_uso(BOW_TILES), f"orientation {BOW_TILES!r} is not an Orientation"),
+        (lambda: is_tiling(BOW), f"tile set {BOW!r} is not a TileSet"),
+        (lambda: tiling_defect(None), "tile set None is not a TileSet"),
+        (lambda: is_uso(None), "orientation None is not an Orientation"),
+        (lambda: unique_sink(BOW, "**"), "face '**' is not a Face"),
+        (lambda: unique_sink(None, Face("**")), "orientation None is not an Orientation"),
+        (lambda: hypervertex_check(BOW, "**"), "face '**' is not a Face"),
+        (lambda: hypervertex_check(None, Face("**")), "orientation None is not an Orientation"),
+        (
+            lambda: hypervertex_replace(VERIFIED, Face("*0"), None),
+            "orientation None is not an Orientation",
+        ),
+        (lambda: write_tiling("x"), "tile set 'x' is not a TileSet"),
+        (lambda: write_orientation(BOW_TILES), f"orientation {BOW_TILES!r} is not an Orientation"),
+        (lambda: flip_edges(None, ()), "orientation None is not an Orientation"),
+        (lambda: PartialOrientation.restrict(None, {0}), "orientation None is not an Orientation"),
+        (lambda: apply_simple(named_rule("flip"), None, 1), "tile set None is not a TileSet"),
+        (lambda: product_labelling(BOW), f"tile set {BOW!r} is not a TileSet"),
+    ],
+)
+def test_objects_of_the_wrong_type_are_value_errors(call, message):
+    # each read a field of its argument first and raised a raw
+    # AttributeError, or, given another library object, returned or failed
+    # further in
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 

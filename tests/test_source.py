@@ -50,14 +50,32 @@ class _Uses(ast.NodeVisitor):
         self._see(node.id, False)
 
 
-def _users(name, attribute):
-    """Module-qualified scopes of the library that use name."""
+class _Doubling(_Uses):
+    """The functions that grow a list by a list, as in ``xs += [...]``."""
+
+    def __init__(self):
+        super().__init__(None, None)
+
+    def visit_AugAssign(self, node):
+        if isinstance(node.op, ast.Add) and isinstance(node.value, (ast.List, ast.ListComp)):
+            self.found.add(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+def _scopes(visitor):
+    """Module-qualified scopes of the library where a fresh visitor() finds
+    what it looks for."""
     found = set()
     for p in sorted(Path(usokit.__file__).parent.glob("*.py")):
-        uses = _Uses(name, attribute)
-        uses.visit(ast.parse(p.read_text(), filename=str(p)))
-        found |= {f"{p.stem}.{scope}" for scope in uses.found}
+        seen = visitor()
+        seen.visit(ast.parse(p.read_text(), filename=str(p)))
+        found |= {f"{p.stem}.{scope}" for scope in seen.found}
     return found
+
+
+def _users(name, attribute):
+    """Module-qualified scopes of the library that use name."""
+    return _scopes(lambda: _Uses(name, attribute))
 
 
 def test_the_pair_rule_has_one_home():
@@ -65,6 +83,14 @@ def test_the_pair_rule_has_one_home():
     # differ, is what the phase pair rule masks with: a second reader of it
     # would be a second form of the rule beside transform._linked
     assert _users("apart", attribute=True) == {"transform._linked"}
+
+
+def test_each_enumeration_has_one_home():
+    # every OR of a subset (a face's vertices, a spread table, a deposit or
+    # reversal table) is cube._subset_ors' doubling, and every list of the
+    # i-edges' lower endpoints is cube._lower_ends
+    assert _scopes(_Doubling) == {"cube._subset_ors"}
+    assert _users("insert_bit", False) | _users("insert_bit", True) == {"cube._lower_ends"}
 
 
 def test_the_tiling_verdict_has_one_route():

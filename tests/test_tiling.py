@@ -33,6 +33,7 @@ from usokit import (
 from usokit.cube import _pairwise_ok
 from usokit.tiling import (
     _SPLIT,
+    _SPREAD,
     _tiles_of,
     incompatible_tiles,
     tile_out,
@@ -139,6 +140,11 @@ def _table(ts):
     array), or None."""
     out = vertex_outmaps(ts)
     return None if out is None else [int(w) for w in out]
+
+
+def test_spread_table_is_the_per_bit_spread():
+    # _SPREAD is cube._subset_ors of the ten spread bits
+    assert _SPREAD == [sum((x >> b & 1) << 2 * b for b in range(10)) for x in range(1024)]
 
 
 @st.composite
