@@ -47,9 +47,10 @@ tiling's vertex table, which the tile set keeps as its own verdict.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DimensionError, NotAnUsoError
 from .pairwise import face_sinks_ok, incompatible_pairs
@@ -305,6 +306,13 @@ def _require_iterable(values, what: str) -> None:
         iter(values)
     except TypeError:
         raise ValueError(f"{what} {values!r} is not iterable") from None
+
+
+def _require_mapping(values, what: str) -> None:
+    """Raise ValueError naming what unless values is a Mapping: the first
+    check of a caller's mapping, before any of its keys is read."""
+    if not isinstance(values, Mapping):
+        raise ValueError(f"{what} {values!r} is not a mapping")
 
 
 def _require_str(value, what: str) -> None:

@@ -42,22 +42,27 @@ per word (the words are below 2^8).  A pass on c = bit b splits the
 region of lanes in blocks of 2^(b+1): the lower half of a block against
 its upper half, found by one shift, is the facet pair of a face.  Both
 halves become faces of the next pass where they are, and the face's sink,
-picked by the lane mask (lo >> b & ones) * 0xFF, is appended above the
+picked by the mask (lo >> b & ones) * field, is appended above the
 region, in the lower halves' lanes; the upper halves' lanes there stay 0,
-and a zero lane passes every test, so nothing is compacted.  Above
-LANE_MAX_DIM it runs on numpy, at most _FACE_CELLS words per block, so it
-needs no dimension cap (a cap would only trade its memory for the pair
-test's 4^k/3^k time).
+and a zero lane passes every test.  A pass on bit b reads bits b..0 of
+each word only, so from the pass on bit 3 on the high half of each lane
+is dead.  There the region folds, when it holds two whole blocks (from
+k = 5): its upper half moves onto the lower half, 4 bits up, by one
+mask, one shift and one OR, and a lane holds two 4-bit faces.  Before
+the pass on bit 1 it folds again, to four 2-bit faces, so k = 5..8 read
+about half the lanes they would unfolded.  Above LANE_MAX_DIM it runs
+on numpy, at most _FACE_CELLS words per block, so it needs no dimension
+cap (a cap would only trade its memory for the pair test's 4^k/3^k
+time).
 
-Best of 7 x 2,000 calls on a product tiling's vertex table (vertex_outmaps'
-int64 array, converted to lanes), 2 shared cores, Python 3.11.7, numpy
-2.4.6, the recursion took 17.9 us on lanes against 43.8 on numpy at
-k = 7.  At k = 8 it took 63.4 against 59.5 on a valid table, a tie, and
-34.1 against 49.8 with one edge reversed, so the lanes keep every
-dimension whose words fit a byte.  The pair test took 18.4 and 32.9 us
-on those valid tables, so at k = 8 one verdict costs about twice the
-pair test; from k = 9 the recursion is the faster one (80 against 128 us
-at k = 9, 129 against 399 at k = 10, best of 7 x 300).
+Median of 21 interleaved rounds, each the best of 3 runs of many calls,
+on a product USO's direction table (2 shared cores, Python 3.11.7, numpy
+2.4.6), the verdict took 10.7 us on lanes against 53.1 on numpy and 23.2
+for the pair test at k = 7, and 32.5 against 72.2 (43.3) at k = 8, so
+the lanes keep every dimension whose words fit a byte, and a k = 8
+verdict costs less than the pair test.  From k = 9 the recursion is the
+faster one (80 against 128 us at k = 9, 129 against 399 at k = 10, best
+of 7 x 300).
 
 numpy is imported on the first numpy route taken (see _lazy), so sets
 below KERNEL_MIN_DIM and tables up to LANE_MAX_DIM never import it.
@@ -162,40 +167,70 @@ def face_sinks_ok(out: Sequence[int], k: int) -> bool:
     return _face_sinks_ok_int(out, k)
 
 
+def _lanes(r: int, byte: int) -> int:
+    """r byte lanes, each holding byte."""
+    return int.from_bytes(bytes((byte,)) * r, "little")
+
+
 @lru_cache(maxsize=None)
 def _lane_passes(k: int):
-    """The passes of the recursion on 2^k byte lanes, but the last; and the
-    last pass's test mask.
+    """The recursion on 2^k byte lanes: the passes before the first fold,
+    the first fold or None, and the last pass's test mask.
 
-    A pass on bit b reads a region of r lanes: its shift in bits from a
-    block's lower half to its upper half, the mask of the lower halves'
-    lanes, bit b and bit 0 of each such lane, and the region's top bit,
-    where the sinks go.  The last pass, on bit 0, only tests.
+    A lane holds 8 // w fields of w bits, a face's word each.  A pass on
+    bit b reads a region of r lanes: its shift in bits from a block's
+    lower half to its upper half, the mask of the lower halves' lanes, bit
+    b and bit 0 of each of their fields, and the region's top bit, where
+    the sinks go.  The last pass, on bit 0, only tests.
+
+    A pass on bit b reads bits b..0 only, so before the pass on bit
+    w // 2 - 1 the fields' high halves are dead.  There, but before the
+    last pass, a region holding two whole blocks folds: the low halves of
+    the upper r // 2 lanes' fields move onto the high halves of the lower
+    lanes' fields, and w halves.  So k <= 4 never folds, and k = 5..8 fold
+    before bits 3 and 1.  A fold is (shift, mask of the lower lanes' low
+    halves, mask of their high halves, the new field mask, the passes up
+    to the next fold, the next fold or None).
     """
-    passes, r = [], 1 << k
+    folds, passes, w, r = [], [[]], 8, 1 << k
     for b in reversed(range(k)):
+        if b and b + 1 == w // 2 and r >= 4 << b:
+            w //= 2
+            r //= 2
+            keep = _lanes(r, 0xFF // ((1 << w) + 1))
+            folds.append((8 * r - w, keep, keep << w, (1 << w) - 1))
+            passes.append([])
         half = 1 << b
         low = int.from_bytes((b"\xff" * half + bytes(half)) * (r >> b + 1), "little")
-        ones = low & int.from_bytes(b"\x01" * r, "little")
-        passes.append((b, 8 * half, low, ones << b, ones, 8 * r))
+        ones = low & _lanes(r, 0xFF // ((1 << w) - 1))
+        passes[-1].append((b, 8 * half, low, ones << b, ones, 8 * r))
         r *= 2
-    return tuple(passes[:-1]), passes[-1][3] if k else 0
+    last = passes[-1].pop()[3] if k else 0
+    fold = None
+    for f, after in zip(reversed(folds), reversed(passes[1:])):
+        fold = (*f, tuple(after), fold)
+    return tuple(passes[0]), fold, last
 
 
 def _face_sinks_ok_int(out, k: int) -> bool:
     """The recursion on one int, word v in byte lane v; every word below
     256, so k <= 8.  Each pass tests the facet sinks' bits b against each
     other and appends the faces' sinks: the lower one where its bit b is
-    0, else the upper."""
+    0, else the upper.  A fold goes between two passes (_lane_passes)."""
     s = int.from_bytes(out, "little")
-    passes, last = _lane_passes(k)
-    for b, shift, low, bit, ones, top in passes:
-        lo = s & low
-        diff = lo ^ s >> shift & low
-        if diff & bit:
-            return False
-        s |= (lo ^ diff & (lo >> b & ones) * 0xFF) << top
-    return not (s ^ s >> 8) & last
+    passes, fold, last = _lane_passes(k)
+    field = 0xFF
+    while True:
+        for b, shift, low, bit, ones, top in passes:
+            lo = s & low
+            diff = lo ^ s >> shift & low
+            if diff & bit:
+                return False
+            s |= (lo ^ diff & (lo >> b & ones) * field) << top
+        if fold is None:
+            return not (s ^ s >> 8) & last
+        shift, keep, up, field, passes, fold = fold
+        s = s & keep | s >> shift & up
 
 
 def _face_sinks_ok_np(out, k: int, cells: int = _FACE_CELLS) -> bool:

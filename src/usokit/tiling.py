@@ -417,8 +417,10 @@ def is_tiling(ts: TileSet) -> bool:
     return _tiling_ok(ts)
 
 
-def _require_tiling(ts: TileSet, message: str) -> None:
-    """Raise NotATilingError(message) unless ts is a complete tiling.
+def _require_tiling(ts: TileSet, message: str | None = None) -> None:
+    """Raise NotATilingError(message) unless ts is a complete tiling; the
+    default message names ts's tile count and dimension, and is built only
+    then.
 
     The first call on a value runs the verdict; later calls read the
     verdict it kept.
@@ -427,7 +429,9 @@ def _require_tiling(ts: TileSet, message: str) -> None:
     if ts._verdict is None:
         _tiling_ok(ts)
     if not ts._verdict:
-        raise NotATilingError(message)
+        raise NotATilingError(
+            message or f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling"
+        )
 
 
 def vertex_outmaps(ts: TileSet):
@@ -460,8 +464,7 @@ def vertex_outmaps(ts: TileSet):
 def uso_from_tiles(ts: TileSet) -> Orientation:
     """The orientation of a complete tiling (raises if incomplete): the
     vertex table its verdict kept."""
-    _require_tile_set(ts)  # before the message reads ts
-    _require_tiling(ts, f"{len(ts.tiles)} tiles, dimension {ts.dim}: not a complete tiling")
+    _require_tiling(ts)
     return _verified(ts.dim, ts._verdict)
 
 

@@ -67,6 +67,7 @@ from .cube import (
     _require_cube_dim,
     _require_dim,
     _require_face,
+    _require_mapping,
     _require_orientation,
     _require_uso,
     _subset_ors,
@@ -99,10 +100,13 @@ def product(frame: Orientation, parts) -> Orientation:
     every cross edge like the frame.
     """
     _require_uso(frame)
+    _require_mapping(parts, "parts mapping")
     k = frame.dim
     missing = [v for v in range(1 << k) if v not in parts]
     if missing:
         raise ValueError(f"parts mapping is missing vertex {missing[0]}")
+    for v in range(1 << k):
+        _require_orientation(parts[v])
     dims = {parts[v].dim for v in range(1 << k)}
     if len(dims) != 1:
         raise DimensionError("parts of unequal dimensions")

@@ -15,7 +15,7 @@ Their old text must still be found exactly once; they are not run.
 
     python tests/mutants.py
 
-About 60 s on two cores.  Exits 1 and names every mutant that survived or
+About 80 s on two cores.  Exits 1 and names every mutant that survived or
 no longer applies.
 """
 
@@ -68,6 +68,9 @@ LOWER_ENDS = "tests/test_cube.py::test_lower_ends_are_the_vertices_below_each_co
 OBJECT_DOORS = "tests/test_cube.py::test_objects_of_the_wrong_type_are_value_errors"
 SPREAD_TABLE = "tests/test_tiling.py::test_spread_table_is_the_per_bit_spread"
 FACE_REFERENCE = "tests/test_cube.py::test_face_vertices_and_masks_are_the_string_references"
+FOLDED = "tests/test_pairwise.py::test_folded_lanes_match_the_numpy_recursion_and_the_pair_test"
+REVERSALS = "tests/test_pairwise.py::test_folded_lanes_reject_every_one_edge_reversal"
+FOLD_PLAN = "tests/test_pairwise.py::test_lanes_fold_before_bits_3_and_1_from_k_5"
 
 MUTANTS = [
     (
@@ -805,21 +808,21 @@ MUTANTS = [
     (
         "recursion always keeping the upper facet's sink (lane route)",
         "pairwise.py",
-        "        s |= (lo ^ diff & (lo >> b & ones) * 0xFF) << top\n",
-        "        s |= (lo ^ diff) << top\n",
+        "            s |= (lo ^ diff & (lo >> b & ones) * field) << top\n",
+        "            s |= (lo ^ diff) << top\n",
         [SMALL_TABLES],
     ),
     (
         "recursion always keeping the lower facet's sink (lane route)",
         "pairwise.py",
-        "        s |= (lo ^ diff & (lo >> b & ones) * 0xFF) << top\n",
-        "        s |= lo << top\n",
+        "            s |= (lo ^ diff & (lo >> b & ones) * field) << top\n",
+        "            s |= lo << top\n",
         [SMALL_TABLES],
     ),
     (
         "recursion without its bit test but on the last pass (lane route)",
         "pairwise.py",
-        "        if diff & bit:\n            return False\n",
+        "            if diff & bit:\n                return False\n",
         "",
         [SMALL_TABLES],
     ),
@@ -832,12 +835,52 @@ MUTANTS = [
         [BIG_TABLES],
     ),
     (
-        # the first pass reads the 2^k lanes of the table, up to bit 8 << k
+        # the first pass is the one on bit k - 1
         "recursion without the edge test of its first pass (lane route)",
         "pairwise.py",
-        "        if diff & bit:\n",
-        "        if top > 8 << k and diff & bit:\n",
+        "            if diff & bit:\n",
+        "            if b < k - 1 and diff & bit:\n",
         [SEEDED_TABLES],
+    ),
+    (
+        # the lower lanes' high halves, dead bits, OR into the upper lanes'
+        # faces
+        "fold keeping the dead bits of the lower lanes",
+        "pairwise.py",
+        "        s = s & keep | s >> shift & up\n",
+        "        s = s & (keep | up) | s >> shift & up\n",
+        [FOLDED],
+    ),
+    (
+        # a lane's field bits spread into the next field up
+        "field mask left at 0xFF after a fold",
+        "pairwise.py",
+        "keep, keep << w, (1 << w) - 1))",
+        "keep, keep << w, 0xFF))",
+        [FOLDED],
+    ),
+    (
+        # the upper half's first block is lost, and with it the faces seen
+        # there alone
+        "fold shift one block too long",
+        "pairwise.py",
+        "(8 * r - w, keep",
+        "(8 * (r + (2 << b)) - w, keep",
+        [REVERSALS],
+    ),
+    (
+        "fold shift one block too long at the second fold alone",
+        "pairwise.py",
+        "(8 * r - w, keep",
+        "(8 * (r + (2 << b) * (b == 1)) - w, keep",
+        [REVERSALS],
+    ),
+    (
+        "lanes that never fold",
+        "pairwise.py",
+        "        if b and b + 1 == w // 2 and r >= 4 << b:\n",
+        "        if False:\n",
+        [FOLD_PLAN],
     ),
     (
         # int.from_bytes refuses a table holding a word of 9 bits
@@ -1311,6 +1354,16 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
+    (
+        # the region's last block is always 0: the pass before a fold puts
+        # its sinks in the lower half of each block twice as long.  The
+        # upper lanes then take the lower half's last block again, faces
+        # that are tested anyway, and lose only that zero block
+        "fold shift one block too short",
+        "pairwise.py",
+        "(8 * r - w, keep",
+        "(8 * (r - (2 << b)) - w, keep",
+    ),
     (
         # k = 8 then takes the numpy recursion, which decides the same
         # property; the choice between the two routes there is speed alone

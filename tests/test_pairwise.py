@@ -41,6 +41,7 @@ from usokit.pairwise import (
     _face_sinks_ok_np,
     _incompatible_pairs_np,
     _incompatible_pairs_py,
+    _lane_passes,
     face_sinks_ok,
     incompatible_pairs,
 )
@@ -58,11 +59,12 @@ def seeded_uso(k, seed):
     return product(seeded_uso(a, seed), parts)
 
 
-def corrupted(o, seed):
-    """o with one non-flippable edge reversed: never an USO."""
+def corrupted(o, seed, i=None):
+    """o with one non-flippable edge reversed, an i-edge if i is given:
+    never an USO."""
     rng = random.Random(seed)
     flippable = flippable_edges(o)
-    edges = [e for e in o.edges() if e not in flippable]
+    edges = [e for e in o.edges() if e not in flippable and i in (None, e.dim)]
     return flip_edges(o, [rng.choice(edges)])
 
 
@@ -193,6 +195,18 @@ def sink_tests(out, k):
     ]
 
 
+def consistent_table(k, rng):
+    """A table from one random direction per edge: every edge's ends agree."""
+    out = [0] * (1 << k)
+    for i in range(k):
+        bit = 1 << i
+        for v in range(1 << k):
+            if not v & bit and rng.getrandbits(1):
+                out[v] |= bit
+                out[v | bit] |= bit
+    return out
+
+
 def test_recursion_decides_every_small_table_as_the_definition():
     # every table of k-bit words, edge-consistent or not, at k <= 2
     for k, usos in ((0, 1), (1, 2), (2, 12)):
@@ -209,16 +223,11 @@ def test_recursion_decides_every_small_table_as_the_definition():
 def test_recursion_matches_the_definition_on_seeded_tables(k):
     rng = random.Random(k)
     n = 1 << k
-    edges = [(v, 1 << i) for i in range(k) for v in range(n) if not v >> i & 1]
     for seed in range(60):
         # any words, an edge-consistent table from one bit per edge, and a
         # walk's USO as it is, with one edge reversed and with one end of
         # an edge reversed
-        consistent = [0] * n
-        for v, bit in edges:
-            if rng.getrandbits(1):
-                consistent[v] |= bit
-                consistent[v | bit] |= bit
+        consistent = consistent_table(k, rng)
         o = seeded_uso(k, seed)
         tables = [
             [rng.randrange(n) for _ in range(n)],
@@ -291,6 +300,66 @@ def test_recursion_matches_the_pair_test_on_corrupted_products(k):
             assert _face_sinks_ok_np(out, k, cells) == ok
         verdicts.append(ok)
     assert verdicts == [True] + [False] * 4
+
+
+def lane_folds(k):
+    """The lane plan's folds: the bit of the first pass after each, and the
+    field mask it leaves."""
+    passes, fold, _ = _lane_passes(k)
+    folds = []
+    while fold is not None:
+        *_, field, passes, fold = fold
+        folds.append((passes[0][0], field))
+    return folds
+
+
+def test_lanes_fold_before_bits_3_and_1_from_k_5():
+    # a fold needs two whole blocks in its region, so k <= 4 never folds
+    assert [lane_folds(k) for k in range(LANE_MAX_DIM + 1)] == (
+        [[]] * 5 + [[(3, 0xF), (1, 0x3)]] * (LANE_MAX_DIM - 4)
+    )
+
+
+def folded_band_tables(k, seed):
+    """Tables whose verdicts cross both folds of k = 5..8, each with the
+    verdict it must get: any bytes, an USO whose words have random bits
+    above k, a random edge-consistent table, a product USO, and that USO
+    with one edge reversed and with one end of an edge reversed at each
+    coordinate 1..5, the ones tested after the first fold (1..4) and
+    before it (5)."""
+    rng = random.Random(seed)
+    o = seeded_uso(k, seed)
+    tables = [
+        ([rng.randrange(256) for _ in o.out], None),
+        ([w | rng.randrange(256) >> k << k for w in o.out], True),
+        (consistent_table(k, rng), None),
+        (o.out, True),
+    ]
+    for i in range(1, 6):
+        tables += [(corrupted(o, seed + i, i).out, False), (endpoint_flipped(o, seed, i), False)]
+    return tables
+
+
+@pytest.mark.parametrize("k", range(5, LANE_MAX_DIM + 1))
+def test_folded_lanes_match_the_numpy_recursion_and_the_pair_test(k):
+    for seed in range(3):
+        for out, want in folded_band_tables(k, seed):
+            got = _face_sinks_ok_int(bytes(out), k)
+            assert got == _face_sinks_ok_np(out, k) == _pairwise_ok(out, k), (seed, out)
+            assert want in (None, got), (seed, out)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_folded_lanes_reject_every_one_edge_reversal(k):
+    # each fold drops the upper half's first block if its shift is one
+    # block long; some reversals are seen in that block alone
+    for seed in range(3):
+        o = seeded_uso(k, seed)
+        flippable = flippable_edges(o)
+        for e in o.edges():
+            if e not in flippable:
+                out = flip_edges(o, [e]).out
+                assert not _face_sinks_ok_int(bytes(out), k), (seed, e)
 
 
 # ---------------------------------------------------------------------------

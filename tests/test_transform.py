@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from usokit import (
@@ -70,6 +72,23 @@ def test_product_input_checks():
         product(UP1, {0: DOWN1})
     with pytest.raises(DimensionError):
         product(UP1, {0: DOWN1, 1: canonical_orientation(2)})
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (None, "parts mapping None is not a mapping"),
+        (5, "parts mapping 5 is not a mapping"),
+        ("ab", "parts mapping 'ab' is not a mapping"),
+        ([DOWN1, DOWN1], f"parts mapping {[DOWN1, DOWN1]!r} is not a mapping"),
+        ({0: DOWN1, 1: None}, "orientation None is not an Orientation"),
+    ],
+)
+def test_product_refuses_parts_that_are_not_a_mapping_of_orientations(parts, message):
+    # each raised a raw TypeError or AttributeError, or, for the list, a
+    # missing vertex 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        product(UP1, parts)
 
 
 def test_product_refuses_a_dimension_above_the_cap(monkeypatch):
