@@ -42,7 +42,7 @@ from itertools import repeat
 from typing import Mapping
 
 from ._lazy import np
-from .cube import _require_coordinate, _require_cube_dim, _require_dim
+from .cube import _require_coordinate, _require_cube_dim, _require_dim, _require_iterable
 from .errors import (
     DimensionError,
     InvalidRuleError,
@@ -384,9 +384,12 @@ def product_rule(parts) -> GeneralizedRule:
     tile of parts[j].  Apply at h = frame dimension with
     product_labelling(frame).
     """
+    _require_iterable(parts, "parts")
     parts = list(parts)
     if not parts:
         raise DimensionError("need at least one part")
+    for p in parts:
+        _require_tile_set(p)
     d = parts[0].dim
     _require_cube_dim(d + 1)
     for p in parts:

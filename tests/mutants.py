@@ -1036,6 +1036,23 @@ MUTANTS = [
         ["tests/test_rewrite.py::test_product_rule_refuses_a_width_above_the_cap"],
     ),
     (
+        "product_rule reading a part that is not a tile set",
+        "rewrite.py",
+        "    for p in parts:\n        _require_tile_set(p)\n",
+        "",
+        ["tests/test_rewrite.py::test_product_rule_refuses_parts_that_are_not_tile_sets"],
+    ),
+    (
+        "product reading parts that are not a mapping",
+        "transform.py",
+        '    _require_mapping(parts, "parts mapping")\n',
+        "",
+        [
+            "tests/test_transform.py::"
+            "test_product_refuses_parts_that_are_not_a_mapping_of_orientations"
+        ],
+    ),
+    (
         "product without the cap on k + d",
         "transform.py",
         "    _require_cube_dim(k + d)\n",

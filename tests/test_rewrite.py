@@ -534,6 +534,22 @@ def test_rule_shape_rejections(make, error, message):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (None, "parts None is not iterable"),
+        (5, "parts 5 is not iterable"),
+        ([None], "tile set None is not a TileSet"),
+        ([ONE, None], "tile set None is not a TileSet"),
+        ([ONE, 5], "tile set 5 is not a TileSet"),
+    ],
+)
+def test_product_rule_refuses_parts_that_are_not_tile_sets(parts, message):
+    # list(parts) raised a raw TypeError, and p.dim a raw AttributeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        product_rule(parts)
+
+
 def _split_rule(rnd, d, i, tilings):
     """A rule of width d with i columns, each row pair a random split of a
     random complete d-tiling: valid for one column, mostly not for two."""
