@@ -21,6 +21,7 @@ import contextlib
 import os
 import stat
 import sys
+from itertools import repeat
 
 from .cube import (
     Face,
@@ -36,9 +37,10 @@ from .enumeration import (
     MAX_SAMPLE_DIM,
     RNG_ALGORITHM,
     _check_jobs,
+    _check_join_dim,
+    _join_slices,
     count_usos,
     enumerate_brute,
-    enumerate_join,
     sample_markov,
 )
 from .errors import (
@@ -53,6 +55,7 @@ from .errors import (
 )
 from .formats import (
     _number,
+    _write_tiling_rows,
     read_labels,
     read_orientation,
     read_rule,
@@ -306,12 +309,14 @@ def _cmd_hyper_replace(args):
 
 def _cmd_enumerate(args):
     _check_jobs(args.jobs, "--jobs")
-    # enumerate_* check k before run() opens --out; tilings are made as written
+    # k is checked before run() opens --out; the text is made as written:
+    # a tiling at a time by brute force, a slice of a join block at a time
     if args.method == "brute":
-        stream = enumerate_brute(args.k)
+        texts = map(write_tiling, enumerate_brute(args.k))
     else:
-        stream = enumerate_join(args.k, args.jobs)
-    return (("\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream))
+        _check_join_dim(args.k)
+        texts = map(_write_tiling_rows, _join_slices(args.k), repeat(args.k))
+    return (("\n" if idx else "") + text for idx, text in enumerate(texts))
 
 
 def _cmd_count(args):

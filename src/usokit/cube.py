@@ -308,6 +308,20 @@ def _require_iterable(values, what: str) -> None:
         raise ValueError(f"{what} {values!r} is not iterable") from None
 
 
+def _edge_set(edges, what: str) -> frozenset:
+    """The set of an iterable of edges, each an Edge or a (vertex, dim)
+    tuple, which names the same edge (Edge is a NamedTuple).  Raise
+    ValueError naming what unless edges is iterable (_require_iterable),
+    and naming the element unless each is such a pair, before any is
+    hashed or read."""
+    _require_iterable(edges, what)
+    edges = list(edges)
+    for e in edges:
+        if not isinstance(e, tuple) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not an Edge or a (vertex, dim) tuple")
+    return frozenset(edges)
+
+
 def _require_mapping(values, what: str) -> None:
     """Raise ValueError naming what unless values is a Mapping: the first
     check of a caller's mapping, before any of its keys is read."""
@@ -472,10 +486,11 @@ def flippable_edges(o: Orientation) -> set[Edge]:
 
 
 def flip_edges(o: Orientation, edges) -> Orientation:
-    """Reverse the given edges at both ends.  No unique-sink guarantee."""
+    """Reverse the given edges, Edges or (vertex, dim) tuples, at both ends.
+    No unique-sink guarantee."""
     _require_orientation(o)
     out = list(o.out)
-    for e in set(edges):
+    for e in map(Edge._make, _edge_set(edges, "edges")):
         check_edge(e, o.dim)
         ibit = 1 << (e.dim - 1)
         out[e.vertex] ^= ibit

@@ -13,11 +13,17 @@ Three routes:
   transform._edge_classes, run on the combed joins of one lower facet
   with every upper facet, drives both routes with class masks: a pair's
   row holds each class at its lowest edge and 0 at its other edges.  The
-  stream takes, per facet pair and class, the tiles of the class's edges
-  from per-facet tile tables (a facet's tiles in vertex order from
-  tiling._tile_row, and for the upper facet the same tiles with digit k's
-  high bit set), once without and once with the connecting bit, and
-  yields one tiling per choice of list for each class.
+  stream builds each lower facet's tilings as one uint8 block
+  (_join_block), a row of 2^k tiles per tiling, which fit a byte up to
+  k = 4: per pair, the classes move to the front of the row, the
+  connecting words of every subset come by doubling over them, so class
+  c is bit c of the subset's index, the subsets below 2^(classes) stay,
+  and each word's connecting bits are ORed into the lower facet's tiles
+  and into the upper facet's (per-facet tile tables: a facet's tiles in
+  vertex order from tiling._tile_row, and for the upper facet the same
+  tiles with digit k's high bit set).  The stream yields a tile set per
+  row of the blocks' 1,024-row slices (_join_slices); the enumerate verb
+  writes the same slices as text, a chunk each (tiling._rows_text).
   The counter needs the sum of 2^phases per facet pair.  That sum over
   all upper facets is the same for every lower facet in one orbit of the
   counting group (coordinate permutations, mirror and flip_dimension,
@@ -64,7 +70,7 @@ import time
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import chain, count, product
+from itertools import chain, count, product, repeat
 from typing import Iterator
 
 from ._lazy import np
@@ -259,17 +265,33 @@ def _facet_orbits(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _facet_tiles(k: int) -> tuple:
+def _facet_tiles(k: int) -> np.ndarray:
     """Per _catalogue(k - 1) entry: its packed tiles as lower and as upper
-    facet, in vertex order.
+    facet, in vertex order, a uint8 array of shape (facets, 2, 2^(k-1)),
+    read-only.
 
     The lower tiles are the facet's own, digit k 0; the upper ones set that
     digit's high bit, making it 2.  The direction of the connecting edge,
-    the low bit of that digit, is ORed in per tiling.
+    the low bit of that digit, is ORed in per tiling.  k <= 4 tiles have at
+    most 8 bits.
     """
     high = 2 << 2 * (k - 1)
-    rows = [tuple(_tile_row(out, k - 1)) for out in _catalogue(k - 1)]
-    return tuple((row, tuple(t | high for t in row)) for row in rows)
+    rows = [list(_tile_row(out, k - 1)) for out in _catalogue(k - 1)]
+    tiles = np.array([(row, [t | high for t in row]) for row in rows], np.uint8)
+    tiles.flags.writeable = False
+    return tiles
+
+
+@lru_cache(maxsize=None)
+def _flip_words(k: int) -> np.ndarray:
+    """Entry w: the connecting bits that connecting word w ORs into a
+    facet's 2^(k-1) tiles, the bit in edge p's tile (vertex p of the
+    facet) if w has bit p, as one word of _facet_tiles's bytes; read-only."""
+    m = 1 << (k - 1)
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8) << 2 * (k - 1)
+    flips = bits.view(f"u{m}")[:, 0]
+    flips.flags.writeable = False
+    return flips
 
 
 @lru_cache(maxsize=None)
@@ -293,28 +315,64 @@ def _join_classes(k: int, li: int) -> np.ndarray:
     return _edge_classes(combed, k, k)
 
 
+def _join_block(k: int, li: int) -> np.ndarray:
+    """Every tiling of the joins of facet li as lower facet, in stream
+    order: a uint8 row of 2^k tiles each, the lower facet's tiles, then
+    the upper facet's.
+
+    The upper facets go in catalogue order.  Within a pair, class c, in
+    order of lowest edge, is bit c of the subset's index, counted up from
+    0 below 2^(number of classes): the connecting words come by doubling
+    over the classes, so the words of the subsets below 2^c hold classes
+    0..c - 1 only.  Each word's connecting bits go into both facets' tiles.
+    """
+    masks = _join_classes(k, li)
+    n, m = masks.shape
+    phases = np.count_nonzero(masks, axis=1)
+    # each pair's classes, in order, moved to columns 0..phases - 1
+    classes = np.zeros_like(masks)
+    classes[np.arange(m) < phases[:, None]] = masks[masks != 0]
+    words = np.zeros((n, 1 << m), masks.dtype)
+    for c in range(m):
+        words[:, 1 << c:2 << c] = words[:, :1 << c] | classes[:, c, None]
+    # 2^phases <= 256; the bound test took a quarter of its int64 time
+    subsets = 1 << phases.astype(np.uint16)
+    flips = _flip_words(k)[words[np.arange(1 << m, dtype=np.uint16) < subsets[:, None]]]
+    # a facet's tiles as one word, as the flips
+    tiles = _facet_tiles(k).view(flips.dtype)[..., 0]
+    block = np.empty((len(flips), 2), flips.dtype)
+    block[:, 0] = tiles[li, 0] | flips
+    block[:, 1] = tiles[np.repeat(np.arange(n), subsets), 1] | flips
+    return block.view(np.uint8)
+
+
+# Rows per slice of a join block.  The enumerate verb writes a text chunk
+# per slice, about 89 KB at k = 4; facet 0's whole block is 10,586 rows,
+# whose text, made as bytes and then as str, takes about 0.9 MB each.
+_SLICE = 1024
+
+
+def _join_slices(k: int) -> Iterator[np.ndarray]:
+    """The join's tilings as _join_block slices of at most _SLICE rows,
+    lower facet by lower facet; unchecked."""
+    for li in range(len(_catalogue(k - 1))):
+        block = _join_block(k, li)
+        for start in range(0, len(block), _SLICE):
+            yield block[start:start + _SLICE]
+
+
 def _join_stream(k: int) -> Iterator[TileSet]:
     """The join's tilings; a connecting bit sets only digit k, so in range.
 
-    Each class of a facet pair contributes the lower and upper tiles of its
-    edges whole: without the connecting bit, or with it.  product varies
-    its last factor fastest, so over the classes in reverse, class c is bit
-    c of a count from 0: every class down, then class 0 flipped, and so on.
+    Each row's tiles reach frozenset as a bytes slice.  bytes are not
+    tracked by the garbage collector, as tolist()'s row lists are: with
+    20,000 tilings held, the lists took a quarter more collections.
     """
-    tables = _facet_tiles(k)
-    bit = 1 << 2 * (k - 1)
-    for li, (low_tiles, _) in enumerate(tables):
-        for (_, up_tiles), masks in zip(tables, _join_classes(k, li).tolist()):
-            sides = []
-            for cls in filter(None, reversed(masks)):
-                tiles = []
-                while cls:
-                    p = (cls & -cls).bit_length() - 1
-                    tiles += low_tiles[p], up_tiles[p]
-                    cls &= cls - 1
-                sides.append((tiles, [t | bit for t in tiles]))
-            for pick in product(*sides):
-                yield _built(k, frozenset(chain.from_iterable(pick)))
+    n = 1 << k
+    for rows in _join_slices(k):
+        data = rows.tobytes()
+        tiles = (data[start:start + n] for start in range(0, len(data), n))
+        yield from map(_built, repeat(k), map(frozenset, tiles))
 
 
 def enumerate_join(k: int, jobs: int = 1) -> Iterator[TileSet]:

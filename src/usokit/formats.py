@@ -59,8 +59,16 @@ from .cube import (
     vertex_from_bits,
 )
 from .errors import FormatError
-from .rewrite import GeneralizedRule
-from .tiling import TileSet, _built, _require_tile_set, pack_lines, tile_lines, tile_pack
+from .rewrite import GeneralizedRule, _require_labelling, _require_rule
+from .tiling import (
+    TileSet,
+    _built,
+    _require_tile_set,
+    _rows_text,
+    pack_lines,
+    tile_lines,
+    tile_pack,
+)
 
 EMPTY_WORD = "-"
 
@@ -184,6 +192,12 @@ def write_tiling(ts: TileSet) -> str:
     return f"uso {k}\n" + lines
 
 
+def _write_tiling_rows(rows, k: int) -> str:
+    """write_tiling's texts of the tilings of a uint8 block, a row of tiles
+    each (1 <= k <= 4), joined by "\n" as the enumerate verb joins them."""
+    return _rows_text(rows, k, f"uso {k}\n")
+
+
 def read_tiling(text: str) -> TileSet:
     _require_str(text, "text")
     head, _, body = text.partition("\n")
@@ -236,6 +250,7 @@ def read_orientation(text: str) -> Orientation:
 
 
 def write_rule(rule: GeneralizedRule) -> str:
+    _require_rule(rule)
     lines = [f"rule d={rule.d} i={rule.i}"]
     for m in range(4):
         for j in range(1, rule.i + 1):
@@ -284,8 +299,10 @@ def write_labels(labels: dict[str, int]) -> str:
 
     Every key must be a tile word: tile_pack's ValueError names the first
     key that is not, such as None or True, which would print as lines
-    that no reader takes back.
+    that no reader takes back.  A labels value that is not a mapping raises
+    LabellingError, as a rewrite does.
     """
+    _require_labelling(labels)
     for s in labels:
         tile_pack(s)
     return "\n".join(f"{_word(s)} {labels[s]}" for s in sorted(labels)) + "\n"

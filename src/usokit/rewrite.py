@@ -37,9 +37,9 @@ against 84 us at 1,024 for a width-1 rule without labels; with labels
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping
 
 from ._lazy import np
 from .cube import _require_coordinate, _require_cube_dim, _require_dim, _require_iterable
@@ -95,12 +95,13 @@ class GeneralizedRule:
         _require_dim(self.i, "column count")
         if self.i < 1:
             raise DimensionError("a rule needs at least one column")
-        if len(self.columns) != 4:
+        if _size(self.columns) != 4:
             raise ValueError("expected four rows of replacement sets")
         for row in self.columns:
-            if len(row) != self.i:
+            if _size(row) != self.i:
                 raise ValueError(f"expected {self.i} columns per row")
             for s in row:
+                _require_tile_set(s)
                 if s.dim != self.d:
                     raise DimensionError(
                         f"replacement set of width {s.dim} in a rule of width "
@@ -111,13 +112,38 @@ class GeneralizedRule:
         return self.columns[m][j - 1]
 
 
+def _size(values) -> int | None:
+    """len(values), or None for a value that has no length.  A try, not an
+    isinstance of Sequence, which took 0.4 us a test."""
+    try:
+        return len(values)
+    except TypeError:
+        return None
+
+
 def SimpleRule(d: int, s0: TileSet, s1: TileSet, s2: TileSet, s3: TileSet) -> GeneralizedRule:
     """The one-column rule with replacement sets S0..S3 of width d."""
     return GeneralizedRule(d, 1, ((s0,), (s1,), (s2,), (s3,)))
 
 
+def _require_rule(rule) -> None:
+    """Raise ValueError unless rule is a GeneralizedRule: the first check of
+    a rule parameter, before any of its fields is read.  One isinstance, as
+    every rewrite runs it."""
+    if not isinstance(rule, GeneralizedRule):
+        raise ValueError(f"rule {rule!r} is not a GeneralizedRule")
+
+
+def _require_labelling(labels) -> None:
+    """Raise LabellingError unless labels, a labelling, is a Mapping, before
+    any of its keys is read."""
+    if not isinstance(labels, Mapping):
+        raise LabellingError(f"labelling {labels!r} is not a mapping")
+
+
 def as_generalized(rule: GeneralizedRule) -> GeneralizedRule:
     """A simple rule already is a one-column generalized rule."""
+    _require_rule(rule)
     return rule
 
 
@@ -163,6 +189,7 @@ def validate_generalized(rule: GeneralizedRule) -> list[str]:
     columns of each row project to the same vertex set; the tests check
     that, not each call.
     """
+    _require_rule(rule)
     out = []
     for j in range(1, rule.i + 1):
         for jp in range(1, rule.i + 1):
@@ -199,7 +226,12 @@ def apply_generalized(
     h: int,
     checked: bool = False,
 ) -> TileSet:
-    """Rewrite with per-tile column choice; labelling maps tile strings."""
+    """Rewrite with per-tile column choice; labelling maps tile strings.
+
+    A labelling that is not a mapping, None included, raises
+    LabellingError.
+    """
+    _require_labelling(labelling)
     return _rewrite(rule, k_set, labelling, h, checked)
 
 
@@ -213,6 +245,7 @@ def _rewrite(rule, k_set, labelling, h, checked) -> TileSet:
     than cube.MAX_FORMAT_DIM digits is refused before either, so every tile
     of the block fits its uint64.
     """
+    _require_rule(rule)
     _require_tile_set(k_set)
     if checked:
         violations = validate_generalized(rule)

@@ -52,7 +52,12 @@ word by word with its own messages.
 TileSet.strings(), formats.write_tiling and formats.read_tiling use them,
 and so does rewrite._tile_columns for the label keys.  numpy is imported
 on the first numpy route taken (see _lazy), so tile sets below
-KERNEL_MIN_DIM never import it.
+KERNEL_MIN_DIM never import it.  Whole blocks of tilings at k <= 4, a row
+of one-byte tiles per tiling, have a third: _rows_text gives their
+texts joined by "\n", each a caller's head and then the row's lines, for
+formats and the enumerate verb's join route.  It sorts each row by a key
+per tile, the tile's word read in base 4, and looks up each key's line
+in a table of characters (both 4^k entries, cached per k).
 
 A tiling is verified once, by one verdict, ``_tiling_ok``: at every k,
 the sink test of orientations (pairwise.face_sinks_ok, the face-sink
@@ -216,6 +221,38 @@ def tile_lines(tiles, k: int) -> str:
     block[:, :k] = digits[np.lexsort(digits.T[::-1])] + 48
     block[:, k] = 10
     return block.tobytes().decode("ascii")
+
+
+@lru_cache(maxsize=None)
+def _row_text_tables(k: int):
+    """For the tiles below 4^k, k <= 4: each tile's key, its word read in
+    base 4 with coordinate 1 as the top digit, so that key order is string
+    order; and per key, the line of the tile with that key, as k + 1 ASCII
+    bytes.  Both uint8, read-only."""
+    words = [_unpack(t, k) for t in range(1 << 2 * k)]
+    key = np.array([int(w, 4) for w in words], np.uint8)
+    # the words in key order are the words sorted
+    lines = np.frombuffer("".join(w + "\n" for w in sorted(words)).encode("ascii"), np.uint8)
+    lines = lines.reshape(len(words), k + 1)
+    for a in (key, lines):
+        a.flags.writeable = False
+    return key, lines
+
+
+def _rows_text(rows, k: int, head: str) -> str:
+    """The texts of the tilings of a uint8 block, a row of tiles each
+    (1 <= k <= 4), joined by "\n": each is head, then the row's tiles as
+    tile_lines writes them.
+
+    A row is sorted by its tiles' keys, and each key looks up its line.
+    """
+    key, lines = _row_text_tables(k)
+    prefix = np.frombuffer(f"\n{head}".encode("ascii"), np.uint8)
+    text = np.empty((len(rows), len(prefix) + rows.shape[1] * (k + 1)), np.uint8)
+    text[:, :len(prefix)] = prefix
+    text[:, len(prefix):] = lines[np.sort(key[rows], axis=1)].reshape(len(rows), -1)
+    # every text but the first follows a "\n"
+    return text.tobytes()[1:].decode("ascii")
 
 
 def pack_lines(text: str, n: int, k: int):

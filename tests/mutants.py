@@ -50,6 +50,7 @@ TEXT = "tests/test_tiling.py::test_strings_and_text_match_the_per_tile_codec"
 LABELS = "tests/test_rewrite.py::test_labellings_give_the_per_key_loop_results"
 VERDICT = "tests/test_tiling.py::test_verdict_matches_the_tile_pair_test"
 REFERENCE = "tests/test_enumeration.py::test_join_stream_is_the_reference_pick_loop"
+JOIN_TEXT = "tests/test_enumeration.py::test_join_text_is_write_tiling_of_the_stream"
 NUMPY_FREE = "tests/test_source.py::test_small_verbs_run_without_numpy"
 LABEL_TEXT = "tests/test_formats.py::test_label_reader_keeps_the_line_readers_messages"
 REVERSAL = "tests/test_transform.py::test_reversal_is_the_per_edge_loop"
@@ -59,6 +60,7 @@ BIG_TABLES = "tests/test_pairwise.py::test_recursion_matches_the_pair_test_on_co
 SPLICE = "tests/test_rewrite.py::test_block_splice_is_the_loop"
 FUSED = "tests/test_transform.py::test_fused_pair_rule_is_the_broadcast_rule"
 DOORS = "tests/test_cube.py::test_value_doors_refuse_what_is_not_in_range"
+RULE_DOORS = "tests/test_rewrite.py::test_rules_and_labellings_of_the_wrong_type_are_refused"
 EVERY_K = "tests/test_pairwise.py::test_the_verdict_is_the_recursion_at_every_k"
 CROSS_CHECK = "tests/test_cli.py::test_validate_cross_checks_with_the_other_vertex_test"
 BLOCK_WORDS = "tests/test_enumeration.py::test_block_words_are_next_u64"
@@ -178,28 +180,74 @@ MUTANTS = [
         # stays on tilings but flips one coordinate only
         ["tests/test_enumeration.py::test_sample_outputs_are_pinned"],
     ),
+    # the join's per-facet block: class c is bit c of a pair's subset index
     (
-        "stream classes not reversed before product",
+        "block classes compacted in reverse order",
         "enumeration.py",
-        "            for cls in filter(None, reversed(masks)):\n",
-        "            for cls in filter(None, masks):\n",
+        "= masks[masks != 0]",
+        "= masks[:, ::-1][masks[:, ::-1] != 0]",
         [REFERENCE],
     ),
     (
-        # digit k of the upper facet then reads 1, its low bit, not 2
+        "block keeping the subset one past the last",
+        "enumeration.py",
+        "np.arange(1 << m, dtype=np.uint16) < subsets[:, None]",
+        "np.arange(1 << m, dtype=np.uint16) <= subsets[:, None]",
+        [REFERENCE],
+    ),
+    (
+        "block lower tiles without the connecting bit",
+        "enumeration.py",
+        "    block[:, 0] = tiles[li, 0] | flips\n",
+        "    block[:, 0] = tiles[li, 0]\n",
+        [REFERENCE],
+    ),
+    (
+        "block upper tiles without the connecting bit",
+        "enumeration.py",
+        "    block[:, 1] = tiles[np.repeat(np.arange(n), subsets), 1] | flips\n",
+        "    block[:, 1] = tiles[np.repeat(np.arange(n), subsets), 1]\n",
+        [REFERENCE],
+    ),
+    (
+        # below k = 4 a block is one slice, so the stream is empty there
+        "slices dropping each block's last slice",
+        "enumeration.py",
+        "        for start in range(0, len(block), _SLICE):\n",
+        "        for start in range(0, len(block) - _SLICE, _SLICE):\n",
+        [REFERENCE + "[4-window]"],
+    ),
+    (
+        # digit k of the upper facet then reads 1, its low bit, not 2; the
+        # reference loop takes its tiles from tile_of
         "facet tiles setting the connecting digit's low bit",
         "enumeration.py",
         "    high = 2 << 2 * (k - 1)\n",
         "    high = 1 << 2 * (k - 1)\n",
-        # the reference loop reads the same tables, so the pinned digests judge
-        ["tests/test_enumeration.py::test_join_stream_order_is_pinned"],
+        [REFERENCE],
+    ),
+    # the enumerate verb's text of a block slice
+    (
+        "block text sorted by packed tile, not by word",
+        "tiling.py",
+        "lines[np.sort(key[rows], axis=1)]",
+        "lines[key[np.sort(rows, axis=1)]]",
+        [JOIN_TEXT],
     ),
     (
-        "upper tiles without the connecting bit",
-        "enumeration.py",
-        "[t | bit for t in tiles]",
-        "[t if t & bit << 1 else t | bit for t in tiles]",
-        [REFERENCE],
+        "block text opening with its separator",
+        "tiling.py",
+        'return text.tobytes()[1:].decode("ascii")',
+        'return text.tobytes().decode("ascii")',
+        [JOIN_TEXT],
+    ),
+    (
+        # the batch closure's masks must hold 2^(k-1) bits: at k = 5, 16
+        "edge weights one byte wide at every k",
+        "transform.py",
+        "np.arange(m, dtype=np.min_scalar_type((1 << m) - 1))",
+        "np.arange(m, dtype=np.uint8)",
+        [WALKS + "[5]"],
     ),
     (
         "i-edges on the wrong coordinate",
@@ -240,8 +288,8 @@ MUTANTS = [
     (
         "phase_flip dropping edges that are not lower i-edge endpoints",
         "transform.py",
-        "            mask = sum(bits[e] for e in frozenset(cls))\n",
-        "            mask = sum(bits.get(e, 0) for e in frozenset(cls))\n",
+        "            mask = sum(bits[e] for e in edges)\n",
+        "            mask = sum(bits.get(e, 0) for e in edges)\n",
         ["tests/test_transform.py::test_phase_flip_rejections_keep_their_messages"],
     ),
     (
@@ -1186,6 +1234,27 @@ MUTANTS = [
         ["tests/test_cube.py::test_whole_tables_that_are_not_iterable_are_value_errors"],
     ),
     (
+        "rewrites without the rule type test",
+        "rewrite.py",
+        "    _require_rule(rule)\n    _require_tile_set(k_set)\n",
+        "    _require_tile_set(k_set)\n",
+        [RULE_DOORS],
+    ),
+    (
+        "apply_generalized without the labelling type test",
+        "rewrite.py",
+        "    _require_labelling(labelling)\n",
+        "",
+        [RULE_DOORS],
+    ),
+    (
+        "edge sets without the pair test",
+        "cube.py",
+        "        if not isinstance(e, tuple) or len(e) != 2:\n",
+        "        if False:\n",
+        [DOORS],
+    ),
+    (
         "write_labels writing any key",
         "formats.py",
         "    for s in labels:\n        tile_pack(s)\n",
@@ -1244,8 +1313,8 @@ MUTANTS = [
         # the stream is then made before run() opens --out
         "enumerate building its whole text first",
         "cli.py",
-        '    return (("\\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream))\n',
-        '    return [("\\n" if idx else "") + write_tiling(ts) for idx, ts in enumerate(stream)]\n',
+        '    return (("\\n" if idx else "") + text for idx, text in enumerate(texts))\n',
+        '    return [("\\n" if idx else "") + text for idx, text in enumerate(texts)]\n',
         ["tests/test_cli.py::test_out_directory_fails_before_the_stream"],
     ),
     (

@@ -511,8 +511,10 @@ def test_out_directory_fails_before_the_stream(tmp_path, monkeypatch, capsys):
         yield
 
     monkeypatch.setattr(usokit.cli, "enumerate_brute", no_stream)
-    assert run(["enumerate", "--k", "2", "--method", "brute", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"error: io: [Errno 21] Is a directory: '{tmp_path}'\n"
+    monkeypatch.setattr(usokit.cli, "_join_slices", no_stream)
+    for method in ("brute", "join"):
+        assert run(["enumerate", "--k", "2", "--method", method, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: io: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_out_errors_name_the_requested_path(tmp_path, capsys):

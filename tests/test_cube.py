@@ -32,6 +32,8 @@ from usokit import (
     is_uso,
     named_rule,
     neighbor,
+    phase_flip,
+    phase_swap,
     phases,
     product_labelling,
     read_labels,
@@ -726,10 +728,11 @@ def test_dimension_cap_admits_the_cap():
     assert tile_unpack(5, MAX_FORMAT_DIM) == "11" + "0" * (MAX_FORMAT_DIM - 2)
 
 
-# Every public door that takes a vertex, a direction word, a tile or a
-# coordinate, with the value under test in one slot, and the error it
-# raises: DimensionError where a vertex or coordinate is named, ValueError
-# for a tile and for a table's vertex or word.  Every door takes a value
+# Every public door that takes a vertex, a direction word, a tile, a
+# coordinate or edges, with the value under test in one slot, and the
+# error it raises: DimensionError where a vertex or coordinate is named,
+# ValueError for a tile, for a table's vertex or word, and for edges or
+# phase classes that are not iterable or hold a value that is not an Edge.  Every door takes a value
 # whose type is exactly int, so an int subclass such as an IntEnum member
 # is refused like a bool.
 _Enum = enum.IntEnum("_Enum", {"ONE": 1})
@@ -756,6 +759,12 @@ VALUE_DOORS = {
     "edge_at-vertex": (lambda x: edge_at(x, 1), DimensionError),
     "edge_at-coordinate": (lambda x: edge_at(0, x), DimensionError),
     "randbelow": (lambda x: SplitMix64(1).randbelow(x), ValueError),
+    "flip_edges-edges": (lambda x: flip_edges(BOW, x), ValueError),
+    "flip_edges-edge": (lambda x: flip_edges(BOW, [x]), ValueError),
+    "phase_flip-classes": (lambda x: phase_flip(BOW, 1, x), ValueError),
+    "phase_flip-class": (lambda x: phase_flip(BOW, 1, [x]), ValueError),
+    "phase_swap-edges": (lambda x: phase_swap(BOW, 1, x), ValueError),
+    "phase_swap-edge": (lambda x: phase_swap(BOW, 1, [x]), ValueError),
 }
 
 
@@ -769,8 +778,9 @@ def test_value_doors_refuse_what_is_not_in_range(name, x):
     # a bool was read as 0 or 1, tile_of masked a vertex or word to k bits,
     # restrict indexed from the end or past it, vertex_bits printed -1 and
     # 2**70 as bits, edge_at took any vertex and shifted by any coordinate,
-    # randbelow drew below True and below 2**70 only under 2**64, and a
-    # float, str or None raised a raw TypeError where no check came first
+    # randbelow drew below True and below 2**70 only under 2**64, a float,
+    # str or None raised a raw TypeError where no check came first, and an
+    # edge that is not an Edge a raw AttributeError or TypeError
     call, error = VALUE_DOORS[name]
     with pytest.raises(error):
         call(x)

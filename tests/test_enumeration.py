@@ -19,6 +19,7 @@ from usokit import (
     is_tiling,
     markov_walk,
     sample_markov,
+    write_tiling,
 )
 from usokit.cube import drop_bit
 
@@ -535,31 +536,64 @@ def test_closures_match_phase_projections_on_every_k3_table():
 def _reference_join_stream(k):
     """The join stream as one pick loop per facet pair: pick's bit c flips
     class c, in the order of the classes' lowest edges.  The classes are
-    the union-find's on the combed join, not the library's closure."""
-    from operator import or_
-
-    from usokit.enumeration import _catalogue, _facet_tiles
+    the union-find's on the combed join, not the library's closure, and
+    the tiles are tile_of's, not the library's facet tables."""
+    from usokit import tile_of
+    from usokit.enumeration import _catalogue
 
     cat = _catalogue(k - 1)
-    tables = _facet_tiles(k)
-    top = 1 << (k - 1)
-    shift = 2 * (k - 1)
-    for low, (low_tiles, _) in zip(cat, tables):
-        for up, (_, up_tiles) in zip(cat, tables):
-            classes = _phase_projections(low + up, k, k)
+    size = 1 << k
+    tiles = {(v, w): tile_of(v, w, k) for v in range(size) for w in range(size)}
+    top = size >> 1
+    for low in cat:
+        for up in cat:
+            table = low + up  # every connecting edge points down
+            classes = _phase_projections(table, k, k)
             for pick in range(1 << len(classes)):
                 word = sum(
                     1 << p for c, cls in enumerate(classes) if pick >> c & 1 for p in cls
                 )
-                bits = [(word >> p & 1) << shift for p in range(top)]
-                yield TileSet(k, [*map(or_, low_tiles, bits), *map(or_, up_tiles, bits)])
+                # edge p joins vertices p and p + top; a flip points it up
+                yield TileSet(k, [
+                    tiles[v, w | (word >> (v & top - 1) & 1) << (k - 1)]
+                    for v, w in enumerate(table)
+                ])
 
 
-@pytest.mark.parametrize("k, n", [(1, None), (2, None), (3, None), (4, 20000)])
+# Facet 0 of the k = 4 join has 10,586 tilings, in 1,024-row slices of its
+# block: the window crosses the slice start at 10,240, the facet's last,
+# shorter slice, and the first slice start of facet 1, at 11,610.
+K4_WINDOW = slice(10_000, 11_700)
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(1, None), (2, None), (3, None), (4, 20000), pytest.param(4, K4_WINDOW, id="4-window")],
+)
 def test_join_stream_is_the_reference_pick_loop(k, n):
-    got = list(itertools.islice(enumerate_join(k), n))
-    assert got == list(itertools.islice(_reference_join_stream(k), n))
+    window = n if isinstance(n, slice) else slice(n)
+    got = list(itertools.islice(enumerate_join(k), window.start, window.stop))
+    assert got == list(itertools.islice(_reference_join_stream(k), window.start, window.stop))
     assert [ts.dim for ts in got] == [k] * len(got)
+
+
+@pytest.mark.parametrize("k, window", [(k, slice(None)) for k in (1, 2, 3)] + [(4, K4_WINDOW)])
+def test_join_text_is_write_tiling_of_the_stream(k, window):
+    # the enumerate verb's text of a block: a slice's rows hold their tiles
+    # in vertex order, which the helper sorts into line order
+    import numpy as np
+
+    from usokit.enumeration import _join_slices
+    from usokit.formats import _write_tiling_rows
+
+    slices = []
+    for rows in _join_slices(k):
+        slices.append(rows)
+        if window.stop is not None and sum(map(len, slices)) >= window.stop:
+            break
+    block = np.concatenate(slices)[window]
+    stream = itertools.islice(enumerate_join(k), window.start, window.stop)
+    assert _write_tiling_rows(block, k) == "\n".join(map(write_tiling, stream))
 
 
 def _keeps_classes(table, k, picks_for):

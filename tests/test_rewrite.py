@@ -35,6 +35,7 @@ from usokit import (
 )
 from usokit import cube, rewrite
 from usokit.cube import MAX_FORMAT_DIM
+from usokit.formats import write_labels, write_rule
 from usokit.tiling import pack_lines, tile_vertex
 
 # the d=2 rule whose application is the worked rewrite fixture
@@ -531,6 +532,38 @@ MIRROR = named_rule("mirror")
 def test_rule_shape_rejections(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         make()
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: apply_simple(None, ONE, 1), ValueError, "rule None is not a GeneralizedRule"),
+        (lambda: apply_generalized(None, ONE, {}, 1), ValueError,
+         "rule None is not a GeneralizedRule"),
+        (lambda: validate_generalized(None), ValueError, "rule None is not a GeneralizedRule"),
+        (lambda: write_rule(None), ValueError, "rule None is not a GeneralizedRule"),
+        (lambda: as_generalized(None), ValueError, "rule None is not a GeneralizedRule"),
+        (lambda: as_generalized(ONE), ValueError, f"rule {ONE!r} is not a GeneralizedRule"),
+        (lambda: GeneralizedRule(1, 1, None), ValueError, "expected four rows of replacement sets"),
+        (lambda: GeneralizedRule(1, 1, [None] * 4), ValueError, "expected 1 columns per row"),
+        (lambda: SimpleRule(1, None, None, None, None), ValueError,
+         "tile set None is not a TileSet"),
+        (lambda: SimpleRule(1, ONE, ONE, ONE, 5), ValueError, "tile set 5 is not a TileSet"),
+        (lambda: apply_generalized(MIRROR, ONE, 5, 1), LabellingError,
+         "labelling 5 is not a mapping"),
+        (lambda: apply_generalized(MIRROR, ONE, None, 1), LabellingError,
+         "labelling None is not a mapping"),
+        (lambda: apply_generalized(MIRROR, ONE, [("0", 1), ("2", 1)], 1), LabellingError,
+         "labelling [('0', 1), ('2', 1)] is not a mapping"),
+        (lambda: write_labels(None), LabellingError, "labelling None is not a mapping"),
+    ],
+)
+def test_rules_and_labellings_of_the_wrong_type_are_refused(call, error, message):
+    # each read a field of its argument or iterated it first, and raised a
+    # raw AttributeError or TypeError; as_generalized returned it
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
     assert type(info.value) is error
 
 

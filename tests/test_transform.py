@@ -313,6 +313,8 @@ def test_phase_flip_rejections_keep_their_messages():
         ({Edge(8, 1)}, "[Edge(vertex=8, dim=1)]"),  # no vertex of the cube
         (set(), "[]"),
         ({Edge(0, 1), Edge(2, 1)}, "[Edge(vertex=0, dim=1), Edge(vertex=2, dim=1)]"),
+        # an iterator class was read up before the message listed it
+        (iter([Edge(0, 2)]), "[Edge(vertex=0, dim=2)]"),
     ):
         message = f"not a phase class of dimension 1: {shown}"
         assert _error(phase_flip, canon, 1, [{Edge(0, 1)}, bad]) == ("PhaseSelectionError", message)
@@ -345,10 +347,12 @@ def test_phase_swap_of_bow_welded_class():
 
 
 def test_phase_edits_take_plain_tuple_edges():
-    # Edge is a NamedTuple, so (vertex, dim) tuples name the same edges
+    # Edge is a NamedTuple, so (vertex, dim) tuples name the same edges;
+    # flip_edges read a tuple's fields and raised a raw AttributeError
     welded = {(0, 1), (2, 1)}
     assert phase_flip(BOW, 1, [welded]) == flip_dimension(BOW, 1)
     assert phase_swap(BOW, 1, welded) == phase_swap(BOW, 1, {Edge(0, 1), Edge(2, 1)})
+    assert flip_edges(BOW, welded) == flip_dimension(BOW, 1)
 
 
 def test_phase_swap_rejects_split_or_stray():
